@@ -1,12 +1,15 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops.
 
-Every kernel exists twice: a scalar-loop version that numba JIT-compiles, and
-a vectorized pure-numpy fallback. Set INCMINE_NO_NUMBA=1 to force the numpy
-path; when numba is not installed the numpy path is used automatically. Both
-paths implement identical tie-breaking (lowest index wins), so results agree
-except for last-ulp float summation differences.
+Itemset support counting has one implementation: item columns packed as
+uint64 bitsets over the transactions, ANDed per candidate in fixed-size
+blocks and counted with ``np.bitwise_count`` (numpy >= 2.0).
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+The PAM (k-medoids) and silhouette kernels still exist twice: a scalar-loop
+version that numba JIT-compiles, and a vectorized pure-numpy fallback. Set
+INCMINE_NO_NUMBA=1 to force the numpy path; when numba is not installed the
+numpy path is used automatically. Both paths implement identical tie-breaking
+(lowest index wins), so results agree except for last-ulp float summation
+differences.
 """
 
 import os
@@ -27,31 +30,36 @@ USE_NUMBA = _HAVE_NUMBA and not os.environ.get("INCMINE_NO_NUMBA")
 # itemset support counting
 # --------------------------------------------------------------------------
 
-def _support_counts_loop(presence, cands):
-    # presence: (n_transactions, n_items) bool; cands: (n_cands, size) int64
-    n_t = presence.shape[0]
-    n_c = cands.shape[0]
-    size = cands.shape[1]
-    out = np.zeros(n_c, dtype=np.int64)
-    for c in range(n_c):
-        cnt = 0
-        for t in range(n_t):
-            hit = True
-            for j in range(size):
-                if not presence[t, cands[c, j]]:
-                    hit = False
-                    break
-            if hit:
-                cnt += 1
-        out[c] = cnt
+# candidates ANDed per block; bounds the (chunk, n_words) uint64 scratch array
+SUPPORT_CHUNK = 4096
+
+
+def support_counts(presence, cands):
+    """Transactions containing every item of each candidate.
+
+    presence: (n_transactions, n_items) bool; cands: (n_cands, size) int64
+    item indices. Each item column is packed into uint64 words over the
+    transactions (a vertical bitset); a candidate's count is the popcount of
+    the AND of its items' bitsets.
+    """
+    words = _item_bitsets(presence)
+    out = np.empty(cands.shape[0], dtype=np.int64)
+    for lo in range(0, cands.shape[0], SUPPORT_CHUNK):
+        block = cands[lo:lo + SUPPORT_CHUNK]
+        acc = words[block[:, 0]]
+        for j in range(1, block.shape[1]):
+            acc &= words[block[:, j]]
+        out[lo:lo + block.shape[0]] = np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
     return out
 
 
-def _support_counts_np(presence, cands):
-    ok = presence[:, cands[:, 0]].copy()
-    for j in range(1, cands.shape[1]):
-        ok &= presence[:, cands[:, j]]
-    return ok.sum(axis=0).astype(np.int64)
+def _item_bitsets(presence):
+    """(n_items, n_words) uint64: bit t of item i's row is presence[t, i]."""
+    packed = np.packbits(presence, axis=0, bitorder="little")  # (n_bytes, n_items)
+    n_bytes = -(-packed.shape[0] // 8) * 8
+    rows = np.zeros((presence.shape[1], n_bytes), dtype=np.uint8)
+    rows[:, :packed.shape[0]] = packed.T
+    return rows.view(np.uint64)
 
 
 # --------------------------------------------------------------------------
@@ -299,19 +307,16 @@ def _silhouette_np(dist, labels, k):
 # --------------------------------------------------------------------------
 
 if USE_NUMBA:
-    _support_counts_jit = njit(cache=True)(_support_counts_loop)
     _pam_build_jit = njit(cache=True)(_pam_build_loop)
     _pam_swap_jit = njit(cache=True)(_pam_swap_loop)
     _assign_jit = njit(cache=True)(_assign_loop)
     _silhouette_jit = njit(cache=True)(_silhouette_loop)
 
-    support_counts = _support_counts_jit
     pam_build = _pam_build_jit
     pam_swap = _pam_swap_jit
     assign_to_medoids = _assign_jit
     silhouette_samples_from_dist = _silhouette_jit
 else:
-    support_counts = _support_counts_np
     pam_build = _pam_build_np
     pam_swap = _pam_swap_np
     assign_to_medoids = _assign_np
@@ -319,9 +324,8 @@ else:
 
 
 def implementations():
-    """Map kernel name -> (active, numpy fallback); used by tests and benchmarks."""
+    """Map kernel name -> (active, numpy fallback); used by tests."""
     return {
-        "support_counts": (support_counts, _support_counts_np),
         "pam_build": (pam_build, _pam_build_np),
         "pam_swap": (pam_swap, _pam_swap_np),
         "assign_to_medoids": (assign_to_medoids, _assign_np),

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -597,24 +597,63 @@ def save_model(model: LmModel, path) -> None:
         fh.write("\n")
 
 
+_MANIFEST_KEYS = frozenset({"version", "config", "vocab", "tensors"})
+_TENSOR_KEYS = frozenset({"shape", "dtype", "file", "sha256"})
+
+
+def _check_keys(obj, keys, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ArtifactError(f"{what} is not a JSON object")
+    missing = sorted(keys - obj.keys())
+    unknown = sorted(obj.keys() - keys)
+    if missing or unknown:
+        raise ArtifactError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+
+
 def load_model(path) -> LmModel:
-    """Rebuild a model from an artifact directory, verifying checksums."""
+    """Rebuild a model from an artifact directory, verifying checksums.
+
+    Every malformed manifest raises ``ArtifactError``: a value that is not a
+    JSON object where one belongs, a missing or unknown key, a config value
+    ``LmConfig`` rejects, or a tensor file outside the artifact directory.
+    """
     with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ArtifactError("manifest is not a JSON object")
     version = manifest.get("version")
     if version != ARTIFACT_VERSION:
         raise ArtifactVersionError(
             f"artifact version {version!r}, this build reads {ARTIFACT_VERSION!r}")
-    config = LmConfig(**manifest["config"])
-    vocab = LmVocabulary(manifest["vocab"])
+    _check_keys(manifest, _MANIFEST_KEYS, "manifest")
+    _check_keys(manifest["config"], {f.name for f in fields(LmConfig)}, "manifest config")
+    try:
+        config = LmConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"manifest config: {exc}") from exc
+    tokens = manifest["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+        raise ArtifactError("manifest vocab is not a JSON list of strings")
+    vocab = LmVocabulary(tokens)
+    if not isinstance(manifest["tensors"], dict):
+        raise ArtifactError("manifest tensors is not a JSON object")
+    root = os.path.realpath(path)
     params = {}
     for name, spec in manifest["tensors"].items():
-        with open(os.path.join(path, spec["file"]), "rb") as fh:
+        _check_keys(spec, _TENSOR_KEYS, f"tensor {name!r}")
+        file = os.path.realpath(os.path.join(root, str(spec["file"])))
+        if os.path.commonpath([root, file]) != root:
+            raise ArtifactError(
+                f"tensor {name!r} file {spec['file']!r} lies outside the artifact directory")
+        with open(file, "rb") as fh:
             blob = fh.read()
         digest = hashlib.sha256(blob).hexdigest()
         if digest != spec["sha256"]:
             raise ArtifactChecksumError(f"checksum mismatch for tensor {name!r}")
-        arr = np.frombuffer(blob, dtype="<f4").reshape(spec["shape"])
+        try:
+            arr = np.frombuffer(blob, dtype="<f4").reshape(spec["shape"])
+        except (TypeError, ValueError) as exc:
+            raise ArtifactError(f"tensor {name!r}: {exc}") from exc
         params[name] = arr.astype(config.np_dtype)
     expected = {name for name, _ in _param_specs(config)}
     if set(params) != expected:

@@ -9,17 +9,20 @@ semantically loaded ones.
 
 The candidate universe is the full itemset lattice over band-passing items up
 to ``max_itemset_size``; the IDF band is the knob that keeps that universe
-tractable on real corpora. All metrics reduce to integer transaction counts,
-so two independent counting strategies produce bit-identical fractions.
+tractable on real corpora. Support counts come from the vertical-bitset
+kernel ``_kernels.support_counts``; all metrics reduce to these integer
+transaction counts, so the miner, ``rule_metrics`` and a brute-force
+enumerator produce bit-identical fractions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from io import StringIO
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import csv
 
@@ -135,10 +138,18 @@ def support(itemset: Itemset | Iterable[str], transactions: Sequence[Transaction
     return hits / len(transactions)
 
 
-def idf(item: str, transactions: Sequence[Transaction]) -> float:
-    """Natural log of |T| / document-frequency(item)."""
+def idf(item: str, transactions: Sequence[Transaction],
+        doc_freq: Mapping[str, int] | None = None) -> float:
+    """Natural log of |T| / document-frequency(item).
+
+    ``doc_freq`` (item -> number of transactions containing it) replaces the
+    scan over the transactions when given.
+    """
     _check_transactions(transactions)
-    df = sum(1 for t in transactions if item in t.items)
+    if doc_freq is None:
+        df = sum(1 for t in transactions if item in t.items)
+    else:
+        df = doc_freq.get(item, 0)
     if df == 0:
         raise ItemAbsentError(f"item {item!r} occurs in no transaction")
     return math.log(len(transactions) / df)
@@ -239,64 +250,60 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     """Mine PARs from frequent itemsets and NARs from the full IDF-band lattice.
 
     Steps: (1) drop items whose IDF falls outside [idf_min, idf_max];
-    (2) enumerate every itemset of band-passing items up to max_itemset_size
-    and split it into frequent (support >= minsupp) and infrequent;
+    (2) count every itemset of band-passing items up to max_itemset_size;
     (3) each 2-partition (A, B) of a frequent itemset yields A=>B when its
     confidence reaches mincnf and lift exceeds 1; (4) partitions of all
     itemsets, frequent or not, yield the three negated forms under the same
     thresholds applied to the negated events; (5) rules are ordered by lift
     desc, confidence desc, then lexicographically.
+
+    Steps (3) and (4) run as array operations over all itemsets of one size
+    for one choice of antecedent positions; a rule's support threshold is the
+    frequency test of step (3), since a PAR's joint count is the itemset's.
     """
     _check_transactions(transactions)
     n = len(transactions)
 
-    all_items = sorted({item for t in transactions for item in t.items})
-    kept = []
-    for item in all_items:
-        value = idf(item, transactions)
-        if config.idf_min <= value <= config.idf_max:
-            kept.append(item)
+    doc_freq = Counter(item for t in transactions for item in t.items)
+    kept = [item for item in sorted(doc_freq)
+            if config.idf_min <= idf(item, transactions, doc_freq) <= config.idf_max]
     if not kept:
         return []
 
     presence = _presence_matrix(transactions, kept)
-    max_size = min(config.max_itemset_size, len(kept))
+    n_items = len(kept)
+    max_size = min(config.max_itemset_size, n_items)
 
-    total_candidates = sum(math.comb(len(kept), size)
+    total_candidates = sum(math.comb(n_items, size)
                            for size in range(1, max_size + 1))
     if total_candidates > MAX_LATTICE_CANDIDATES:
         raise RulesError(
-            f"{len(kept)} items pass the IDF band, giving {total_candidates} "
+            f"{n_items} items pass the IDF band, giving {total_candidates} "
             f"candidate itemsets up to size {max_size}; tighten the band or "
             f"lower max_itemset_size")
 
-    # full lattice over kept items: count/(n) supports per index-tuple
-    counts: dict[tuple[int, ...], int] = {}
-    for size in range(1, max_size + 1):
-        level = list(combinations(range(len(kept)), size))
-        level_counts = _level_counts(presence, level)
-        for tup, cnt in zip(level, level_counts):
-            counts[tup] = int(cnt)
+    # full lattice over kept items, one lexicographic level per size; an
+    # itemset's id is its level's offset plus its rank within the level
+    level = {1: np.arange(n_items, dtype=np.int64)[:, None]}
+    for size in range(2, max_size + 1):
+        level[size] = _extend_combinations(level[size - 1], n_items)
+    count = {size: _kernels.support_counts(presence, level[size]) for size in level}
+    offset = dict(zip(level, np.cumsum([0] + [len(level[s]) for s in level]).tolist()))
+    binom = _binomials(n_items, max_size)
 
-    rules: list[Rule] = []
-    for x, c_x in counts.items():
-        if len(x) < 2:
-            continue
-        x_frequent = (c_x / n) >= config.minsupp
-        # every ordered 2-partition (A, X\A)
-        for r in range(1, len(x)):
-            for a in combinations(x, r):
-                b = tuple(j for j in x if j not in a)
-                c_a = counts[a]
-                c_b = counts[b]
-                for neg_a, neg_b in ((False, False), (False, True),
-                                     (True, False), (True, True)):
-                    if not neg_a and not neg_b and not x_frequent:
-                        continue
+    found = []
+    for size in range(2, max_size + 1):
+        c_x = count[size]
+        for r in range(1, size):
+            for pos in combinations(range(size), r):
+                rest = [j for j in range(size) if j not in pos]
+                a_rank = _lex_rank(level[size][:, list(pos)], n_items, binom)
+                b_rank = _lex_rank(level[size][:, rest], n_items, binom)
+                c_a = count[r][a_rank]
+                c_b = count[size - r][b_rank]
+                for neg_a, neg_b in _FORMS:
                     ev_a = n - c_a if neg_a else c_a
                     ev_b = n - c_b if neg_b else c_b
-                    if ev_a == 0 or ev_b == 0:
-                        continue  # confidence or lift undefined
                     if neg_a and neg_b:
                         both = n - c_a - c_b + c_x
                     elif neg_a:
@@ -305,31 +312,76 @@ def fisinfis_mine(transactions: Sequence[Transaction],
                         both = c_a - c_x
                     else:
                         both = c_x
-                    supp = both / n
-                    if supp < config.minsupp:
-                        continue
-                    p_a = ev_a / n
-                    p_b = ev_b / n
+                    # confidence or lift undefined where an event never occurs
+                    ok = np.flatnonzero((ev_a > 0) & (ev_b > 0))
+                    supp = both[ok] / n
+                    p_a = ev_a[ok] / n
+                    p_b = ev_b[ok] / n
                     conf = supp / p_a
-                    if conf < config.mincnf:
-                        continue
                     lift = supp / (p_a * p_b)
-                    if config.require_lift_gt1 and not lift > 1.0:
-                        continue
-                    rules.append(Rule(
-                        antecedent=Itemset(kept[j] for j in a),
-                        consequent=Itemset(kept[j] for j in b),
-                        neg_antecedent=neg_a,
-                        neg_consequent=neg_b,
-                        metrics=RuleMetrics(support=supp, confidence=conf, lift=lift),
-                    ))
+                    passed = (supp >= config.minsupp) & (conf >= config.mincnf)
+                    if config.require_lift_gt1:
+                        passed &= lift > 1.0
+                    ok = ok[passed]
+                    found.append((offset[r] + a_rank[ok], offset[size - r] + b_rank[ok],
+                                  np.full(len(ok), neg_a), np.full(len(ok), neg_b),
+                                  supp[passed], conf[passed], lift[passed]))
+    if not found:
+        return []
+    a_id, b_id, neg_a, neg_b, supp, conf, lift = (np.concatenate(col) for col in zip(*found))
 
-    rules.sort(key=lambda rule: (
-        -rule.metrics.lift, -rule.metrics.confidence,
-        rule.antecedent.items, rule.consequent.items,
-        rule.neg_antecedent, rule.neg_consequent,
-    ))
-    return rules
+    # one Itemset per distinct id; item tuples padded with -1 sort like the
+    # item-name tuples they stand for, because kept is sorted
+    ids, inverse = np.unique(np.concatenate([a_id, b_id]), return_inverse=True)
+    rows = np.full((len(ids), max_size), -1, dtype=np.int64)
+    size_of = np.searchsorted(list(offset.values()), ids, side="right")
+    for size in level:
+        sel = size_of == size
+        rows[sel, :size] = level[size][ids[sel] - offset[size]]
+    lex = np.empty(len(ids), dtype=np.int64)
+    lex[np.lexsort(rows.T[::-1])] = np.arange(len(ids))
+    a_set, b_set = np.split(inverse, 2)
+
+    order = np.lexsort((neg_b, neg_a, lex[b_set], lex[a_set], -conf, -lift))
+    itemsets = [Itemset(kept[j] for j in row[:size])
+                for row, size in zip(rows.tolist(), size_of.tolist())]
+    return [
+        Rule(antecedent=itemsets[a], consequent=itemsets[b],
+             neg_antecedent=na, neg_consequent=nb,
+             metrics=RuleMetrics(support=s, confidence=c, lift=l))
+        for a, b, na, nb, s, c, l in zip(
+            a_set[order].tolist(), b_set[order].tolist(),
+            neg_a[order].tolist(), neg_b[order].tolist(),
+            supp[order].tolist(), conf[order].tolist(), lift[order].tolist())
+    ]
+
+
+_FORMS = ((False, False), (False, True), (True, False), (True, True))
+
+
+def _extend_combinations(prev, n_items):
+    """Lexicographic (size+1)-combinations of range(n_items) from the size ones."""
+    last = prev[:, -1]
+    reps = n_items - 1 - last
+    starts = np.cumsum(reps) - reps
+    tail = np.arange(int(reps.sum())) - np.repeat(starts - last - 1, reps)
+    return np.hstack([np.repeat(prev, reps, axis=0), tail[:, None]])
+
+
+def _binomials(n, k):
+    """(n+1, k+1) int64 table of C(i, j), from C(i, j) = sum of C(m, j-1) over m < i."""
+    table = np.zeros((n + 1, k + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for j in range(1, k + 1):
+        np.cumsum(table[:-1, j - 1], out=table[1:, j])
+    return table
+
+
+def _lex_rank(combos, n_items, binom):
+    """Rank of each sorted row among the lexicographic combinations of its size."""
+    size = combos.shape[1]
+    return (binom[n_items, size] - 1
+            - binom[n_items - 1 - combos, np.arange(size, 0, -1)].sum(axis=1))
 
 
 def rules_to_csv(rules: Sequence[Rule]) -> str:

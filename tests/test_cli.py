@@ -244,6 +244,65 @@ class TestTrainPredict:
         assert "lm-v9" in capsys.readouterr().err
 
 
+class TestModelManifest:
+    """A malformed model manifest is a data error (exit 2), never a traceback."""
+
+    @pytest.fixture
+    def model_dir(self, fixture_corpus_path, tmp_path):
+        out = str(tmp_path / "out")
+        assert run("train-lm", "--corpus", fixture_corpus_path,
+                   "--vocab-size", "32", "--embed-dim", "4",
+                   "--recurrent-units", "3", "--dense-units", "4",
+                   "--seq-len", "5", "--epochs", "0", "--no-stopwords",
+                   "--output-dir", out) == 0
+        return os.path.join(out, "model")
+
+    def _predict_with(self, model_dir, manifest, capsys):
+        with open(os.path.join(model_dir, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        code = run("predict", "--model", model_dir, "--text", "scala",
+                   "--output-dir", os.path.dirname(model_dir))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def _manifest(self, model_dir):
+        return json.loads(read(os.path.join(model_dir, "manifest.json")))
+
+    def test_missing_key(self, model_dir, capsys):
+        data = self._manifest(model_dir)
+        del data["vocab"]
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and "vocab" in err
+
+    def test_unknown_key(self, model_dir, capsys):
+        data = self._manifest(model_dir)
+        data["comment"] = "hand-edited"
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and "comment" in err
+
+    def test_unknown_config_key(self, model_dir, capsys):
+        data = self._manifest(model_dir)
+        data["config"]["momentum"] = 0.9
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and "momentum" in err
+
+    def test_not_an_object(self, model_dir, capsys):
+        code, err = self._predict_with(model_dir, [self._manifest(model_dir)], capsys)
+        assert code == 2 and "not a JSON object" in err
+
+    def test_tensor_file_outside_artifact(self, model_dir, capsys):
+        data = self._manifest(model_dir)
+        spec = data["tensors"]["out_w"]
+        outside = os.path.join(os.path.dirname(os.path.dirname(model_dir)), "out_w.bin")
+        with open(outside, "wb") as fh:
+            fh.write(read(os.path.join(model_dir, spec["file"])))
+        spec["file"] = os.path.join("..", "..", "out_w.bin")
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and "outside the artifact directory" in err
+
+
 class TestConfigFile:
     def test_values_and_override(self, fixture_corpus_path, tmp_path):
         cfg = tmp_path / "run.cfg"

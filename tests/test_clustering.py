@@ -237,15 +237,6 @@ class TestKernelEquivalence:
             sil_np = impls["silhouette_samples"][1](dist, labels_np, k)
             assert np.allclose(sil, sil_np, atol=1e-12)
 
-    def test_support_count_paths_agree(self, rng):
-        presence = rng.random(size=(60, 10)) < 0.4
-        cands = np.array(list(itertools.combinations(range(10), 3)),
-                         dtype=np.int64)
-        impls = _kernels.implementations()
-        active = impls["support_counts"][0](presence, cands)
-        fallback = impls["support_counts"][1](presence, cands)
-        assert (active == fallback).all()
-
 
 class TestIpca:
     def test_rank_one_line(self):

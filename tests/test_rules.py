@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from incmine import _kernels
 from incmine.corpus import Transaction
 from incmine.rules import (
     EmptyTransactionListError,
@@ -22,6 +24,7 @@ from incmine.rules import (
     support,
 )
 import rule_oracle
+from support_oracle import support_counts_loop
 
 
 def iset(*items):
@@ -135,6 +138,40 @@ class TestAprioriFrequent:
                         assert supports[sub] >= supp
 
 
+# transaction counts on both sides of the 64-bit word boundaries
+WORD_EDGES = (1, 63, 64, 65, 129)
+
+
+class TestSupportCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_items=st.integers(2, 7), size=st.integers(1, 4))
+    def test_bitset_matches_scalar_oracle(self, data, n_items, size):
+        bits = data.draw(arrays(np.bool_, (max(WORD_EDGES), n_items)))
+        bits[:, 0] = False
+        bits[:, 1] = True
+        n_cands = data.draw(st.integers(0, 12))
+        cands = data.draw(arrays(np.int64, (n_cands, size),
+                                 elements=st.integers(0, n_items - 1)))
+        for n_t in WORD_EDGES:
+            presence = bits[:n_t]
+            got = _kernels.support_counts(presence, cands)
+            assert got.dtype == np.int64
+            assert got.tolist() == support_counts_loop(presence, cands).tolist()
+
+    def test_empty_candidates(self):
+        presence = np.ones((65, 3), dtype=bool)
+        for size in range(1, 5):
+            got = _kernels.support_counts(presence, np.zeros((0, size), dtype=np.int64))
+            assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_blocks_cover_every_candidate(self, rng, monkeypatch):
+        monkeypatch.setattr(_kernels, "SUPPORT_CHUNK", 4)
+        presence = rng.random(size=(70, 6)) < 0.5
+        cands = rng.integers(0, 6, size=(10, 2))
+        assert (_kernels.support_counts(presence, cands)
+                == support_counts_loop(presence, cands)).all()
+
+
 class TestFisinfisMine:
     def test_toy_rules(self, toy_transactions):
         config = MiningConfig(minsupp=0.5, mincnf=0.8, idf_min=0.0, idf_max=10.0)
@@ -181,6 +218,16 @@ class TestFisinfisMine:
                 got = mined[key]
                 for g, w in zip(got, metrics):
                     assert abs(g - w) < 1e-12
+
+    @pytest.mark.parametrize("require_lift_gt1", [True, False])
+    def test_oracle_bit_identical_either_lift_gate(self, rng, require_lift_gt1):
+        for _ in range(15):
+            txs = rule_oracle.random_transactions(rng, max_items=9, max_tx=70)
+            config = MiningConfig(minsupp=0.05, mincnf=0.3, idf_min=0.0,
+                                  idf_max=10.0, max_itemset_size=4,
+                                  require_lift_gt1=require_lift_gt1)
+            mined = rule_oracle.mined_to_dict(fisinfis_mine(txs, config))
+            assert mined == rule_oracle.enumerate_rules(txs, config)
 
     def test_complement_identity(self, rng):
         txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=40)
