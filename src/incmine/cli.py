@@ -124,7 +124,8 @@ def _load_pre_config(res: _Resolver, args) -> corpus_mod.PreprocessConfig:
         stopwords = corpus_mod.load_stopwords(stopwords_path)
     else:
         stopwords = corpus_mod.default_stopwords()
-    min_len = res.get(args.min_token_len, "corpus.min_token_len", 2, int)
+    min_len = res.get(args.min_token_len, "corpus.min_token_len",
+                      corpus_mod.PreprocessConfig.min_token_len, int)
     return corpus_mod.PreprocessConfig(stopwords=stopwords, min_token_len=min_len)
 
 
@@ -193,15 +194,18 @@ def cmd_mine_rules(args) -> int:
     idf_max = res.get(args.idf_max, "rules.idf_max", None, float)
     if idf_max is None:
         idf_max = max(math.log(n) - 0.1, 0.2)  # default band caps hapaxes
+    defaults = rules_mod.MiningConfig
     config = rules_mod.MiningConfig(
-        minsupp=res.get(args.minsupp, "rules.minsupp", 0.05, float),
-        mincnf=res.get(args.mincnf, "rules.mincnf", 0.6, float),
+        minsupp=res.get(args.minsupp, "rules.minsupp", defaults.minsupp, float),
+        mincnf=res.get(args.mincnf, "rules.mincnf", defaults.mincnf, float),
+        # the CLI's band floor drops ubiquitous items; MiningConfig's is 0.0
         idf_min=res.get(args.idf_min, "rules.idf_min", 0.1, float),
         idf_max=idf_max,
-        max_itemset_size=res.get(args.max_itemset_size,
-                                 "rules.max_itemset_size", 4, int),
-        require_lift_gt1=res.get(None, "rules.require_lift_gt1",
-                                 not args.allow_lift_le1, bool),
+        max_itemset_size=res.get(args.max_itemset_size, "rules.max_itemset_size",
+                                 defaults.max_itemset_size, int),
+        require_lift_gt1=res.get(False if args.allow_lift_le1 else None,
+                                 "rules.require_lift_gt1",
+                                 defaults.require_lift_gt1, bool),
     )
     mined = rules_mod.fisinfis_mine(txs.transactions, config)
     _write_text(os.path.join(out, "rules.csv"), rules_mod.rules_to_csv(mined))
@@ -214,8 +218,9 @@ def cmd_mine_rules(args) -> int:
 
 def _cluster_and_report(points, ids, res, args, out, metric_default) -> dict:
     metric = res.get(args.metric, "clustering.metric", metric_default)
-    seed = res.get(args.seed, "clustering.seed", 0, int)
-    max_iter = res.get(args.max_iter, "clustering.max_iter", 100, int)
+    defaults = clustering.ClusterConfig
+    seed = res.get(args.seed, "clustering.seed", defaults.seed, int)
+    max_iter = res.get(args.max_iter, "clustering.max_iter", defaults.max_iter, int)
     if args.k is not None and args.k_range is not None:
         raise _UsageError("--k and --k-range are mutually exclusive")
     k = res.get(args.k, "clustering.k", None, int)
@@ -308,17 +313,19 @@ def cmd_train_lm(args) -> int:
     res = _Resolver(args)
     loaded, pre, _ = _load_inputs(res, args)
     out = _outdir(res, args)
+    defaults = langmodel.LmConfig
     config = langmodel.LmConfig(
-        vocab_size=res.get(args.vocab_size, "lm.vocab_size", 5000, int),
-        embed_dim=res.get(args.embed_dim, "lm.embed_dim", 128, int),
-        recurrent_units=res.get(args.recurrent_units, "lm.recurrent_units", 100, int),
-        dense_units=res.get(args.dense_units, "lm.dense_units", 50, int),
-        dropout_rate=res.get(args.dropout, "lm.dropout_rate", 0.5, float),
-        seq_len=res.get(args.seq_len, "lm.seq_len", 30, int),
-        learning_rate=res.get(args.lr, "lm.learning_rate", 1e-3, float),
-        batch_size=res.get(args.batch_size, "lm.batch_size", 32, int),
-        epochs=res.get(args.epochs, "lm.epochs", 5, int),
-        seed=res.get(args.seed, "lm.seed", 0, int),
+        vocab_size=res.get(args.vocab_size, "lm.vocab_size", defaults.vocab_size, int),
+        embed_dim=res.get(args.embed_dim, "lm.embed_dim", defaults.embed_dim, int),
+        recurrent_units=res.get(args.recurrent_units, "lm.recurrent_units",
+                                defaults.recurrent_units, int),
+        dense_units=res.get(args.dense_units, "lm.dense_units", defaults.dense_units, int),
+        dropout_rate=res.get(args.dropout, "lm.dropout_rate", defaults.dropout_rate, float),
+        seq_len=res.get(args.seq_len, "lm.seq_len", defaults.seq_len, int),
+        learning_rate=res.get(args.lr, "lm.learning_rate", defaults.learning_rate, float),
+        batch_size=res.get(args.batch_size, "lm.batch_size", defaults.batch_size, int),
+        epochs=res.get(args.epochs, "lm.epochs", defaults.epochs, int),
+        seed=res.get(args.seed, "lm.seed", defaults.seed, int),
     )
     texts = [corpus_mod.preprocess(r.dynamics, pre) for r in loaded]
     texts += [corpus_mod.preprocess(r.consequence, pre) for r in loaded]

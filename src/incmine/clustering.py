@@ -177,16 +177,18 @@ def silhouette(points, labels, metric: str = "euclidean") -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != points.shape[0]:
         raise ClusteringError("labels length must match points")
-    distinct = np.unique(labels)
+    # compact arbitrary labels (negative, sparse) to 0..k-1 for the kernel
+    distinct, compact = np.unique(labels, return_inverse=True)
     if len(distinct) < 2:
         raise ClusteringError("silhouette needs at least 2 clusters")
-    k = int(labels.max()) + 1
     dist = pairwise_distances(points, metric)
-    return float(_kernels.silhouette_samples_from_dist(dist, labels, k).mean())
+    return float(_kernels.silhouette_samples_from_dist(
+        dist, compact, len(distinct)).mean())
 
 
 def sweep_k(points, k_lo: int, k_hi: int, metric: str = "euclidean",
-            seed: int = 0, max_iter: int = 100) -> tuple[ClusterAssignment, SweepReport]:
+            seed: int = ClusterConfig.seed, max_iter: int = ClusterConfig.max_iter
+            ) -> tuple[ClusterAssignment, SweepReport]:
     """Fit every k in [k_lo, min(k_hi, n)]; best = max silhouette, ties to smaller k."""
     points = _validate_points(points)
     n = points.shape[0]

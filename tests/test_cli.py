@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from incmine.cli import PipelineConfig, main, parse_config_file
 from incmine.clustering import EmbeddingMatrix, save_embeddings
+from incmine.langmodel import LmConfig
 
 
 def run(*argv):
@@ -243,6 +245,13 @@ class TestTrainPredict:
                    "--text", "scala", "--output-dir", out) == 2
         assert "lm-v9" in capsys.readouterr().err
 
+    def test_stock_config_from_lm_config(self, fixture_corpus_path, tmp_path):
+        out = str(tmp_path / "out")
+        assert run("train-lm", "--corpus", fixture_corpus_path, "--epochs", "1",
+                   "--output-dir", out) == 0
+        manifest = json.loads(read(os.path.join(out, "model", "manifest.json")))
+        assert manifest["config"] == asdict(LmConfig(epochs=1))
+
 
 class TestModelManifest:
     """A malformed model manifest is a data error (exit 2), never a traceback."""
@@ -323,6 +332,18 @@ class TestConfigFile:
         n_a = len(read(os.path.join(out_a, "rules.csv")).splitlines())
         n_b = len(read(os.path.join(out_b, "rules.csv")).splitlines())
         assert n_b >= n_a
+
+    def test_allow_lift_flag_beats_config(self, fixture_corpus_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rules.require_lift_gt1 = true\n", encoding="utf-8")
+        outputs = []
+        for name, extra in (("flag", ()), ("both", ("--config", str(cfg)))):
+            out = str(tmp_path / name)
+            assert run("mine-rules", "--corpus", fixture_corpus_path,
+                       "--max-itemset-size", "2", "--allow-lift-le1",
+                       "--output-dir", out, *extra) == 0
+            outputs.append(read(os.path.join(out, "rules.csv")))
+        assert outputs[0] == outputs[1]
 
     def test_parse_rejects_garbage(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,8 +1,10 @@
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incmine import _kernels
 from incmine.clustering import (
@@ -20,6 +22,8 @@ from incmine.clustering import (
     silhouette,
     sweep_k,
 )
+
+import pam_oracle
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
 
@@ -190,6 +194,21 @@ class TestSilhouette:
             dist, np.array([0, 0, 1]), 2)
         assert samples[2] == 0.0
 
+    @pytest.mark.parametrize("labels", [[-1, -1, 0, 0], [0, 0, 7, 7]])
+    def test_negative_and_sparse_labels(self, labels):
+        assert silhouette(FOUR_POINTS, labels) == silhouette(FOUR_POINTS, [0, 0, 1, 1])
+
+    def test_huge_label_reaches_kernel_compacted(self, monkeypatch):
+        seen = []
+
+        def spy(dist, labels, k):
+            seen.append((labels.tolist(), k))
+            return np.zeros(dist.shape[0])
+
+        monkeypatch.setattr(_kernels, "silhouette_samples_from_dist", spy)
+        silhouette(FOUR_POINTS, [0, 0, 10**9, 10**9])
+        assert seen == [([0, 0, 1, 1], 2)]
+
     def test_single_cluster_error(self):
         with pytest.raises(ClusteringError):
             silhouette(FOUR_POINTS, [0, 0, 0, 0])
@@ -215,27 +234,93 @@ class TestSweep:
         assert len(best.medoids) == 2
 
 
+def _oracle_points(data, kind, n):
+    if kind == "integer":
+        # 1-D integer points: every distance sum is exact, so ties are real
+        values = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        return np.array(values, dtype=np.float64)[:, None]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).normal(size=(n, 3))
+
+
+def _swap_matches_oracle(dist, start, max_iter, exact_ties):
+    """Run SWAP one pass at a time beside the loop oracle; return its medoids.
+
+    The two sum swap deltas in different orders. On integer points every sum
+    is exact, so they must pick the same swap each pass. On other points an
+    exact tie (say, either point of a new two-point cluster as its medoid)
+    may round either way; there both picks must cost the same, and the walk
+    goes on from the kernel's pick.
+    """
+    medoids, passes = start, 0
+    while passes < max_iter:
+        got, step = _kernels.pam_swap(dist, medoids, 1)
+        want, want_step = pam_oracle.pam_swap_loop(dist, medoids, 1)
+        assert step == want_step
+        if step == 0:
+            break
+        if got.tolist() != want.tolist():
+            assert not exact_ties
+            cost_got, cost_want = (dist[:, m].min(axis=1).sum() for m in (got, want))
+            assert abs(cost_got - cost_want) <= 1e-9
+        medoids, passes = got, passes + 1
+    full, full_passes = _kernels.pam_swap(dist, start, max_iter)
+    assert full.tolist() == medoids.tolist() and full_passes == passes
+    return full
+
+
 class TestKernelEquivalence:
-    def test_pam_and_silhouette_paths_agree(self, rng):
-        impls = _kernels.implementations()
-        for _ in range(10):
-            n = int(rng.integers(8, 40))
-            k = int(rng.integers(2, min(6, n)))
-            pts = rng.normal(size=(n, 3))
-            dist = pairwise_distances(pts, "euclidean")
-            b_active = impls["pam_build"][0](dist, k)
-            b_np = impls["pam_build"][1](dist, k)
-            assert (b_active == b_np).all()
-            s_active, p1 = impls["pam_swap"][0](dist, b_active.copy(), 100)
-            s_np, p2 = impls["pam_swap"][1](dist, b_np.copy(), 100)
-            assert (s_active == s_np).all() and p1 == p2
-            labels, d1 = impls["assign_to_medoids"][0](dist, np.sort(s_active))
-            labels_np, d1_np = impls["assign_to_medoids"][1](dist, np.sort(s_np))
-            assert (labels == labels_np).all()
-            assert np.allclose(d1, d1_np)
-            sil = impls["silhouette_samples"][0](dist, labels, k)
-            sil_np = impls["silhouette_samples"][1](dist, labels_np, k)
-            assert np.allclose(sil, sil_np, atol=1e-12)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("normal", "integer")),
+           n=st.integers(2, 16), max_iter=st.sampled_from((0, 1, 2, 100)))
+    def test_pam_and_silhouette_match_loop_oracle(self, data, kind, n, max_iter):
+        k = data.draw(st.integers(2, n))
+        dist = pairwise_distances(_oracle_points(data, kind, n), "euclidean")
+        built = _kernels.pam_build(dist, k)
+        assert built.tolist() == pam_oracle.pam_build_loop(dist, k).tolist()
+        # SWAP from arbitrary medoids, where far more improving swaps tie,
+        # and from BUILD, whose result the rest of the test goes on with
+        arbitrary = np.array(data.draw(st.permutations(range(n)))[:k], dtype=np.int64)
+        exact_ties = kind == "integer"
+        _swap_matches_oracle(dist, arbitrary, max_iter, exact_ties)
+        swapped = _swap_matches_oracle(dist, built, max_iter, exact_ties)
+        medoids = np.sort(swapped)
+        labels, d1 = _kernels.assign_to_medoids(dist, medoids)
+        want_labels, want_d1 = pam_oracle.assign_loop(dist, medoids)
+        assert labels.tolist() == want_labels.tolist()
+        assert np.allclose(d1, want_d1, rtol=0.0, atol=1e-12)
+        # fitted labels, then arbitrary ones that may leave clusters empty
+        drawn = np.array(data.draw(st.lists(st.integers(0, k - 1),
+                                            min_size=n, max_size=n)))
+        for lab in (labels, drawn):
+            sil = _kernels.silhouette_samples_from_dist(dist, lab, k)
+            want_sil = pam_oracle.silhouette_loop(dist, lab, k)
+            assert np.allclose(sil, want_sil, rtol=0.0, atol=1e-12)
+
+    def test_swap_tie_breaks_to_lowest_index(self):
+        # BUILD gives medoids (1, 0); replacing 1 by point 2 or by its
+        # duplicate 3 gains the same, and the lower index must win
+        dist = pairwise_distances(np.array([[0.0], [2.0], [3.0], [3.0]]))
+        built = _kernels.pam_build(dist, 2)
+        assert built.tolist() == [1, 0]
+        swapped, passes = _kernels.pam_swap(dist, built, 100)
+        assert (swapped.tolist(), passes) == ([2, 0], 1)
+        assert pam_oracle.pam_swap_loop(dist, built, 100)[0].tolist() == [2, 0]
+
+
+class TestKernelModule:
+    def test_one_plain_function_per_kernel(self):
+        for name in ("pam_build", "pam_swap", "assign_to_medoids",
+                     "silhouette_samples_from_dist", "support_counts"):
+            fn = getattr(_kernels, name)
+            assert inspect.isfunction(fn)
+            assert (fn.__module__, fn.__name__) == ("incmine._kernels", name)
+
+    def test_no_dispatch_or_environment_switch(self):
+        for name in ("implementations", "USE_NUMBA", "_HAVE_NUMBA"):
+            assert not hasattr(_kernels, name)
+        source = inspect.getsource(_kernels)
+        assert "environ" not in source and "getenv" not in source
 
 
 class TestIpca:
