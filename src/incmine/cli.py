@@ -44,7 +44,7 @@ class PipelineConfig:
     use_tags: bool = True
     rules: rules_mod.MiningConfig = rules_mod.MiningConfig()
     cluster: clustering.ClusterConfig = clustering.ClusterConfig(sweep=(2, 100))
-    variance_threshold: float = 0.85
+    variance_threshold: float = clustering.VARIANCE_THRESHOLD
     lm: langmodel.LmConfig = langmodel.LmConfig()
 
     def __post_init__(self):
@@ -54,8 +54,8 @@ class PipelineConfig:
     @classmethod
     def defaults(cls) -> "PipelineConfig":
         """Stock configuration: 5000-token vocab, 128-d embedding, 2x100
-        bidirectional units, 2x50 dense, 0.5 dropout, k sweep [2, 100] and an
-        0.85 variance threshold."""
+        bidirectional units, 2x50 dense, 0.5 dropout, k sweep [2, 100] and
+        the ``clustering.VARIANCE_THRESHOLD`` variance threshold."""
         return cls()
 
     def validate_paths(self):
@@ -157,7 +157,7 @@ def cmd_preprocess(args) -> int:
     loaded, pre, ontology = _load_inputs(res, args)
     out = _outdir(res, args)
     txs = corpus_mod.to_transactions(loaded, pre, ontology)
-    top_k = res.get(args.top_k, "corpus.top_k", 100, int)
+    top_k = res.get(args.top_k, "corpus.top_k", corpus_mod.TOP_WORDS, int)
     top = corpus_mod.top_frequent_words(loaded, top_k, pre)
 
     buf = StringIO()
@@ -229,6 +229,8 @@ def _cluster_and_report(points, ids, res, args, out, metric_default) -> dict:
         best, report = clustering.sweep_k(points, lo, hi, metric=metric,
                                           seed=seed, max_iter=max_iter)
         table = [[kk, cost, sil] for kk, cost, sil in report.entries]
+        swap_passes = [[kk, passes] for kk, passes in report.swap_passes]
+        max_iter_hits = list(report.max_iter_hits)
         truncated = report.truncated
     else:
         if k is None:
@@ -237,7 +239,13 @@ def _cluster_and_report(points, ids, res, args, out, metric_default) -> dict:
                                        seed=seed)
         best = clustering.kmedoids_fit(points, cfg)
         table = [[k, best.cost, best.silhouette]]
+        swap_passes = [[k, best.swap_passes]]
+        max_iter_hits = [k] if best.swap_hit_max_iter else []
         truncated = False
+    if max_iter_hits:
+        print(f"warning: SWAP used all max_iter={max_iter} passes for "
+              f"k={', '.join(map(str, max_iter_hits))}; the medoids may not be a "
+              f"local optimum", file=sys.stderr)
 
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -252,6 +260,7 @@ def _cluster_and_report(points, ids, res, args, out, metric_default) -> dict:
         "silhouette": best.silhouette,
         "medoid_ids": [ids[m] for m in best.medoids],
         "per_k_table": table,
+        "swap_passes": swap_passes,
         "metric": metric,
         "seed": seed,
         "truncated": truncated,
@@ -294,7 +303,8 @@ def cmd_cluster_embeddings(args) -> int:
     else:
         ids = [str(i) for i in range(matrix.n_rows)]
     threshold = res.get(args.variance_threshold,
-                        "clustering.variance_threshold", 0.85, float)
+                        "clustering.variance_threshold",
+                        clustering.VARIANCE_THRESHOLD, float)
     batch_size = res.get(args.batch_size, "clustering.batch_size", None, int)
     # fit and reduce on the same matrix: the reduction is in-sample
     model = clustering.ipca_fit(matrix.values, batch_size=batch_size)
@@ -394,7 +404,8 @@ def build_parser() -> _Parser:
     _add_common(sub)
     _add_corpus_opts(sub)
     sub.add_argument("--top-k", type=int, default=None,
-                     help="how many frequent words to report (default 100)")
+                     help="how many frequent words to report "
+                          f"(default {corpus_mod.TOP_WORDS})")
     sub.set_defaults(func=cmd_preprocess)
 
     sub = subs.add_parser("mine-rules",
@@ -429,7 +440,8 @@ def build_parser() -> _Parser:
                      default=None, help="default: by extension (.bin = binary)")
     sub.add_argument("--ids", help="companion sentence-id file")
     sub.add_argument("--variance-threshold", type=float, default=None,
-                     help="explained-variance target (default 0.85)")
+                     help="explained-variance target "
+                          f"(default {clustering.VARIANCE_THRESHOLD})")
     sub.add_argument("--batch-size", type=int, default=None,
                      help="incremental PCA batch rows")
     sub.set_defaults(func=cmd_cluster_embeddings)

@@ -2,7 +2,11 @@
 
 PAM runs on a precomputed distance matrix: greedy BUILD, then repeated
 single-best SWAP passes. All ties break to the lowest index, which makes the
-result independent of the seed; the seed is only echoed into reports.
+result independent of the seed; the seed is only echoed into reports. A k
+sweep builds the distance matrix and runs BUILD once, to its largest k, and
+starts each k's SWAP from the first k BUILD medoids. The matrix is the only
+n x n array: distances are computed in cache-sized chunks in place, and the
+BUILD/SWAP kernels in ``_kernels`` read it in row blocks.
 
 Incremental PCA consumes externally produced sentence-embedding matrices in
 batches, keeping every principal direction up to the data rank seen so far,
@@ -22,8 +26,19 @@ from .errors import IncmineError
 
 METRICS = ("euclidean", "cosine")
 
-# cap on the scratch buffer used by chunked exact euclidean distances
-_CHUNK_BUDGET = 16_000_000
+# float64 elements of the row-difference scratch of exact euclidean distances
+# (128 KiB, so a chunk stays in cache)
+_CHUNK_BUDGET = 16_384
+
+# square tiles averaged at a time when the cosine matrix is symmetrised
+_SYM_TILE = 128
+
+# largest distance matrix built, in bytes (4 GiB: about 23k points); larger
+# inputs are refused before anything is allocated
+MAX_DISTANCE_BYTES = 4 * 2**30
+
+# explained-variance share the embedding reduction keeps by default
+VARIANCE_THRESHOLD = 0.85
 
 
 class ClusteringError(IncmineError):
@@ -84,12 +99,16 @@ class ClusterAssignment:
     labels: np.ndarray
     cost: float
     silhouette: float
+    swap_passes: int            # improving SWAP passes made
+    swap_hit_max_iter: bool     # SWAP used all max_iter passes, so may not have converged
 
 
 @dataclass(frozen=True)
 class SweepReport:
     entries: tuple[tuple[int, float, float], ...]  # (k, cost, silhouette)
     truncated: bool = False
+    swap_passes: tuple[tuple[int, int], ...] = ()  # (k, SWAP passes)
+    max_iter_hits: tuple[int, ...] = ()            # k whose SWAP used all max_iter passes
 
 
 @dataclass(frozen=True)
@@ -117,35 +136,73 @@ def _validate_points(points) -> np.ndarray:
 
 
 def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
-    """Full symmetric distance matrix.
+    """Full symmetric distance matrix, built as its only n x n array.
 
-    Euclidean distances are computed from explicit row differences (chunked),
-    not the expanded-dot-product identity, so identical rows give exactly 0.
+    Euclidean distances are computed from explicit row differences, not the
+    expanded-dot-product identity, so identical rows give exactly 0. A
+    difference and its negation square to the same float, so each chunk of
+    rows fills its upper triangle and mirrors it. Cosine distances clip and
+    subtract in place in the Gram matrix, then average it with its transpose
+    tile by tile; ``a + b`` is commutative in IEEE arithmetic, so each pair
+    gets the value ``(d + d.T) * 0.5`` gives.
     """
     points = _validate_points(points)
-    n = points.shape[0]
-    if metric == "euclidean":
-        d = np.empty((n, n))
-        step = max(1, _CHUNK_BUDGET // max(1, n * points.shape[1]))
-        for start in range(0, n, step):
-            stop = min(n, start + step)
-            diff = points[start:stop, None, :] - points[None, :, :]
-            d[start:stop] = np.sqrt((diff * diff).sum(axis=2))
-    elif metric == "cosine":
-        norms = np.linalg.norm(points, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        unit = points / safe[:, None]
-        sim = np.clip(unit @ unit.T, -1.0, 1.0)
-        zero = norms == 0.0
-        if zero.any():
-            sim[zero, :] = 0.0
-            sim[:, zero] = 0.0
-            sim[np.ix_(zero, zero)] = 1.0  # two zero rows are identical points
-        d = 1.0 - sim
-    else:
+    if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    d = (d + d.T) * 0.5
+    n = points.shape[0]
+    need = n * n * 8
+    if need > MAX_DISTANCE_BYTES:
+        raise ClusteringError(
+            f"{n} points need a {need / 2**30:.1f} GiB distance matrix, above the "
+            f"{MAX_DISTANCE_BYTES / 2**30:.1f} GiB limit")
+    if metric == "euclidean":
+        d = _euclidean_distances(points)
+    else:
+        d = _cosine_distances(points)
     np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _euclidean_distances(points) -> np.ndarray:
+    n, dim = points.shape
+    d = np.empty((n, n))
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, _CHUNK_BUDGET // max(1, (n - lo) * dim)))
+        diff = points[lo:hi, None, :] - points[None, lo:, :]
+        np.multiply(diff, diff, out=diff)
+        block = diff.sum(axis=2)
+        np.sqrt(block, out=block)
+        d[lo:hi, lo:] = block
+        d[lo:, lo:hi] = block.T
+        lo = hi
+    return d
+
+
+def _cosine_distances(points) -> np.ndarray:
+    norms = np.linalg.norm(points, axis=1)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    unit = points / safe[:, None]
+    d = unit @ unit.T
+    np.clip(d, -1.0, 1.0, out=d)
+    zero = norms == 0.0
+    if zero.any():
+        d[zero, :] = 0.0
+        d[:, zero] = 0.0
+        d[np.ix_(zero, zero)] = 1.0  # two zero rows are identical points
+    np.subtract(1.0, d, out=d)
+    n = d.shape[0]
+    for lo in range(0, n, _SYM_TILE):
+        rows = slice(lo, lo + _SYM_TILE)
+        diag = d[rows, rows]
+        diag += diag.T  # numpy reads the overlapping transpose from a copy
+        diag *= 0.5
+        for lo2 in range(lo + _SYM_TILE, n, _SYM_TILE):
+            cols = slice(lo2, lo2 + _SYM_TILE)
+            upper = d[rows, cols]
+            upper += d[cols, rows].T
+            upper *= 0.5
+            d[cols, rows] = upper.T
     return d
 
 
@@ -161,14 +218,20 @@ def kmedoids_fit(points, config: ClusterConfig,
         raise ClusteringError(f"k={k} exceeds number of points n={n}")
     if dist is None:
         dist = pairwise_distances(points, config.metric)
-    medoids = _kernels.pam_build(dist, k)
-    medoids, _ = _kernels.pam_swap(dist, medoids, config.max_iter)
+    return _swap_and_score(dist, _kernels.pam_build(dist, k), config.max_iter)
+
+
+def _swap_and_score(dist, built, max_iter: int) -> ClusterAssignment:
+    """SWAP from the BUILD medoids, then labels, cost and mean silhouette."""
+    medoids, passes = _kernels.pam_swap(dist, built, max_iter)
     medoids = np.sort(medoids)
     labels, d_near = _kernels.assign_to_medoids(dist, medoids)
     cost = float(d_near.sum())
+    k = len(medoids)
     sil = float(_kernels.silhouette_samples_from_dist(dist, labels, k).mean())
     return ClusterAssignment(medoids=tuple(int(m) for m in medoids),
-                             labels=labels, cost=cost, silhouette=sil)
+                             labels=labels, cost=cost, silhouette=sil,
+                             swap_passes=passes, swap_hit_max_iter=passes >= max_iter)
 
 
 def silhouette(points, labels, metric: str = "euclidean") -> float:
@@ -189,25 +252,30 @@ def silhouette(points, labels, metric: str = "euclidean") -> float:
 def sweep_k(points, k_lo: int, k_hi: int, metric: str = "euclidean",
             seed: int = ClusterConfig.seed, max_iter: int = ClusterConfig.max_iter
             ) -> tuple[ClusterAssignment, SweepReport]:
-    """Fit every k in [k_lo, min(k_hi, n)]; best = max silhouette, ties to smaller k."""
+    """Fit every k in [k_lo, min(k_hi, n)]; best = max silhouette, ties to smaller k.
+
+    Each k is fitted as ``kmedoids_fit`` fits it. BUILD runs once, to the
+    largest k: greedy BUILD only adds medoids, so its first k are the BUILD
+    result for k.
+    """
+    # the config checks the range, the metric and max_iter
+    ClusterConfig(sweep=(k_lo, k_hi), metric=metric, max_iter=max_iter, seed=seed)
     points = _validate_points(points)
     n = points.shape[0]
-    if k_lo < 2 or k_lo > k_hi:
-        raise ValueError("sweep range must satisfy 2 <= k_lo <= k_hi")
     truncated = k_hi > n
     k_hi = min(k_hi, n)
     if k_lo > k_hi:
         raise ClusteringError(f"no feasible k in [{k_lo}, {k_hi}] for n={n}")
     dist = pairwise_distances(points, metric)
-    best: Optional[ClusterAssignment] = None
-    entries = []
-    for k in range(k_lo, k_hi + 1):
-        cfg = ClusterConfig(k=k, metric=metric, max_iter=max_iter, seed=seed)
-        fit = kmedoids_fit(points, cfg, dist=dist)
-        entries.append((k, fit.cost, fit.silhouette))
-        if best is None or fit.silhouette > best.silhouette:
-            best = fit
-    return best, SweepReport(entries=tuple(entries), truncated=truncated)
+    built = _kernels.pam_build(dist, k_hi)
+    ks = range(k_lo, k_hi + 1)
+    fits = [_swap_and_score(dist, built[:k], max_iter) for k in ks]
+    best = max(fits, key=lambda fit: fit.silhouette)  # max keeps the first on ties
+    return best, SweepReport(
+        entries=tuple((k, f.cost, f.silhouette) for k, f in zip(ks, fits)),
+        truncated=truncated,
+        swap_passes=tuple((k, f.swap_passes) for k, f in zip(ks, fits)),
+        max_iter_hits=tuple(k for k, f in zip(ks, fits) if f.swap_hit_max_iter))
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +357,7 @@ def ipca_fit(data, batch_size: Optional[int] = None,
 
 
 def reduce_to_variance(model: IpcaModel, points,
-                       threshold: float = 0.85) -> tuple[np.ndarray, int]:
+                       threshold: float = VARIANCE_THRESHOLD) -> tuple[np.ndarray, int]:
     """Project onto the smallest component prefix explaining >= threshold."""
     points = _validate_points(points)
     if points.shape[1] != model.n_cols:

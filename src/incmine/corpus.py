@@ -28,6 +28,9 @@ DEFAULT_PLACEHOLDERS = frozenset({"", "ND", "N.D.", "-"})
 
 _CSV_COLUMNS = ("id", "dynamics", "consequence")
 
+# frequent words the preprocess report lists by default
+TOP_WORDS = 100
+
 
 class CorpusError(IncmineError):
     pass

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from dataclasses import asdict
@@ -5,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from incmine import clustering, corpus
 from incmine.cli import PipelineConfig, main, parse_config_file
 from incmine.clustering import EmbeddingMatrix, save_embeddings
 from incmine.langmodel import LmConfig
@@ -118,6 +120,29 @@ class TestClusterTfidf:
                    "--no-stopwords") == 0
         summary = json.loads(read(os.path.join(out, "cluster_summary.json")))
         assert [row[0] for row in summary["per_k_table"]] == [2, 3, 4]
+        assert [row[0] for row in summary["swap_passes"]] == [2, 3, 4]
+        assert all(passes >= 0 for _, passes in summary["swap_passes"])
+
+    def test_swap_passes_and_max_iter_warning(self, fixture_corpus_path, tmp_path,
+                                              capsys):
+        out = str(tmp_path / "out")
+        assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--k", "3",
+                   "--max-iter", "0", "--output-dir", out, "--no-stopwords") == 0
+        summary = json.loads(read(os.path.join(out, "cluster_summary.json")))
+        assert summary["swap_passes"] == [[3, 0]]
+        assert "max_iter=0" in capsys.readouterr().err
+        assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--k", "3",
+                   "--output-dir", out, "--no-stopwords") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_distance_matrix_cap(self, fixture_corpus_path, tmp_path, capsys,
+                                 monkeypatch):
+        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 12 * 12 * 8 - 1)
+        assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--k", "3",
+                   "--output-dir", str(tmp_path / "out"), "--no-stopwords") == 2
+        err = capsys.readouterr().err
+        assert "12 points" in err and "distance matrix" in err
+        assert "Traceback" not in err
 
     def test_k_thirty_on_larger_corpus(self, corpus_csv, tmp_path):
         # the stock tags-occurrence setting: a fixed k of 30
@@ -184,6 +209,15 @@ class TestClusterEmbeddings:
         out = str(tmp_path / "out")
         assert run("cluster-embeddings", "--embeddings", emb, "--ids", ids,
                    "--k", "2", "--output-dir", out) == 0
+
+    def test_distance_matrix_cap(self, tmp_path, capsys, monkeypatch):
+        emb, ids = self._write_blobs(tmp_path)
+        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 20 * 20 * 8 - 1)
+        assert run("cluster-embeddings", "--embeddings", emb, "--ids", ids,
+                   "--k-range", "2", "4", "--output-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "20 points" in err and "distance matrix" in err
+        assert "Traceback" not in err
 
     def test_id_count_mismatch(self, tmp_path):
         emb, _ = self._write_blobs(tmp_path)
@@ -359,6 +393,32 @@ class TestPipelineConfig:
         assert config.cluster.sweep == (2, 100)
         assert config.variance_threshold == 0.85
         config.validate_paths()  # no paths set, nothing to check
+
+    def test_variance_threshold_has_one_source(self, tmp_path, capsys, monkeypatch):
+        threshold = clustering.VARIANCE_THRESHOLD
+        assert inspect.signature(clustering.reduce_to_variance) \
+            .parameters["threshold"].default == threshold
+        assert PipelineConfig().variance_threshold == threshold
+        assert run("cluster-embeddings", "--help") == 0
+        assert f"(default {threshold})" in capsys.readouterr().out
+        # the CLI reads the constant when it runs: 0.0 keeps one component
+        monkeypatch.setattr(clustering, "VARIANCE_THRESHOLD", 0.0)
+        emb = tmp_path / "emb.txt"
+        save_embeddings(EmbeddingMatrix(np.random.default_rng(0).normal(size=(8, 4))), emb)
+        out = str(tmp_path / "out")
+        assert run("cluster-embeddings", "--embeddings", str(emb), "--k", "2",
+                   "--output-dir", out) == 0
+        summary = json.loads(read(os.path.join(out, "cluster_summary.json")))
+        assert summary["reduced_dims"] == 1
+
+    def test_top_words_has_one_source(self, fixture_corpus_path, tmp_path, capsys,
+                                      monkeypatch):
+        assert run("preprocess", "--help") == 0
+        assert f"(default {corpus.TOP_WORDS})" in capsys.readouterr().out
+        monkeypatch.setattr(corpus, "TOP_WORDS", 3)
+        out = str(tmp_path / "out")
+        assert run("preprocess", "--corpus", fixture_corpus_path, "--output-dir", out) == 0
+        assert len(read(os.path.join(out, "top_words.csv")).splitlines()) == 1 + 3
 
     def test_missing_path_detected(self, tmp_path):
         config = PipelineConfig(corpus_path=str(tmp_path / "ghost.csv"))

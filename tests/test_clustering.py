@@ -1,13 +1,16 @@
 import inspect
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incmine import _kernels
+from incmine import _kernels, clustering
 from incmine.clustering import (
+    METRICS,
     ClusterConfig,
     ClusteringError,
     EmbeddingFormatError,
@@ -24,6 +27,7 @@ from incmine.clustering import (
 )
 
 import pam_oracle
+import whole_matrix_oracle
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
 
@@ -81,6 +85,71 @@ class TestPairwiseDistances:
         d = pairwise_distances(pts, "cosine")
         assert d[0, 1] == 0.0
         assert d[0, 2] == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRICS),
+           n=st.integers(1, 30), dim=st.integers(1, 5), zero_rows=st.booleans(),
+           duplicates=st.booleans(), small_blocks=st.booleans())
+    def test_matches_whole_matrix_oracle(self, seed, metric, n, dim, zero_rows,
+                                         duplicates, small_blocks):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+        if zero_rows:
+            pts[rng.integers(0, n, size=max(1, n // 3))] = 0.0
+        if duplicates:
+            pts = np.vstack([pts, pts[rng.integers(0, n, size=max(1, n // 2))]])
+        # chunks of a few rows and 2- or 3-wide tiles, so chunk and tile
+        # edges fall everywhere, or the module's own sizes
+        budget, tile = clustering._CHUNK_BUDGET, clustering._SYM_TILE
+        if small_blocks:
+            budget, tile = int(rng.integers(1, 3 * dim * n + 1)), int(rng.integers(2, 4))
+        with mock.patch.object(clustering, "_CHUNK_BUDGET", budget), \
+                mock.patch.object(clustering, "_SYM_TILE", tile):
+            got = pairwise_distances(pts, metric)
+        assert np.array_equal(got, whole_matrix_oracle.pairwise_distances(pts, metric))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_matches_oracle_across_tiles(self, metric, rng):
+        # several 128-wide tiles and chunks at the module's sizes, with zero
+        # and duplicate rows
+        pts = rng.normal(size=(300, 8))
+        pts[::7] = 0.0
+        pts[1::5] = pts[2::5]
+        got = pairwise_distances(pts, metric)
+        assert np.array_equal(got, whole_matrix_oracle.pairwise_distances(pts, metric))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_peak_memory_is_about_one_matrix(self, metric, rng):
+        pts = rng.normal(size=(512, 8))
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            d = pairwise_distances(pts, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * d.nbytes
+
+    def test_size_guard_refuses_before_allocating(self):
+        pts = np.zeros((100_000, 1))  # an 80 GB matrix
+        tracemalloc.start()
+        try:
+            with pytest.raises(ClusteringError, match="distance matrix"):
+                pairwise_distances(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * pts.nbytes
+
+    def test_size_guard_cap(self, monkeypatch):
+        pts = np.zeros((10, 2))
+        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 10 * 10 * 8)
+        assert pairwise_distances(pts).shape == (10, 10)
+        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 10 * 10 * 8 - 1)
+        for fit in (lambda: pairwise_distances(pts, "cosine"),
+                    lambda: kmedoids_fit(pts, ClusterConfig(k=2)),
+                    lambda: sweep_k(pts, 2, 3)):
+            with pytest.raises(ClusteringError, match="10 points"):
+                fit()
 
 
 class TestKMedoids:
@@ -233,6 +302,67 @@ class TestSweep:
         assert len(report.entries) == 1
         assert len(best.medoids) == 2
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24),
+           metric=st.sampled_from(METRICS), max_iter=st.sampled_from((0, 1, 100)))
+    def test_matches_per_k_fits(self, seed, n, metric, max_iter):
+        # one BUILD to the largest k must give every k what its own fit gives
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3))
+        pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
+        k_hi = int(rng.integers(2, n + 3))
+        swaps = []
+        real_swap = _kernels.pam_swap
+
+        def recording_swap(dist, medoids, limit):
+            medoids_out, passes = real_swap(dist, medoids, limit)
+            swaps.append((medoids_out.tolist(), passes))
+            return medoids_out, passes
+
+        with mock.patch.object(_kernels, "pam_swap", recording_swap):
+            best, report = sweep_k(pts, 2, k_hi, metric=metric, max_iter=max_iter)
+            swept = swaps[:]
+            fits = {}
+            for k, _, _ in report.entries:
+                fits[k] = kmedoids_fit(pts, ClusterConfig(k=k, metric=metric,
+                                                          max_iter=max_iter))
+        assert swept == swaps[len(swept):]
+        assert [k for k, _, _ in report.entries] == list(range(2, min(k_hi, n) + 1))
+        assert list(report.entries) == [(k, f.cost, f.silhouette) for k, f in fits.items()]
+        assert list(report.swap_passes) == [(k, f.swap_passes) for k, f in fits.items()]
+        assert list(report.max_iter_hits) == [k for k, f in fits.items()
+                                              if f.swap_hit_max_iter]
+        want = fits[len(best.medoids)]
+        assert best.medoids == want.medoids
+        assert best.labels.tolist() == want.labels.tolist()
+        assert (best.cost, best.silhouette) == (want.cost, want.silhouette)
+        assert best.silhouette == max(f.silhouette for f in fits.values())
+        assert all(f.silhouette < best.silhouette for k, f in fits.items()
+                   if k < len(best.medoids))
+
+    def test_build_runs_once_to_largest_k(self):
+        calls = []
+        real_build = _kernels.pam_build
+
+        def recording_build(dist, k):
+            calls.append(k)
+            return real_build(dist, k)
+
+        with mock.patch.object(_kernels, "pam_build", recording_build):
+            sweep_k(FOUR_POINTS, 2, 9)
+        assert calls == [4]
+
+    def test_swap_signals_reported(self):
+        # BUILD gives medoids (1, 0), one SWAP moves 1 to 2 (see below)
+        pts = np.array([[0.0], [2.0], [3.0], [3.0]])
+        fit = kmedoids_fit(pts, ClusterConfig(k=2))
+        assert fit.swap_passes == 1 and not fit.swap_hit_max_iter
+        capped = kmedoids_fit(pts, ClusterConfig(k=2, max_iter=0))
+        assert capped.swap_passes == 0 and capped.swap_hit_max_iter
+        _, report = sweep_k(pts, 2, 3, max_iter=0)
+        assert report.swap_passes == ((2, 0), (3, 0))
+        assert report.max_iter_hits == (2, 3)
+
 
 def _oracle_points(data, kind, n):
     if kind == "integer":
@@ -269,33 +399,78 @@ def _swap_matches_oracle(dist, start, max_iter, exact_ties):
     return full
 
 
+def _match_loop_oracle(data, kind, n, max_iter):
+    """BUILD, SWAP, assignment and silhouette against the scalar loops."""
+    k = data.draw(st.integers(2, n))
+    dist = pairwise_distances(_oracle_points(data, kind, n), "euclidean")
+    built = _kernels.pam_build(dist, k)
+    assert built.tolist() == pam_oracle.pam_build_loop(dist, k).tolist()
+    # SWAP from arbitrary medoids, where far more improving swaps tie,
+    # and from BUILD, whose result the rest of the test goes on with
+    arbitrary = np.array(data.draw(st.permutations(range(n)))[:k], dtype=np.int64)
+    exact_ties = kind == "integer"
+    _swap_matches_oracle(dist, arbitrary, max_iter, exact_ties)
+    swapped = _swap_matches_oracle(dist, built, max_iter, exact_ties)
+    medoids = np.sort(swapped)
+    labels, d1 = _kernels.assign_to_medoids(dist, medoids)
+    want_labels, want_d1 = pam_oracle.assign_loop(dist, medoids)
+    assert labels.tolist() == want_labels.tolist()
+    assert np.allclose(d1, want_d1, rtol=0.0, atol=1e-12)
+    # fitted labels, then arbitrary ones that may leave clusters empty
+    drawn = np.array(data.draw(st.lists(st.integers(0, k - 1),
+                                        min_size=n, max_size=n)))
+    for lab in (labels, drawn):
+        sil = _kernels.silhouette_samples_from_dist(dist, lab, k)
+        want_sil = pam_oracle.silhouette_loop(dist, lab, k)
+        assert np.allclose(sil, want_sil, rtol=0.0, atol=1e-12)
+
+
 class TestKernelEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(("normal", "integer")),
            n=st.integers(2, 16), max_iter=st.sampled_from((0, 1, 2, 100)))
     def test_pam_and_silhouette_match_loop_oracle(self, data, kind, n, max_iter):
-        k = data.draw(st.integers(2, n))
-        dist = pairwise_distances(_oracle_points(data, kind, n), "euclidean")
-        built = _kernels.pam_build(dist, k)
-        assert built.tolist() == pam_oracle.pam_build_loop(dist, k).tolist()
-        # SWAP from arbitrary medoids, where far more improving swaps tie,
-        # and from BUILD, whose result the rest of the test goes on with
-        arbitrary = np.array(data.draw(st.permutations(range(n)))[:k], dtype=np.int64)
-        exact_ties = kind == "integer"
-        _swap_matches_oracle(dist, arbitrary, max_iter, exact_ties)
-        swapped = _swap_matches_oracle(dist, built, max_iter, exact_ties)
-        medoids = np.sort(swapped)
-        labels, d1 = _kernels.assign_to_medoids(dist, medoids)
-        want_labels, want_d1 = pam_oracle.assign_loop(dist, medoids)
-        assert labels.tolist() == want_labels.tolist()
-        assert np.allclose(d1, want_d1, rtol=0.0, atol=1e-12)
-        # fitted labels, then arbitrary ones that may leave clusters empty
-        drawn = np.array(data.draw(st.lists(st.integers(0, k - 1),
-                                            min_size=n, max_size=n)))
-        for lab in (labels, drawn):
-            sil = _kernels.silhouette_samples_from_dist(dist, lab, k)
-            want_sil = pam_oracle.silhouette_loop(dist, lab, k)
-            assert np.allclose(sil, want_sil, rtol=0.0, atol=1e-12)
+        _match_loop_oracle(data, kind, n, max_iter)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("normal", "integer")),
+           n=st.integers(2, 16), max_iter=st.sampled_from((0, 1, 2, 100)))
+    def test_row_blocks_match_loop_oracle(self, rows, data, kind, n, max_iter):
+        # blocks of 2 or 3 rows leave a last block of 1 row for many n
+        with mock.patch.object(_kernels, "PAM_ROWS", rows):
+            _match_loop_oracle(data, kind, n, max_iter)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("normal", "integer")),
+           metric=st.sampled_from(METRICS), n=st.integers(1, 40),
+           rows=st.sampled_from((1, 2, 3, _kernels.PAM_ROWS)))
+    def test_row_blocks_match_whole_matrix_floats(self, data, kind, metric, n, rows):
+        dist = pairwise_distances(_oracle_points(data, kind, n), metric)
+        k = data.draw(st.integers(1, n))
+        medoids = np.array(data.draw(st.permutations(range(n)))[:k], dtype=np.int64)
+        d_near = dist[:, medoids].min(axis=1)
+        with mock.patch.object(_kernels, "PAM_ROWS", rows):
+            costs = _kernels._build_costs(dist, d_near)
+            deltas = _kernels._swap_deltas(dist, medoids)
+        assert np.array_equal(costs, whole_matrix_oracle.build_costs(dist, d_near))
+        assert np.array_equal(deltas, whole_matrix_oracle.swap_deltas(dist, medoids))
+
+    def test_fortran_and_float32_matrices(self, rng):
+        # kmedoids_fit takes a caller's matrix as it is
+        pts = np.vstack([rng.normal(size=(20, 2)), rng.normal(size=(20, 2)) + 9.0])
+        dist = pairwise_distances(pts)
+        want = kmedoids_fit(pts, ClusterConfig(k=2), dist=dist)
+        for other in (np.asfortranarray(dist), dist.astype(np.float32)):
+            got = kmedoids_fit(pts, ClusterConfig(k=2), dist=other)
+            assert got.medoids == want.medoids
+            assert got.labels.tolist() == want.labels.tolist()
+
+    def test_build_is_prefix_stable(self, rng):
+        dist = pairwise_distances(rng.normal(size=(60, 2)))
+        full = _kernels.pam_build(dist, 20)
+        for k in range(1, 21):
+            assert _kernels.pam_build(dist, k).tolist() == full[:k].tolist()
 
     def test_swap_tie_breaks_to_lowest_index(self):
         # BUILD gives medoids (1, 0); replacing 1 by point 2 or by its
