@@ -3,19 +3,24 @@
 Exit codes: 0 success, 1 usage error, 2 data error. All outputs are
 deterministic given identical inputs and seeds - reports carry no timestamps
 and floats are serialized with a fixed format.
+
+Each flag that a ``--config`` file may set declares its config key where the
+flag is added (``_Parser.setting``). The file is applied once, before the
+subcommand runs; the subcommands then build ``PreprocessConfig``,
+``MiningConfig``, ``ClusterConfig`` and ``LmConfig`` from the values that
+were set, by field name, so the dataclass defaults are the only defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 from io import StringIO
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,43 +33,26 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors raised, and the config-file keys of its flags.
+
+    ``settings`` maps each config key a flag declares to the flag's dest and
+    the cast that reads the key's value from the file.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.settings: dict[str, tuple[str, Callable[[str], object]]] = {}
+
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)
 
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Aggregate configuration for a full pipeline run."""
-
-    corpus_path: Optional[str] = None
-    stopwords_path: Optional[str] = None
-    ontology_path: Optional[str] = None
-    embeddings_path: Optional[str] = None
-    output_dir: str = "."
-    use_tags: bool = True
-    rules: rules_mod.MiningConfig = rules_mod.MiningConfig()
-    cluster: clustering.ClusterConfig = clustering.ClusterConfig(sweep=(2, 100))
-    variance_threshold: float = clustering.VARIANCE_THRESHOLD
-    lm: langmodel.LmConfig = langmodel.LmConfig()
-
-    def __post_init__(self):
-        if not 0.0 <= self.variance_threshold <= 1.0:
-            raise ValueError("variance_threshold must be in [0, 1]")
-
-    @classmethod
-    def defaults(cls) -> "PipelineConfig":
-        """Stock configuration: 5000-token vocab, 128-d embedding, 2x100
-        bidirectional units, 2x50 dense, 0.5 dropout, k sweep [2, 100] and
-        the ``clustering.VARIANCE_THRESHOLD`` variance threshold."""
-        return cls()
-
-    def validate_paths(self):
-        for label, path in (("corpus", self.corpus_path),
-                            ("stopwords", self.stopwords_path),
-                            ("ontology", self.ontology_path),
-                            ("embeddings", self.embeddings_path)):
-            if path is not None and not os.path.exists(path):
-                raise FileNotFoundError(f"{label} path does not exist: {path}")
+    def setting(self, flag, key, *, cast=None, group=None, **kwargs):
+        """Add ``flag``; when it is absent, config key ``key`` (if not None)
+        sets its dest, read with ``cast`` (by default the flag's ``type``)."""
+        action = (group or self).add_argument(flag, **kwargs)
+        if key is not None:
+            self.settings[key] = (action.dest, cast or action.type or str)
+        return action
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -91,20 +79,37 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-class _Resolver:
-    """Flag value beats config file value beats default."""
+def _apply_config(args, commands) -> None:
+    """Set each flag left out from the ``--config`` file: a flag beats the
+    file, and the file beats the defaults of the dataclasses and functions
+    the values go to. A key no subcommand declares is a usage error; another
+    subcommand's key is ignored, so one file serves the whole pipeline."""
+    values = parse_config_file(args.config)
+    known = set().union(*(sub.settings for sub in commands.values()))
+    unknown = sorted(values.keys() - known)
+    if unknown:
+        raise _UsageError(f"{args.config}: unknown config key "
+                          f"{', '.join(map(repr, unknown))}")
+    settings = commands[args.command].settings
+    for key, raw in values.items():
+        if key not in settings:
+            continue
+        dest, cast = settings[key]
+        if getattr(args, dest) is None:
+            try:
+                setattr(args, dest, cast(raw))
+            except ValueError as exc:
+                raise IncmineError(f"{args.config}: {key}: {exc}") from exc
 
-    def __init__(self, args):
-        self.args = args
-        self.cfg = parse_config_file(args.config) if args.config else {}
 
-    def get(self, flag_value, key, default, cast=str):
-        if flag_value is not None:
-            return flag_value
-        if key in self.cfg:
-            raw = self.cfg[key]
-            return _parse_bool(raw) if cast is bool else cast(raw)
-        return default
+def _given(args, target) -> dict:
+    """Keyword arguments for ``target``, a config dataclass or a function:
+    each of its defaulted parameters that a flag or the config file set, by
+    name. ``target``'s own defaults fill the rest."""
+    return {name: getattr(args, name)
+            for name, param in inspect.signature(target).parameters.items()
+            if param.default is not param.empty
+            and getattr(args, name, None) is not None}
 
 
 def _write_text(path, text: str):
@@ -116,34 +121,30 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _load_pre_config(res: _Resolver, args) -> corpus_mod.PreprocessConfig:
-    stopwords_path = res.get(args.stopwords, "corpus.stopwords", None)
-    if getattr(args, "no_stopwords", False):
+def _pre_config(args) -> corpus_mod.PreprocessConfig:
+    if args.no_stopwords:
         stopwords = frozenset()
-    elif stopwords_path:
-        stopwords = corpus_mod.load_stopwords(stopwords_path)
+    elif args.stopwords_file is not None:
+        stopwords = corpus_mod.load_stopwords(args.stopwords_file)
     else:
         stopwords = corpus_mod.default_stopwords()
-    min_len = res.get(args.min_token_len, "corpus.min_token_len",
-                      corpus_mod.PreprocessConfig.min_token_len, int)
-    return corpus_mod.PreprocessConfig(stopwords=stopwords, min_token_len=min_len)
+    return corpus_mod.PreprocessConfig(stopwords=stopwords,
+                                       **_given(args, corpus_mod.PreprocessConfig))
 
 
-def _load_inputs(res: _Resolver, args):
-    corpus_path = res.get(args.corpus, "paths.corpus", None)
-    if corpus_path is None:
+def _load_inputs(args):
+    if args.corpus is None:
         raise _UsageError("a corpus is required (--corpus or paths.corpus)")
-    fmt = res.get(args.format, "corpus.format", "csv")
-    pre = _load_pre_config(res, args)
-    loaded = corpus_mod.load_corpus(corpus_path, fmt=fmt,
-                                    placeholders=pre.placeholders)
-    ontology_path = res.get(args.ontology, "paths.ontology", None)
-    ontology = corpus_mod.TagOntology.from_tsv(ontology_path) if ontology_path else None
+    pre = _pre_config(args)
+    loaded = corpus_mod.load_corpus(args.corpus, placeholders=pre.placeholders,
+                                    **_given(args, corpus_mod.load_corpus))
+    ontology = (None if args.ontology is None
+                else corpus_mod.TagOntology.from_tsv(args.ontology))
     return loaded, pre, ontology
 
 
-def _outdir(res: _Resolver, args) -> str:
-    out = res.get(args.output_dir, "paths.output_dir", ".")
+def _outdir(args) -> str:
+    out = "." if args.output_dir is None else args.output_dir
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -153,11 +154,10 @@ def _outdir(res: _Resolver, args) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
-    res = _Resolver(args)
-    loaded, pre, ontology = _load_inputs(res, args)
-    out = _outdir(res, args)
+    loaded, pre, ontology = _load_inputs(args)
+    out = _outdir(args)
     txs = corpus_mod.to_transactions(loaded, pre, ontology)
-    top_k = res.get(args.top_k, "corpus.top_k", corpus_mod.TOP_WORDS, int)
+    top_k = corpus_mod.TOP_WORDS if args.top_k is None else args.top_k
     top = corpus_mod.top_frequent_words(loaded, top_k, pre)
 
     buf = StringIO()
@@ -186,27 +186,11 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_mine_rules(args) -> int:
-    res = _Resolver(args)
-    loaded, pre, ontology = _load_inputs(res, args)
-    out = _outdir(res, args)
+    loaded, pre, ontology = _load_inputs(args)
+    out = _outdir(args)
     txs = corpus_mod.to_transactions(loaded, pre, ontology)
     n = len(txs.transactions)
-    idf_max = res.get(args.idf_max, "rules.idf_max", None, float)
-    if idf_max is None:
-        idf_max = max(math.log(n) - 0.1, 0.2)  # default band caps hapaxes
-    defaults = rules_mod.MiningConfig
-    config = rules_mod.MiningConfig(
-        minsupp=res.get(args.minsupp, "rules.minsupp", defaults.minsupp, float),
-        mincnf=res.get(args.mincnf, "rules.mincnf", defaults.mincnf, float),
-        # the CLI's band floor drops ubiquitous items; MiningConfig's is 0.0
-        idf_min=res.get(args.idf_min, "rules.idf_min", 0.1, float),
-        idf_max=idf_max,
-        max_itemset_size=res.get(args.max_itemset_size, "rules.max_itemset_size",
-                                 defaults.max_itemset_size, int),
-        require_lift_gt1=res.get(False if args.allow_lift_le1 else None,
-                                 "rules.require_lift_gt1",
-                                 defaults.require_lift_gt1, bool),
-    )
+    config = rules_mod.MiningConfig(**_given(args, rules_mod.MiningConfig))
     mined = rules_mod.fisinfis_mine(txs.transactions, config)
     _write_text(os.path.join(out, "rules.csv"), rules_mod.rules_to_csv(mined))
     _write_text(os.path.join(out, "rules.dot"), rules_mod.export_rule_graph(mined))
@@ -216,34 +200,29 @@ def cmd_mine_rules(args) -> int:
     return 0
 
 
-def _cluster_and_report(points, ids, res, args, out, metric_default) -> dict:
-    metric = res.get(args.metric, "clustering.metric", metric_default)
-    defaults = clustering.ClusterConfig
-    seed = res.get(args.seed, "clustering.seed", defaults.seed, int)
-    max_iter = res.get(args.max_iter, "clustering.max_iter", defaults.max_iter, int)
-    if args.k is not None and args.k_range is not None:
-        raise _UsageError("--k and --k-range are mutually exclusive")
-    k = res.get(args.k, "clustering.k", None, int)
-    if args.k_range is not None:
-        lo, hi = args.k_range
-        best, report = clustering.sweep_k(points, lo, hi, metric=metric,
-                                          seed=seed, max_iter=max_iter)
+def _cluster_and_report(points, ids, args, out, **defaults) -> dict:
+    """k-medoids over ``points``; ``defaults`` overrides ``ClusterConfig``'s."""
+    given = {**defaults, **_given(args, clustering.ClusterConfig)}
+    if "sweep" in given:
+        given.pop("k", None)  # --k-range beats clustering.k from a config file
+    elif "k" not in given:
+        raise _UsageError("either --k or --k-range is required")
+    config = clustering.ClusterConfig(**given)
+    if config.sweep is not None:
+        best, report = clustering.sweep_k(points, *config.sweep, metric=config.metric,
+                                          seed=config.seed, max_iter=config.max_iter)
         table = [[kk, cost, sil] for kk, cost, sil in report.entries]
         swap_passes = [[kk, passes] for kk, passes in report.swap_passes]
         max_iter_hits = list(report.max_iter_hits)
         truncated = report.truncated
     else:
-        if k is None:
-            raise _UsageError("either --k or --k-range is required")
-        cfg = clustering.ClusterConfig(k=k, metric=metric, max_iter=max_iter,
-                                       seed=seed)
-        best = clustering.kmedoids_fit(points, cfg)
-        table = [[k, best.cost, best.silhouette]]
-        swap_passes = [[k, best.swap_passes]]
-        max_iter_hits = [k] if best.swap_hit_max_iter else []
+        best = clustering.kmedoids_fit(points, config)
+        table = [[config.k, best.cost, best.silhouette]]
+        swap_passes = [[config.k, best.swap_passes]]
+        max_iter_hits = [config.k] if best.swap_hit_max_iter else []
         truncated = False
     if max_iter_hits:
-        print(f"warning: SWAP used all max_iter={max_iter} passes for "
+        print(f"warning: SWAP used all max_iter={config.max_iter} passes for "
               f"k={', '.join(map(str, max_iter_hits))}; the medoids may not be a "
               f"local optimum", file=sys.stderr)
 
@@ -261,56 +240,57 @@ def _cluster_and_report(points, ids, res, args, out, metric_default) -> dict:
         "medoid_ids": [ids[m] for m in best.medoids],
         "per_k_table": table,
         "swap_passes": swap_passes,
-        "metric": metric,
-        "seed": seed,
+        "metric": config.metric,
+        "seed": config.seed,
         "truncated": truncated,
     }
     return summary
 
 
 def cmd_cluster_tfidf(args) -> int:
-    res = _Resolver(args)
-    loaded, pre, ontology = _load_inputs(res, args)
-    out = _outdir(res, args)
+    loaded, pre, ontology = _load_inputs(args)
+    out = _outdir(args)
     docs = vectors.corpus_term_counts(loaded, pre, ontology)
     index = vectors.build_term_index(docs)
     matrix = vectors.tfidf_matrix(docs, index)
+    n_rows, n_cols = matrix.n_rows, matrix.n_cols
+    # refuse before densifying: the n x n distances, then the dense rows
+    clustering.check_allocation(n_rows * n_rows * 8,
+                                f"the distance matrix of {n_rows} points")
+    clustering.check_allocation(n_rows * n_cols * 8,
+                                f"the dense {n_rows} x {n_cols} tf-idf matrix")
     _write_text(os.path.join(out, "tfidf_matrix.txt"), matrix.to_coo_text())
-    summary = _cluster_and_report(matrix.toarray(), list(loaded.ids), res, args,
-                                  out, metric_default="cosine")
-    summary["n_terms"] = matrix.n_cols
+    summary = _cluster_and_report(matrix.toarray(), list(loaded.ids), args, out,
+                                  metric="cosine")
+    summary["n_terms"] = n_cols
     _write_json(os.path.join(out, "cluster_summary.json"), summary)
     print(f"cluster-tfidf: k={summary['k']} silhouette={summary['silhouette']:.4f} "
-          f"over {matrix.n_rows}x{matrix.n_cols} tf-idf matrix -> {out}")
+          f"over {n_rows}x{n_cols} tf-idf matrix -> {out}")
     return 0
 
 
 def cmd_cluster_embeddings(args) -> int:
-    res = _Resolver(args)
-    out = _outdir(res, args)
-    emb_path = res.get(args.embeddings, "paths.embeddings", None)
-    if emb_path is None:
+    out = _outdir(args)
+    if args.embeddings is None:
         raise _UsageError("an embedding file is required (--embeddings)")
     fmt = args.embeddings_format
     if fmt is None:
-        fmt = "binary" if str(emb_path).endswith(".bin") else "text"
-    matrix = clustering.load_embeddings(emb_path, fmt=fmt)
-    if args.ids:
+        fmt = "binary" if str(args.embeddings).endswith(".bin") else "text"
+    matrix = clustering.load_embeddings(args.embeddings, fmt=fmt)
+    if args.ids is not None:
         ids = clustering.load_embedding_ids(args.ids)
         if len(ids) != matrix.n_rows:
             raise IncmineError(
                 f"id list has {len(ids)} entries, embeddings have {matrix.n_rows} rows")
     else:
         ids = [str(i) for i in range(matrix.n_rows)]
-    threshold = res.get(args.variance_threshold,
-                        "clustering.variance_threshold",
-                        clustering.VARIANCE_THRESHOLD, float)
-    batch_size = res.get(args.batch_size, "clustering.batch_size", None, int)
+    threshold = args.variance_threshold
+    if threshold is None:
+        threshold = clustering.VARIANCE_THRESHOLD
     # fit and reduce on the same matrix: the reduction is in-sample
-    model = clustering.ipca_fit(matrix.values, batch_size=batch_size)
+    model = clustering.ipca_fit(matrix.values, **_given(args, clustering.ipca_fit))
     reduced, m = clustering.reduce_to_variance(model, matrix.values, threshold)
-    summary = _cluster_and_report(reduced, ids, res, args, out,
-                                  metric_default="euclidean")
+    summary = _cluster_and_report(reduced, ids, args, out)
     summary["reduced_dims"] = m
     summary["explained"] = float(np.cumsum(model.explained_variance_ratio)[m - 1])
     _write_json(os.path.join(out, "cluster_summary.json"), summary)
@@ -320,23 +300,9 @@ def cmd_cluster_embeddings(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    res = _Resolver(args)
-    loaded, pre, _ = _load_inputs(res, args)
-    out = _outdir(res, args)
-    defaults = langmodel.LmConfig
-    config = langmodel.LmConfig(
-        vocab_size=res.get(args.vocab_size, "lm.vocab_size", defaults.vocab_size, int),
-        embed_dim=res.get(args.embed_dim, "lm.embed_dim", defaults.embed_dim, int),
-        recurrent_units=res.get(args.recurrent_units, "lm.recurrent_units",
-                                defaults.recurrent_units, int),
-        dense_units=res.get(args.dense_units, "lm.dense_units", defaults.dense_units, int),
-        dropout_rate=res.get(args.dropout, "lm.dropout_rate", defaults.dropout_rate, float),
-        seq_len=res.get(args.seq_len, "lm.seq_len", defaults.seq_len, int),
-        learning_rate=res.get(args.lr, "lm.learning_rate", defaults.learning_rate, float),
-        batch_size=res.get(args.batch_size, "lm.batch_size", defaults.batch_size, int),
-        epochs=res.get(args.epochs, "lm.epochs", defaults.epochs, int),
-        seed=res.get(args.seed, "lm.seed", defaults.seed, int),
-    )
+    loaded, pre, _ = _load_inputs(args)
+    out = _outdir(args)
+    config = langmodel.LmConfig(**_given(args, langmodel.LmConfig))
     texts = [corpus_mod.preprocess(r.dynamics, pre) for r in loaded]
     texts += [corpus_mod.preprocess(r.consequence, pre) for r in loaded]
     vocab = langmodel.fit_vocab(texts, cap=config.vocab_size)
@@ -352,11 +318,11 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    res = _Resolver(args)
-    out = _outdir(res, args)
+    out = _outdir(args)
     model = langmodel.load_model(args.model)
-    pre = _load_pre_config(res, args)
-    top = langmodel.predict_consequence(model, args.text, top_k=args.top_k, pre=pre)
+    pre = _pre_config(args)
+    top = langmodel.predict_consequence(model, args.text, pre=pre,
+                                        **_given(args, langmodel.predict_consequence))
     _write_json(os.path.join(out, "prediction.json"), {
         "text": args.text,
         "top": [[token, prob] for token, prob in top],
@@ -367,64 +333,75 @@ def cmd_predict(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# parser wiring
+# parser wiring: each flag a config file may set names its key here
 # --------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, seed_key=None):
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--output-dir", default=None, help="directory for outputs")
-    sub.add_argument("--seed", type=int, default=None, help="deterministic seed")
+    sub.setting("--output-dir", "paths.output_dir", help="directory for outputs")
+    sub.setting("--seed", seed_key, type=int, help="deterministic seed")
+
+
+def _add_pre_opts(sub):
+    sub.setting("--stopwords", "corpus.stopwords", dest="stopwords_file",
+                metavar="FILE", help="stopword file (default: bundled Italian)")
+    sub.add_argument("--no-stopwords", action="store_true",
+                     help="disable stopword removal")
+    sub.setting("--min-token-len", "corpus.min_token_len", type=int)
 
 
 def _add_corpus_opts(sub):
-    sub.add_argument("--corpus", help="corpus CSV/JSONL path")
-    sub.add_argument("--format", choices=("csv", "jsonl"), default=None)
-    sub.add_argument("--stopwords", help="stopword file (default: bundled Italian)")
-    sub.add_argument("--no-stopwords", action="store_true",
-                     help="disable stopword removal")
-    sub.add_argument("--ontology", help="word<TAB>TAG substitution file")
-    sub.add_argument("--min-token-len", type=int, default=None)
+    sub.setting("--corpus", "paths.corpus", help="corpus CSV/JSONL path")
+    sub.setting("--format", "corpus.format", dest="fmt", choices=("csv", "jsonl"))
+    _add_pre_opts(sub)
+    sub.setting("--ontology", "paths.ontology", help="word<TAB>TAG substitution file")
 
 
 def _add_cluster_opts(sub):
-    sub.add_argument("--k", type=int, default=None, help="fixed cluster count")
-    sub.add_argument("--k-range", type=int, nargs=2, metavar=("LO", "HI"),
-                     default=None, help="sweep k over [LO, HI], pick by silhouette")
-    sub.add_argument("--metric", choices=clustering.METRICS, default=None)
-    sub.add_argument("--max-iter", type=int, default=None)
+    k_or_sweep = sub.add_mutually_exclusive_group()
+    sub.setting("--k", "clustering.k", type=int, group=k_or_sweep,
+                help="fixed cluster count")
+    k_or_sweep.add_argument("--k-range", dest="sweep", type=int, nargs=2,
+                            metavar=("LO", "HI"),
+                            help="sweep k over [LO, HI], pick by silhouette")
+    sub.setting("--metric", "clustering.metric", choices=clustering.METRICS)
+    sub.setting("--max-iter", "clustering.max_iter", type=int)
 
 
 def build_parser() -> _Parser:
+    """The CLI parser; ``commands`` maps each subcommand name to its parser."""
     parser = _Parser(prog="incmine",
                      description="Mine rules, cluster descriptions and predict "
                                  "consequences from incident-report text.")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
     sub = subs.add_parser("preprocess", help="tokenize corpus into transactions")
     _add_common(sub)
     _add_corpus_opts(sub)
-    sub.add_argument("--top-k", type=int, default=None,
-                     help="how many frequent words to report "
-                          f"(default {corpus_mod.TOP_WORDS})")
+    sub.setting("--top-k", "corpus.top_k", type=int,
+                help="how many frequent words to report "
+                     f"(default {corpus_mod.TOP_WORDS})")
     sub.set_defaults(func=cmd_preprocess)
 
     sub = subs.add_parser("mine-rules",
                           help="mine positive/negative association rules")
     _add_common(sub)
     _add_corpus_opts(sub)
-    sub.add_argument("--minsupp", type=float, default=None)
-    sub.add_argument("--mincnf", type=float, default=None)
-    sub.add_argument("--idf-min", type=float, default=None)
-    sub.add_argument("--idf-max", type=float, default=None)
-    sub.add_argument("--max-itemset-size", type=int, default=None)
-    sub.add_argument("--allow-lift-le1", action="store_true",
-                     help="also admit rules whose lift does not exceed 1")
+    sub.setting("--minsupp", "rules.minsupp", type=float)
+    sub.setting("--mincnf", "rules.mincnf", type=float)
+    sub.setting("--idf-min", "rules.idf_min", type=float)
+    sub.setting("--idf-max", "rules.idf_max", type=float)
+    sub.setting("--max-itemset-size", "rules.max_itemset_size", type=int)
+    sub.setting("--allow-lift-le1", "rules.require_lift_gt1", cast=_parse_bool,
+                dest="require_lift_gt1", action="store_const", const=False,
+                help="also admit rules whose lift does not exceed 1")
     sub.set_defaults(func=cmd_mine_rules)
 
     sub = subs.add_parser("cluster-tfidf",
                           help="k-medoids over tf-idf rows (tag-substituted "
                                "when an ontology is given)")
-    _add_common(sub)
+    _add_common(sub, "clustering.seed")
     _add_corpus_opts(sub)
     _add_cluster_opts(sub)
     sub.set_defaults(func=cmd_cluster_tfidf)
@@ -433,41 +410,39 @@ def build_parser() -> _Parser:
                           help="reduce an external embedding matrix with "
                                "incremental PCA, then k-medoids (the PCA is "
                                "fit on the matrix it reduces)")
-    _add_common(sub)
+    _add_common(sub, "clustering.seed")
     _add_cluster_opts(sub)
-    sub.add_argument("--embeddings", help="embedding matrix file")
+    sub.setting("--embeddings", "paths.embeddings", help="embedding matrix file")
     sub.add_argument("--embeddings-format", choices=("text", "binary"),
-                     default=None, help="default: by extension (.bin = binary)")
+                     help="default: by extension (.bin = binary)")
     sub.add_argument("--ids", help="companion sentence-id file")
-    sub.add_argument("--variance-threshold", type=float, default=None,
-                     help="explained-variance target "
-                          f"(default {clustering.VARIANCE_THRESHOLD})")
-    sub.add_argument("--batch-size", type=int, default=None,
-                     help="incremental PCA batch rows")
+    sub.setting("--variance-threshold", "clustering.variance_threshold", type=float,
+                help="explained-variance target "
+                     f"(default {clustering.VARIANCE_THRESHOLD})")
+    sub.setting("--batch-size", "clustering.batch_size", type=int,
+                help="incremental PCA batch rows")
     sub.set_defaults(func=cmd_cluster_embeddings)
 
     sub = subs.add_parser("train-lm", help="train the consequence predictor")
-    _add_common(sub)
+    _add_common(sub, "lm.seed")
     _add_corpus_opts(sub)
-    sub.add_argument("--vocab-size", type=int, default=None)
-    sub.add_argument("--embed-dim", type=int, default=None)
-    sub.add_argument("--recurrent-units", type=int, default=None)
-    sub.add_argument("--dense-units", type=int, default=None)
-    sub.add_argument("--dropout", type=float, default=None)
-    sub.add_argument("--seq-len", type=int, default=None)
-    sub.add_argument("--lr", type=float, default=None)
-    sub.add_argument("--batch-size", type=int, default=None)
-    sub.add_argument("--epochs", type=int, default=None)
+    sub.setting("--vocab-size", "lm.vocab_size", type=int)
+    sub.setting("--embed-dim", "lm.embed_dim", type=int)
+    sub.setting("--recurrent-units", "lm.recurrent_units", type=int)
+    sub.setting("--dense-units", "lm.dense_units", type=int)
+    sub.setting("--dropout", "lm.dropout_rate", dest="dropout_rate", type=float)
+    sub.setting("--seq-len", "lm.seq_len", type=int)
+    sub.setting("--lr", "lm.learning_rate", dest="learning_rate", type=float)
+    sub.setting("--batch-size", "lm.batch_size", type=int)
+    sub.setting("--epochs", "lm.epochs", type=int)
     sub.set_defaults(func=cmd_train_lm)
 
     sub = subs.add_parser("predict", help="rank consequence tokens for a text")
     _add_common(sub)
     sub.add_argument("--model", required=True, help="model artifact directory")
     sub.add_argument("--text", required=True, help="dynamics description")
-    sub.add_argument("--top-k", type=int, default=10)
-    sub.add_argument("--stopwords", help="stopword file (default: bundled Italian)")
-    sub.add_argument("--no-stopwords", action="store_true")
-    sub.add_argument("--min-token-len", type=int, default=None)
+    sub.add_argument("--top-k", type=int)
+    _add_pre_opts(sub)
     sub.set_defaults(func=cmd_predict)
 
     return parser
@@ -483,6 +458,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help prints and exits
         return int(exc.code or 0)
     try:
+        if args.config is not None:
+            _apply_config(args, parser.commands)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -30,11 +30,8 @@ METRICS = ("euclidean", "cosine")
 # (128 KiB, so a chunk stays in cache)
 _CHUNK_BUDGET = 16_384
 
-# square tiles averaged at a time when the cosine matrix is symmetrised
-_SYM_TILE = 128
-
-# largest distance matrix built, in bytes (4 GiB: about 23k points); larger
-# inputs are refused before anything is allocated
+# largest distance matrix (or dense input to one) built, in bytes (4 GiB:
+# about 23k points); larger inputs are refused before anything is allocated
 MAX_DISTANCE_BYTES = 4 * 2**30
 
 # explained-variance share the embedding reduction keeps by default
@@ -135,6 +132,15 @@ def _validate_points(points) -> np.ndarray:
     return points
 
 
+def check_allocation(n_bytes: int, what: str) -> None:
+    """Refuse ``what`` before it is allocated when it takes more than
+    ``MAX_DISTANCE_BYTES``."""
+    if n_bytes > MAX_DISTANCE_BYTES:
+        raise ClusteringError(
+            f"{what} needs {n_bytes / 2**30:.1f} GiB, above the "
+            f"{MAX_DISTANCE_BYTES / 2**30:.1f} GiB limit")
+
+
 def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
     """Full symmetric distance matrix, built as its only n x n array.
 
@@ -142,19 +148,13 @@ def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
     expanded-dot-product identity, so identical rows give exactly 0. A
     difference and its negation square to the same float, so each chunk of
     rows fills its upper triangle and mirrors it. Cosine distances clip and
-    subtract in place in the Gram matrix, then average it with its transpose
-    tile by tile; ``a + b`` is commutative in IEEE arithmetic, so each pair
-    gets the value ``(d + d.T) * 0.5`` gives.
+    subtract in place in the Gram matrix, which is exactly symmetric.
     """
     points = _validate_points(points)
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     n = points.shape[0]
-    need = n * n * 8
-    if need > MAX_DISTANCE_BYTES:
-        raise ClusteringError(
-            f"{n} points need a {need / 2**30:.1f} GiB distance matrix, above the "
-            f"{MAX_DISTANCE_BYTES / 2**30:.1f} GiB limit")
+    check_allocation(n * n * 8, f"the distance matrix of {n} points")
     if metric == "euclidean":
         d = _euclidean_distances(points)
     else:
@@ -183,6 +183,9 @@ def _cosine_distances(points) -> np.ndarray:
     norms = np.linalg.norm(points, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = points / safe[:, None]
+    # exactly symmetric: BLAS computes this as a symmetric rank-k update
+    # (syrk) and mirrors the triangle, and numpy's own loop sums each pair in
+    # the same order either way round
     d = unit @ unit.T
     np.clip(d, -1.0, 1.0, out=d)
     zero = norms == 0.0
@@ -191,18 +194,6 @@ def _cosine_distances(points) -> np.ndarray:
         d[:, zero] = 0.0
         d[np.ix_(zero, zero)] = 1.0  # two zero rows are identical points
     np.subtract(1.0, d, out=d)
-    n = d.shape[0]
-    for lo in range(0, n, _SYM_TILE):
-        rows = slice(lo, lo + _SYM_TILE)
-        diag = d[rows, rows]
-        diag += diag.T  # numpy reads the overlapping transpose from a copy
-        diag *= 0.5
-        for lo2 in range(lo + _SYM_TILE, n, _SYM_TILE):
-            cols = slice(lo2, lo2 + _SYM_TILE)
-            upper = d[rows, cols]
-            upper += d[cols, rows].T
-            upper *= 0.5
-            d[cols, rows] = upper.T
     return d
 
 
@@ -427,20 +418,6 @@ def load_embeddings(path, fmt: str = "text") -> EmbeddingMatrix:
     else:
         raise ValueError("fmt must be 'text' or 'binary'")
     return EmbeddingMatrix(values=matrix)
-
-
-def save_embeddings(matrix: EmbeddingMatrix, path, fmt: str = "text") -> None:
-    if fmt == "text":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{matrix.n_rows} {matrix.n_cols}\n")
-            for row in matrix.values:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-    elif fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<QQ", matrix.n_rows, matrix.n_cols))
-            fh.write(matrix.values.astype("<f4").tobytes(order="C"))
-    else:
-        raise ValueError("fmt must be 'text' or 'binary'")
 
 
 def load_embedding_ids(path) -> list[str]:

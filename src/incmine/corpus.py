@@ -228,7 +228,7 @@ def _read_jsonl(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj or "dynamics" not in obj:
                 raise CorpusFormatError(

@@ -409,15 +409,6 @@ def _batch_arrays(batch: Sequence[TrainPair], config: LmConfig):
     return ids, targets
 
 
-def batch_loss(model: LmModel, batch: Sequence[TrainPair],
-               rng: Optional[np.random.Generator] = None) -> float:
-    """Train-mode forward + BCE without gradients (finite-difference hook)."""
-    ids, targets = _batch_arrays(batch, model.config)
-    probs, _ = _forward_batch(model.params, model.config, ids, True, rng,
-                              want_cache=False)
-    return bce_loss(probs, targets)
-
-
 def backward(model: LmModel, batch: Sequence[TrainPair],
              rng: Optional[np.random.Generator] = None):
     """Exact gradients of the mean BCE for the batch; returns (grads, loss)."""
@@ -613,12 +604,16 @@ def _check_keys(obj, keys, what: str) -> None:
 def load_model(path) -> LmModel:
     """Rebuild a model from an artifact directory, verifying checksums.
 
-    Every malformed manifest raises ``ArtifactError``: a value that is not a
-    JSON object where one belongs, a missing or unknown key, a config value
-    ``LmConfig`` rejects, or a tensor file outside the artifact directory.
+    Every malformed manifest raises ``ArtifactError``: JSON nested too deep
+    to parse, a value that is not a JSON object where one belongs, a missing
+    or unknown key, a config value ``LmConfig`` rejects, or a tensor file
+    outside the artifact directory.
     """
     with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except RecursionError as exc:
+            raise ArtifactError(f"manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ArtifactError("manifest is not a JSON object")
     version = manifest.get("version")

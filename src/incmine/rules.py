@@ -2,10 +2,13 @@
 
 Items that occur in nearly every transaction (low inverse document frequency)
 or almost never (high IDF - typically typos and placeholder residue) are
-removed through an IDF band before mining. Frequent itemsets yield positive
-rules A=>B; negative rules (A=>!B, !A=>B, !A=>!B) are additionally built from
-the infrequent itemsets, since rarely co-occurring items are often the
-semantically loaded ones.
+removed through an IDF band before mining. The default band is
+``[0.1, max(ln|T| - 0.1, 0.2)]``: its floor drops items present in more than
+about 90 % of the transactions, and its ceiling drops the items that occur in
+a single transaction. Frequent itemsets yield positive rules A=>B; negative
+rules (A=>!B, !A=>B, !A=>!B) are additionally built from the infrequent
+itemsets, since rarely co-occurring items are often the semantically loaded
+ones.
 
 The candidate universe is the full itemset lattice over band-passing items up
 to ``max_itemset_size``; the IDF band is the knob that keeps that universe
@@ -22,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from io import StringIO
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import csv
 
@@ -107,8 +110,8 @@ class Rule:
 class MiningConfig:
     minsupp: float = 0.05
     mincnf: float = 0.6
-    idf_min: float = 0.0
-    idf_max: float = math.inf
+    idf_min: float = 0.1
+    idf_max: Optional[float] = None  # None: max(ln|T| - 0.1, 0.2), set when mining
     max_itemset_size: int = 4
     require_lift_gt1: bool = True
 
@@ -119,10 +122,15 @@ class MiningConfig:
             raise ValueError("mincnf must be in (0, 1]")
         if self.idf_min < 0.0:
             raise ValueError("idf_min must be >= 0")
-        if not self.idf_max > self.idf_min:
-            raise ValueError("idf_max must be > idf_min")
+        if self.idf_max is not None:
+            _check_band(self.idf_min, self.idf_max)
         if self.max_itemset_size < 1:
             raise ValueError("max_itemset_size must be >= 1")
+
+
+def _check_band(idf_min: float, idf_max: float):
+    if not idf_max > idf_min:
+        raise ValueError("idf_max must be > idf_min")
 
 
 def _check_transactions(transactions: Sequence[Transaction]):
@@ -249,7 +257,8 @@ def fisinfis_mine(transactions: Sequence[Transaction],
                   config: MiningConfig) -> list[Rule]:
     """Mine PARs from frequent itemsets and NARs from the full IDF-band lattice.
 
-    Steps: (1) drop items whose IDF falls outside [idf_min, idf_max];
+    Steps: (1) drop items whose IDF falls outside [idf_min, idf_max], where
+    an unset idf_max is max(ln|T| - 0.1, 0.2);
     (2) count every itemset of band-passing items up to max_itemset_size;
     (3) each 2-partition (A, B) of a frequent itemset yields A=>B when its
     confidence reaches mincnf and lift exceeds 1; (4) partitions of all
@@ -263,10 +272,14 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     """
     _check_transactions(transactions)
     n = len(transactions)
+    idf_max = config.idf_max
+    if idf_max is None:
+        idf_max = max(math.log(n) - 0.1, 0.2)
+        _check_band(config.idf_min, idf_max)
 
     doc_freq = Counter(item for t in transactions for item in t.items)
     kept = [item for item in sorted(doc_freq)
-            if config.idf_min <= idf(item, transactions, doc_freq) <= config.idf_max]
+            if config.idf_min <= idf(item, transactions, doc_freq) <= idf_max]
     if not kept:
         return []
 

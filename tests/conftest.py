@@ -1,4 +1,5 @@
 import os
+import struct
 import sys
 
 import numpy as np
@@ -18,6 +19,21 @@ def toy_transactions():
         Transaction("t2", frozenset({"a", "b"})),
         Transaction("t3", frozenset({"c"})),
     ]
+
+
+def save_embeddings(matrix, path, fmt="text"):
+    """Write an EmbeddingMatrix in the text or binary format ``load_embeddings`` reads."""
+    if fmt == "text":
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{matrix.n_rows} {matrix.n_cols}\n")
+            for row in matrix.values:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    elif fmt == "binary":
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<QQ", matrix.n_rows, matrix.n_cols))
+            fh.write(matrix.values.astype("<f4").tobytes(order="C"))
+    else:
+        raise ValueError("fmt must be 'text' or 'binary'")
 
 
 def make_corpus(rows):

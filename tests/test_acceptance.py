@@ -13,8 +13,9 @@ import time
 import numpy as np
 
 from incmine import _kernels, langmodel as lm
-from incmine.cli import PipelineConfig, main as cli_main
+from incmine.cli import main as cli_main
 from incmine.clustering import (
+    VARIANCE_THRESHOLD,
     ClusterConfig,
     ipca_fit,
     kmedoids_fit,
@@ -295,33 +296,32 @@ def test_c10_determinism_and_roundtrips(tmp_path):
 
 
 def test_c11_paper_default_configuration():
-    config = PipelineConfig.defaults()
-    assert config.lm.vocab_size == 5000
-    assert config.lm.embed_dim == 128
-    assert config.lm.recurrent_units == 100
-    assert config.lm.dense_units == 50
-    assert config.lm.dropout_rate == 0.5
-    assert config.cluster.sweep == (2, 100)
-    assert config.variance_threshold == 0.85
-    config.validate_paths()
+    config = lm.LmConfig()
+    assert config.vocab_size == 5000
+    assert config.embed_dim == 128
+    assert config.recurrent_units == 100
+    assert config.dense_units == 50
+    assert config.dropout_rate == 0.5
+    assert VARIANCE_THRESHOLD == 0.85
+    cluster = ClusterConfig(sweep=(2, 100))  # validates the paper's k sweep
+    assert cluster.sweep == (2, 100)
 
     vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] +
                             [f"tok{i:04d}" for i in range(4998)])
-    model = lm.LmModel.initialized(config.lm, vocab,
-                                   np.random.default_rng(0))
-    u = config.lm.recurrent_units
+    model = lm.LmModel.initialized(config, vocab, np.random.default_rng(0))
+    u = config.recurrent_units
     assert model.params["embedding"].shape == (5000, 128)
     assert model.params["lstm1_fw_wx"].shape == (128, 4 * u)
     assert model.params["lstm2_fw_wx"].shape == (2 * u, 4 * u)
-    assert model.params["dense1_w"].shape == (config.lm.seq_len * 2 * u, 50)
+    assert model.params["dense1_w"].shape == (config.seq_len * 2 * u, 50)
     assert model.params["dense2_w"].shape == (50, 50)
     assert model.params["out_w"].shape == (50, 5000)
-    probs = lm.forward(model, np.zeros(config.lm.seq_len, dtype=np.int64))
+    probs = lm.forward(model, np.zeros(config.seq_len, dtype=np.int64))
     assert probs.shape == (5000,)
     assert ((probs > 0.0) & (probs < 1.0)).all()
 
     # the sweep range is valid against a desk-scale stand-in matrix
     stand_in = np.random.default_rng(1).normal(size=(120, 8))
-    lo, hi = config.cluster.sweep
+    lo, hi = cluster.sweep
     assert 2 <= lo <= hi <= stand_in.shape[0]
     _report(11, "stock configuration constructs at full scale")

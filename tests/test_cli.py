@@ -1,15 +1,23 @@
+import contextlib
 import inspect
+import io
 import json
 import os
+import re
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from incmine import clustering, corpus
-from incmine.cli import PipelineConfig, main, parse_config_file
-from incmine.clustering import EmbeddingMatrix, save_embeddings
+from incmine import clustering, corpus, rules
+from incmine.cli import build_parser, main, parse_config_file
+from incmine.clustering import EmbeddingMatrix
+from incmine.errors import IncmineError
 from incmine.langmodel import LmConfig
+
+from conftest import save_embeddings
 
 
 def run(*argv):
@@ -45,6 +53,21 @@ class TestExitCodes:
     def test_bad_threshold_is_data_error(self, fixture_corpus_path, tmp_path):
         assert run("mine-rules", "--corpus", fixture_corpus_path,
                    "--minsupp", "2.0", "--output-dir", str(tmp_path)) == 2
+
+    def test_zero_is_a_value_not_unset(self, fixture_corpus_path, tmp_path, capsys):
+        assert run("preprocess", "--corpus", fixture_corpus_path, "--top-k", "0",
+                   "--output-dir", str(tmp_path)) == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+
+    def test_deeply_nested_jsonl_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        depth = 200_000
+        path.write_text('{"id": "a", "dynamics": ' + "[" * depth + "]" * depth + "}\n",
+                        encoding="utf-8")
+        assert run("preprocess", "--corpus", str(path), "--format", "jsonl",
+                   "--output-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "deep.jsonl:1" in err and "Traceback" not in err
 
 
 class TestPreprocess:
@@ -86,6 +109,16 @@ class TestMineRules:
         dot = read(os.path.join(out, "rules.dot")).decode()
         assert dot.startswith("digraph rules {")
         assert "mine-rules:" in capsys.readouterr().out
+
+    def test_default_band_matches_library(self, fixture_corpus_path, tmp_path):
+        out = str(tmp_path / "out")
+        assert run("mine-rules", "--corpus", fixture_corpus_path, "--minsupp", "0.1",
+                   "--output-dir", out) == 0
+        pre = corpus.PreprocessConfig(stopwords=corpus.default_stopwords())
+        txs = corpus.to_transactions(corpus.load_corpus(fixture_corpus_path), pre)
+        mined = rules.fisinfis_mine(txs.transactions, rules.MiningConfig(minsupp=0.1))
+        assert mined
+        assert read(os.path.join(out, "rules.csv")).decode() == rules.rules_to_csv(mined)
 
     def test_byte_identical_outputs(self, fixture_corpus_path, tmp_path):
         outs = []
@@ -143,6 +176,21 @@ class TestClusterTfidf:
         err = capsys.readouterr().err
         assert "12 points" in err and "distance matrix" in err
         assert "Traceback" not in err
+
+    def test_dense_matrix_cap(self, fixture_corpus_path, tmp_path, capsys,
+                              monkeypatch):
+        out = str(tmp_path / "out")
+        assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--k", "3",
+                   "--output-dir", out, "--no-stopwords") == 0
+        n_terms = json.loads(read(os.path.join(out, "cluster_summary.json")))["n_terms"]
+        assert n_terms > 12
+        # the 12 x 12 distances fit, the 12 x n_terms dense rows do not
+        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 12 * n_terms * 8 - 1)
+        capsys.readouterr()
+        assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--k", "3",
+                   "--output-dir", str(tmp_path / "refused"), "--no-stopwords") == 2
+        err = capsys.readouterr().err
+        assert f"12 x {n_terms} tf-idf matrix" in err and "Traceback" not in err
 
     def test_k_thirty_on_larger_corpus(self, corpus_csv, tmp_path):
         # the stock tags-occurrence setting: a fixed k of 30
@@ -335,6 +383,15 @@ class TestModelManifest:
         code, err = self._predict_with(model_dir, [self._manifest(model_dir)], capsys)
         assert code == 2 and "not a JSON object" in err
 
+    def test_deeply_nested(self, model_dir, capsys):
+        depth = 200_000
+        with open(os.path.join(model_dir, "manifest.json"), "w") as fh:
+            fh.write("[" * depth + "]" * depth)
+        code = run("predict", "--model", model_dir, "--text", "scala",
+                   "--output-dir", os.path.dirname(model_dir))
+        err = capsys.readouterr().err
+        assert code == 2 and "manifest" in err and "Traceback" not in err
+
     def test_tensor_file_outside_artifact(self, model_dir, capsys):
         data = self._manifest(model_dir)
         spec = data["tensors"]["out_w"]
@@ -385,20 +442,114 @@ class TestConfigFile:
         with pytest.raises(Exception, match="key = value"):
             parse_config_file(str(cfg))
 
+    def test_unknown_key_is_usage_error(self, fixture_corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rules.minsup = 0.9\n", encoding="utf-8")
+        assert run("mine-rules", "--corpus", fixture_corpus_path, "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "rules.minsup" in err and "run.cfg" in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_one_file_serves_every_stage(self, fixture_corpus_path, tmp_path):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("lm.dropout_rate = 0.1\n"
+                       "lm.epochs = 1\n"
+                       "clustering.k = 3\n"
+                       "clustering.metric = euclidean\n"
+                       "rules.minsupp = 0.5\n"
+                       "rules.idf_min = 0.0\n"
+                       f"paths.corpus = {fixture_corpus_path}\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        assert run("mine-rules", "--config", str(cfg), "--output-dir", out,
+                   "--no-stopwords") == 0
+        # the rules.* keys were applied: the same band and minsupp by flags
+        flags = str(tmp_path / "flags")
+        assert run("mine-rules", "--corpus", fixture_corpus_path, "--minsupp", "0.5",
+                   "--idf-min", "0.0", "--output-dir", flags, "--no-stopwords") == 0
+        assert read(os.path.join(out, "rules.csv")) == \
+            read(os.path.join(flags, "rules.csv"))
+
+    def test_k_range_flag_beats_config_k(self, fixture_corpus_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("clustering.k = 3\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--config", str(cfg),
+                   "--k-range", "2", "4", "--output-dir", out, "--no-stopwords") == 0
+        summary = json.loads(read(os.path.join(out, "cluster_summary.json")))
+        assert [row[0] for row in summary["per_k_table"]] == [2, 3, 4]
+
+    def test_dropout_and_lr_keys(self, fixture_corpus_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lm.dropout_rate = 0.25\nlm.learning_rate = 0.01\n",
+                       encoding="utf-8")
+        out = str(tmp_path / "out")
+        assert run("train-lm", "--corpus", fixture_corpus_path, "--config", str(cfg),
+                   "--lr", "0.02", "--vocab-size", "32", "--embed-dim", "4",
+                   "--recurrent-units", "3", "--dense-units", "4", "--seq-len", "5",
+                   "--epochs", "0", "--output-dir", out) == 0
+        manifest = json.loads(read(os.path.join(out, "model", "manifest.json")))
+        assert manifest["config"]["dropout_rate"] == 0.25
+        assert manifest["config"]["learning_rate"] == 0.02
+
+    def test_readme_table_lists_every_key(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8") as fh:
+            listed = re.findall(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)` \|", fh.read(), re.M)
+        assert sorted(listed) == _KNOWN_KEYS
+
+
+_KNOWN_KEYS = sorted(set().union(*(sub.settings
+                                   for sub in build_parser().commands.values())))
+_VALUES = st.one_of(
+    st.sampled_from(["", "0", "-1", "2", "0.5", "nan", "inf", "1e309", "true", "no",
+                     "abc", "csv", "jsonl", "cosine", "/nonexistent/x", "\x00"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            max_size=8))
+_UNKNOWN_KEYS = st.from_regex(r"[a-z_]{1,8}\.[a-z_]{1,8}", fullmatch=True) \
+    .filter(lambda key: key not in _KNOWN_KEYS)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_KNOWN_KEYS), _VALUES).map(lambda kv: "%s = %s" % kv),
+    st.tuples(_UNKNOWN_KEYS, _VALUES).map(lambda kv: "%s = %s" % kv),
+    st.sampled_from(["# comment", "", "no equals sign here"]))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(command=st.sampled_from([("preprocess",), ("mine-rules", "--max-itemset-size", "2"),
+                                ("cluster-tfidf", "--k", "3")]),
+       lines=st.lists(_LINES, max_size=6), junk=st.binary(max_size=4))
+def test_config_file_fuzz_keeps_exit_contract(fixture_corpus_path, command, lines, junk):
+    """Config files of known keys with garbage values, unknown keys, lines
+    without '=' and non-UTF-8 bytes exit 0, 1 or 2, never with a traceback;
+    a file that parses and holds an unknown key exits 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.cfg")
+        with open(cfg, "wb") as fh:
+            fh.write("\n".join(lines).encode("utf-8") + b"\n" + junk)
+        try:
+            parsed = parse_config_file(cfg)
+        except (IncmineError, ValueError):  # a line without '=', or not UTF-8
+            parsed = {}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*command, "--config", cfg, "--corpus", fixture_corpus_path,
+                         "--output-dir", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    unknown = sorted(key for key in parsed if key not in _KNOWN_KEYS)
+    if unknown:
+        assert code == 1 and repr(unknown[0]) in err.getvalue()
+
 
 class TestPipelineConfig:
-    def test_stock_defaults_validate(self):
-        config = PipelineConfig.defaults()
-        assert config.lm.vocab_size == 5000
-        assert config.cluster.sweep == (2, 100)
-        assert config.variance_threshold == 0.85
-        config.validate_paths()  # no paths set, nothing to check
+    """Defaults the CLI reads from a module constant, not a literal of its own."""
 
     def test_variance_threshold_has_one_source(self, tmp_path, capsys, monkeypatch):
         threshold = clustering.VARIANCE_THRESHOLD
         assert inspect.signature(clustering.reduce_to_variance) \
             .parameters["threshold"].default == threshold
-        assert PipelineConfig().variance_threshold == threshold
         assert run("cluster-embeddings", "--help") == 0
         assert f"(default {threshold})" in capsys.readouterr().out
         # the CLI reads the constant when it runs: 0.0 keeps one component
@@ -419,8 +570,3 @@ class TestPipelineConfig:
         out = str(tmp_path / "out")
         assert run("preprocess", "--corpus", fixture_corpus_path, "--output-dir", out) == 0
         assert len(read(os.path.join(out, "top_words.csv")).splitlines()) == 1 + 3
-
-    def test_missing_path_detected(self, tmp_path):
-        config = PipelineConfig(corpus_path=str(tmp_path / "ghost.csv"))
-        with pytest.raises(FileNotFoundError):
-            config.validate_paths()

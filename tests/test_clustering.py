@@ -21,13 +21,13 @@ from incmine.clustering import (
     load_embeddings,
     pairwise_distances,
     reduce_to_variance,
-    save_embeddings,
     silhouette,
     sweep_k,
 )
 
 import pam_oracle
 import whole_matrix_oracle
+from conftest import save_embeddings
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
 
@@ -86,6 +86,14 @@ class TestPairwiseDistances:
         assert d[0, 1] == 0.0
         assert d[0, 2] == 1.0
 
+    @pytest.mark.parametrize("n", [1, 3, 129, 301])
+    def test_cosine_exactly_symmetric(self, n, rng):
+        pts = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        pts[::4] = 0.0
+        d = pairwise_distances(pts, "cosine")
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(pairwise_distances(np.asfortranarray(pts), "cosine"), d)
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRICS),
            n=st.integers(1, 30), dim=st.integers(1, 5), zero_rows=st.booleans(),
@@ -98,20 +106,18 @@ class TestPairwiseDistances:
             pts[rng.integers(0, n, size=max(1, n // 3))] = 0.0
         if duplicates:
             pts = np.vstack([pts, pts[rng.integers(0, n, size=max(1, n // 2))]])
-        # chunks of a few rows and 2- or 3-wide tiles, so chunk and tile
-        # edges fall everywhere, or the module's own sizes
-        budget, tile = clustering._CHUNK_BUDGET, clustering._SYM_TILE
+        # chunks of a few rows, so chunk edges fall everywhere, or the
+        # module's own size
+        budget = clustering._CHUNK_BUDGET
         if small_blocks:
-            budget, tile = int(rng.integers(1, 3 * dim * n + 1)), int(rng.integers(2, 4))
-        with mock.patch.object(clustering, "_CHUNK_BUDGET", budget), \
-                mock.patch.object(clustering, "_SYM_TILE", tile):
+            budget = int(rng.integers(1, 3 * dim * n + 1))
+        with mock.patch.object(clustering, "_CHUNK_BUDGET", budget):
             got = pairwise_distances(pts, metric)
         assert np.array_equal(got, whole_matrix_oracle.pairwise_distances(pts, metric))
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_matches_oracle_across_tiles(self, metric, rng):
-        # several 128-wide tiles and chunks at the module's sizes, with zero
-        # and duplicate rows
+        # several chunks at the module's size, with zero and duplicate rows
         pts = rng.normal(size=(300, 8))
         pts[::7] = 0.0
         pts[1::5] = pts[2::5]

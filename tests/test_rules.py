@@ -298,6 +298,13 @@ class TestMiningConfig:
         with pytest.raises(ValueError):
             MiningConfig(minsupp=0.0)
 
+    def test_default_band_ceiling_is_checked_when_mining(self, toy_transactions):
+        # ln(4) - 0.1 = 1.286 caps the band; 1.3 lies above it
+        config = MiningConfig(idf_min=1.3)
+        with pytest.raises(ValueError, match="idf_max must be > idf_min"):
+            fisinfis_mine(toy_transactions, config)
+        assert fisinfis_mine(toy_transactions, MiningConfig(idf_min=1.2)) == []
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sets(st.sampled_from("abcdef"), min_size=1, max_size=4),
