@@ -176,12 +176,12 @@ def cmd_preprocess(args) -> int:
 
     _write_json(os.path.join(out, "preprocess_report.json"), {
         "records": len(loaded),
-        "dropped": loaded.provenance.dropped,
+        "dropped": loaded.dropped,
         "flagged": list(txs.flagged),
         "transactions": len(txs.transactions),
     })
     print(f"preprocess: {len(txs.transactions)} transactions "
-          f"({loaded.provenance.dropped} dropped, {len(txs.flagged)} flagged) -> {out}")
+          f"({loaded.dropped} dropped, {len(txs.flagged)} flagged) -> {out}")
     return 0
 
 

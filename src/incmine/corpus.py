@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import time
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -64,16 +63,9 @@ class RawRecord:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    source: str
-    loaded_at: float
-    dropped: int  # rows discarded because dynamics was a missing-value placeholder
-
-
-@dataclass(frozen=True)
 class Corpus:
     records: tuple[RawRecord, ...]
-    provenance: Provenance
+    dropped: int  # rows discarded because dynamics was a missing-value placeholder
 
     def __len__(self) -> int:
         return len(self.records)
@@ -162,7 +154,7 @@ def load_corpus(path, fmt: str = "csv",
     """Load incident records from CSV (id,dynamics,consequence) or JSONL.
 
     Rows whose dynamics field is empty or matches a placeholder are dropped and
-    counted in the corpus provenance. Raises on malformed files, duplicate ids
+    counted in ``Corpus.dropped``. Raises on malformed files, duplicate ids
     and corpora with no usable rows.
     """
     if fmt == "csv":
@@ -188,10 +180,7 @@ def load_corpus(path, fmt: str = "csv",
         records.append(RawRecord(id=rec_id, dynamics=dynamics, consequence=consequence))
     if not records:
         raise EmptyCorpusError(f"{path}: no usable rows ({dropped} dropped)")
-    return Corpus(
-        records=tuple(records),
-        provenance=Provenance(source=str(path), loaded_at=time.time(), dropped=dropped),
-    )
+    return Corpus(records=tuple(records), dropped=dropped)
 
 
 def _read_csv(path):
@@ -221,6 +210,12 @@ def _read_csv(path):
 
 
 def _read_jsonl(path):
+    """(line, id, dynamics, consequence) per object.
+
+    ``id`` is a string or an integer; ``dynamics`` is a string, or null for a
+    dropped placeholder; ``consequence`` is a string, null or absent. Any
+    other JSON type is a ``CorpusFormatError`` naming the line and the field.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -234,10 +229,16 @@ def _read_jsonl(path):
                 raise CorpusFormatError(
                     f"{path}:{lineno}: object must carry 'id' and 'dynamics'"
                 )
-            out.append(
-                (lineno, str(obj["id"]), str(obj["dynamics"]),
-                 str(obj.get("consequence", "") or ""))
-            )
+            rec_id = obj["id"]
+            if isinstance(rec_id, bool) or not isinstance(rec_id, (str, int)):
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: field 'id' must be a string or an integer")
+            texts = [obj["dynamics"], obj.get("consequence")]
+            for name, value in zip(("dynamics", "consequence"), texts):
+                if value is not None and not isinstance(value, str):
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: field {name!r} must be a string or null")
+            out.append((lineno, str(rec_id), texts[0] or "", texts[1] or ""))
     return out
 
 

@@ -8,6 +8,10 @@ cross entropy and ADAM. Gradients are exact reverse-mode derivatives through
 the whole stack; a finite-difference harness in the test suite holds them to
 account.
 
+One kernel pair runs an LSTM direction forward in time; the bw direction is
+that kernel on the time-reversed sequence (Schuster & Paliwal 1997). Adam
+moments live only inside ``train``, so the artifact holds no optimizer state.
+
 Parameters default to float32 so the on-disk artifact (little-endian float32
 blobs) round-trips bit-exactly; gradient checking uses float64 configs.
 """
@@ -205,7 +209,6 @@ class LmModel:
     config: LmConfig
     vocab: LmVocabulary
     params: dict[str, np.ndarray]
-    adam: AdamState
 
     @classmethod
     def initialized(cls, config: LmConfig, vocab: LmVocabulary,
@@ -214,16 +217,7 @@ class LmModel:
             raise LangModelError("vocabulary larger than configured vocab_size")
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        params = init_params(config, rng)
-        return cls(config=config, vocab=vocab, params=params,
-                   adam=AdamState.for_params(params))
-
-    @classmethod
-    def zeros(cls, config: LmConfig, vocab: LmVocabulary) -> "LmModel":
-        params = {name: np.zeros(shape, dtype=config.np_dtype)
-                  for name, shape in _param_specs(config)}
-        return cls(config=config, vocab=vocab, params=params,
-                   adam=AdamState.for_params(params))
+        return cls(config=config, vocab=vocab, params=init_params(config, rng))
 
 
 @dataclass(frozen=True)
@@ -268,21 +262,18 @@ def _sigmoid(z):
     return out
 
 
-def _lstm_forward(x, wx, wh, b, reverse: bool):
+def _lstm_forward(x, wx, wh, b):
+    """One LSTM direction, forward in time: h (B, T, u) and the cache
+    (x, gates, c, tanh(c), h), gates holding the activated i, f, g, o (B, T, 4u)."""
     B, T, _ = x.shape
     u = wh.shape[0]
-    dtype = x.dtype
-    i_g = np.zeros((B, T, u), dtype=dtype)
-    f_g = np.zeros((B, T, u), dtype=dtype)
-    g_g = np.zeros((B, T, u), dtype=dtype)
-    o_g = np.zeros((B, T, u), dtype=dtype)
-    c_s = np.zeros((B, T, u), dtype=dtype)
-    tc_s = np.zeros((B, T, u), dtype=dtype)
-    h_seq = np.zeros((B, T, u), dtype=dtype)
-    times = range(T - 1, -1, -1) if reverse else range(T)
-    h = np.zeros((B, u), dtype=dtype)
-    c = np.zeros((B, u), dtype=dtype)
-    for t in times:
+    gates = np.zeros((B, T, 4 * u), dtype=x.dtype)
+    c_s = np.zeros((B, T, u), dtype=x.dtype)
+    tc_s = np.zeros((B, T, u), dtype=x.dtype)
+    h_seq = np.zeros((B, T, u), dtype=x.dtype)
+    h = np.zeros((B, u), dtype=x.dtype)
+    c = np.zeros((B, u), dtype=x.dtype)
+    for t in range(T):
         z = x[:, t] @ wx + h @ wh + b
         i = _sigmoid(z[:, :u])
         f = _sigmoid(z[:, u:2 * u])
@@ -291,35 +282,28 @@ def _lstm_forward(x, wx, wh, b, reverse: bool):
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        i_g[:, t], f_g[:, t], g_g[:, t], o_g[:, t] = i, f, g, o
+        gates[:, t] = np.concatenate([i, f, g, o], axis=1)
         c_s[:, t], tc_s[:, t], h_seq[:, t] = c, tc, h
-    cache = {"x": x, "i": i_g, "f": f_g, "g": g_g, "o": o_g,
-             "c": c_s, "tc": tc_s, "h": h_seq, "reverse": reverse}
-    return h_seq, cache
+    return h_seq, (x, gates, c_s, tc_s, h_seq)
 
 
 def _lstm_backward(cache, wx, wh, d_h_seq):
-    x = cache["x"]
+    """Gradients (d_x, d_wx, d_wh, d_b) of one ``_lstm_forward`` direction."""
+    x, gates, c_s, tc_s, h_seq = cache
     B, T, _ = x.shape
     u = wh.shape[0]
-    dtype = x.dtype
-    times = list(range(T - 1, -1, -1) if cache["reverse"] else range(T))
     d_x = np.zeros_like(x)
     d_wx = np.zeros_like(wx)
     d_wh = np.zeros_like(wh)
-    d_b = np.zeros(4 * u, dtype=dtype)
-    dh_carry = np.zeros((B, u), dtype=dtype)
-    dc_carry = np.zeros((B, u), dtype=dtype)
-    zeros = np.zeros((B, u), dtype=dtype)
-    for idx in range(T - 1, -1, -1):
-        t = times[idx]
-        i = cache["i"][:, t]
-        f = cache["f"][:, t]
-        g = cache["g"][:, t]
-        o = cache["o"][:, t]
-        tc = cache["tc"][:, t]
-        c_prev = cache["c"][:, times[idx - 1]] if idx > 0 else zeros
-        h_prev = cache["h"][:, times[idx - 1]] if idx > 0 else zeros
+    d_b = np.zeros(4 * u, dtype=x.dtype)
+    dh_carry = np.zeros((B, u), dtype=x.dtype)
+    dc_carry = np.zeros((B, u), dtype=x.dtype)
+    zeros = np.zeros((B, u), dtype=x.dtype)
+    for t in range(T - 1, -1, -1):
+        i, f, g, o = np.split(gates[:, t], 4, axis=1)
+        tc = tc_s[:, t]
+        c_prev = c_s[:, t - 1] if t > 0 else zeros
+        h_prev = h_seq[:, t - 1] if t > 0 else zeros
         dh = d_h_seq[:, t] + dh_carry
         do = dh * tc
         dc = dc_carry + dh * o * (1.0 - tc * tc)
@@ -341,21 +325,41 @@ def _lstm_backward(cache, wx, wh, d_h_seq):
     return d_x, d_wx, d_wh, d_b
 
 
+# the bw direction is the fw kernel on x[:, ::-1], its outputs flipped back
+_DIRECTIONS = (("fw", slice(None)), ("bw", slice(None, None, -1)))
+
+
+def _bilstm_forward(params, layer: int, x):
+    """Both directions of one layer: h (B, T, 2u) as [fw, bw], and the caches."""
+    h, caches = [], []
+    for direction, order in _DIRECTIONS:
+        p = f"lstm{layer}_{direction}_"
+        h_dir, cache = _lstm_forward(x[:, order], params[p + "wx"], params[p + "wh"],
+                                     params[p + "b"])
+        h.append(h_dir[:, order])
+        caches.append(cache)
+    return np.concatenate(h, axis=2), caches
+
+
+def _bilstm_backward(params, layer: int, caches, d_h, grads):
+    """Both directions' weight gradients into grads; returns the layer's d_x."""
+    d_x = []
+    for (direction, order), cache, d_h_dir in zip(_DIRECTIONS, caches,
+                                                  np.split(d_h, 2, axis=2)):
+        p = f"lstm{layer}_{direction}_"
+        d_x_dir, grads[p + "wx"], grads[p + "wh"], grads[p + "b"] = _lstm_backward(
+            cache, params[p + "wx"], params[p + "wh"], d_h_dir[:, order])
+        d_x.append(d_x_dir[:, order])
+    return d_x[0] + d_x[1]
+
+
 def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
-                   rng: Optional[np.random.Generator], want_cache: bool):
+                   rng: Optional[np.random.Generator]):
+    """Probabilities (B, V) and the activations ``backward`` reads."""
     B = ids.shape[0]
     u = config.recurrent_units
-    emb = params["embedding"][ids]  # (B, T, E)
-    h1f, c1f = _lstm_forward(emb, params["lstm1_fw_wx"], params["lstm1_fw_wh"],
-                             params["lstm1_fw_b"], reverse=False)
-    h1b, c1b = _lstm_forward(emb, params["lstm1_bw_wx"], params["lstm1_bw_wh"],
-                             params["lstm1_bw_b"], reverse=True)
-    h1 = np.concatenate([h1f, h1b], axis=2)
-    h2f, c2f = _lstm_forward(h1, params["lstm2_fw_wx"], params["lstm2_fw_wh"],
-                             params["lstm2_fw_b"], reverse=False)
-    h2b, c2b = _lstm_forward(h1, params["lstm2_bw_wx"], params["lstm2_bw_wh"],
-                             params["lstm2_bw_b"], reverse=True)
-    h2 = np.concatenate([h2f, h2b], axis=2)
+    h1, lstm1 = _bilstm_forward(params, 1, params["embedding"][ids])
+    h2, lstm2 = _bilstm_forward(params, 2, h1)
     flat = h2.reshape(B, config.seq_len * 2 * u)
     z1 = flat @ params["dense1_w"] + params["dense1_b"]
     a1 = np.maximum(z1, 0.0)
@@ -374,11 +378,8 @@ def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
     probs = _sigmoid(zo)
     if not np.isfinite(probs).all():
         raise NonFiniteError("non-finite activation in forward pass")
-    if not want_cache:
-        return probs, None
-    cache = {"ids": ids, "emb": emb, "c1f": c1f, "c1b": c1b, "h1": h1,
-             "c2f": c2f, "c2b": c2b, "flat": flat, "z1": z1, "a1": a1,
-             "z2": z2, "a2": a2, "mask": mask, "a2d": a2d, "probs": probs}
+    cache = {"lstm1": lstm1, "lstm2": lstm2, "flat": flat, "z1": z1, "a1": a1,
+             "z2": z2, "mask": mask, "a2d": a2d}
     return probs, cache
 
 
@@ -386,8 +387,7 @@ def forward(model: LmModel, input_ids, train_mode: bool = False,
             rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Probability vector over the vocabulary for one id sequence."""
     ids = np.asarray(input_ids, dtype=np.int64)[None, :]
-    probs, _ = _forward_batch(model.params, model.config, ids, train_mode,
-                              rng, want_cache=False)
+    probs, _ = _forward_batch(model.params, model.config, ids, train_mode, rng)
     return probs[0]
 
 
@@ -420,7 +420,7 @@ def backward(model: LmModel, batch: Sequence[TrainPair],
     B = ids.shape[0]
     V = config.vocab_size
     u = config.recurrent_units
-    probs, cache = _forward_batch(params, config, ids, True, rng, want_cache=True)
+    probs, cache = _forward_batch(params, config, ids, True, rng)
     loss = bce_loss(probs, targets)
 
     grads = {name: np.zeros_like(p) for name, p in params.items()}
@@ -444,22 +444,8 @@ def backward(model: LmModel, batch: Sequence[TrainPair],
     dflat = dz1 @ params["dense1_w"].T
     dh2 = dflat.reshape(B, config.seq_len, 2 * u)
 
-    dx2f, dwx, dwh, db = _lstm_backward(cache["c2f"], params["lstm2_fw_wx"],
-                                        params["lstm2_fw_wh"], dh2[:, :, :u])
-    grads["lstm2_fw_wx"], grads["lstm2_fw_wh"], grads["lstm2_fw_b"] = dwx, dwh, db
-    dx2b, dwx, dwh, db = _lstm_backward(cache["c2b"], params["lstm2_bw_wx"],
-                                        params["lstm2_bw_wh"], dh2[:, :, u:])
-    grads["lstm2_bw_wx"], grads["lstm2_bw_wh"], grads["lstm2_bw_b"] = dwx, dwh, db
-    dh1 = dx2f + dx2b
-
-    dx1f, dwx, dwh, db = _lstm_backward(cache["c1f"], params["lstm1_fw_wx"],
-                                        params["lstm1_fw_wh"], dh1[:, :, :u])
-    grads["lstm1_fw_wx"], grads["lstm1_fw_wh"], grads["lstm1_fw_b"] = dwx, dwh, db
-    dx1b, dwx, dwh, db = _lstm_backward(cache["c1b"], params["lstm1_bw_wx"],
-                                        params["lstm1_bw_wh"], dh1[:, :, u:])
-    grads["lstm1_bw_wx"], grads["lstm1_bw_wh"], grads["lstm1_bw_b"] = dwx, dwh, db
-    demb = dx1f + dx1b
-
+    dh1 = _bilstm_backward(params, 2, cache["lstm2"], dh2, grads)
+    demb = _bilstm_backward(params, 1, cache["lstm1"], dh1, grads)
     np.add.at(grads["embedding"], ids, demb)
     for g in grads.values():
         if not np.isfinite(g).all():
@@ -512,6 +498,7 @@ def train(pairs: Sequence[TrainPair], config: LmConfig,
         raise LangModelError("need at least one training pair")
     rng = np.random.default_rng(config.seed)
     model = LmModel.initialized(config, vocab, rng)
+    adam = AdamState.for_params(model.params)
     history: list[float] = []
     n = len(pairs)
     for epoch in range(config.epochs):
@@ -526,7 +513,7 @@ def train(pairs: Sequence[TrainPair], config: LmConfig,
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, bi)
             clip_gradients(grads, config.clip_norm)
-            adam_step(model.params, grads, model.adam, config)
+            adam_step(model.params, grads, adam, config)
             total += loss * len(batch)
         history.append(total / n)
     return model, history
@@ -653,5 +640,4 @@ def load_model(path) -> LmModel:
     expected = {name for name, _ in _param_specs(config)}
     if set(params) != expected:
         raise ArtifactError("artifact tensor set does not match configuration")
-    return LmModel(config=config, vocab=vocab, params=params,
-                   adam=AdamState.for_params(params))
+    return LmModel(config=config, vocab=vocab, params=params)

@@ -44,6 +44,10 @@ class RulesError(IncmineError):
 # refuse instead of hanging when the band leaves it intractable
 MAX_LATTICE_CANDIDATES = 5_000_000
 
+# every passing rule becomes a Rule object and a CSV row; refuse instead of
+# exhausting memory (3.35M rules took 4.5 GB)
+MAX_RULES = 1_000_000
+
 
 class EmptyTransactionListError(RulesError):
     pass
@@ -266,6 +270,9 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     thresholds applied to the negated events; (5) rules are ordered by lift
     desc, confidence desc, then lexicographically.
 
+    More than ``MAX_RULES`` passing rules raise ``RulesError`` before any
+    ``Rule`` is built.
+
     Steps (3) and (4) run as array operations over all itemsets of one size
     for one choice of antecedent positions; a rule's support threshold is the
     frequency test of step (3), since a PAR's joint count is the itemset's.
@@ -305,6 +312,7 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     binom = _binomials(n_items, max_size)
 
     found = []
+    n_rules = 0
     for size in range(2, max_size + 1):
         c_x = count[size]
         for r in range(1, size):
@@ -336,6 +344,12 @@ def fisinfis_mine(transactions: Sequence[Transaction],
                     if config.require_lift_gt1:
                         passed &= lift > 1.0
                     ok = ok[passed]
+                    n_rules += len(ok)
+                    if n_rules > MAX_RULES:
+                        raise RulesError(
+                            f"more than {MAX_RULES} rules pass the thresholds; raise "
+                            f"minsupp or mincnf, tighten the band or lower "
+                            f"max_itemset_size")
                     found.append((offset[r] + a_rank[ok], offset[size - r] + b_rank[ok],
                                   np.full(len(ok), neg_a), np.full(len(ok), neg_b),
                                   supp[passed], conf[passed], lift[passed]))

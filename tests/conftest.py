@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from incmine.corpus import Corpus, Provenance, RawRecord, Transaction
+from incmine.corpus import Corpus, RawRecord, Transaction
 
 
 @pytest.fixture
@@ -41,8 +41,7 @@ def make_corpus(rows):
     records = tuple(RawRecord(id=r[0], dynamics=r[1],
                               consequence=r[2] if len(r) > 2 else "")
                     for r in rows)
-    return Corpus(records=records,
-                  provenance=Provenance(source="fixture", loaded_at=0.0, dropped=0))
+    return Corpus(records=records, dropped=0)
 
 
 @pytest.fixture

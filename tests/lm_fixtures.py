@@ -54,11 +54,19 @@ def gradcheck_fixture(seed=7):
     return model, pairs
 
 
+def zero_model(config):
+    """Model with every parameter zero and the vocabulary PAD, UNK, t0, t1, ..."""
+    vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN]
+                            + [f"t{i}" for i in range(config.vocab_size - 2)])
+    params = {name: np.zeros(shape, dtype=config.np_dtype)
+              for name, shape in lm._param_specs(config)}
+    return lm.LmModel(config=config, vocab=vocab, params=params)
+
+
 def batch_loss(model, pairs):
     """Train-mode forward and mean BCE, without gradients."""
     ids, targets = lm._batch_arrays(pairs, model.config)
-    probs, _ = lm._forward_batch(model.params, model.config, ids, True, None,
-                                 want_cache=False)
+    probs, _ = lm._forward_batch(model.params, model.config, ids, True, None)
     return lm.bce_loss(probs, targets)
 
 

@@ -70,6 +70,51 @@ class TestExitCodes:
         assert "deep.jsonl:1" in err and "Traceback" not in err
 
 
+class TestJsonlFields:
+    def _preprocess(self, tmp_path, *objs):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run("preprocess", "--corpus", str(path), "--format", "jsonl",
+                   "--no-stopwords", "--output-dir", str(out))
+        return code, out
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", None), ("id", True), ("id", 1.5), ("id", ["a"]),
+        ("dynamics", ["cade", "male"]), ("dynamics", 3), ("dynamics", {"t": "x"}),
+        ("consequence", 0), ("consequence", False), ("consequence", ["botta"]),
+    ])
+    def test_wrong_type_is_data_error(self, tmp_path, capsys, field, value):
+        good = {"id": "a", "dynamics": "cade male", "consequence": "botta"}
+        code, out = self._preprocess(tmp_path, good, {**good, "id": "b", field: value})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"c.jsonl:2: field '{field}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_integer_id(self, tmp_path):
+        code, out = self._preprocess(tmp_path, {"id": 7, "dynamics": "cade male"},
+                                     {"id": 0, "dynamics": "urta il muro"})
+        assert code == 0
+        assert read(out / "transactions.csv") == b"id,items\n7,cade male\n0,il muro urta\n"
+
+    def test_null_dynamics_is_dropped(self, tmp_path):
+        code, out = self._preprocess(tmp_path, {"id": "a", "dynamics": None},
+                                     {"id": "b", "dynamics": "cade male"})
+        assert code == 0
+        report = json.loads(read(out / "preprocess_report.json"))
+        assert report["dropped"] == 1 and report["records"] == 1
+
+    def test_null_or_absent_consequence(self, tmp_path):
+        code, out = self._preprocess(
+            tmp_path, {"id": "a", "dynamics": "cade male", "consequence": None},
+            {"id": "b", "dynamics": "urta il muro"})
+        assert code == 0
+        assert corpus.load_corpus(str(tmp_path / "c.jsonl"), fmt="jsonl").records == (
+            corpus.RawRecord("a", "cade male", ""),
+            corpus.RawRecord("b", "urta il muro", ""))
+
+
 class TestPreprocess:
     def test_writes_reports(self, fixture_corpus_path, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -119,6 +164,16 @@ class TestMineRules:
         mined = rules.fisinfis_mine(txs.transactions, rules.MiningConfig(minsupp=0.1))
         assert mined
         assert read(os.path.join(out, "rules.csv")).decode() == rules.rules_to_csv(mined)
+
+    def test_rule_bound_is_data_error(self, fixture_corpus_path, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.setattr(rules, "MAX_RULES", 5)
+        out = tmp_path / "out"
+        assert run("mine-rules", "--corpus", fixture_corpus_path, "--minsupp", "0.1",
+                   "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "more than 5 rules" in err and "Traceback" not in err
+        assert not (out / "rules.csv").exists()
 
     def test_byte_identical_outputs(self, fixture_corpus_path, tmp_path):
         outs = []

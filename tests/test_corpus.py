@@ -30,20 +30,20 @@ class TestLoadCorpus:
         corp = load_corpus(path)
         assert len(corp) == 3
         assert corp.ids == ("a", "b", "c")
-        assert corp.provenance.dropped == 0
+        assert corp.dropped == 0
 
     def test_placeholder_dynamics_dropped(self, corpus_csv):
         path = corpus_csv([("a", "ND", "x"), ("b", "vero testo", "y")])
         corp = load_corpus(path)
         assert len(corp) == 1
-        assert corp.provenance.dropped == 1
+        assert corp.dropped == 1
 
     def test_all_default_placeholders(self, corpus_csv):
         path = corpus_csv([("a", "", ""), ("b", "N.D.", ""), ("c", "-", ""),
                            ("d", "testo buono", "")])
         corp = load_corpus(path)
         assert len(corp) == 1
-        assert corp.provenance.dropped == 3
+        assert corp.dropped == 3
 
     def test_duplicate_id_names_the_id(self, corpus_csv):
         path = corpus_csv([("dup", "primo testo", ""), ("dup", "secondo testo", "")])

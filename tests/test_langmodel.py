@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lstm_oracle
 from incmine import langmodel as lm
 from incmine.corpus import PreprocessConfig
-from lm_fixtures import gradcheck_fixture, max_relative_fd_error, overfit_fixture
+from lm_fixtures import (gradcheck_fixture, max_relative_fd_error,
+                         overfit_fixture, zero_model)
 
 
 def small_vocab():
@@ -53,11 +56,8 @@ class TestForward:
         assert ((probs > 0.0) & (probs < 1.0)).all()
 
     def test_zero_params_give_half(self):
-        config = lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
-                             dense_units=3, dropout_rate=0.0, seq_len=4)
-        vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] +
-                                [f"t{i}" for i in range(6)])
-        model = lm.LmModel.zeros(config, vocab)
+        model = zero_model(lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
+                                       dense_units=3, dropout_rate=0.0, seq_len=4))
         probs = lm.forward(model, np.zeros(4, dtype=np.int64))
         assert np.allclose(probs, 0.5)
 
@@ -91,11 +91,8 @@ class TestBackward:
         assert worst < 1e-4
 
     def test_zero_model_zero_target_bias_gradient(self):
-        config = lm.LmConfig(vocab_size=12, embed_dim=4, recurrent_units=3,
-                             dense_units=4, dropout_rate=0.0, seq_len=5)
-        vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] +
-                                [f"t{i}" for i in range(10)])
-        model = lm.LmModel.zeros(config, vocab)
+        model = zero_model(lm.LmConfig(vocab_size=12, embed_dim=4, recurrent_units=3,
+                                       dense_units=4, dropout_rate=0.0, seq_len=5))
         pair = lm.TrainPair(input_ids=np.zeros(5, dtype=np.int64),
                             target=np.zeros(12, dtype=np.float32))
         grads, _ = lm.backward(model, [pair])
@@ -112,6 +109,66 @@ class TestBackward:
         model, _ = gradcheck_fixture()
         with pytest.raises(lm.LangModelError):
             lm.backward(model, [])
+
+
+def _lstm_case(seed, dtype, B, T, n_in, u):
+    rng = np.random.default_rng(seed)
+    def draw(*shape):
+        return rng.normal(0.0, 0.8, size=shape).astype(dtype)
+    return (draw(B, T, n_in), draw(n_in, 4 * u), draw(u, 4 * u), draw(4 * u),
+            draw(B, T, u))
+
+
+_LSTM_CASE = dict(seed=st.integers(0, 2**32 - 1),
+                  dtype=st.sampled_from((np.float32, np.float64)),
+                  B=st.integers(1, 7), T=st.integers(1, 6),
+                  n_in=st.integers(1, 5), u=st.integers(1, 4))
+
+
+class TestLstmKernelOracle:
+    """The fw-only kernels, with bw run on reversed time, equal the old
+    reverse-indexed kernels bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_LSTM_CASE)
+    def test_each_direction_matches_reverse_indexed_oracle(self, seed, dtype,
+                                                           B, T, n_in, u):
+        x, wx, wh, b, d_h = _lstm_case(seed, dtype, B, T, n_in, u)
+        for reverse, order in ((False, slice(None)), (True, slice(None, None, -1))):
+            want_h, want_cache = lstm_oracle._lstm_forward(x, wx, wh, b, reverse)
+            want = lstm_oracle._lstm_backward(want_cache, wx, wh, d_h)
+            h, cache = lm._lstm_forward(x[:, order], wx, wh, b)
+            d_x, *d_w = lm._lstm_backward(cache, wx, wh, d_h[:, order])
+            assert h.dtype == dtype and np.array_equal(h[:, order], want_h)
+            assert np.array_equal(d_x[:, order], want[0])
+            for got, ref in zip(d_w, want[1:]):  # d_wx, d_wh, d_b
+                assert got.dtype == dtype and np.array_equal(got, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_LSTM_CASE)
+    def test_layer_helpers_match_oracle(self, seed, dtype, B, T, n_in, u):
+        x = _lstm_case(seed, dtype, B, T, n_in, u)[0]
+        rng = np.random.default_rng(seed + 1)
+        params = {f"lstm1_{d}_{part}": rng.normal(0.0, 0.8, size=shape).astype(dtype)
+                  for d in ("fw", "bw")
+                  for part, shape in (("wx", (n_in, 4 * u)), ("wh", (u, 4 * u)),
+                                      ("b", (4 * u,)))}
+        d_h = rng.normal(0.0, 0.8, size=(B, T, 2 * u)).astype(dtype)
+        h, caches = lm._bilstm_forward(params, 1, x)
+        grads = {}
+        d_x = lm._bilstm_backward(params, 1, caches, d_h, grads)
+        want_h, want_d_x = [], []
+        for d, d_h_dir in zip(("fw", "bw"), np.split(d_h, 2, axis=2)):
+            wx, wh, b = (params[f"lstm1_{d}_{part}"] for part in ("wx", "wh", "b"))
+            h_dir, cache = lstm_oracle._lstm_forward(x, wx, wh, b, d == "bw")
+            d_x_dir, *d_w = lstm_oracle._lstm_backward(cache, wx, wh, d_h_dir)
+            want_h.append(h_dir)
+            want_d_x.append(d_x_dir)
+            for part, ref in zip(("wx", "wh", "b"), d_w):
+                assert np.array_equal(grads[f"lstm1_{d}_{part}"], ref)
+        assert np.array_equal(h, np.concatenate(want_h, axis=2))
+        assert np.array_equal(d_x, want_d_x[0] + want_d_x[1])
+        assert sorted(grads) == sorted(params)
 
 
 class TestAdam:
@@ -198,13 +255,13 @@ class TestDropout:
                                        np.random.default_rng(5))
         from incmine.langmodel import _forward_batch
         ids = np.array([[2, 3, 4, 5]], dtype=np.int64)
-        _, cache = _forward_batch(model.params, config, ids, False, None, True)
+        _, cache = _forward_batch(model.params, config, ids, False, None)
         eval_act = cache["a2d"][0]
         rng = np.random.default_rng(99)
         n_samples = 10_000
         acc = np.zeros_like(eval_act)
         for _ in range(n_samples):
-            _, c = _forward_batch(model.params, config, ids, True, rng, True)
+            _, c = _forward_batch(model.params, config, ids, True, rng)
             acc += c["a2d"][0]
         mc_mean = acc / n_samples
         rate = config.dropout_rate
@@ -213,22 +270,16 @@ class TestDropout:
         assert (np.abs(mc_mean - eval_act) <= 3.0 * sigma + 1e-12).all()
 
     def test_train_mode_needs_rng(self):
-        config = lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
-                             dense_units=3, dropout_rate=0.5, seq_len=3)
-        vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] +
-                                [f"t{i}" for i in range(6)])
-        model = lm.LmModel.zeros(config, vocab)
+        model = zero_model(lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
+                                       dense_units=3, dropout_rate=0.5, seq_len=3))
         with pytest.raises(ValueError):
             lm.forward(model, np.zeros(3, dtype=np.int64), train_mode=True)
 
 
 class TestPredict:
     def test_untrained_zero_model_index_order(self):
-        config = lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
-                             dense_units=3, dropout_rate=0.0, seq_len=4)
-        vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] +
-                                [f"t{i}" for i in range(6)])
-        model = lm.LmModel.zeros(config, vocab)
+        model = zero_model(lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
+                                       dense_units=3, dropout_rate=0.0, seq_len=4))
         top = lm.predict_consequence(model, "qualsiasi testo", top_k=6)
         assert [t for t, _ in top] == [f"t{i}" for i in range(6)]
         assert all(p == 0.5 for _, p in top)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from incmine import _kernels
+from incmine import _kernels, rules
 from incmine.corpus import Transaction
 from incmine.rules import (
     EmptyTransactionListError,
@@ -13,6 +13,7 @@ from incmine.rules import (
     ItemAbsentError,
     MiningConfig,
     Rule,
+    RulesError,
     UndefinedConfidenceError,
     UndefinedLiftError,
     apriori_frequent,
@@ -228,6 +229,21 @@ class TestFisinfisMine:
                                   require_lift_gt1=require_lift_gt1)
             mined = rule_oracle.mined_to_dict(fisinfis_mine(txs, config))
             assert mined == rule_oracle.enumerate_rules(txs, config)
+
+    def test_rule_bound(self, rng, monkeypatch):
+        txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=40)
+        config = MiningConfig(minsupp=0.05, mincnf=0.3, idf_min=0.0,
+                              idf_max=10.0, max_itemset_size=3)
+        mined = fisinfis_mine(txs, config)
+        assert len(mined) > 1
+        monkeypatch.setattr(rules, "MAX_RULES", len(mined))
+        assert fisinfis_mine(txs, config) == mined
+        monkeypatch.setattr(rules, "MAX_RULES", len(mined) - 1)
+        built = []
+        monkeypatch.setattr(rules, "Rule", lambda **kw: built.append(kw))
+        with pytest.raises(RulesError, match=f"more than {len(mined) - 1} rules"):
+            fisinfis_mine(txs, config)
+        assert built == []
 
     def test_complement_identity(self, rng):
         txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=40)
