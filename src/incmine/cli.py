@@ -194,7 +194,7 @@ def cmd_mine_rules(args) -> int:
     mined = rules_mod.fisinfis_mine(txs.transactions, config)
     _write_text(os.path.join(out, "rules.csv"), rules_mod.rules_to_csv(mined))
     _write_text(os.path.join(out, "rules.dot"), rules_mod.export_rule_graph(mined))
-    n_par = sum(1 for r in mined if r.is_par)
+    n_par = len(mined) - int(np.count_nonzero(mined.neg_antecedent | mined.neg_consequent))
     print(f"mine-rules: {len(mined)} rules ({n_par} PAR, {len(mined) - n_par} NAR) "
           f"from {n} transactions -> {out}")
     return 0

@@ -153,6 +153,8 @@ def load_corpus(path, fmt: str = "csv",
                 placeholders: frozenset[str] = DEFAULT_PLACEHOLDERS) -> Corpus:
     """Load incident records from CSV (id,dynamics,consequence) or JSONL.
 
+    Either file may start with a UTF-8 byte-order mark.
+
     Rows whose dynamics field is empty or matches a placeholder are dropped and
     counted in ``Corpus.dropped``. Raises on malformed files, duplicate ids
     and corpora with no usable rows.
@@ -217,7 +219,7 @@ def _read_jsonl(path):
     other JSON type is a ``CorpusFormatError`` naming the line and the field.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -15,7 +15,8 @@ to ``max_itemset_size``; the IDF band is the knob that keeps that universe
 tractable on real corpora. Support counts come from the vertical-bitset
 kernel ``_kernels.support_counts``; all metrics reduce to these integer
 transaction counts, so the miner, ``rule_metrics`` and a brute-force
-enumerator produce bit-identical fractions.
+enumerator produce bit-identical fractions. The miner returns its rules as one
+columnar ``RuleTable``, which the CSV and DOT exporters format directly.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class RulesError(IncmineError):
 # refuse instead of hanging when the band leaves it intractable
 MAX_LATTICE_CANDIDATES = 5_000_000
 
-# every passing rule becomes a Rule object and a CSV row; refuse instead of
-# exhausting memory (3.35M rules took 4.5 GB)
+# every passing rule becomes a table row, a CSV line and a DOT edge; refuse
+# instead of exhausting memory
 MAX_RULES = 1_000_000
 
 
@@ -81,9 +82,6 @@ class Itemset:
     def __len__(self):
         return len(self.items)
 
-    def label(self) -> str:
-        return "+".join(self.items)
-
 
 @dataclass(frozen=True)
 class RuleMetrics:
@@ -92,22 +90,32 @@ class RuleMetrics:
     lift: float
 
 
-@dataclass(frozen=True)
-class Rule:
-    antecedent: Itemset
-    consequent: Itemset
-    neg_antecedent: bool
-    neg_consequent: bool
-    metrics: RuleMetrics
+@dataclass(frozen=True, eq=False)
+class RuleTable:
+    """Mined rules as columns, one row per rule in output order.
 
-    @property
-    def is_par(self) -> bool:
-        return not self.neg_antecedent and not self.neg_consequent
+    ``itemsets[i]`` is the sorted item tuple of itemset id ``i``, ids numbered
+    in tuple order. Rule ``r`` is ``itemsets[antecedent[r]]`` (negated where
+    ``neg_antecedent[r]``) => ``itemsets[consequent[r]]`` (``neg_consequent``),
+    with metrics ``support[r]``, ``confidence[r]`` and ``lift[r]``.
+    """
 
-    def key(self):
-        """Identity without metrics, for set comparisons."""
-        return (self.antecedent.items, self.consequent.items,
-                self.neg_antecedent, self.neg_consequent)
+    itemsets: tuple[tuple[str, ...], ...]
+    antecedent: np.ndarray
+    consequent: np.ndarray
+    neg_antecedent: np.ndarray
+    neg_consequent: np.ndarray
+    support: np.ndarray
+    confidence: np.ndarray
+    lift: np.ndarray
+
+    def __len__(self):
+        return len(self.support)
+
+
+def _no_rules() -> RuleTable:
+    ids, flags, metric = np.zeros(0, np.int64), np.zeros(0, np.bool_), np.zeros(0)
+    return RuleTable((), ids, ids, flags, flags, metric, metric, metric)
 
 
 @dataclass(frozen=True)
@@ -208,12 +216,6 @@ def _presence_matrix(transactions: Sequence[Transaction], items: Sequence[str]):
     return presence
 
 
-def _level_counts(presence, level_tuples):
-    """Support counts for index-tuples of one size, via the counting kernel."""
-    cands = np.array(level_tuples, dtype=np.int64)
-    return _kernels.support_counts(presence, cands)
-
-
 def apriori_frequent(transactions: Sequence[Transaction], minsupp: float,
                      max_size: int = 4) -> list[tuple[Itemset, float]]:
     """All itemsets up to ``max_size`` with support >= minsupp (inclusive).
@@ -232,7 +234,7 @@ def apriori_frequent(transactions: Sequence[Transaction], minsupp: float,
     level = [(j,) for j in range(len(items))]
     size = 1
     while level and size <= max_size:
-        counts = _level_counts(presence, level)
+        counts = _kernels.support_counts(presence, np.array(level, dtype=np.int64))
         frequent_now = set()
         for tup, cnt in zip(level, counts):
             supp = int(cnt) / n
@@ -258,7 +260,7 @@ def apriori_frequent(transactions: Sequence[Transaction], minsupp: float,
 
 
 def fisinfis_mine(transactions: Sequence[Transaction],
-                  config: MiningConfig) -> list[Rule]:
+                  config: MiningConfig) -> RuleTable:
     """Mine PARs from frequent itemsets and NARs from the full IDF-band lattice.
 
     Steps: (1) drop items whose IDF falls outside [idf_min, idf_max], where
@@ -268,10 +270,11 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     confidence reaches mincnf and lift exceeds 1; (4) partitions of all
     itemsets, frequent or not, yield the three negated forms under the same
     thresholds applied to the negated events; (5) rules are ordered by lift
-    desc, confidence desc, then lexicographically.
+    desc, confidence desc, then by antecedent and consequent item tuples and
+    the negation flags.
 
-    More than ``MAX_RULES`` passing rules raise ``RulesError`` before any
-    ``Rule`` is built.
+    Returns one ``RuleTable``. More than ``MAX_RULES`` passing rules raise
+    ``RulesError`` before any output column is built.
 
     Steps (3) and (4) run as array operations over all itemsets of one size
     for one choice of antecedent positions; a rule's support threshold is the
@@ -288,7 +291,7 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     kept = [item for item in sorted(doc_freq)
             if config.idf_min <= idf(item, transactions, doc_freq) <= idf_max]
     if not kept:
-        return []
+        return _no_rules()
 
     presence = _presence_matrix(transactions, kept)
     n_items = len(kept)
@@ -354,33 +357,22 @@ def fisinfis_mine(transactions: Sequence[Transaction],
                                   np.full(len(ok), neg_a), np.full(len(ok), neg_b),
                                   supp[passed], conf[passed], lift[passed]))
     if not found:
-        return []
+        return _no_rules()
     a_id, b_id, neg_a, neg_b, supp, conf, lift = (np.concatenate(col) for col in zip(*found))
 
-    # one Itemset per distinct id; item tuples padded with -1 sort like the
-    # item-name tuples they stand for, because kept is sorted
+    # one item tuple per distinct itemset id; ids are renumbered in tuple order
     ids, inverse = np.unique(np.concatenate([a_id, b_id]), return_inverse=True)
-    rows = np.full((len(ids), max_size), -1, dtype=np.int64)
-    size_of = np.searchsorted(list(offset.values()), ids, side="right")
-    for size in level:
-        sel = size_of == size
-        rows[sel, :size] = level[size][ids[sel] - offset[size]]
-    lex = np.empty(len(ids), dtype=np.int64)
-    lex[np.lexsort(rows.T[::-1])] = np.arange(len(ids))
-    a_set, b_set = np.split(inverse, 2)
+    bounds = np.searchsorted(ids, list(offset.values())).tolist() + [len(ids)]
+    itemsets = [tuple(kept[j] for j in row)
+                for size, lo, hi in zip(level, bounds, bounds[1:])
+                for row in level[size][ids[lo:hi] - offset[size]].tolist()]
+    by_items = sorted(range(len(itemsets)), key=itemsets.__getitem__)
+    rank = np.argsort(by_items)  # the inverse permutation: id -> position in tuple order
+    a_set, b_set = np.split(rank[inverse], 2)
 
-    order = np.lexsort((neg_b, neg_a, lex[b_set], lex[a_set], -conf, -lift))
-    itemsets = [Itemset(kept[j] for j in row[:size])
-                for row, size in zip(rows.tolist(), size_of.tolist())]
-    return [
-        Rule(antecedent=itemsets[a], consequent=itemsets[b],
-             neg_antecedent=na, neg_consequent=nb,
-             metrics=RuleMetrics(support=s, confidence=c, lift=l))
-        for a, b, na, nb, s, c, l in zip(
-            a_set[order].tolist(), b_set[order].tolist(),
-            neg_a[order].tolist(), neg_b[order].tolist(),
-            supp[order].tolist(), conf[order].tolist(), lift[order].tolist())
-    ]
+    order = np.lexsort((neg_b, neg_a, b_set, a_set, -conf, -lift))
+    return RuleTable(tuple(itemsets[i] for i in by_items), a_set[order], b_set[order],
+                     neg_a[order], neg_b[order], supp[order], conf[order], lift[order])
 
 
 _FORMS = ((False, False), (False, True), (True, False), (True, True))
@@ -411,53 +403,51 @@ def _lex_rank(combos, n_items, binom):
             - binom[n_items - 1 - combos, np.arange(size, 0, -1)].sum(axis=1))
 
 
-def rules_to_csv(rules: Sequence[Rule]) -> str:
+def rules_to_csv(table: RuleTable) -> str:
     """CSV with '+'-joined itemsets, 0/1 negation flags and 6-decimal metrics."""
+    labels = ["+".join(items) for items in table.itemsets]
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["antecedent", "consequent", "neg_a", "neg_c",
                      "support", "confidence", "lift"])
-    for rule in rules:
-        writer.writerow([
-            rule.antecedent.label(),
-            rule.consequent.label(),
-            int(rule.neg_antecedent),
-            int(rule.neg_consequent),
-            f"{rule.metrics.support:.6f}",
-            f"{rule.metrics.confidence:.6f}",
-            f"{rule.metrics.lift:.6f}",
-        ])
+    writer.writerows(zip(
+        map(labels.__getitem__, table.antecedent.tolist()),
+        map(labels.__getitem__, table.consequent.tolist()),
+        table.neg_antecedent.astype(np.int64).tolist(),
+        table.neg_consequent.astype(np.int64).tolist(),
+        map("{:.6f}".format, table.support.tolist()),
+        map("{:.6f}".format, table.confidence.tolist()),
+        map("{:.6f}".format, table.lift.tolist()),
+    ))
     return buf.getvalue()
 
 
-def _node_label(itemset: Itemset, negated: bool) -> str:
-    return ("¬" if negated else "") + itemset.label()
-
-
-def export_rule_graph(rules: Sequence[Rule]) -> str:
+def export_rule_graph(table: RuleTable) -> str:
     """Directed GraphViz DOT text; NAR edges dashed, negated sides prefixed.
 
-    Output is byte-stable: nodes and edges are emitted in sorted order.
+    Output is byte-stable: nodes are emitted as sorted strings and edges
+    sorted by (tail, head), the pair that identifies a rule.
     """
-    nodes: set[str] = set()
-    edges: list[tuple[str, str, str, bool]] = []
-    for rule in rules:
-        tail = _node_label(rule.antecedent, rule.neg_antecedent)
-        head = _node_label(rule.consequent, rule.neg_consequent)
-        nodes.add(tail)
-        nodes.add(head)
-        label = (f"s={rule.metrics.support:.3f} "
-                 f"c={rule.metrics.confidence:.3f} "
-                 f"l={rule.metrics.lift:.3f}")
-        edges.append((tail, head, label, not rule.is_par))
-    def quote(name: str) -> str:
-        return '"' + name.replace('"', '\\"') + '"'
+    labels = ["+".join(items) for items in table.itemsets]
+    # a name per distinct (itemset id, negation) key; equal names are one node
+    keys, inverse = np.unique(np.concatenate([
+        table.antecedent * 2 + table.neg_antecedent,
+        table.consequent * 2 + table.neg_consequent]), return_inverse=True)
+    names = [("¬" if key & 1 else "") + labels[key >> 1] for key in keys.tolist()]
+    nodes = sorted(set(names))
+    rank = {name: r for r, name in enumerate(nodes)}
+    tail, head = np.split(np.array([rank[name] for name in names], dtype=np.int64)[inverse], 2)
+    quoted = ['"' + name.replace('"', '\\"') + '"' for name in nodes]
+    order = np.lexsort((head, tail))
+    dashed = table.neg_antecedent | table.neg_consequent
 
     lines = ["digraph rules {"]
-    for node in sorted(nodes):
-        lines.append(f"  {quote(node)};")
-    for tail, head, label, dashed in sorted(edges):
-        style = ", style=dashed" if dashed else ""
-        lines.append(f'  {quote(tail)} -> {quote(head)} [label="{label}"{style}];')
+    lines += [f"  {name};" for name in quoted]
+    lines += [f'  {quoted[t]} -> {quoted[h]} [label="s={s:.3f} c={c:.3f} l={l:.3f}"'
+              f'{", style=dashed" if d else ""}];'
+              for t, h, s, c, l, d in zip(
+                  tail[order].tolist(), head[order].tolist(),
+                  table.support[order].tolist(), table.confidence[order].tolist(),
+                  table.lift[order].tolist(), dashed[order].tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

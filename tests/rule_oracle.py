@@ -9,8 +9,10 @@ this is the oracle the miner is checked against.
 import math
 from itertools import combinations
 
+import numpy as np
+
 from incmine.corpus import Transaction
-from incmine.rules import MiningConfig
+from incmine.rules import MiningConfig, RuleTable
 
 
 def enumerate_rules(transactions, config):
@@ -110,9 +112,27 @@ def random_config(rng, n_tx):
     )
 
 
-def mined_to_dict(rules):
-    return {
-        (r.antecedent.items, r.consequent.items, r.neg_antecedent, r.neg_consequent):
-        (r.metrics.support, r.metrics.confidence, r.metrics.lift)
-        for r in rules
-    }
+def rule_rows(table):
+    """(antecedent items, consequent items, neg_a, neg_c, supp, conf, lift) per
+    rule of a ``RuleTable``, in table order."""
+    return list(zip(
+        [table.itemsets[i] for i in table.antecedent.tolist()],
+        [table.itemsets[i] for i in table.consequent.tolist()],
+        table.neg_antecedent.tolist(), table.neg_consequent.tolist(),
+        table.support.tolist(), table.confidence.tolist(), table.lift.tolist()))
+
+
+def mined_to_dict(table):
+    return {row[:4]: row[4:] for row in rule_rows(table)}
+
+
+def make_table(rows):
+    """``RuleTable`` of ``rule_rows``-style tuples, itemset ids in tuple order."""
+    itemsets = tuple(sorted({side for row in rows for side in row[:2]}))
+    ids = {items: i for i, items in enumerate(itemsets)}
+    cols = list(zip(*rows)) or [()] * 7
+    return RuleTable(itemsets,
+                     np.array([ids[s] for s in cols[0]], dtype=np.int64),
+                     np.array([ids[s] for s in cols[1]], dtype=np.int64),
+                     np.array(cols[2], dtype=np.bool_), np.array(cols[3], dtype=np.bool_),
+                     *(np.array(col, dtype=np.float64) for col in cols[4:]))

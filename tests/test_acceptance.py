@@ -74,18 +74,16 @@ def test_c02_metric_identities():
         n = len(txs)
         config = MiningConfig(minsupp=0.1, mincnf=0.2, idf_min=0.0,
                               idf_max=10.0, max_itemset_size=3)
-        for rule in fisinfis_mine(txs, config):
-            count_b = sum(1 for t in txs
-                          if (set(rule.consequent.items) <= t.items)
-                          != rule.neg_consequent)
+        for ant, cons, neg_a, neg_c, supp, conf, lift in rule_oracle.rule_rows(
+                fisinfis_mine(txs, config)):
+            count_b = sum(1 for t in txs if (set(cons) <= t.items) != neg_c)
             p_b = count_b / n
-            assert abs(rule.metrics.lift * p_b - rule.metrics.confidence) < 1e-12
+            assert abs(lift * p_b - conf) < 1e-12
             # independent single-pass computation must agree exactly
-            direct = rule_metrics(rule.antecedent, rule.consequent,
-                                  rule.neg_antecedent, rule.neg_consequent, txs)
-            assert abs(direct.support - rule.metrics.support) < 1e-12
-            assert abs(direct.confidence - rule.metrics.confidence) < 1e-12
-            assert abs(direct.lift - rule.metrics.lift) < 1e-12
+            direct = rule_metrics(Itemset(ant), Itemset(cons), neg_a, neg_c, txs)
+            assert abs(direct.support - supp) < 1e-12
+            assert abs(direct.confidence - conf) < 1e-12
+            assert abs(direct.lift - lift) < 1e-12
             checked += 1
         for item in sorted({i for t in txs for i in t.items}):
             p = support(Itemset([item]), txs)
@@ -121,10 +119,9 @@ def test_c04_idf_band_filters_extremes():
         config = MiningConfig(minsupp=0.05, mincnf=0.2, idf_min=0.1,
                               idf_max=math.log(n) - 0.05, max_itemset_size=3)
         assert config.idf_max < math.log(n)
-        for rule in fisinfis_mine(txs, config):
-            mentioned = set(rule.antecedent.items) | set(rule.consequent.items)
-            assert "ovunque" not in mentioned  # idf 0 < idf_min
-            assert "unico" not in mentioned    # idf ln(n) > idf_max
+        for items in fisinfis_mine(txs, config).itemsets:
+            assert "ovunque" not in items  # idf 0 < idf_min
+            assert "unico" not in items    # idf ln(n) > idf_max
     _report(4, "IDF band excludes universal and hapax items")
 
 

@@ -82,6 +82,18 @@ class TestLoadCorpus:
         assert len(corp) == 2
         assert corp.records[1].consequence == ""
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("jsonl", '{"id": "a", "dynamics": "cade male", "consequence": "botta"}\n'
+                  '{"id": "b", "dynamics": "ND"}\n'),
+        ("csv", "id,dynamics,consequence\na,cade male,botta\nb,ND,\n"),
+    ])
+    def test_byte_order_mark_is_skipped(self, tmp_path, fmt, text):
+        plain, bom = tmp_path / f"plain.{fmt}", tmp_path / f"bom.{fmt}"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_corpus(str(bom), fmt=fmt) == load_corpus(str(plain), fmt=fmt)
+        assert load_corpus(str(bom), fmt=fmt).ids == ("a",)
+
     def test_jsonl_parse_error_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "dynamics": "ok"}\n{nope\n', encoding="utf-8")

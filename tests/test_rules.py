@@ -12,7 +12,6 @@ from incmine.rules import (
     Itemset,
     ItemAbsentError,
     MiningConfig,
-    Rule,
     RulesError,
     UndefinedConfidenceError,
     UndefinedLiftError,
@@ -24,6 +23,7 @@ from incmine.rules import (
     rules_to_csv,
     support,
 )
+import export_oracle
 import rule_oracle
 from support_oracle import support_counts_loop
 
@@ -173,6 +173,24 @@ class TestSupportCounts:
                 == support_counts_loop(presence, cands)).all()
 
 
+def _recorded(calls, fn):
+    def call(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return call
+
+
+class _NumpySpy:
+    """numpy, with the calls that start building a ``RuleTable`` recorded."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        return _recorded(self.calls, fn) if name in ("concatenate", "unique") else fn
+
+
 class TestFisinfisMine:
     def test_toy_rules(self, toy_transactions):
         config = MiningConfig(minsupp=0.5, mincnf=0.8, idf_min=0.0, idf_max=10.0)
@@ -186,13 +204,12 @@ class TestFisinfisMine:
     def test_idf_lower_band_excludes_item(self, toy_transactions):
         config = MiningConfig(minsupp=0.5, mincnf=0.8, idf_min=0.3, idf_max=10.0)
         mined = fisinfis_mine(toy_transactions, config)
-        for rule in mined:
-            assert "a" not in rule.antecedent.items
-            assert "a" not in rule.consequent.items
+        for items in mined.itemsets:
+            assert "a" not in items
 
     def test_minsupp_one_empty(self, toy_transactions):
         config = MiningConfig(minsupp=1.0, mincnf=0.8, idf_min=0.0, idf_max=10.0)
-        assert fisinfis_mine(toy_transactions, config) == []
+        assert len(fisinfis_mine(toy_transactions, config)) == 0
 
     def test_empty_transactions_propagates(self):
         with pytest.raises(EmptyTransactionListError):
@@ -203,10 +220,19 @@ class TestFisinfisMine:
         config = MiningConfig(minsupp=0.1, mincnf=0.3, idf_min=0.0,
                               idf_max=10.0, max_itemset_size=3)
         mined = fisinfis_mine(txs, config)
-        keys = [(-r.metrics.lift, -r.metrics.confidence, r.antecedent.items,
-                 r.consequent.items, r.neg_antecedent, r.neg_consequent)
-                for r in mined]
+        keys = [(-lift, -conf, a, b, neg_a, neg_b)
+                for a, b, neg_a, neg_b, _, conf, lift in rule_oracle.rule_rows(mined)]
         assert keys == sorted(keys)
+
+    def test_itemset_ids_in_tuple_order(self, rng):
+        for _ in range(10):
+            txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=30)
+            mined = fisinfis_mine(txs, MiningConfig(minsupp=0.1, mincnf=0.3, idf_min=0.0,
+                                                    idf_max=10.0, max_itemset_size=3))
+            assert list(mined.itemsets) == sorted(set(mined.itemsets))
+            assert all(list(items) == sorted(items) for items in mined.itemsets)
+            used = np.union1d(mined.antecedent, mined.consequent)
+            assert used.tolist() == list(range(len(mined.itemsets)))
 
     def test_oracle_equivalence_sample(self, rng):
         for _ in range(20):
@@ -236,14 +262,17 @@ class TestFisinfisMine:
                               idf_max=10.0, max_itemset_size=3)
         mined = fisinfis_mine(txs, config)
         assert len(mined) > 1
-        monkeypatch.setattr(rules, "MAX_RULES", len(mined))
-        assert fisinfis_mine(txs, config) == mined
-        monkeypatch.setattr(rules, "MAX_RULES", len(mined) - 1)
         built = []
-        monkeypatch.setattr(rules, "Rule", lambda **kw: built.append(kw))
+        monkeypatch.setattr(rules, "np", _NumpySpy(built))
+        monkeypatch.setattr(rules, "RuleTable", _recorded(built, rules.RuleTable))
+        monkeypatch.setattr(rules, "MAX_RULES", len(mined))
+        assert rules_to_csv(fisinfis_mine(txs, config)) == rules_to_csv(mined)
+        assert set(built) == {"concatenate", "unique", "RuleTable"}  # the spy sees the output
+        built.clear()
+        monkeypatch.setattr(rules, "MAX_RULES", len(mined) - 1)
         with pytest.raises(RulesError, match=f"more than {len(mined) - 1} rules"):
             fisinfis_mine(txs, config)
-        assert built == []
+        assert built == []  # refused before any output column or itemset tuple
 
     def test_complement_identity(self, rng):
         txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=40)
@@ -254,30 +283,28 @@ class TestFisinfisMine:
             assert abs(p_not - (1.0 - p)) < 1e-12
 
 
+PAR = (("a",), ("b",), False, False, 0.75, 1.0, 4 / 3)
+NAR = (("a",), ("c",), False, True, 0.75, 1.0, 4 / 3)
+
+# items with csv and DOT quote characters, accented letters and upper-case
+# tags; their labels sort on both sides of the negation prefix "¬"
+EXPORT_ITEMS = ("a", "caduta", "b,c", 'd"e', "è", "ùltimo", "TAG", "TAG,X", 'Z"')
+
+
 class TestExport:
-    def _single_par(self):
-        from incmine.rules import RuleMetrics
-        return Rule(iset("a"), iset("b"), False, False,
-                    RuleMetrics(0.75, 1.0, 4 / 3))
-
-    def _single_nar(self):
-        from incmine.rules import RuleMetrics
-        return Rule(iset("a"), iset("c"), False, True,
-                    RuleMetrics(0.75, 1.0, 4 / 3))
-
     def test_par_graph_structure(self):
-        dot = export_rule_graph([self._single_par()])
+        dot = export_rule_graph(rule_oracle.make_table([PAR]))
         assert dot.count('";') == 2  # two node lines
         assert '"a" -> "b" [label="s=0.750 c=1.000 l=1.333"];' in dot
         assert "dashed" not in dot
 
     def test_nar_dashed_and_prefixed(self):
-        dot = export_rule_graph([self._single_nar()])
+        dot = export_rule_graph(rule_oracle.make_table([NAR]))
         assert '"¬c"' in dot
         assert "style=dashed" in dot
 
     def test_empty_graph_is_valid(self):
-        assert export_rule_graph([]) == "digraph rules {\n}\n"
+        assert export_rule_graph(rule_oracle.make_table([])) == "digraph rules {\n}\n"
 
     def test_dot_byte_stable(self, toy_transactions):
         config = MiningConfig(minsupp=0.5, mincnf=0.8, idf_min=0.0, idf_max=10.0)
@@ -286,11 +313,37 @@ class TestExport:
         assert first == second
 
     def test_csv_format(self):
-        text = rules_to_csv([self._single_par(), self._single_nar()])
+        text = rules_to_csv(rule_oracle.make_table([PAR, NAR]))
         lines = text.splitlines()
         assert lines[0] == "antecedent,consequent,neg_a,neg_c,support,confidence,lift"
         assert lines[1] == "a,b,0,0,0.750000,1.000000,1.333333"
         assert lines[2] == "a,c,0,1,0.750000,1.000000,1.333333"
+
+    def test_csv_quotes_like_csv_module(self):
+        row = (("TAG,X", "a"), ('d"e',), True, False, 0.5, 0.6, 1.2)
+        line = rules_to_csv(rule_oracle.make_table([row])).splitlines()[1]
+        assert line == '"TAG,X+a","d""e",1,0,0.500000,0.600000,1.200000'
+
+    @settings(max_examples=60, deadline=None)
+    @given(item_sets=st.lists(st.sets(st.sampled_from(EXPORT_ITEMS), min_size=1, max_size=5),
+                              min_size=2, max_size=25),
+           minsupp=st.sampled_from([0.05, 0.2, 1.0]),
+           require_lift_gt1=st.booleans())
+    def test_columns_match_object_oracle(self, item_sets, minsupp, require_lift_gt1):
+        txs = [Transaction(str(i), frozenset(s)) for i, s in enumerate(item_sets)]
+        config = MiningConfig(minsupp=minsupp, mincnf=0.3, idf_min=0.0, idf_max=10.0,
+                              max_itemset_size=3, require_lift_gt1=require_lift_gt1)
+        table = fisinfis_mine(txs, config)
+        objects = export_oracle.rows(table)
+        assert rules_to_csv(table) == export_oracle.rules_to_csv(objects)
+        assert export_rule_graph(table) == export_oracle.export_rule_graph(objects)
+
+    def test_empty_table_matches_object_oracle(self, toy_transactions):
+        config = MiningConfig(minsupp=1.0, mincnf=0.8, idf_min=0.0, idf_max=10.0)
+        table = fisinfis_mine(toy_transactions, config)
+        assert len(table) == 0
+        assert rules_to_csv(table) == export_oracle.rules_to_csv([])
+        assert export_rule_graph(table) == export_oracle.export_rule_graph([])
 
 
 class TestItemset:
@@ -300,9 +353,6 @@ class TestItemset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Itemset([])
-
-    def test_label(self):
-        assert Itemset(["b", "a"]).label() == "a+b"
 
 
 class TestMiningConfig:
@@ -319,7 +369,7 @@ class TestMiningConfig:
         config = MiningConfig(idf_min=1.3)
         with pytest.raises(ValueError, match="idf_max must be > idf_min"):
             fisinfis_mine(toy_transactions, config)
-        assert fisinfis_mine(toy_transactions, MiningConfig(idf_min=1.2)) == []
+        assert len(fisinfis_mine(toy_transactions, MiningConfig(idf_min=1.2))) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -330,10 +380,10 @@ def test_metric_identity_property(item_sets):
     config = MiningConfig(minsupp=0.1, mincnf=0.2, idf_min=0.0, idf_max=10.0,
                           max_itemset_size=3)
     n = len(txs)
-    for rule in fisinfis_mine(txs, config):
+    for _, cons, _, neg_c, _, conf, lift in rule_oracle.rule_rows(fisinfis_mine(txs, config)):
         count_b = 0
         for t in txs:
-            present = set(rule.consequent.items) <= t.items
-            count_b += present != rule.neg_consequent
+            present = set(cons) <= t.items
+            count_b += present != neg_c
         p_b = count_b / n
-        assert abs(rule.metrics.lift * p_b - rule.metrics.confidence) < 1e-12
+        assert abs(lift * p_b - conf) < 1e-12
