@@ -96,7 +96,12 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class TagOntology:
-    """word -> TAG substitution table; words lowercase, tags uppercase."""
+    """word -> TAG substitution table; words lowercase, tags uppercase.
+
+    A tag may not contain ``+`` or ``¬``: rule labels join an itemset's items
+    with ``+`` and mark a negated side with ``¬``, so such a tag would give
+    two itemsets one label. Tokens are letters only, so tags alone can.
+    """
 
     pairs: Mapping[str, str]
 
@@ -107,6 +112,9 @@ class TagOntology:
                 raise OntologyError(f"ontology word not lowercase: {word!r}")
             if tag != tag.upper():
                 raise OntologyError(f"ontology tag not uppercase: {tag!r}")
+            if "+" in tag or "¬" in tag:
+                raise OntologyError(
+                    f"ontology tag {tag!r} contains '+' or '¬', which rule labels reserve")
         tags = set(pairs.values())
         overlap = tags & set(pairs)
         if overlap:

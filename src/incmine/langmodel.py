@@ -9,7 +9,11 @@ the whole stack; a finite-difference harness in the test suite holds them to
 account.
 
 One kernel pair runs an LSTM direction forward in time; the bw direction is
-that kernel on the time-reversed sequence (Schuster & Paliwal 1997). Adam
+that kernel on the time-reversed sequence (Schuster & Paliwal 1997). The
+input projection and ``d_x`` are each one stacked matmul per direction
+outside the time loop (Appleyard et al. 2016): (T, B, d) @ wx, not a
+reshaped (B*T, d) GEMM, because the stacked form makes the per-step BLAS
+call (a gemv at B=1, as in ``predict``) and so keeps its floats. Adam
 moments live only inside ``train``, so the artifact holds no optimizer state.
 
 Parameters default to float32 so the on-disk artifact (little-endian float32
@@ -254,45 +258,65 @@ def make_train_pairs(corpus: Corpus, vocab: LmVocabulary, config: LmConfig,
 # --------------------------------------------------------------------------
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, with no
+    mask: e = exp(-|z|) cannot overflow, and max(e, z >= 0) is the numerator
+    (1 above zero, since e <= 1; e below)."""
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _lstm_forward(x, wx, wh, b):
     """One LSTM direction, forward in time: h (B, T, u) and the cache
-    (x, gates, c, tanh(c), h), gates holding the activated i, f, g, o (B, T, 4u)."""
+    (x, gates, c, tanh(c), h), gates holding the activated i, f, g, o (B, T, 4u).
+
+    The input projection of all steps is one stacked matmul, (T, B, d) @ wx,
+    before the loop; it makes the same BLAS call per step as ``x[:, t] @ wx``.
+    """
     B, T, _ = x.shape
     u = wh.shape[0]
-    gates = np.zeros((B, T, 4 * u), dtype=x.dtype)
-    c_s = np.zeros((B, T, u), dtype=x.dtype)
-    tc_s = np.zeros((B, T, u), dtype=x.dtype)
-    h_seq = np.zeros((B, T, u), dtype=x.dtype)
+    g = slice(2 * u, 3 * u)
+    xw = np.matmul(x.transpose(1, 0, 2), wx)
+    gates = np.empty((B, T, 4 * u), dtype=x.dtype)
+    c_s = np.empty((B, T, u), dtype=x.dtype)
+    tc_s = np.empty((B, T, u), dtype=x.dtype)
+    h_seq = np.empty((B, T, u), dtype=x.dtype)
     h = np.zeros((B, u), dtype=x.dtype)
     c = np.zeros((B, u), dtype=x.dtype)
     for t in range(T):
-        z = x[:, t] @ wx + h @ wh + b
-        i = _sigmoid(z[:, :u])
-        f = _sigmoid(z[:, u:2 * u])
-        g = np.tanh(z[:, 2 * u:3 * u])
-        o = _sigmoid(z[:, 3 * u:])
-        c = f * c + i * g
+        z = xw[t] + h @ wh
+        z += b
+        a = _sigmoid(z)
+        np.tanh(z[:, g], out=a[:, g])
+        gates[:, t] = a
+        c = a[:, u:2 * u] * c + a[:, :u] * a[:, g]
         tc = np.tanh(c)
-        h = o * tc
-        gates[:, t] = np.concatenate([i, f, g, o], axis=1)
+        h = a[:, 3 * u:] * tc
         c_s[:, t], tc_s[:, t], h_seq[:, t] = c, tc, h
     return h_seq, (x, gates, c_s, tc_s, h_seq)
 
 
 def _lstm_backward(cache, wx, wh, d_h_seq):
-    """Gradients (d_x, d_wx, d_wh, d_b) of one ``_lstm_forward`` direction."""
+    """Gradients (d_x, d_wx, d_wh, d_b) of one ``_lstm_forward`` direction.
+
+    ``dzs`` (T, B, 4u) starts as the activation derivatives, which do not
+    depend on the carry: 1 - a for i, f and o, 1 - g*g for g. Each step
+    multiplies in its (d_gate * a) for i, f, o and d_gate for g, giving dz;
+    d_x is then one stacked matmul over ``dzs``, as in the forward.
+    """
     x, gates, c_s, tc_s, h_seq = cache
     B, T, _ = x.shape
     u = wh.shape[0]
-    d_x = np.zeros_like(x)
+    g = slice(2 * u, 3 * u)
+    # C order, so each dz is a contiguous (B, 4u) block: a strided one can
+    # change the rounding of a gemv (dz @ wx.T at d=1)
+    dzs = np.empty((T, B, 4 * u), dtype=x.dtype)
+    np.subtract(1.0, gates.transpose(1, 0, 2), out=dzs)
+    g_all = gates[:, :, g].transpose(1, 0, 2)
+    d_g = dzs[:, :, g]
+    np.multiply(g_all, g_all, out=d_g)
+    np.subtract(1.0, d_g, out=d_g)
+    dtc = 1.0 - tc_s * tc_s
+    d_gates = np.empty((B, 4 * u), dtype=x.dtype)
     d_wx = np.zeros_like(wx)
     d_wh = np.zeros_like(wh)
     d_b = np.zeros(4 * u, dtype=x.dtype)
@@ -300,28 +324,27 @@ def _lstm_backward(cache, wx, wh, d_h_seq):
     dc_carry = np.zeros((B, u), dtype=x.dtype)
     zeros = np.zeros((B, u), dtype=x.dtype)
     for t in range(T - 1, -1, -1):
-        i, f, g, o = np.split(gates[:, t], 4, axis=1)
-        tc = tc_s[:, t]
+        a = gates[:, t]
         c_prev = c_s[:, t - 1] if t > 0 else zeros
         h_prev = h_seq[:, t - 1] if t > 0 else zeros
         dh = d_h_seq[:, t] + dh_carry
-        do = dh * tc
-        dc = dc_carry + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_carry = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ], axis=1)
+        dc = dh * a[:, 3 * u:]
+        dc *= dtc[:, t]
+        dc += dc_carry
+        np.multiply(dc, a[:, g], out=d_gates[:, :u])
+        np.multiply(dc, c_prev, out=d_gates[:, u:2 * u])
+        np.multiply(dc, a[:, :u], out=d_gates[:, g])
+        np.multiply(dh, tc_s[:, t], out=d_gates[:, 3 * u:])
+        dc_carry = dc * a[:, u:2 * u]
+        d_gates[:, :2 * u] *= a[:, :2 * u]
+        d_gates[:, 3 * u:] *= a[:, 3 * u:]
+        dz = dzs[t]
+        dz *= d_gates
         d_wx += x[:, t].T @ dz
         d_wh += h_prev.T @ dz
         d_b += dz.sum(axis=0)
-        d_x[:, t] = dz @ wx.T
         dh_carry = dz @ wh.T
+    d_x = np.matmul(dzs, wx.T).transpose(1, 0, 2)
     return d_x, d_wx, d_wh, d_b
 
 

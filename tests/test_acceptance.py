@@ -27,7 +27,6 @@ from incmine.corpus import Transaction
 from incmine.rules import (
     Itemset,
     MiningConfig,
-    apriori_frequent,
     export_rule_graph,
     fisinfis_mine,
     rule_metrics,
@@ -35,6 +34,7 @@ from incmine.rules import (
 )
 from incmine.vectors import build_term_index, tfidf_matrix
 
+from apriori_oracle import apriori_frequent
 import rule_oracle
 from conftest import FIXTURE_ROWS
 from lm_fixtures import gradcheck_fixture, max_relative_fd_error, overfit_fixture

@@ -141,6 +141,18 @@ class TestPreprocess:
 
 
 class TestMineRules:
+    def test_ontology_tag_with_label_syntax_is_data_error(self, fixture_corpus_path,
+                                                          tmp_path, capsys):
+        onto = tmp_path / "onto.tsv"
+        onto.write_text("scala\tATTREZZATURA\nponteggio\tA+B\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("mine-rules", "--corpus", fixture_corpus_path,
+                   "--ontology", str(onto), "--output-dir", str(out),
+                   "--no-stopwords") == 2
+        err = capsys.readouterr().err
+        assert "'A+B'" in err and "Traceback" not in err
+        assert not (out / "rules.csv").exists()
+
     def test_writes_rules_and_graph(self, fixture_corpus_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert run("mine-rules", "--corpus", fixture_corpus_path,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -186,6 +187,11 @@ class TestTagOntology:
         path.write_text("martello\tUTENSILE\nmartello\tARNESE\n", encoding="utf-8")
         with pytest.raises(OntologyError, match="martello"):
             TagOntology.from_tsv(str(path))
+
+    @pytest.mark.parametrize("tag", ("A+B", "+", "¬A", "TAG¬"))
+    def test_tag_with_label_syntax_rejected(self, tag):
+        with pytest.raises(OntologyError, match=re.escape(repr(tag))):
+            TagOntology({"martello": "UTENSILE", "scala": tag})
 
     def test_tag_equal_to_word_rejected(self):
         # a caseless script word colliding with its own tag

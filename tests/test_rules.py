@@ -15,7 +15,6 @@ from incmine.rules import (
     RulesError,
     UndefinedConfidenceError,
     UndefinedLiftError,
-    apriori_frequent,
     export_rule_graph,
     fisinfis_mine,
     idf,
@@ -23,6 +22,7 @@ from incmine.rules import (
     rules_to_csv,
     support,
 )
+from apriori_oracle import apriori_frequent
 import export_oracle
 import rule_oracle
 from support_oracle import support_counts_loop
@@ -201,11 +201,18 @@ class TestFisinfisMine:
         assert (supp, conf) == (0.75, 1.0)
         assert abs(lift - 4 / 3) < 1e-12
 
-    def test_idf_lower_band_excludes_item(self, toy_transactions):
-        config = MiningConfig(minsupp=0.5, mincnf=0.8, idf_min=0.3, idf_max=10.0)
-        mined = fisinfis_mine(toy_transactions, config)
-        for items in mined.itemsets:
-            assert "a" not in items
+    def test_idf_lower_band_excludes_item(self):
+        # a in 9 of 10 transactions (idf 0.105), b and c in 7 each (idf 0.357)
+        rows = ["abc"] * 4 + ["ab", "ab", "ac", "ac", "a", "bc"]
+        txs = [Transaction(f"t{i}", frozenset(row)) for i, row in enumerate(rows)]
+        def mined(idf_min):
+            return fisinfis_mine(txs, MiningConfig(minsupp=0.2, mincnf=0.6,
+                                                   idf_min=idf_min, idf_max=10.0))
+        assert any("a" in items for items in mined(0.0).itemsets)
+        banded = mined(0.3)
+        assert len(banded) > 0
+        assert banded.itemsets == (("b",), ("c",))
+        assert all("a" not in items for items in banded.itemsets)
 
     def test_minsupp_one_empty(self, toy_transactions):
         config = MiningConfig(minsupp=1.0, mincnf=0.8, idf_min=0.0, idf_max=10.0)
