@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import clustering, corpus as corpus_mod, langmodel, rules as rules_mod, vectors
-from .errors import IncmineError
+from .errors import IncmineError, check_allocation
 
 
 class _UsageError(Exception):
@@ -201,29 +201,22 @@ def cmd_mine_rules(args) -> int:
 
 
 def _cluster_and_report(points, ids, args, out, **defaults) -> dict:
-    """k-medoids over ``points``; ``defaults`` overrides ``ClusterConfig``'s."""
-    given = {**defaults, **_given(args, clustering.ClusterConfig)}
-    if "sweep" in given:
-        given.pop("k", None)  # --k-range beats clustering.k from a config file
-    elif "k" not in given:
-        raise _UsageError("either --k or --k-range is required")
-    config = clustering.ClusterConfig(**given)
-    if config.sweep is not None:
-        best, report = clustering.sweep_k(points, *config.sweep, metric=config.metric,
-                                          seed=config.seed, max_iter=config.max_iter)
-        table = [[kk, cost, sil] for kk, cost, sil in report.entries]
-        swap_passes = [[kk, passes] for kk, passes in report.swap_passes]
-        max_iter_hits = list(report.max_iter_hits)
-        truncated = report.truncated
-    else:
-        best = clustering.kmedoids_fit(points, config)
-        table = [[config.k, best.cost, best.silhouette]]
-        swap_passes = [[config.k, best.swap_passes]]
-        max_iter_hits = [config.k] if best.swap_hit_max_iter else []
-        truncated = False
-    if max_iter_hits:
+    """k-medoids over ``points``; ``defaults`` overrides ``ClusterConfig``'s.
+
+    ``--k K`` (or ``clustering.k``) is the range (K, K); ``--k-range`` beats
+    ``clustering.k`` from a config file."""
+    k_range = args.k_range
+    if k_range is None:
+        if args.k is None:
+            raise _UsageError("either --k or --k-range is required")
+        k_range = (args.k, args.k)
+    config = clustering.ClusterConfig(
+        k_range=tuple(k_range), **{**defaults, **_given(args, clustering.ClusterConfig)})
+    best, report = clustering.sweep_k(points, config)
+    unconverged = [k for k, fit in report.fits if fit.swap_passes >= config.max_iter]
+    if unconverged:
         print(f"warning: SWAP used all max_iter={config.max_iter} passes for "
-              f"k={', '.join(map(str, max_iter_hits))}; the medoids may not be a "
+              f"k={', '.join(map(str, unconverged))}; the medoids may not be a "
               f"local optimum", file=sys.stderr)
 
     buf = StringIO()
@@ -233,18 +226,17 @@ def _cluster_and_report(points, ids, args, out, **defaults) -> dict:
         writer.writerow([rid, int(label)])
     _write_text(os.path.join(out, "clusters.csv"), buf.getvalue())
 
-    summary = {
+    return {
         "k": len(best.medoids),
         "cost": best.cost,
         "silhouette": best.silhouette,
         "medoid_ids": [ids[m] for m in best.medoids],
-        "per_k_table": table,
-        "swap_passes": swap_passes,
+        "per_k_table": [[k, fit.cost, fit.silhouette] for k, fit in report.fits],
+        "swap_passes": [[k, fit.swap_passes] for k, fit in report.fits],
         "metric": config.metric,
         "seed": config.seed,
-        "truncated": truncated,
+        "truncated": report.truncated,
     }
-    return summary
 
 
 def cmd_cluster_tfidf(args) -> int:
@@ -255,10 +247,8 @@ def cmd_cluster_tfidf(args) -> int:
     matrix = vectors.tfidf_matrix(docs, index)
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     # refuse before densifying: the n x n distances, then the dense rows
-    clustering.check_allocation(n_rows * n_rows * 8,
-                                f"the distance matrix of {n_rows} points")
-    clustering.check_allocation(n_rows * n_cols * 8,
-                                f"the dense {n_rows} x {n_cols} tf-idf matrix")
+    check_allocation(n_rows * n_rows * 8, f"the distance matrix of {n_rows} points")
+    check_allocation(n_rows * n_cols * 8, f"the dense {n_rows} x {n_cols} tf-idf matrix")
     _write_text(os.path.join(out, "tfidf_matrix.txt"), matrix.to_coo_text())
     summary = _cluster_and_report(matrix.toarray(), list(loaded.ids), args, out,
                                   metric="cosine")
@@ -361,7 +351,7 @@ def _add_cluster_opts(sub):
     k_or_sweep = sub.add_mutually_exclusive_group()
     sub.setting("--k", "clustering.k", type=int, group=k_or_sweep,
                 help="fixed cluster count")
-    k_or_sweep.add_argument("--k-range", dest="sweep", type=int, nargs=2,
+    k_or_sweep.add_argument("--k-range", type=int, nargs=2,
                             metavar=("LO", "HI"),
                             help="sweep k over [LO, HI], pick by silhouette")
     sub.setting("--metric", "clustering.metric", choices=clustering.METRICS)

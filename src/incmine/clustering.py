@@ -1,38 +1,36 @@
-"""K-medoids (PAM) clustering, silhouette-driven k sweeps and incremental PCA.
+"""K-medoids (PAM) clustering over a range of k, and incremental PCA.
 
 PAM runs on a precomputed distance matrix: greedy BUILD, then repeated
 single-best SWAP passes. All ties break to the lowest index, which makes the
-result independent of the seed; the seed is only echoed into reports. A k
-sweep builds the distance matrix and runs BUILD once, to its largest k, and
-starts each k's SWAP from the first k BUILD medoids. The matrix is the only
-n x n array: distances are computed in cache-sized chunks in place, and the
+result independent of the seed; the seed is only echoed into reports.
+``sweep_k`` is the one fit: it fits every k of ``ClusterConfig.k_range`` and
+picks the best by mean silhouette, and a fixed k is the range (k, k). It
+builds the distance matrix and runs BUILD once, to the largest k, and starts
+each k's SWAP from the first k BUILD medoids. The matrix is the only n x n
+array: distances are computed in cache-sized chunks in place, and the
 BUILD/SWAP kernels in ``_kernels`` read it in row blocks.
 
-Incremental PCA consumes externally produced sentence-embedding matrices in
-batches, keeping every principal direction up to the data rank seen so far,
-so at desk scale it reproduces batch PCA exactly.
+Incremental PCA consumes an externally produced sentence-embedding matrix in
+row batches, keeping every principal direction up to the data rank seen so
+far, so at desk scale it reproduces batch PCA exactly.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .errors import IncmineError
+from .errors import IncmineError, check_allocation
 
 METRICS = ("euclidean", "cosine")
 
 # float64 elements of the row-difference scratch of exact euclidean distances
 # (128 KiB, so a chunk stays in cache)
 _CHUNK_BUDGET = 16_384
-
-# largest distance matrix (or dense input to one) built, in bytes (4 GiB:
-# about 23k points); larger inputs are refused before anything is allocated
-MAX_DISTANCE_BYTES = 4 * 2**30
 
 # explained-variance share the embedding reduction keeps by default
 VARIANCE_THRESHOLD = 0.85
@@ -69,21 +67,17 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    k: Optional[int] = None
-    sweep: Optional[tuple[int, int]] = None
+    k_range: tuple[int, int]  # (lo, hi), both fitted; a fixed k is (k, k)
     metric: str = "euclidean"
     max_iter: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if (self.k is None) == (self.sweep is None):
-            raise ValueError("exactly one of k or sweep must be given")
-        if self.k is not None and self.k < 2:
+        lo, hi = self.k_range
+        if lo < 2:
             raise ValueError("k must be >= 2")
-        if self.sweep is not None:
-            lo, hi = self.sweep
-            if lo < 2 or lo > hi:
-                raise ValueError("sweep range must satisfy 2 <= k_lo <= k_hi")
+        if lo > hi:
+            raise ValueError("sweep range must satisfy 2 <= k_lo <= k_hi")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.max_iter < 0:
@@ -96,16 +90,13 @@ class ClusterAssignment:
     labels: np.ndarray
     cost: float
     silhouette: float
-    swap_passes: int            # improving SWAP passes made
-    swap_hit_max_iter: bool     # SWAP used all max_iter passes, so may not have converged
+    swap_passes: int  # improving SWAP passes made; at max_iter SWAP may not have converged
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    entries: tuple[tuple[int, float, float], ...]  # (k, cost, silhouette)
-    truncated: bool = False
-    swap_passes: tuple[tuple[int, int], ...] = ()  # (k, SWAP passes)
-    max_iter_hits: tuple[int, ...] = ()            # k whose SWAP used all max_iter passes
+    fits: tuple[tuple[int, ClusterAssignment], ...]  # (k, fit), k ascending
+    truncated: bool  # k_range reached past n, so the sweep stopped at k = n
 
 
 @dataclass(frozen=True)
@@ -130,15 +121,6 @@ def _validate_points(points) -> np.ndarray:
     if not np.isfinite(points).all():
         raise ClusteringError("points contain non-finite values")
     return points
-
-
-def check_allocation(n_bytes: int, what: str) -> None:
-    """Refuse ``what`` before it is allocated when it takes more than
-    ``MAX_DISTANCE_BYTES``."""
-    if n_bytes > MAX_DISTANCE_BYTES:
-        raise ClusteringError(
-            f"{what} needs {n_bytes / 2**30:.1f} GiB, above the "
-            f"{MAX_DISTANCE_BYTES / 2**30:.1f} GiB limit")
 
 
 def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
@@ -197,21 +179,6 @@ def _cosine_distances(points) -> np.ndarray:
     return d
 
 
-def kmedoids_fit(points, config: ClusterConfig,
-                 dist: Optional[np.ndarray] = None) -> ClusterAssignment:
-    """PAM on the given points; ``dist`` may be passed to reuse a matrix."""
-    points = _validate_points(points)
-    k = config.k
-    if k is None:
-        raise ValueError("kmedoids_fit needs a fixed k; use sweep_k for ranges")
-    n = points.shape[0]
-    if k > n:
-        raise ClusteringError(f"k={k} exceeds number of points n={n}")
-    if dist is None:
-        dist = pairwise_distances(points, config.metric)
-    return _swap_and_score(dist, _kernels.pam_build(dist, k), config.max_iter)
-
-
 def _swap_and_score(dist, built, max_iter: int) -> ClusterAssignment:
     """SWAP from the BUILD medoids, then labels, cost and mean silhouette."""
     medoids, passes = _kernels.pam_swap(dist, built, max_iter)
@@ -222,92 +189,50 @@ def _swap_and_score(dist, built, max_iter: int) -> ClusterAssignment:
     sil = float(_kernels.silhouette_samples_from_dist(dist, labels, k).mean())
     return ClusterAssignment(medoids=tuple(int(m) for m in medoids),
                              labels=labels, cost=cost, silhouette=sil,
-                             swap_passes=passes, swap_hit_max_iter=passes >= max_iter)
+                             swap_passes=passes)
 
 
-def silhouette(points, labels, metric: str = "euclidean") -> float:
-    """Mean silhouette; singleton clusters and degenerate geometry score 0."""
-    points = _validate_points(points)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != points.shape[0]:
-        raise ClusteringError("labels length must match points")
-    # compact arbitrary labels (negative, sparse) to 0..k-1 for the kernel
-    distinct, compact = np.unique(labels, return_inverse=True)
-    if len(distinct) < 2:
-        raise ClusteringError("silhouette needs at least 2 clusters")
-    dist = pairwise_distances(points, metric)
-    return float(_kernels.silhouette_samples_from_dist(
-        dist, compact, len(distinct)).mean())
+def sweep_k(points, config: ClusterConfig) -> tuple[ClusterAssignment, SweepReport]:
+    """Fit every k in ``config.k_range`` up to n; best = max silhouette, ties
+    to the smaller k.
 
-
-def sweep_k(points, k_lo: int, k_hi: int, metric: str = "euclidean",
-            seed: int = ClusterConfig.seed, max_iter: int = ClusterConfig.max_iter
-            ) -> tuple[ClusterAssignment, SweepReport]:
-    """Fit every k in [k_lo, min(k_hi, n)]; best = max silhouette, ties to smaller k.
-
-    Each k is fitted as ``kmedoids_fit`` fits it. BUILD runs once, to the
-    largest k: greedy BUILD only adds medoids, so its first k are the BUILD
-    result for k.
+    BUILD runs once, to the largest k: greedy BUILD only adds medoids, so its
+    first k are the BUILD result for k.
     """
-    # the config checks the range, the metric and max_iter
-    ClusterConfig(sweep=(k_lo, k_hi), metric=metric, max_iter=max_iter, seed=seed)
     points = _validate_points(points)
     n = points.shape[0]
-    truncated = k_hi > n
-    k_hi = min(k_hi, n)
-    if k_lo > k_hi:
-        raise ClusteringError(f"no feasible k in [{k_lo}, {k_hi}] for n={n}")
-    dist = pairwise_distances(points, metric)
-    built = _kernels.pam_build(dist, k_hi)
-    ks = range(k_lo, k_hi + 1)
-    fits = [_swap_and_score(dist, built[:k], max_iter) for k in ks]
-    best = max(fits, key=lambda fit: fit.silhouette)  # max keeps the first on ties
-    return best, SweepReport(
-        entries=tuple((k, f.cost, f.silhouette) for k, f in zip(ks, fits)),
-        truncated=truncated,
-        swap_passes=tuple((k, f.swap_passes) for k, f in zip(ks, fits)),
-        max_iter_hits=tuple(k for k, f in zip(ks, fits) if f.swap_hit_max_iter))
+    k_lo, k_hi = config.k_range
+    if k_lo > n:
+        raise ClusteringError(f"k={k_lo} exceeds number of points n={n}")
+    ks = range(k_lo, min(k_hi, n) + 1)
+    dist = pairwise_distances(points, config.metric)
+    built = _kernels.pam_build(dist, ks[-1])
+    fits = tuple((k, _swap_and_score(dist, built[:k], config.max_iter)) for k in ks)
+    best = max((fit for _, fit in fits), key=lambda fit: fit.silhouette)  # first on ties
+    return best, SweepReport(fits=fits, truncated=k_hi > n)
 
 
 # --------------------------------------------------------------------------
 # incremental PCA
 # --------------------------------------------------------------------------
 
-def ipca_fit(data, batch_size: Optional[int] = None,
-             n_components: Optional[int] = None) -> IpcaModel:
-    """Fit incremental PCA over batches.
-
-    ``data`` is either a single matrix (split into ``batch_size`` chunks) or an
-    iterable of matrices with equal column counts. Up to min(n_cols, n_seen)
-    components are retained unless ``n_components`` caps them.
-    """
-    if isinstance(data, np.ndarray):
-        data = _validate_points(data)
-        if batch_size is None:
-            batches: Iterable[np.ndarray] = [data]
-        else:
-            if batch_size < 1:
-                raise ValueError("batch_size must be >= 1")
-            batches = (data[i:i + batch_size]
-                       for i in range(0, data.shape[0], batch_size))
-    else:
-        batches = data
+def ipca_fit(data, batch_size: Optional[int] = None) -> IpcaModel:
+    """Fit incremental PCA over ``batch_size``-row batches of ``data`` (one
+    batch when None), retaining min(n_cols, n_seen) components."""
+    data = _validate_points(data)
+    n_rows, n_cols = data.shape
+    if batch_size is None:
+        batch_size = max(1, n_rows)
+    elif batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
 
     mean = None
     m2 = None           # per-column sum of squared deviations, merged per batch
     singular = None
     components = None
     n_seen = 0
-    n_cols = None
-    for batch in batches:
-        batch = _validate_points(batch)
-        if batch.shape[0] == 0:
-            continue
-        if n_cols is None:
-            n_cols = batch.shape[1]
-        elif batch.shape[1] != n_cols:
-            raise ClusteringError(
-                f"batch has {batch.shape[1]} columns, expected {n_cols}")
+    for lo in range(0, n_rows, batch_size):
+        batch = data[lo:lo + batch_size]
         m = batch.shape[0]
         batch_mean = batch.mean(axis=0)
         centered = batch - batch_mean
@@ -331,8 +256,6 @@ def ipca_fit(data, batch_size: Optional[int] = None,
             m2 = m2 + batch_m2 + delta * delta * (n_seen * m / total)
             n_seen = total
         keep = min(n_cols, n_seen)
-        if n_components is not None:
-            keep = min(keep, n_components)
         singular = singular[:keep]
         components = components[:keep]
     if n_seen < 2:

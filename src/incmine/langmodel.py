@@ -17,7 +17,10 @@ call (a gemv at B=1, as in ``predict``) and so keeps its floats. Adam
 moments live only inside ``train``, so the artifact holds no optimizer state.
 
 Parameters default to float32 so the on-disk artifact (little-endian float32
-blobs) round-trips bit-exactly; gradient checking uses float64 configs.
+blobs) round-trips bit-exactly; gradient checking uses float64 configs. An
+``LmConfig`` whose parameters, with their float64 init draw and the Adam m
+and v, would exceed ``errors.MAX_ALLOCATION_BYTES`` is refused when it is
+built, and ``make_train_pairs`` refuses N x V targets over it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, PreprocessConfig, preprocess
-from .errors import IncmineError
+from .errors import IncmineError, check_allocation
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -154,6 +157,10 @@ class LmConfig:
             raise ValueError("epochs must be >= 0")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
+        n_params = sum(math.prod(shape) for _, shape in _param_specs(self))
+        check_allocation(n_params * (8 + 3 * np.dtype(self.dtype).itemsize),
+                         f"a model of {n_params:,} parameters (float64 init draw, "
+                         f"weights, Adam m and v)")
 
     @property
     def np_dtype(self):
@@ -241,6 +248,8 @@ def make_train_pairs(corpus: Corpus, vocab: LmVocabulary, config: LmConfig,
     Consequence tokens missing from the vocabulary are dropped rather than
     collapsed onto UNK, so the model never learns to predict UNK.
     """
+    check_allocation(len(corpus) * config.vocab_size * np.dtype(config.dtype).itemsize,
+                     f"the {len(corpus)} x {config.vocab_size} training targets")
     pairs = []
     for rec in corpus:
         ids = encode(preprocess(rec.dynamics, pre), vocab, config.seq_len)
@@ -616,7 +625,8 @@ def load_model(path) -> LmModel:
 
     Every malformed manifest raises ``ArtifactError``: JSON nested too deep
     to parse, a value that is not a JSON object where one belongs, a missing
-    or unknown key, a config value ``LmConfig`` rejects, or a tensor file
+    or unknown key, a config value ``LmConfig`` rejects, a tensor set, shape
+    or dtype other than the config's float32 tensors, or a tensor file
     outside the artifact directory.
     """
     with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
@@ -642,10 +652,17 @@ def load_model(path) -> LmModel:
     vocab = LmVocabulary(tokens)
     if not isinstance(manifest["tensors"], dict):
         raise ArtifactError("manifest tensors is not a JSON object")
+    shapes = {name: list(shape) for name, shape in _param_specs(config)}
+    if manifest["tensors"].keys() != shapes.keys():
+        raise ArtifactError("artifact tensor set does not match configuration")
     root = os.path.realpath(path)
     params = {}
     for name, spec in manifest["tensors"].items():
         _check_keys(spec, _TENSOR_KEYS, f"tensor {name!r}")
+        if spec["shape"] != shapes[name] or spec["dtype"] != "float32":
+            raise ArtifactError(
+                f"tensor {name!r} is {spec['dtype']!r} {spec['shape']!r}, the "
+                f"configuration needs 'float32' {shapes[name]!r}")
         file = os.path.realpath(os.path.join(root, str(spec["file"])))
         if os.path.commonpath([root, file]) != root:
             raise ArtifactError(
@@ -656,11 +673,8 @@ def load_model(path) -> LmModel:
         if digest != spec["sha256"]:
             raise ArtifactChecksumError(f"checksum mismatch for tensor {name!r}")
         try:
-            arr = np.frombuffer(blob, dtype="<f4").reshape(spec["shape"])
-        except (TypeError, ValueError) as exc:
+            arr = np.frombuffer(blob, dtype="<f4").reshape(shapes[name])
+        except ValueError as exc:
             raise ArtifactError(f"tensor {name!r}: {exc}") from exc
         params[name] = arr.astype(config.np_dtype)
-    expected = {name for name, _ in _param_specs(config)}
-    if set(params) != expected:
-        raise ArtifactError("artifact tensor set does not match configuration")
     return LmModel(config=config, vocab=vocab, params=params)

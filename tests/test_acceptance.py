@@ -18,7 +18,6 @@ from incmine.clustering import (
     VARIANCE_THRESHOLD,
     ClusterConfig,
     ipca_fit,
-    kmedoids_fit,
     pairwise_distances,
     reduce_to_variance,
     sweep_k,
@@ -173,7 +172,7 @@ def test_c06_pam_swap_descent_optimum_and_blobs():
     for pts in small_fixture_suite():
         dist = pairwise_distances(pts, "euclidean")
         best_cost, _ = exhaustive_two_medoids(dist)
-        fit = kmedoids_fit(pts, ClusterConfig(k=2))
+        fit, _ = sweep_k(pts, ClusterConfig(k_range=(2, 2)))
         assert abs(fit.cost - best_cost) < 1e-9
 
     # separated blobs: sweep over [2, 5] recovers the ground truth at k = 2
@@ -181,11 +180,11 @@ def test_c06_pam_swap_descent_optimum_and_blobs():
     blobs = np.vstack([rng.normal(size=(12, 3)),
                        rng.normal(size=(12, 3)) + 10.0])
     truth = np.array([0] * 12 + [1] * 12)
-    best, report = sweep_k(blobs, 2, 5)
+    best, report = sweep_k(blobs, ClusterConfig(k_range=(2, 5)))
     assert len(best.medoids) == 2
     aligned = best.labels if best.labels[0] == 0 else 1 - best.labels
     assert (aligned == truth).all()
-    assert [entry[0] for entry in report.entries] == [2, 3, 4, 5]
+    assert [k for k, _ in report.fits] == [2, 3, 4, 5]
     _report(6, "PAM descent, small-instance optimality, blob recovery")
 
 
@@ -300,8 +299,8 @@ def test_c11_paper_default_configuration():
     assert config.dense_units == 50
     assert config.dropout_rate == 0.5
     assert VARIANCE_THRESHOLD == 0.85
-    cluster = ClusterConfig(sweep=(2, 100))  # validates the paper's k sweep
-    assert cluster.sweep == (2, 100)
+    cluster = ClusterConfig(k_range=(2, 100))  # validates the paper's k sweep
+    assert cluster.k_range == (2, 100)
 
     vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] +
                             [f"tok{i:04d}" for i in range(4998)])
@@ -319,6 +318,6 @@ def test_c11_paper_default_configuration():
 
     # the sweep range is valid against a desk-scale stand-in matrix
     stand_in = np.random.default_rng(1).normal(size=(120, 8))
-    lo, hi = cluster.sweep
+    lo, hi = cluster.k_range
     assert 2 <= lo <= hi <= stand_in.shape[0]
     _report(11, "stock configuration constructs at full scale")

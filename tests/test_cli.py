@@ -5,13 +5,14 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from incmine import clustering, corpus, rules
+from incmine import clustering, corpus, errors, rules
 from incmine.cli import build_parser, main, parse_config_file
 from incmine.clustering import EmbeddingMatrix
 from incmine.errors import IncmineError
@@ -27,6 +28,25 @@ def run(*argv):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def assert_k_forms_identical(tmp_path, argv, k):
+    """``--k K``, ``--k-range K K`` and ``clustering.k = K`` write the same
+    clusters.csv and cluster_summary.json: a fixed k is the one-k range."""
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(f"clustering.k = {k}\n", encoding="utf-8")
+    forms = {"flag": ["--k", str(k)], "range": ["--k-range", str(k), str(k)],
+             "config": ["--config", str(cfg)]}
+    outs = {}
+    for name, extra in forms.items():
+        out = str(tmp_path / name)
+        assert run(*argv, *extra, "--output-dir", out) == 0
+        outs[name] = [read(os.path.join(out, fname))
+                      for fname in ("clusters.csv", "cluster_summary.json")]
+    assert outs["flag"] == outs["range"] == outs["config"]
+    summary = json.loads(outs["flag"][1])
+    assert summary["k"] == k and summary["per_k_table"][0][0] == k
+    assert len(summary["per_k_table"]) == 1 and summary["truncated"] is False
 
 
 class TestExitCodes:
@@ -237,7 +257,7 @@ class TestClusterTfidf:
 
     def test_distance_matrix_cap(self, fixture_corpus_path, tmp_path, capsys,
                                  monkeypatch):
-        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 12 * 12 * 8 - 1)
+        monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 12 * 12 * 8 - 1)
         assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--k", "3",
                    "--output-dir", str(tmp_path / "out"), "--no-stopwords") == 2
         err = capsys.readouterr().err
@@ -252,7 +272,7 @@ class TestClusterTfidf:
         n_terms = json.loads(read(os.path.join(out, "cluster_summary.json")))["n_terms"]
         assert n_terms > 12
         # the 12 x 12 distances fit, the 12 x n_terms dense rows do not
-        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 12 * n_terms * 8 - 1)
+        monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 12 * n_terms * 8 - 1)
         capsys.readouterr()
         assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--k", "3",
                    "--output-dir", str(tmp_path / "refused"), "--no-stopwords") == 2
@@ -275,6 +295,10 @@ class TestClusterTfidf:
         summary = json.loads(read(os.path.join(out, "cluster_summary.json")))
         assert summary["k"] == 30
         assert len(set(summary["medoid_ids"])) == 30
+
+    def test_fixed_k_is_one_k_range(self, fixture_corpus_path, tmp_path):
+        assert_k_forms_identical(tmp_path, ("cluster-tfidf", "--corpus", fixture_corpus_path,
+                                            "--no-stopwords"), 3)
 
     def test_k_and_range_conflict(self, fixture_corpus_path, tmp_path):
         assert run("cluster-tfidf", "--corpus", fixture_corpus_path,
@@ -327,12 +351,25 @@ class TestClusterEmbeddings:
 
     def test_distance_matrix_cap(self, tmp_path, capsys, monkeypatch):
         emb, ids = self._write_blobs(tmp_path)
-        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 20 * 20 * 8 - 1)
+        monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 20 * 20 * 8 - 1)
         assert run("cluster-embeddings", "--embeddings", emb, "--ids", ids,
                    "--k-range", "2", "4", "--output-dir", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert "20 points" in err and "distance matrix" in err
         assert "Traceback" not in err
+
+    def test_fixed_k_is_one_k_range(self, tmp_path):
+        emb, ids = self._write_blobs(tmp_path)
+        assert_k_forms_identical(tmp_path, ("cluster-embeddings", "--embeddings", emb,
+                                            "--ids", ids), 3)
+
+    def test_k_above_n_is_data_error(self, tmp_path, capsys):
+        emb, ids = self._write_blobs(tmp_path)
+        for k_flags in (["--k", "21"], ["--k-range", "21", "30"]):
+            assert run("cluster-embeddings", "--embeddings", emb, "--ids", ids,
+                       *k_flags, "--output-dir", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err == \
+                "error: k=21 exceeds number of points n=20\n"
 
     def test_id_count_mismatch(self, tmp_path):
         emb, _ = self._write_blobs(tmp_path)
@@ -393,6 +430,44 @@ class TestTrainPredict:
         assert run("predict", "--model", os.path.join(out, "model"),
                    "--text", "scala", "--output-dir", out) == 2
         assert "lm-v9" in capsys.readouterr().err
+
+    def _train_refused(self, corpus_csv, tmp_path, capsys, flags):
+        """Exit code, stderr and tracemalloc peak of a ``train-lm`` call on 45 rows."""
+        path = corpus_csv([(f"r{i:02d}", f"operaio cade scala {i}", "frattura gamba")
+                           for i in range(45)])
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            code = run("train-lm", "--corpus", path, *flags, "--epochs", "1",
+                       "--output-dir", str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "out" / "model")
+        return err, peak
+
+    @pytest.mark.parametrize("flags", [
+        ["--recurrent-units", "200000"],
+        ["--recurrent-units", "1" + "0" * 200],  # no float holds its size
+        ["--vocab-size", "100000000"],
+    ])
+    def test_oversized_model_refused_before_allocating(self, corpus_csv, tmp_path,
+                                                       capsys, flags):
+        err, peak = self._train_refused(corpus_csv, tmp_path, capsys, flags)
+        assert "parameters" in err and "GiB, above the 4.0 GiB limit" in err
+        assert peak < 32 * 2**20
+
+    def test_oversized_targets_refused_before_allocating(self, corpus_csv, tmp_path,
+                                                         capsys, monkeypatch):
+        # the weights (about 0.3 MB with their Adam state) fit under the
+        # limit, the 45 x 5000 float32 targets (0.9 MB) do not
+        monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 600_000)
+        err, peak = self._train_refused(
+            corpus_csv, tmp_path, capsys, ["--vocab-size", "5000", "--embed-dim", "1",
+                                           "--dense-units", "1", "--recurrent-units", "1"])
+        assert "the 45 x 5000 training targets needs 0.0 GiB" in err
+        assert peak < 600_000
 
     def test_stock_config_from_lm_config(self, fixture_corpus_path, tmp_path):
         out = str(tmp_path / "out")
@@ -458,6 +533,14 @@ class TestModelManifest:
                    "--output-dir", os.path.dirname(model_dir))
         err = capsys.readouterr().err
         assert code == 2 and "manifest" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("shape", [32, 1]), ("dtype", "float64")])
+    def test_tensor_shape_and_dtype_checked(self, model_dir, capsys, key, value):
+        # same blob and checksum: out_b of shape [V, 1] would broadcast
+        data = self._manifest(model_dir)
+        data["tensors"]["out_b"][key] = value
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and "'out_b'" in err and "needs 'float32' [32]" in err
 
     def test_tensor_file_outside_artifact(self, model_dir, capsys):
         data = self._manifest(model_dir)

@@ -8,28 +8,43 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incmine import _kernels, clustering
+from incmine import _kernels, clustering, errors
 from incmine.clustering import (
     METRICS,
     ClusterConfig,
     ClusteringError,
     EmbeddingFormatError,
     EmbeddingMatrix,
+    IpcaModel,
     ipca_fit,
-    kmedoids_fit,
     load_embedding_ids,
     load_embeddings,
     pairwise_distances,
     reduce_to_variance,
-    silhouette,
     sweep_k,
 )
+from incmine.errors import AllocationError
 
 import pam_oracle
 import whole_matrix_oracle
 from conftest import save_embeddings
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
+
+
+def fit_k(points, k, **config):
+    """PAM for one fixed k: the sweep over (k, k)."""
+    return sweep_k(points, ClusterConfig(k_range=(k, k), **config))[0]
+
+
+def sweep(points, k_lo, k_hi, **config):
+    return sweep_k(points, ClusterConfig(k_range=(k_lo, k_hi), **config))
+
+
+def mean_silhouette(points, labels):
+    """Mean silhouette of a labelling with clusters 0 and 1."""
+    dist = pairwise_distances(points, "euclidean")
+    return float(_kernels.silhouette_samples_from_dist(dist, np.asarray(labels), 2).mean())
 
 
 def small_fixture_suite():
@@ -76,8 +91,8 @@ class TestPairwiseDistances:
         scaled = pts.copy()
         scaled[3] *= 7.5
         scaled[8] *= 0.02
-        base = kmedoids_fit(pts, ClusterConfig(k=3, metric="cosine"))
-        other = kmedoids_fit(scaled, ClusterConfig(k=3, metric="cosine"))
+        base = fit_k(pts, 3, metric="cosine")
+        other = fit_k(scaled, 3, metric="cosine")
         assert (base.labels == other.labels).all()
 
     def test_cosine_zero_rows(self):
@@ -139,7 +154,7 @@ class TestPairwiseDistances:
         pts = np.zeros((100_000, 1))  # an 80 GB matrix
         tracemalloc.start()
         try:
-            with pytest.raises(ClusteringError, match="distance matrix"):
+            with pytest.raises(AllocationError, match="distance matrix"):
                 pairwise_distances(pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -148,19 +163,19 @@ class TestPairwiseDistances:
 
     def test_size_guard_cap(self, monkeypatch):
         pts = np.zeros((10, 2))
-        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 10 * 10 * 8)
+        monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 10 * 10 * 8)
         assert pairwise_distances(pts).shape == (10, 10)
-        monkeypatch.setattr(clustering, "MAX_DISTANCE_BYTES", 10 * 10 * 8 - 1)
+        monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 10 * 10 * 8 - 1)
         for fit in (lambda: pairwise_distances(pts, "cosine"),
-                    lambda: kmedoids_fit(pts, ClusterConfig(k=2)),
-                    lambda: sweep_k(pts, 2, 3)):
-            with pytest.raises(ClusteringError, match="10 points"):
+                    lambda: fit_k(pts, 2),
+                    lambda: sweep(pts, 2, 3)):
+            with pytest.raises(AllocationError, match="10 points"):
                 fit()
 
 
 class TestKMedoids:
     def test_two_separated_pairs(self):
-        fit = kmedoids_fit(FOUR_POINTS, ClusterConfig(k=2))
+        fit = fit_k(FOUR_POINTS, 2)
         assert fit.cost == 2.0
         assert list(fit.labels) == [0, 0, 1, 1]
         assert fit.medoids[0] in (0, 1) and fit.medoids[1] in (2, 3)
@@ -168,38 +183,39 @@ class TestKMedoids:
     def test_matches_exhaustive_optimum(self):
         dist = pairwise_distances(FOUR_POINTS, "euclidean")
         best_cost, _ = exhaustive_two_medoids(dist)
-        fit = kmedoids_fit(FOUR_POINTS, ClusterConfig(k=2))
+        fit = fit_k(FOUR_POINTS, 2)
         assert abs(fit.cost - best_cost) < 1e-12
 
     def test_k_equals_n(self):
-        fit = kmedoids_fit(FOUR_POINTS, ClusterConfig(k=4))
+        fit = fit_k(FOUR_POINTS, 4)
         assert fit.medoids == (0, 1, 2, 3)
         assert fit.cost == 0.0
 
     def test_identical_points(self):
-        fit = kmedoids_fit(np.zeros((5, 2)), ClusterConfig(k=2))
+        fit = fit_k(np.zeros((5, 2)), 2)
         assert fit.medoids == (0, 1)
         assert fit.cost == 0.0
         assert fit.silhouette == 0.0
 
     def test_k_too_large(self):
-        with pytest.raises(ClusteringError):
-            kmedoids_fit(FOUR_POINTS, ClusterConfig(k=5))
+        for k_lo, k_hi in ((5, 5), (5, 9)):
+            with pytest.raises(ClusteringError, match="k=5 exceeds number of points n=4"):
+                sweep(FOUR_POINTS, k_lo, k_hi)
 
     def test_non_finite_rejected(self):
         pts = np.array([[0.0], [np.nan]])
         with pytest.raises(ClusteringError):
-            kmedoids_fit(pts, ClusterConfig(k=2))
+            fit_k(pts, 2)
 
     def test_medoid_labels_own_cluster(self, rng):
         pts = rng.normal(size=(30, 3))
-        fit = kmedoids_fit(pts, ClusterConfig(k=4))
+        fit = fit_k(pts, 4)
         for ci, m in enumerate(fit.medoids):
             assert fit.labels[m] == ci
 
     def test_cost_matches_label_assignment(self, rng):
         pts = rng.normal(size=(25, 2))
-        fit = kmedoids_fit(pts, ClusterConfig(k=3))
+        fit = fit_k(pts, 3)
         dist = pairwise_distances(pts, "euclidean")
         manual = sum(dist[i, fit.medoids[fit.labels[i]]] for i in range(25))
         assert abs(fit.cost - manual) < 1e-9
@@ -209,7 +225,7 @@ class TestKMedoids:
         for pts in small_fixture_suite():
             dist = pairwise_distances(pts, "euclidean")
             best_cost, _ = exhaustive_two_medoids(dist)
-            fit = kmedoids_fit(pts, ClusterConfig(k=2))
+            fit = fit_k(pts, 2)
             assert fit.cost <= best_cost * 1.05 + 1e-12
             assert abs(fit.cost - best_cost) < 1e-9
 
@@ -222,7 +238,7 @@ class TestKMedoids:
                              rng.normal(size=(n2, 2)) + 8.0])
             dist = pairwise_distances(pts, "euclidean")
             best_cost, _ = exhaustive_two_medoids(dist)
-            fit = kmedoids_fit(pts, ClusterConfig(k=2))
+            fit = fit_k(pts, 2)
             assert fit.cost <= best_cost * 1.05 + 1e-12
             assert abs(fit.cost - best_cost) < 1e-9
 
@@ -251,16 +267,17 @@ class TestKMedoids:
 class TestSilhouette:
     def test_separated_pairs_value(self):
         # a = 1 for every point, b = 10.5 or 9.5; frozen from hand computation
-        value = silhouette(FOUR_POINTS, [0, 0, 1, 1])
+        value = mean_silhouette(FOUR_POINTS, [0, 0, 1, 1])
         expected = (19 / 21 + 17 / 19) / 2
         assert abs(value - expected) < 1e-12
+        assert fit_k(FOUR_POINTS, 2).silhouette == value
 
     def test_wide_separation_above_09(self):
         pts = np.array([[0.0], [1.0], [100.0], [101.0]])
-        assert silhouette(pts, [0, 0, 1, 1]) > 0.9
+        assert mean_silhouette(pts, [0, 0, 1, 1]) > 0.9
 
     def test_identical_points_zero(self):
-        assert silhouette(np.zeros((4, 2)), [0, 0, 1, 1]) == 0.0
+        assert mean_silhouette(np.zeros((4, 2)), [0, 0, 1, 1]) == 0.0
 
     def test_singleton_scores_zero(self):
         pts = np.array([[0.0], [1.0], [10.0]])
@@ -269,50 +286,37 @@ class TestSilhouette:
             dist, np.array([0, 0, 1]), 2)
         assert samples[2] == 0.0
 
-    @pytest.mark.parametrize("labels", [[-1, -1, 0, 0], [0, 0, 7, 7]])
-    def test_negative_and_sparse_labels(self, labels):
-        assert silhouette(FOUR_POINTS, labels) == silhouette(FOUR_POINTS, [0, 0, 1, 1])
-
-    def test_huge_label_reaches_kernel_compacted(self, monkeypatch):
-        seen = []
-
-        def spy(dist, labels, k):
-            seen.append((labels.tolist(), k))
-            return np.zeros(dist.shape[0])
-
-        monkeypatch.setattr(_kernels, "silhouette_samples_from_dist", spy)
-        silhouette(FOUR_POINTS, [0, 0, 10**9, 10**9])
-        assert seen == [([0, 0, 1, 1], 2)]
-
     def test_single_cluster_error(self):
-        with pytest.raises(ClusteringError):
-            silhouette(FOUR_POINTS, [0, 0, 0, 0])
+        # the fit never scores one cluster: k starts at 2
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            fit_k(FOUR_POINTS, 1)
 
 
 class TestSweep:
     def test_two_blobs_selects_two(self, rng):
         pts = np.vstack([rng.normal(size=(10, 2)),
                          rng.normal(size=(10, 2)) + 12.0])
-        best, report = sweep_k(pts, 2, 5)
+        best, report = sweep(pts, 2, 5)
         assert len(best.medoids) == 2
         assert set(np.unique(best.labels[:10])) != set(np.unique(best.labels[10:]))
-        assert [entry[0] for entry in report.entries] == [2, 3, 4, 5]
+        assert [k for k, _ in report.fits] == [2, 3, 4, 5]
 
     def test_truncation_flagged(self):
-        best, report = sweep_k(FOUR_POINTS, 2, 9)
+        best, report = sweep(FOUR_POINTS, 2, 9)
         assert report.truncated
-        assert report.entries[-1][0] == 4
+        assert report.fits[-1][0] == 4
 
     def test_single_k_sweep(self):
-        best, report = sweep_k(FOUR_POINTS, 2, 2)
-        assert len(report.entries) == 1
+        best, report = sweep(FOUR_POINTS, 2, 2)
+        assert len(report.fits) == 1 and not report.truncated
         assert len(best.medoids) == 2
+        assert report.fits[0] == (2, best)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24),
            metric=st.sampled_from(METRICS), max_iter=st.sampled_from((0, 1, 100)))
     def test_matches_per_k_fits(self, seed, n, metric, max_iter):
-        # one BUILD to the largest k must give every k what its own fit gives
+        # one BUILD to the largest k must give every k what its own BUILD gives
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(n, 3))
         pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
@@ -326,18 +330,19 @@ class TestSweep:
             return medoids_out, passes
 
         with mock.patch.object(_kernels, "pam_swap", recording_swap):
-            best, report = sweep_k(pts, 2, k_hi, metric=metric, max_iter=max_iter)
+            best, report = sweep(pts, 2, k_hi, metric=metric, max_iter=max_iter)
             swept = swaps[:]
-            fits = {}
-            for k, _, _ in report.entries:
-                fits[k] = kmedoids_fit(pts, ClusterConfig(k=k, metric=metric,
-                                                          max_iter=max_iter))
+            dist = pairwise_distances(pts, metric)
+            fits = {k: clustering._swap_and_score(dist, _kernels.pam_build(dist, k),
+                                                  max_iter)
+                    for k, _ in report.fits}
         assert swept == swaps[len(swept):]
-        assert [k for k, _, _ in report.entries] == list(range(2, min(k_hi, n) + 1))
-        assert list(report.entries) == [(k, f.cost, f.silhouette) for k, f in fits.items()]
-        assert list(report.swap_passes) == [(k, f.swap_passes) for k, f in fits.items()]
-        assert list(report.max_iter_hits) == [k for k, f in fits.items()
-                                              if f.swap_hit_max_iter]
+        assert [k for k, _ in report.fits] == list(range(2, min(k_hi, n) + 1))
+        for k, got in report.fits:
+            want = fits[k]
+            assert (got.medoids, got.cost, got.silhouette, got.swap_passes) == \
+                (want.medoids, want.cost, want.silhouette, want.swap_passes)
+            assert got.labels.tolist() == want.labels.tolist()
         want = fits[len(best.medoids)]
         assert best.medoids == want.medoids
         assert best.labels.tolist() == want.labels.tolist()
@@ -355,19 +360,16 @@ class TestSweep:
             return real_build(dist, k)
 
         with mock.patch.object(_kernels, "pam_build", recording_build):
-            sweep_k(FOUR_POINTS, 2, 9)
+            sweep(FOUR_POINTS, 2, 9)
         assert calls == [4]
 
     def test_swap_signals_reported(self):
         # BUILD gives medoids (1, 0), one SWAP moves 1 to 2 (see below)
         pts = np.array([[0.0], [2.0], [3.0], [3.0]])
-        fit = kmedoids_fit(pts, ClusterConfig(k=2))
-        assert fit.swap_passes == 1 and not fit.swap_hit_max_iter
-        capped = kmedoids_fit(pts, ClusterConfig(k=2, max_iter=0))
-        assert capped.swap_passes == 0 and capped.swap_hit_max_iter
-        _, report = sweep_k(pts, 2, 3, max_iter=0)
-        assert report.swap_passes == ((2, 0), (3, 0))
-        assert report.max_iter_hits == (2, 3)
+        assert fit_k(pts, 2).swap_passes == 1
+        assert fit_k(pts, 2, max_iter=0).swap_passes == 0
+        _, report = sweep(pts, 2, 3, max_iter=0)
+        assert [(k, fit.swap_passes) for k, fit in report.fits] == [(2, 0), (3, 0)]
 
 
 def _oracle_points(data, kind, n):
@@ -463,12 +465,14 @@ class TestKernelEquivalence:
         assert np.array_equal(deltas, whole_matrix_oracle.swap_deltas(dist, medoids))
 
     def test_fortran_and_float32_matrices(self, rng):
-        # kmedoids_fit takes a caller's matrix as it is
+        # the fit's kernels take a distance matrix as it is
         pts = np.vstack([rng.normal(size=(20, 2)), rng.normal(size=(20, 2)) + 9.0])
         dist = pairwise_distances(pts)
-        want = kmedoids_fit(pts, ClusterConfig(k=2), dist=dist)
+        want = fit_k(pts, 2)
         for other in (np.asfortranarray(dist), dist.astype(np.float32)):
-            got = kmedoids_fit(pts, ClusterConfig(k=2), dist=other)
+            with mock.patch.object(clustering, "pairwise_distances",
+                                   lambda points, metric: other):
+                got = fit_k(pts, 2)
             assert got.medoids == want.medoids
             assert got.labels.tolist() == want.labels.tolist()
 
@@ -551,10 +555,6 @@ class TestIpca:
         assert (np.diff(ratios) <= 1e-12).all()
         assert ratios.sum() <= 1.0 + 1e-9
 
-    def test_inconsistent_columns(self, rng):
-        with pytest.raises(ClusteringError):
-            ipca_fit([rng.normal(size=(5, 3)), rng.normal(size=(5, 4))])
-
     def test_needs_two_samples(self):
         with pytest.raises(ClusteringError):
             ipca_fit(np.ones((1, 4)))
@@ -584,8 +584,10 @@ class TestReduceToVariance:
 
     def test_unreachable_threshold_reports_max(self, rng):
         data = rng.normal(size=(50, 6))
-        model = ipca_fit(data, n_components=2)
-        with pytest.raises(ClusteringError, match="explain only"):
+        model = IpcaModel(mean=np.zeros(6), components=np.eye(6)[:2],
+                          singular_values=np.ones(2),
+                          explained_variance_ratio=np.array([0.375, 0.25]), n_seen=50)
+        with pytest.raises(ClusteringError, match="explain only 0.625000 < 0.999"):
             reduce_to_variance(model, data, 0.999)
 
     def test_distance_preservation_on_full_rank(self, rng):
@@ -645,16 +647,11 @@ class TestEmbeddingsIO:
 
 
 class TestClusterConfig:
-    def test_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(k=3, sweep=(2, 5))
-        with pytest.raises(ValueError):
-            ClusterConfig()
-
     def test_k_lower_bound(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(k=1)
+        for k_range in ((1, 1), (1, 5)):
+            with pytest.raises(ValueError, match="k must be >= 2"):
+                ClusterConfig(k_range=k_range)
 
     def test_sweep_bounds(self):
         with pytest.raises(ValueError):
-            ClusterConfig(sweep=(5, 2))
+            ClusterConfig(k_range=(5, 2))
