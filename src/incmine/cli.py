@@ -222,8 +222,7 @@ def _cluster_and_report(points, ids, args, out, **defaults) -> dict:
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "cluster"])
-    for rid, label in zip(ids, best.labels):
-        writer.writerow([rid, int(label)])
+    writer.writerows(zip(ids, best.labels.tolist()))
     _write_text(os.path.join(out, "clusters.csv"), buf.getvalue())
 
     return {

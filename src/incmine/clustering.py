@@ -52,6 +52,9 @@ class EmbeddingMatrix:
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if values.ndim != 2:
             raise ClusteringError("embedding matrix must be 2-D")
+        if values.shape[1] == 0:
+            # a header of n rows by 0 columns needs no payload, yet n ids
+            raise EmbeddingFormatError("embedding matrix has no columns")
         if not np.isfinite(values).all():
             raise EmbeddingFormatError("embedding matrix contains non-finite values")
         object.__setattr__(self, "values", values)

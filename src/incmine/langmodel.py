@@ -625,9 +625,10 @@ def load_model(path) -> LmModel:
 
     Every malformed manifest raises ``ArtifactError``: JSON nested too deep
     to parse, a value that is not a JSON object where one belongs, a missing
-    or unknown key, a config value ``LmConfig`` rejects, a tensor set, shape
-    or dtype other than the config's float32 tensors, or a tensor file
-    outside the artifact directory.
+    or unknown key, a config value ``LmConfig`` rejects, a vocabulary longer
+    than the config's ``vocab_size``, a tensor set, shape or dtype other than
+    the config's float32 tensors, or a tensor file outside the artifact
+    directory.
     """
     with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
         try:
@@ -649,6 +650,9 @@ def load_model(path) -> LmModel:
     tokens = manifest["vocab"]
     if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
         raise ArtifactError("manifest vocab is not a JSON list of strings")
+    if len(tokens) > config.vocab_size:  # ids past the embedding rows
+        raise ArtifactError(f"manifest vocab has {len(tokens)} tokens, above the "
+                            f"configured vocab_size {config.vocab_size}")
     vocab = LmVocabulary(tokens)
     if not isinstance(manifest["tensors"], dict):
         raise ArtifactError("manifest tensors is not a JSON object")

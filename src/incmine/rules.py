@@ -16,7 +16,11 @@ tractable on real corpora. Support counts come from the vertical-bitset
 kernel ``_kernels.support_counts``; all metrics reduce to these integer
 transaction counts, so the miner, ``rule_metrics`` and a brute-force
 enumerator produce bit-identical fractions. The miner returns its rules as one
-columnar ``RuleTable``, which the CSV and DOT exporters format directly.
+columnar ``RuleTable``, which the CSV and DOT exporters format directly. The
+columns repeat (a 74k-rule table holds about 1,300 itemset labels, and each
+metric column at most a third as many distinct floats as rules), so the
+exporters format each distinct label, node name and float once and build every
+line by joining the preformatted strings.
 """
 
 from __future__ import annotations
@@ -360,30 +364,61 @@ def _lex_rank(combos, n_items, binom):
             - binom[n_items - 1 - combos, np.arange(size, 0, -1)].sum(axis=1))
 
 
+def _format_distinct(values: np.ndarray, template: str) -> np.ndarray:
+    """``template.format(v)`` for each float64 of ``values``, as an object array.
+
+    Each distinct bit pattern is formatted once and its string gathered back
+    to every row. Keying on the bits, not the float value, keeps ``-0.0`` and
+    ``0.0`` (equal as floats, formatted apart) on their own strings.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(template.format, keys.view(np.float64).tolist())),
+                    dtype=object)[inverse]
+
+
+def _gather(strings: Sequence[str], index: np.ndarray) -> np.ndarray:
+    """``strings[i]`` for each ``i`` of ``index``, as an object array."""
+    return np.array(strings, dtype=object)[index]
+
+
 def rules_to_csv(table: RuleTable) -> str:
-    """CSV with '+'-joined itemsets, 0/1 negation flags and 6-decimal metrics."""
-    labels = ["+".join(items) for items in table.itemsets]
+    """CSV with '+'-joined itemsets, 0/1 negation flags and 6-decimal metrics.
+
+    Each row is the comma join of preformatted strings: every itemset label
+    is quoted once, and every distinct metric float formatted once. This is
+    the ``csv.writer`` output byte for byte, because ``QUOTE_MINIMAL`` quotes
+    a field by its own text alone (a label is quoted with a second, empty
+    field, as a lone empty field would be written as ``""``).
+    """
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["antecedent", "consequent", "neg_a", "neg_c",
-                     "support", "confidence", "lift"])
-    writer.writerows(zip(
-        map(labels.__getitem__, table.antecedent.tolist()),
-        map(labels.__getitem__, table.consequent.tolist()),
-        table.neg_antecedent.astype(np.int64).tolist(),
-        table.neg_consequent.astype(np.int64).tolist(),
-        map("{:.6f}".format, table.support.tolist()),
-        map("{:.6f}".format, table.confidence.tolist()),
-        map("{:.6f}".format, table.lift.tolist()),
-    ))
-    return buf.getvalue()
+    quoted = []
+    for items in table.itemsets:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(("+".join(items), ""))
+        quoted.append(buf.getvalue()[:-2])  # drop the empty field's ",\n"
+    flags = ("0", "1")
+    lines = ["antecedent,consequent,neg_a,neg_c,support,confidence,lift"]
+    lines += map(",".join, zip(
+        _gather(quoted, table.antecedent), _gather(quoted, table.consequent),
+        _gather(flags, table.neg_antecedent.view(np.uint8)),
+        _gather(flags, table.neg_consequent.view(np.uint8)),
+        _format_distinct(table.support, "{:.6f}"),
+        _format_distinct(table.confidence, "{:.6f}"),
+        _format_distinct(table.lift, "{:.6f}")))
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def export_rule_graph(table: RuleTable) -> str:
     """Directed GraphViz DOT text; NAR edges dashed, negated sides prefixed.
 
     Output is byte-stable: nodes are emitted as sorted strings and edges
-    sorted by (tail, head), the pair that identifies a rule.
+    sorted by (tail, head), the pair that identifies a rule. Each edge line
+    is the join of preformatted pieces: the quoted tail and head of each node
+    with their punctuation, each distinct metric float formatted once, and
+    one of two line endings.
     """
     labels = ["+".join(items) for items in table.itemsets]
     # a name per distinct (itemset id, negation) key; equal names are one node
@@ -400,11 +435,12 @@ def export_rule_graph(table: RuleTable) -> str:
 
     lines = ["digraph rules {"]
     lines += [f"  {name};" for name in quoted]
-    lines += [f'  {quoted[t]} -> {quoted[h]} [label="s={s:.3f} c={c:.3f} l={l:.3f}"'
-              f'{", style=dashed" if d else ""}];'
-              for t, h, s, c, l, d in zip(
-                  tail[order].tolist(), head[order].tolist(),
-                  table.support[order].tolist(), table.confidence[order].tolist(),
-                  table.lift[order].tolist(), dashed[order].tolist())]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += map("".join, zip(
+        _gather([f"  {name} -> " for name in quoted], tail[order]),
+        _gather([f'{name} [label="' for name in quoted], head[order]),
+        _format_distinct(table.support[order], "s={:.3f}"),
+        _format_distinct(table.confidence[order], " c={:.3f}"),
+        _format_distinct(table.lift[order], " l={:.3f}"),
+        _gather(('"];', '", style=dashed];'), dashed[order].view(np.uint8))))
+    lines.append("}\n")  # the final newline, without copying the joined text
+    return "\n".join(lines)

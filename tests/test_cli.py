@@ -1,9 +1,12 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
+import math
 import os
 import re
+import struct
 import tempfile
 import tracemalloc
 from dataclasses import asdict
@@ -18,7 +21,7 @@ from incmine.clustering import EmbeddingMatrix
 from incmine.errors import IncmineError
 from incmine.langmodel import LmConfig
 
-from conftest import save_embeddings
+from conftest import FIXTURE_ROWS, save_embeddings
 
 
 def run(*argv):
@@ -371,6 +374,15 @@ class TestClusterEmbeddings:
             assert capsys.readouterr().err == \
                 "error: k=21 exceeds number of points n=20\n"
 
+    def test_zero_columns_is_data_error(self, tmp_path, capsys):
+        # a 16-byte header declaring 10^12 rows of 0 columns needs no
+        # payload; without ids the CLI would name every row
+        emb = tmp_path / "empty.bin"
+        emb.write_bytes(struct.pack("<QQ", 10**12, 0))
+        assert run("cluster-embeddings", "--embeddings", str(emb), "--k", "2",
+                   "--output-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: embedding matrix has no columns\n"
+
     def test_id_count_mismatch(self, tmp_path):
         emb, _ = self._write_blobs(tmp_path)
         short_ids = tmp_path / "short.txt"
@@ -477,18 +489,20 @@ class TestTrainPredict:
         assert manifest["config"] == asdict(LmConfig(epochs=1))
 
 
+@pytest.fixture
+def model_dir(fixture_corpus_path, tmp_path):
+    """Artifact directory of an untrained model with a 32-token vocabulary."""
+    out = str(tmp_path / "out")
+    assert run("train-lm", "--corpus", fixture_corpus_path,
+               "--vocab-size", "32", "--embed-dim", "4",
+               "--recurrent-units", "3", "--dense-units", "4",
+               "--seq-len", "5", "--epochs", "0", "--no-stopwords",
+               "--output-dir", out) == 0
+    return os.path.join(out, "model")
+
+
 class TestModelManifest:
     """A malformed model manifest is a data error (exit 2), never a traceback."""
-
-    @pytest.fixture
-    def model_dir(self, fixture_corpus_path, tmp_path):
-        out = str(tmp_path / "out")
-        assert run("train-lm", "--corpus", fixture_corpus_path,
-                   "--vocab-size", "32", "--embed-dim", "4",
-                   "--recurrent-units", "3", "--dense-units", "4",
-                   "--seq-len", "5", "--epochs", "0", "--no-stopwords",
-                   "--output-dir", out) == 0
-        return os.path.join(out, "model")
 
     def _predict_with(self, model_dir, manifest, capsys):
         with open(os.path.join(model_dir, "manifest.json"), "w") as fh:
@@ -520,6 +534,13 @@ class TestModelManifest:
         data["config"]["momentum"] = 0.9
         code, err = self._predict_with(model_dir, data, capsys)
         assert code == 2 and "momentum" in err
+
+    def test_vocab_longer_than_config(self, model_dir, capsys):
+        # "scala" would get the id 32 of a 32-row embedding
+        data = self._manifest(model_dir)
+        data["vocab"] = [tok for tok in data["vocab"] if tok != "scala"] + ["nuovo", "scala"]
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and "manifest vocab has 33 tokens" in err
 
     def test_not_an_object(self, model_dir, capsys):
         code, err = self._predict_with(model_dir, [self._manifest(model_dir)], capsys)
@@ -682,15 +703,229 @@ def test_config_file_fuzz_keeps_exit_contract(fixture_corpus_path, command, line
             parsed = parse_config_file(cfg)
         except (IncmineError, ValueError):  # a line without '=', or not UTF-8
             parsed = {}
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([*command, "--config", cfg, "--corpus", fixture_corpus_path,
-                         "--output-dir", os.path.join(tmp, "out")])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+        code, err = _exit_contract([*command, "--config", cfg, "--corpus", fixture_corpus_path,
+                                    "--output-dir", os.path.join(tmp, "out")])
     unknown = sorted(key for key in parsed if key not in _KNOWN_KEYS)
     if unknown:
-        assert code == 1 and repr(unknown[0]) in err.getvalue()
+        assert code == 1 and repr(unknown[0]) in err
+
+
+def _exit_contract(argv):
+    """Exit code and stderr of ``main(argv)``, which must exit 0, 1 or 2 and
+    print no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+def _fuzz_file(directory, name, data: bytes):
+    path = os.path.join(directory, name)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+_FUZZ_SETTINGS = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                 HealthCheck.too_slow])
+# commands that read a corpus, an ontology or both; the sizes keep each run small
+_CORPUS_COMMANDS = st.sampled_from([("preprocess",), ("mine-rules", "--max-itemset-size", "2"),
+                                    ("cluster-tfidf", "--k", "2")])
+_TEXTS = st.one_of(
+    st.sampled_from(["", " ", "r1", "r2", "operaio cade da scala", "caduta scala bagnata",
+                     "n.d.", "-", "TAG", '"', ",", "a\nb", "\x00", "\ufeff", "🙂"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=10))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXTS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXTS, inner, max_size=3),
+    max_leaves=6)
+# usually nothing; else a NUL, a bare CR or a byte that is not UTF-8
+_JUNK = st.sampled_from([b"", b"", b"", b"\x00", b"\r", b"\xff", b"\xc3"])
+_IDS = st.one_of(st.sampled_from(["r1", "r2", "r3", "r4", ""]), _TEXTS)
+_GOOD_RECORDS = st.lists(st.sampled_from(FIXTURE_ROWS), unique=True, max_size=12)
+
+
+@st.composite
+def _spliced(draw, lines, garbage):
+    """The lines ``lines`` draws with up to two ``garbage`` lines inserted
+    anywhere, then junk bytes: a file that is valid or nearly so."""
+    lines = list(draw(lines))
+    for line in draw(st.lists(garbage, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines).encode("utf-8") + b"\n" + draw(_JUNK)
+
+
+def _csv_line(row):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(row)
+    return buf.getvalue()
+
+
+_CSV_HEADERS = st.sampled_from(["id,dynamics,consequence", "\ufeffid,dynamics,consequence",
+                                " id , dynamics , consequence", "id,dynamics"])
+_CSV_CORPUS = _spliced(
+    st.tuples(_CSV_HEADERS, _GOOD_RECORDS.map(lambda rows: [_csv_line(r) for r in rows]))
+    .map(lambda parts: [parts[0], *parts[1]]),
+    st.one_of(st.tuples(_IDS, _TEXTS, _TEXTS).map(_csv_line),
+              st.lists(_TEXTS, max_size=4).map(",".join)))
+_JSONL_CORPUS = _spliced(
+    _GOOD_RECORDS.map(lambda rows: [
+        json.dumps({"id": r[0], "dynamics": r[1], "consequence": r[2]}) for r in rows]),
+    st.one_of(
+        st.fixed_dictionaries({"id": st.one_of(_IDS, st.integers(), _JSON_VALUES),
+                               "dynamics": st.one_of(_TEXTS, _JSON_VALUES)},
+                              optional={"consequence": st.one_of(_TEXTS, _JSON_VALUES)}
+                              ).map(json.dumps),
+        st.fixed_dictionaries({}, optional={"id": _IDS, "dynamics": _TEXTS}).map(json.dumps),
+        _JSON_VALUES.map(json.dumps),
+        st.sampled_from(['{"id": ' + "9" * 5000 + ', "dynamics": "caduta"}',
+                         "[" * 5000 + "]" * 5000, '{"id": "r1"', "NaN"]),
+        _TEXTS))
+
+
+@_FUZZ_SETTINGS
+@given(command=_CORPUS_COMMANDS,
+       corpus_file=st.one_of(st.tuples(st.just("csv"), _CSV_CORPUS),
+                             st.tuples(st.just("jsonl"), _JSONL_CORPUS)))
+def test_corpus_fuzz_keeps_exit_contract(command, corpus_file):
+    """Corpus CSV and JSONL files of fixture records with garbage rows and
+    fields spliced in exit 0, 1 or 2, never with a traceback."""
+    fmt, data = corpus_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _fuzz_file(tmp, f"corpus.{fmt}", data)
+        _exit_contract([*command, "--corpus", path, "--format", fmt, "--no-stopwords",
+                        "--output-dir", os.path.join(tmp, "out")])
+
+
+_ONTOLOGY_LINES = st.one_of(
+    st.tuples(st.sampled_from(["scala", "caduta", "Operaio", "lama", "", " "]) | _TEXTS,
+              st.sampled_from(["LUOGO", "luogo", "A+B", "¬X", "TAG,X", "SCALA", "CADUTA", ""])
+              | _TEXTS).map("\t".join),
+    st.sampled_from(["# comment", "", "scala\tLUOGO\textra", "scala"]),
+    _TEXTS)
+
+
+@_FUZZ_SETTINGS
+@given(command=_CORPUS_COMMANDS, lines=st.lists(_ONTOLOGY_LINES, max_size=6), junk=_JUNK)
+def test_ontology_fuzz_keeps_exit_contract(fixture_corpus_path, command, lines, junk):
+    """Ontology TSV lines with missing or extra tabs, lowercase tags, tags
+    holding '+' or '¬', conflicting words and junk bytes exit 0, 1 or 2,
+    never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _fuzz_file(tmp, "ontology.tsv", "\n".join(lines).encode("utf-8") + junk)
+        _exit_contract([*command, "--corpus", fixture_corpus_path, "--ontology", path,
+                        "--output-dir", os.path.join(tmp, "out")])
+
+
+_MATRICES = st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3), max_size=8)
+_DIMS = st.sampled_from(["0", "1", "2", "3", "5", "-1", "1e3", "x", "",
+                         str(10**12), str(2**64)])
+_EMBED_VALUES = st.one_of(st.sampled_from(["0.5", "1", "-2", "0", "nan", "inf", "1e309",
+                                           "x", "1,5"]),
+                          st.floats(-10, 10).map(repr))
+
+
+@st.composite
+def _text_embeddings(draw):
+    """A valid n x 3 matrix, its header sometimes replaced, with garbage
+    rows spliced in."""
+    rows = draw(_MATRICES)
+    header = draw(st.one_of(st.just(f"{len(rows)} 3"),
+                            st.lists(_DIMS, min_size=1, max_size=3).map(" ".join)))
+    lines = [header] + [" ".join(map(repr, row)) for row in rows]
+    return draw(_spliced(st.just(lines), st.lists(_EMBED_VALUES, max_size=4).map(" ".join)))
+
+
+@st.composite
+def _binary_embeddings(draw):
+    """A valid n x 3 float32 matrix with its (rows, cols) uint64 header
+    sometimes replaced by a wrong, huge or empty shape (an empty one with
+    the empty payload it declares), a value sometimes made NaN or infinite,
+    and its payload sometimes cut short."""
+    values = [v for row in draw(_MATRICES) for v in row]
+    n_rows, n_cols = len(values) // 3, 3
+    if draw(st.booleans()):
+        n_rows, n_cols = draw(st.sampled_from([
+            (n_rows + 1, 3), (n_rows, 2), (2**63, 2), (2**64 - 1, 2**64 - 1),
+            (0, 3), (0, 2**64 - 1), (10**12, 0)]))
+        if n_rows * n_cols == 0:
+            values = []
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    payload = struct.pack(f"<{len(values)}f", *values)
+    cut = draw(st.sampled_from([0, 0, 1, 4]))
+    return struct.pack("<QQ", n_rows, n_cols) + payload[:len(payload) - cut] + draw(_JUNK)
+
+
+@_FUZZ_SETTINGS
+@given(embeddings=st.one_of(st.tuples(st.just("txt"), _text_embeddings()),
+                            st.tuples(st.just("bin"), _binary_embeddings())),
+       n_ids=st.one_of(st.none(), st.integers(0, 6)),
+       k=st.sampled_from([("--k", "2"), ("--k-range", "1", "3")]))
+def test_embeddings_fuzz_keeps_exit_contract(embeddings, n_ids, k):
+    """Text and binary embedding files with bad headers, short or long rows,
+    non-finite values and truncated payloads, with or without an id file,
+    exit 0, 1 or 2, never with a traceback."""
+    ext, data = embeddings
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["cluster-embeddings", "--embeddings", _fuzz_file(tmp, f"emb.{ext}", data),
+                *k, "--output-dir", os.path.join(tmp, "out")]
+        if n_ids is not None:
+            ids = "".join(f"s{i}\n" for i in range(n_ids)).encode("utf-8")
+            argv += ["--ids", _fuzz_file(tmp, "ids.txt", ids)]
+        _exit_contract(argv)
+
+
+def _paths(value, prefix=()):
+    """Every key path into nested dicts and lists, the root included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_manifest_fuzz_keeps_exit_contract(model_dir, data):
+    """A manifest.json with any node replaced, deleted or given an extra
+    key, with vocabulary tokens added, or replaced by junk bytes exits 0, 1
+    or 2, never with a traceback."""
+    manifest_path = os.path.join(model_dir, "manifest.json")
+    original = os.path.join(model_dir, "manifest.orig")  # examples share the fixture
+    if not os.path.exists(original):
+        os.replace(manifest_path, original)
+    manifest = json.loads(read(original))
+    for _ in range(data.draw(st.integers(0, 2))):
+        path = data.draw(st.sampled_from(list(_paths(manifest))))
+        if not path:  # the whole manifest
+            manifest = data.draw(_JSON_VALUES)
+            break
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "add", "tokens"]))
+        if action == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif action == "add" and isinstance(parent[path[-1]], dict):
+            parent[path[-1]][data.draw(_TEXTS)] = data.draw(_JSON_VALUES)
+        elif action == "tokens" and isinstance(manifest.get("vocab"), list):
+            # the text's word "scala" moves up to 40 places past the last id
+            words = [tok for tok in manifest["vocab"] if tok != "scala"]
+            filler = [f"w{i}" for i in range(data.draw(st.integers(0, 40)))]
+            manifest["vocab"] = words + filler + ["scala"]
+        else:
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+    text = json.dumps(manifest).encode("utf-8")
+    if data.draw(st.integers(0, 7)) == 0:
+        text = data.draw(st.binary(max_size=8))
+    _fuzz_file(model_dir, "manifest.json", text)
+    _exit_contract(["predict", "--model", model_dir, "--text", "operaio scivola su scala",
+                    "--no-stopwords", "--output-dir", os.path.dirname(model_dir)])
 
 
 class TestPipelineConfig:

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from incmine import _kernels, rules
@@ -298,6 +299,60 @@ NAR = (("a",), ("c",), False, True, 0.75, 1.0, 4 / 3)
 EXPORT_ITEMS = ("a", "caduta", "b,c", 'd"e', "è", "ùltimo", "TAG", "TAG,X", 'Z"')
 
 
+def _from_bits(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# floats the miner never emits: signed zeros, subnormals, huge, infinite and
+# NaN values (three bit patterns), and .3f / .6f half-way decimals
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300,
+                math.inf, -math.inf, math.nan, _from_bits(0xFFF8000000000000),
+                _from_bits(0x7FF8000000000001), 0.0005, 0.0015, 1.0005, -0.0005,
+                5e-7, 0.1234565, 0.75, 4 / 3)
+# each with its neighbours one ulp away, which mostly format the same
+_METRIC_FLOATS = st.one_of(
+    st.sampled_from([y for x in _EDGE_FLOATS
+                     for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]),
+    st.floats(width=64))
+_ADVERSARIAL_ITEMS = ("a", "b,c", 'd"e', '"', ",", "¬", "¬f", "g¬", "TAG", "TAG,X")
+
+
+def _node_name(items, negated):
+    return ("¬" if negated else "") + "+".join(items)
+
+
+@st.composite
+def _adversarial_rows(draw):
+    """Hand-made rule rows whose metrics repeat: each column draws from a
+    small pool. The DOT (tail, head) name pairs are distinct, as mined rules'
+    are: the object oracle orders equal pairs by edge label, the exporter by
+    rule order."""
+    side = st.lists(st.sampled_from(_ADVERSARIAL_ITEMS), min_size=1, max_size=3,
+                    unique=True).map(lambda items: tuple(sorted(items)))
+    pools = [draw(st.lists(_METRIC_FLOATS, min_size=1, max_size=6)) for _ in range(3)]
+    row = st.tuples(side, side, st.booleans(), st.booleans(),
+                    *(st.sampled_from(pool) for pool in pools))
+    return draw(st.lists(row, max_size=30, unique_by=lambda r: (
+        _node_name(r[0], r[2]), _node_name(r[1], r[3]))))
+
+
+def _mined_shaped_table():
+    """About 47k rules mined from 2,000 generated transactions over 40 words
+    with Zipf-like frequencies, with labels of 4 to 10 letters."""
+    rng = np.random.default_rng(0)
+    letters = np.array(list("acdeilmnoprstu"))
+    words = sorted({"".join(rng.choice(letters, size=int(rng.integers(4, 11))))
+                    for _ in range(40)})
+    p = 1.0 / np.arange(1, len(words) + 1) ** 0.6
+    p /= p.sum()
+    txs = [Transaction(str(i), frozenset(
+        words[j] for j in rng.choice(len(words), size=int(rng.integers(3, 12)),
+                                     replace=False, p=p)))
+        for i in range(2000)]
+    return fisinfis_mine(txs, MiningConfig(minsupp=0.05, mincnf=0.5, idf_min=0.0,
+                                           idf_max=10.0, max_itemset_size=3))
+
+
 class TestExport:
     def test_par_graph_structure(self):
         dot = export_rule_graph(rule_oracle.make_table([PAR]))
@@ -344,6 +399,31 @@ class TestExport:
         objects = export_oracle.rows(table)
         assert rules_to_csv(table) == export_oracle.rules_to_csv(objects)
         assert export_rule_graph(table) == export_oracle.export_rule_graph(objects)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_adversarial_rows())
+    @example(rows=[(("a",), ("b,c",), False, False, 0.0, -0.0, 0.0005),
+                   (("b,c",), ("a",), True, False, -0.0, 0.0, math.nan)])
+    def test_adversarial_table_matches_object_oracle(self, rows):
+        table = rule_oracle.make_table(rows)
+        objects = export_oracle.rows(table)
+        assert rules_to_csv(table) == export_oracle.rules_to_csv(objects)
+        assert export_rule_graph(table) == export_oracle.export_rule_graph(objects)
+
+    @pytest.mark.parametrize("export", [rules_to_csv, export_rule_graph])
+    def test_peak_memory_is_a_few_outputs(self, export):
+        # the strings and arrays built per row stay within a few copies of
+        # the text (about 3.9 x for the CSV and 4.6 x for the DOT, whose
+        # "¬" makes the text two bytes a character)
+        table = _mined_shaped_table()
+        assert 40_000 < len(table) < 60_000
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            text = export(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text)
 
     def test_empty_table_matches_object_oracle(self, toy_transactions):
         config = MiningConfig(minsupp=1.0, mincnf=0.8, idf_min=0.0, idf_max=10.0)
