@@ -233,7 +233,9 @@ def _read_jsonl(path):
                 continue
             try:
                 obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+            # ValueError covers JSONDecodeError and an integer over Python's
+            # digit limit; RecursionError, nesting too deep
+            except (ValueError, RecursionError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj or "dynamics" not in obj:
                 raise CorpusFormatError(

@@ -16,11 +16,21 @@ reshaped (B*T, d) GEMM, because the stacked form makes the per-step BLAS
 call (a gemv at B=1, as in ``predict``) and so keeps its floats. Adam
 moments live only inside ``train``, so the artifact holds no optimizer state.
 
+All parameters live in one contiguous 1-D buffer: ``_param_specs`` fixes the
+order and shape of the tensors, and so each tensor's offset, and
+``FlatParams`` maps each name to its reshaped view. Training keeps its
+gradients and the Adam m and v as buffers of the same layout; ``backward``
+writes into the gradient views, clipping runs on the whole buffer and Adam
+on cache-sized blocks of it. ``load_model`` reads each tensor file straight into its
+view's bytes of a little-endian float32 buffer and hashes those same bytes;
+a float64 config casts the buffer once, after every checksum has passed.
+
 Parameters default to float32 so the on-disk artifact (little-endian float32
 blobs) round-trips bit-exactly; gradient checking uses float64 configs. An
-``LmConfig`` whose parameters, with their float64 init draw and the Adam m
-and v, would exceed ``errors.MAX_ALLOCATION_BYTES`` is refused when it is
-built, and ``make_train_pairs`` refuses N x V targets over it.
+``LmConfig`` whose training buffers (weights, gradients, Adam m and v, and
+the float64 squares of clipping) would exceed
+``errors.MAX_ALLOCATION_BYTES`` is refused when it is built, and
+``make_train_pairs`` refuses N x V targets over it.
 """
 
 from __future__ import annotations
@@ -157,10 +167,10 @@ class LmConfig:
             raise ValueError("epochs must be >= 0")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
-        n_params = sum(math.prod(shape) for _, shape in _param_specs(self))
-        check_allocation(n_params * (8 + 3 * np.dtype(self.dtype).itemsize),
-                         f"a model of {n_params:,} parameters (float64 init draw, "
-                         f"weights, Adam m and v)")
+        n_params = _param_count(self)
+        check_allocation(n_params * (8 + 4 * np.dtype(self.dtype).itemsize),
+                         f"a model of {n_params:,} parameters (weights, gradients, "
+                         f"Adam m and v, float64 squares for clipping)")
 
     @property
     def np_dtype(self):
@@ -186,6 +196,33 @@ def _param_specs(config: LmConfig) -> list[tuple[str, tuple[int, ...]]]:
     return specs
 
 
+def _param_count(config: LmConfig) -> int:
+    return sum(math.prod(shape) for _, shape in _param_specs(config))
+
+
+class FlatParams(dict):
+    """Name -> reshaped view of ``flat``, one per ``_param_specs`` entry.
+
+    The views tile the 1-D buffer ``flat`` in registry order, so the dict
+    iterates in that order and a whole-buffer operation acts on every tensor.
+    Without ``flat``, a new uninitialised buffer of the config dtype is used.
+    """
+
+    def __init__(self, config: LmConfig, flat: Optional[np.ndarray] = None):
+        super().__init__()
+        size = _param_count(config)
+        if flat is None:
+            flat = np.empty(size, dtype=config.np_dtype)
+        elif flat.shape != (size,):
+            raise ValueError(f"flat buffer of shape {flat.shape}, the layout needs ({size},)")
+        start = 0
+        for name, shape in _param_specs(config):
+            stop = start + math.prod(shape)
+            self[name] = flat[start:stop].reshape(shape)
+            start = stop
+        self.flat = flat
+
+
 def _xavier_bound(shape: tuple[int, ...]) -> float:
     if len(shape) == 2:
         fan_in, fan_out = shape
@@ -194,32 +231,40 @@ def _xavier_bound(shape: tuple[int, ...]) -> float:
     return math.sqrt(6.0 / (fan_in + fan_out))
 
 
-def init_params(config: LmConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def init_params(config: LmConfig, rng: np.random.Generator) -> FlatParams:
     """Uniform Xavier draw per tensor, in registry order, cast to config dtype."""
-    params = {}
-    for name, shape in _param_specs(config):
-        bound = _xavier_bound(shape)
-        params[name] = rng.uniform(-bound, bound, size=shape).astype(config.np_dtype)
+    params = FlatParams(config)
+    for view in params.values():
+        bound = _xavier_bound(view.shape)
+        view[...] = rng.uniform(-bound, bound, size=view.shape)
     return params
+
+
+# elements per block of ``adam_step``: a block of params, grads, m, v and
+# scratch (5 x 256 KiB in float32) stays in a 2 MiB L2 cache across its 14
+# passes, where passes over the whole buffer are bound by memory traffic
+_ADAM_BLOCK = 1 << 16
 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Moments of a flat parameter buffer, and the scratch of one Adam block."""
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+                   scratch=np.empty(min(params.size, _ADAM_BLOCK), dtype=params.dtype))
 
 
 @dataclass
 class LmModel:
     config: LmConfig
     vocab: LmVocabulary
-    params: dict[str, np.ndarray]
+    params: dict[str, np.ndarray]  # a FlatParams from initialized and load_model
 
     @classmethod
     def initialized(cls, config: LmConfig, vocab: LmVocabulary,
@@ -442,8 +487,13 @@ def _batch_arrays(batch: Sequence[TrainPair], config: LmConfig):
 
 
 def backward(model: LmModel, batch: Sequence[TrainPair],
-             rng: Optional[np.random.Generator] = None):
-    """Exact gradients of the mean BCE for the batch; returns (grads, loss)."""
+             rng: Optional[np.random.Generator] = None,
+             grads: Optional[FlatParams] = None):
+    """Exact gradients of the mean BCE for the batch; returns (grads, loss).
+
+    The gradients are written into ``grads`` (a new ``FlatParams`` if None),
+    overwriting every view, so ``train`` reuses one buffer for all steps.
+    """
     if len(batch) == 0:
         raise LangModelError("batch must be non-empty")
     config = model.config
@@ -455,33 +505,38 @@ def backward(model: LmModel, batch: Sequence[TrainPair],
     probs, cache = _forward_batch(params, config, ids, True, rng)
     loss = bce_loss(probs, targets)
 
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    if grads is None:
+        grads = FlatParams(config)
     in_range = (probs > _PROB_EPS) & (probs < 1.0 - _PROB_EPS)
     dzo = np.where(in_range, probs - targets, 0.0).astype(config.np_dtype)
     dzo /= V * B
-    grads["out_w"] = cache["a2d"].T @ dzo
-    grads["out_b"] = dzo.sum(axis=0)
+    np.matmul(cache["a2d"].T, dzo, out=grads["out_w"])
+    np.sum(dzo, axis=0, out=grads["out_b"])
     da2d = dzo @ params["out_w"].T
     if cache["mask"] is not None:
         da2 = da2d * cache["mask"] / (1.0 - config.dropout_rate)
     else:
         da2 = da2d
     dz2 = da2 * (cache["z2"] > 0)
-    grads["dense2_w"] = cache["a1"].T @ dz2
-    grads["dense2_b"] = dz2.sum(axis=0)
+    np.matmul(cache["a1"].T, dz2, out=grads["dense2_w"])
+    np.sum(dz2, axis=0, out=grads["dense2_b"])
     da1 = dz2 @ params["dense2_w"].T
     dz1 = da1 * (cache["z1"] > 0)
-    grads["dense1_w"] = cache["flat"].T @ dz1
-    grads["dense1_b"] = dz1.sum(axis=0)
+    np.matmul(cache["flat"].T, dz1, out=grads["dense1_w"])
+    np.sum(dz1, axis=0, out=grads["dense1_b"])
     dflat = dz1 @ params["dense1_w"].T
     dh2 = dflat.reshape(B, config.seq_len, 2 * u)
 
-    dh1 = _bilstm_backward(params, 2, cache["lstm2"], dh2, grads)
-    demb = _bilstm_backward(params, 1, cache["lstm1"], dh1, grads)
-    np.add.at(grads["embedding"], ids, demb)
-    for g in grads.values():
-        if not np.isfinite(g).all():
-            raise NonFiniteError("non-finite gradient")
+    lstm_grads = {}
+    dh1 = _bilstm_backward(params, 2, cache["lstm2"], dh2, lstm_grads)
+    demb = _bilstm_backward(params, 1, cache["lstm1"], dh1, lstm_grads)
+    for name, g in lstm_grads.items():
+        grads[name][...] = g
+    d_embedding = grads["embedding"]
+    d_embedding.fill(0.0)  # the one view accumulated into
+    np.add.at(d_embedding, ids, demb)
+    if not np.isfinite(grads.flat).all():
+        raise NonFiniteError("non-finite gradient")
     return grads, loss
 
 
@@ -490,36 +545,55 @@ def backward(model: LmModel, batch: Sequence[TrainPair],
 # --------------------------------------------------------------------------
 
 def adam_step(params, grads, state: AdamState, config: LmConfig):
-    """One ADAM update in place: m, v moments, bias correction, step."""
+    """One ADAM update in place: m, v moments, bias correction, step.
+
+    ``params`` and ``grads`` are flat buffers of one layout, updated in
+    blocks of ``_ADAM_BLOCK`` elements. Each line is one ufunc over a block,
+    in the order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``; the update
+    is elementwise, so every float is that of the per-tensor update. ``grads``
+    is used as scratch once m and v have read it, and is left overwritten.
+    """
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        p, g, m, v = params[block], grads[block], state.m[block], state.v[block]
+        s = state.scratch[:p.size]
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        np.multiply(g, g, out=s)
+        s *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / corr1
-        v_hat = v / corr2
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        v += s
+        step = np.divide(m, corr1, out=g)
+        step *= config.learning_rate
+        np.divide(v, corr2, out=s)
+        np.sqrt(s, out=s)
+        s += config.epsilon
+        step /= s
+        p -= step
     return params, state
 
 
-def clip_gradients(grads, clip_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most clip_norm."""
-    total = 0.0
+def clip_gradients(grads: FlatParams, clip_norm: float) -> float:
+    """Scale all gradients so the global L2 norm is at most clip_norm.
+
+    Returns the norm before clipping. The squares are taken in float64 over
+    the whole buffer and summed per tensor, in registry order.
+    """
+    squares = grads.flat.astype(np.float64)
+    np.square(squares, out=squares)
+    total, start = 0.0, 0
     for g in grads.values():
-        total += float((g.astype(np.float64) ** 2).sum())
+        total += float(squares[start:start + g.size].sum())
+        start += g.size
     norm = math.sqrt(total)
     if clip_norm > 0 and norm > clip_norm:
-        scale = clip_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads.flat *= clip_norm / norm
     return norm
 
 
@@ -530,7 +604,8 @@ def train(pairs: Sequence[TrainPair], config: LmConfig,
         raise LangModelError("need at least one training pair")
     rng = np.random.default_rng(config.seed)
     model = LmModel.initialized(config, vocab, rng)
-    adam = AdamState.for_params(model.params)
+    grads = FlatParams(config)
+    adam = AdamState.for_params(model.params.flat)
     history: list[float] = []
     n = len(pairs)
     for epoch in range(config.epochs):
@@ -539,13 +614,13 @@ def train(pairs: Sequence[TrainPair], config: LmConfig,
         for bi, start in enumerate(range(0, n, config.batch_size)):
             batch = [pairs[i] for i in order[start:start + config.batch_size]]
             try:
-                grads, loss = backward(model, batch, rng)
+                _, loss = backward(model, batch, rng, grads)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(epoch, bi) from exc
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, bi)
             clip_gradients(grads, config.clip_norm)
-            adam_step(model.params, grads, adam, config)
+            adam_step(model.params.flat, grads.flat, adam, config)
             total += loss * len(batch)
         history.append(total / n)
     return model, history
@@ -581,12 +656,21 @@ def predict_consequence(model: LmModel, text: str, top_k: int = 10,
 # model artifact (manifest + float32 tensor blobs)
 # --------------------------------------------------------------------------
 
+def _bytes_of(arr: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, without a copy."""
+    return memoryview(arr).cast("B")
+
+
 def save_model(model: LmModel, path) -> None:
-    """Write manifest.json plus one little-endian float32 blob per tensor."""
+    """Write manifest.json plus one little-endian float32 blob per tensor.
+
+    A float32 tensor is written and hashed straight from its view; a float64
+    one is cast to float32 first.
+    """
     os.makedirs(os.path.join(path, "tensors"), exist_ok=True)
     tensors = {}
     for name in sorted(model.params):
-        blob = model.params[name].astype("<f4").tobytes(order="C")
+        blob = _bytes_of(np.ascontiguousarray(model.params[name], dtype="<f4"))
         rel = f"tensors/{name}.bin"
         with open(os.path.join(path, rel), "wb") as fh:
             fh.write(blob)
@@ -623,18 +707,25 @@ def _check_keys(obj, keys, what: str) -> None:
 def load_model(path) -> LmModel:
     """Rebuild a model from an artifact directory, verifying checksums.
 
-    Every malformed manifest raises ``ArtifactError``: JSON nested too deep
-    to parse, a value that is not a JSON object where one belongs, a missing
-    or unknown key, a config value ``LmConfig`` rejects, a vocabulary longer
-    than the config's ``vocab_size``, a tensor set, shape or dtype other than
-    the config's float32 tensors, or a tensor file outside the artifact
-    directory.
+    Every malformed manifest raises ``ArtifactError``: JSON that does not
+    parse (named by the manifest's path), a value that is not a JSON object
+    where one belongs, a missing or unknown key, a config value ``LmConfig``
+    rejects, a vocabulary longer than the config's ``vocab_size``, a tensor
+    set, shape or dtype other than the config's float32 tensors, a tensor
+    file outside the artifact directory, or one whose size is not its
+    shape's byte count (checked before any byte is read).
+
+    The tensors are read into one little-endian float32 ``FlatParams``
+    buffer, each file straight into its view's bytes, and each checksum is
+    over exactly those bytes; a float64 config casts the buffer once, after
+    every checksum has passed.
     """
-    with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except RecursionError as exc:
-            raise ArtifactError(f"manifest: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # or nested too deep
+            raise ArtifactError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ArtifactError("manifest is not a JSON object")
     version = manifest.get("version")
@@ -660,7 +751,7 @@ def load_model(path) -> LmModel:
     if manifest["tensors"].keys() != shapes.keys():
         raise ArtifactError("artifact tensor set does not match configuration")
     root = os.path.realpath(path)
-    params = {}
+    stored = FlatParams(config, np.empty(_param_count(config), dtype="<f4"))
     for name, spec in manifest["tensors"].items():
         _check_keys(spec, _TENSOR_KEYS, f"tensor {name!r}")
         if spec["shape"] != shapes[name] or spec["dtype"] != "float32":
@@ -671,14 +762,17 @@ def load_model(path) -> LmModel:
         if os.path.commonpath([root, file]) != root:
             raise ArtifactError(
                 f"tensor {name!r} file {spec['file']!r} lies outside the artifact directory")
+        blob = _bytes_of(stored[name])
         with open(file, "rb") as fh:
-            blob = fh.read()
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest != spec["sha256"]:
+            size = os.fstat(fh.fileno()).st_size
+            if size != blob.nbytes:
+                raise ArtifactError(f"tensor {name!r} file is {size} bytes, its shape "
+                                    f"needs {blob.nbytes}")
+            if fh.readinto(blob) != blob.nbytes:
+                raise ArtifactError(f"tensor {name!r} file shrank while being read")
+        if hashlib.sha256(blob).hexdigest() != spec["sha256"]:
             raise ArtifactChecksumError(f"checksum mismatch for tensor {name!r}")
-        try:
-            arr = np.frombuffer(blob, dtype="<f4").reshape(shapes[name])
-        except ValueError as exc:
-            raise ArtifactError(f"tensor {name!r}: {exc}") from exc
-        params[name] = arr.astype(config.np_dtype)
+    params = stored
+    if stored.flat.dtype != config.np_dtype:
+        params = FlatParams(config, stored.flat.astype(config.np_dtype))
     return LmModel(config=config, vocab=vocab, params=params)

@@ -115,6 +115,17 @@ class TestJsonlFields:
         assert f"c.jsonl:2: field '{field}'" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_id_over_the_digit_limit_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "dynamics": "cade male"}\n'
+                        '{"id": ' + "7" * 5000 + ', "dynamics": "urta"}\n', encoding="utf-8")
+        code = run("preprocess", "--corpus", str(path), "--format", "jsonl",
+                   "--no-stopwords", "--output-dir", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {path}:2: Exceeds the limit (4300 digits)" in err
+        assert "Traceback" not in err
+
     def test_integer_id(self, tmp_path):
         code, out = self._preprocess(tmp_path, {"id": 7, "dynamics": "cade male"},
                                      {"id": 0, "dynamics": "urta il muro"})
@@ -541,6 +552,16 @@ class TestModelManifest:
         data["vocab"] = [tok for tok in data["vocab"] if tok != "scala"] + ["nuovo", "scala"]
         code, err = self._predict_with(model_dir, data, capsys)
         assert code == 2 and "manifest vocab has 33 tokens" in err
+
+    def test_invalid_json_names_the_manifest(self, model_dir, capsys):
+        manifest = os.path.join(model_dir, "manifest.json")
+        with open(manifest, "w") as fh:
+            fh.write("not json")
+        code = run("predict", "--model", model_dir, "--text", "scala",
+                   "--output-dir", os.path.dirname(model_dir))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"error: {manifest}: Expecting value: line 1 column 1 (char 0)" in err
 
     def test_not_an_object(self, model_dir, capsys):
         code, err = self._predict_with(model_dir, [self._manifest(model_dir)], capsys)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lstm_oracle
 from incmine import langmodel as lm
+from incmine.cli import main
 from incmine.corpus import PreprocessConfig
 from lm_fixtures import (gradcheck_fixture, max_relative_fd_error,
                          overfit_fixture, zero_model)
@@ -109,6 +110,33 @@ class TestBackward:
         model, _ = gradcheck_fixture()
         with pytest.raises(lm.LangModelError):
             lm.backward(model, [])
+
+    def test_reused_buffer_matches_fresh(self):
+        # every view is overwritten; the embedding, accumulated into, is zeroed
+        model, pairs = gradcheck_fixture()
+        grads = lm.FlatParams(model.config)
+        grads.flat.fill(np.nan)
+        for batch in ([pairs[0]], pairs[1:], pairs):
+            fresh, fresh_loss = lm.backward(model, batch)
+            got, loss = lm.backward(model, batch, None, grads)
+            assert got is grads and loss == fresh_loss
+            assert np.array_equal(grads.flat, fresh.flat)
+
+
+class TestClip:
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_norm_is_the_per_tensor_float64_sum(self, dtype):
+        config = lm.LmConfig(vocab_size=40, embed_dim=6, recurrent_units=5,
+                             dense_units=7, seq_len=4, dtype=dtype)
+        grads = lm.FlatParams(config)
+        grads.flat[...] = np.random.default_rng(3).normal(0.0, 2.0, grads.flat.size)
+        want = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                             for g in grads.values()))
+        before = grads.flat.copy()
+        assert lm.clip_gradients(grads, 0.0) == want
+        assert np.array_equal(grads.flat, before)
+        assert lm.clip_gradients(grads, 1.0) == want
+        assert np.array_equal(grads.flat, before * (1.0 / want))
 
 
 def _lstm_case(seed, dtype, B, T, n_in, u):
@@ -225,30 +253,60 @@ class TestSigmoid:
 
 class TestAdam:
     def test_hand_computed_first_step(self):
-        params = {"w": np.zeros(1)}
-        grads = {"w": np.full(1, 0.5)}
+        params = np.zeros(1)
+        grads = np.full(1, 0.5)
         state = lm.AdamState.for_params(params)
         lm.adam_step(params, grads, state, lm.LmConfig(seq_len=1))
         expected = -1e-3 * 0.5 / (0.5 + 1e-8)
-        assert abs(params["w"][0] - expected) < 1e-15
+        assert abs(params[0] - expected) < 1e-15
         assert state.t == 1
 
     def test_zero_gradient_fixed_point(self):
-        params = {"w": np.full(3, 1.5)}
-        grads = {"w": np.zeros(3)}
+        params = np.full(3, 1.5)
+        grads = np.zeros(3)
         state = lm.AdamState.for_params(params)
         lm.adam_step(params, grads, state, lm.LmConfig(seq_len=1))
-        assert np.array_equal(params["w"], np.full(3, 1.5))
+        assert np.array_equal(params, np.full(3, 1.5))
+
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_blocked_update_matches_per_tensor_update(self, dtype):
+        config = lm.LmConfig(vocab_size=2000, embed_dim=16, recurrent_units=8,
+                             dense_units=20, seq_len=5, dtype=dtype)
+        assert lm._param_count(config) > lm._ADAM_BLOCK  # blocks end inside tensors
+        rng = np.random.default_rng(8)
+        params = lm.init_params(config, rng)
+        want = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(p) for name, p in want.items()}
+        v = {name: np.zeros_like(p) for name, p in want.items()}
+        state = lm.AdamState.for_params(params.flat)
+        b1, b2 = config.beta1, config.beta2
+        for t in range(1, 4):
+            grads = lm.FlatParams(config)
+            grads.flat[...] = rng.normal(0.0, 0.1, grads.flat.size)
+            for name, p in want.items():  # reference: the same update per tensor
+                g = grads[name]
+                m[name] *= b1
+                m[name] += (1.0 - b1) * g
+                v[name] *= b2
+                v[name] += (1.0 - b2) * (g * g)
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+            lm.adam_step(params.flat, grads.flat, state, config)
+            for name, p in want.items():
+                assert np.array_equal(params[name], p)
+                assert np.array_equal(lm.FlatParams(config, state.m)[name], m[name])
+                assert np.array_equal(lm.FlatParams(config, state.v)[name], v[name])
 
     def test_constant_gradient_step_size_near_lr(self):
         config = lm.LmConfig(seq_len=1)
-        params = {"w": np.zeros(1)}
+        params = np.zeros(1)
         state = lm.AdamState.for_params(params)
         prev = 0.0
         for _ in range(5):
-            lm.adam_step(params, {"w": np.full(1, 0.3)}, state, config)
-            step = abs(params["w"][0] - prev)
-            prev = params["w"][0]
+            lm.adam_step(params, np.full(1, 0.3), state, config)
+            step = abs(params[0] - prev)
+            prev = params[0]
             assert abs(step - config.learning_rate) < 0.1 * config.learning_rate
 
 
@@ -377,6 +435,106 @@ class TestArtifact:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(lm.ArtifactVersionError, match="lm-v0.*lm-v1"):
             lm.load_model(tmp_path / "model")
+
+
+def _saved(tmp_path, dtype="float32"):
+    if dtype == "float32":
+        _, _, vocab, config, pairs = overfit_fixture(epochs=2)
+        model, _ = lm.train(pairs, config, vocab)
+    else:
+        model, _ = gradcheck_fixture()
+    lm.save_model(model, tmp_path / "model")
+    return tmp_path / "model"
+
+
+def _artifact_files(path):
+    return {p.relative_to(path): p.read_bytes() for p in sorted(path.rglob("*"))
+            if p.is_file()}
+
+
+def _assert_tiles_one_buffer(params, config):
+    """Each tensor is a C-contiguous view of ``params.flat``, in registry order."""
+    flat = params.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous
+    offset = 0
+    for (name, shape), (got, view) in zip(lm._param_specs(config), params.items()):
+        assert got == name and view.shape == shape and view.flags.c_contiguous
+        assert np.shares_memory(view, flat)
+        assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+        offset += view.size
+    assert offset == flat.size
+    assert list(params) == [name for name, _ in lm._param_specs(config)]
+
+
+class TestFlatLayout:
+    def test_initialised_tensors_tile_one_buffer(self):
+        config = lm.LmConfig(vocab_size=50, embed_dim=6, recurrent_units=5,
+                             dense_units=7, seq_len=4)
+        params = lm.init_params(config, np.random.default_rng(0))
+        _assert_tiles_one_buffer(params, config)
+        assert params.flat.dtype == np.float32
+
+    def test_init_draw_is_the_per_tensor_draw(self):
+        config = lm.LmConfig(vocab_size=50, embed_dim=6, recurrent_units=5,
+                             dense_units=7, seq_len=4)
+        params = lm.init_params(config, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for name, shape in lm._param_specs(config):
+            bound = lm._xavier_bound(shape)
+            want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            assert np.array_equal(params[name], want)
+
+    def test_loaded_tensors_tile_one_buffer(self, tmp_path):
+        loaded = lm.load_model(_saved(tmp_path))
+        _assert_tiles_one_buffer(loaded.params, loaded.config)
+
+    def test_wrong_buffer_size_rejected(self):
+        config = lm.LmConfig(vocab_size=8, embed_dim=2, recurrent_units=2,
+                             dense_units=2, seq_len=2)
+        with pytest.raises(ValueError, match="layout needs"):
+            lm.FlatParams(config, np.zeros(lm._param_count(config) + 1, np.float32))
+
+
+class TestArtifactRoundTrip:
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_save_of_load_is_byte_identical(self, tmp_path, dtype):
+        path = _saved(tmp_path, dtype)
+        lm.save_model(lm.load_model(path), tmp_path / "again")
+        assert _artifact_files(tmp_path / "again") == _artifact_files(path)
+
+    def test_float64_load_casts_the_stored_float32(self, tmp_path):
+        path = _saved(tmp_path, "float64")
+        loaded = lm.load_model(path)
+        assert loaded.config.dtype == "float64"
+        _assert_tiles_one_buffer(loaded.params, loaded.config)
+        for name, shape in lm._param_specs(loaded.config):
+            stored = np.fromfile(path / "tensors" / f"{name}.bin", dtype="<f4")
+            assert loaded.params[name].dtype == np.float64
+            assert np.array_equal(loaded.params[name], stored.reshape(shape))
+
+
+class TestTensorFileSize:
+    """A tensor file of the wrong size is refused before it is read."""
+
+    @pytest.mark.parametrize("size", [
+        pytest.param(lambda n: n - 1, id="truncated"),
+        pytest.param(lambda n: n + 1, id="one-extra-byte"),
+        pytest.param(lambda n: 3 << 30, id="sparse-3GiB"),
+    ])
+    def test_wrong_size_is_artifact_error(self, tmp_path, capsys, size):
+        path = _saved(tmp_path)
+        blob = path / "tensors" / "out_w.bin"
+        n = blob.stat().st_size
+        with open(blob, "r+b") as fh:  # truncate() extends sparsely: no disk used
+            fh.truncate(size(n))
+        with pytest.raises(lm.ArtifactError, match=f"'out_w' file is {size(n)} bytes, "
+                                                   f"its shape needs {n}"):
+            lm.load_model(path)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(path), "--text", "scala",
+                     "--output-dir", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert "'out_w' file is" in err and "Traceback" not in err
 
 
 class TestTrainPair:
