@@ -9,15 +9,26 @@ on a precomputed distance matrix. BUILD costs and SWAP deltas are computed
 ``PAM_ROWS`` rows of the matrix at a time, so their scratch stays in cache
 instead of spanning n x n. Each column is still summed down the rows in
 ascending order, carried from block to block, so every cost and delta is the
-float the whole-matrix formula gives. (Blocks run over rows, not columns:
-numpy sums an (n, 1) block pairwise, so a one-column block would change the
-floats.) Equal computed costs break to the lowest index; on non-integer data
-an exact tie may differ in its last bit as summed here, and then rounding
-decides.
+float the whole-matrix formula gives. (numpy sums a one-column block
+pairwise, so a lone column is never summed on its own.) Equal computed costs
+break to the lowest index; on non-integer data an exact tie may differ in
+its last bit as summed here, and then rounding decides.
+
+SWAP keeps FastPAM1's sums (``SwapSums``) from one pass to the next, and
+``clustering.sweep_k`` from one k's first pass to the next k's, and
+recomputes only what the new medoids changed. A medoid's group sums are
+recomputed when one of its points, or their nearest or second-nearest
+medoid distance, changed. The all-points sum is recomputed only in the
+columns where a point whose nearest distance changed has a nonzero term
+before or after: elsewhere both terms are +0.0, and the sequential sum keeps
+its float. So the deltas of every pass are the floats a fresh computation
+gives, and SWAP takes the same path.
 
 Readable scalar-loop references for every kernel live under ``tests/``
 (``support_oracle.py``, ``pam_oracle.py``) and are checked against these.
 """
+
+import copy
 
 import numpy as np
 
@@ -64,6 +75,9 @@ def _item_bitsets(presence):
 
 # rows of ``dist`` per BUILD/SWAP block; bounds their (rows, n) scratch arrays
 PAM_ROWS = 32
+
+# share of SWAP's dirty columns above which it sums all of ``total`` again
+PAM_REFRESH_SHARE = 0.5
 
 
 def _add_rows(acc, buf, rows):
@@ -115,70 +129,156 @@ def _build_costs(dist, d_near):
     return costs
 
 
-def pam_swap(dist, medoids, max_iter):
-    """Best-improvement SWAP passes until none helps; returns (medoids, passes)."""
+def pam_swap(dist, medoids, max_iter, sums=None):
+    """Best-improvement SWAP passes until none helps; returns (medoids, passes).
+
+    ``sums``, the ``SwapSums`` of earlier medoids on the same ``dist``, gives
+    the first pass sums to start from. Once a pass has run it holds the sums
+    of ``medoids`` as passed in, so the next call can start from them.
+    """
     n = dist.shape[0]
     k = medoids.shape[0]
     medoids = medoids.copy()
     passes = 0
     if k >= n:
         return medoids, passes
+    if sums is None:
+        sums = SwapSums(n)
     while passes < max_iter:
-        deltas = _swap_deltas(dist, medoids)
+        deltas = sums.deltas(dist, medoids)
         deltas[:, medoids] = np.inf
         flat = int(np.argmin(deltas))  # C-order argmin: lowest m, then lowest h
         best_m, best_h = divmod(flat, n)
         if deltas[best_m, best_h] >= -1e-12:
             break
+        if passes == 0:
+            sums = sums.copy()  # the caller's sums stay at the medoids it passed
         medoids[best_m] = best_h
         passes += 1
     return medoids, passes
 
 
-def _swap_deltas(dist, medoids):
-    """(k, n) change of total cost when medoid position m is swapped for point h.
+class SwapSums:
+    """FastPAM1's shared-pass sums (Schubert & Rousseeuw 2019) of one medoid set.
 
-    FastPAM1's shared pass (Schubert & Rousseeuw 2019). With x = dist[i, h] -
-    d1[i] (d1, d2: distance to the nearest and second-nearest medoid), the
-    change is the sum of min(x, 0) over all points i (those nearer to h move
-    to it), minus that sum over the points of m, plus the sum of min(x, d2[i]
-    - d1[i]) over them (they go to h or to their second medoid). These equal
-    ``min(dist, d) - d1`` exactly, as subtraction and rounding are monotone,
-    and every sum runs down ascending rows, so each delta is the float the
-    whole-matrix ``sum(axis=0)`` formula gives.
+    With x = dist[i, h] - d1[i] (d1, d2: distance to the nearest and
+    second-nearest medoid), the change of total cost when medoid position m
+    is swapped for point h is ``total[h] - lost[m, h] + gained[m, h]``:
+    ``total`` sums min(x, 0) over all points i (those nearer to h move to
+    it), ``lost[m]`` sums the same over the points of m, and ``gained[m]``
+    sums min(x, d2[i] - d1[i]) over them (they go to h or to their second
+    medoid). These equal ``min(dist, d) - d1`` exactly, as subtraction and
+    rounding are monotone, and every sum runs down ascending rows, so each
+    delta is the float the whole-matrix ``sum(axis=0)`` formula gives.
+
+    ``deltas`` moves the sums to another medoid set and recomputes only what
+    that changed. A row's terms depend only on its dist row, d1 and d2 - d1,
+    so a group row ``lost[m]``/``gained[m]`` whose points and their d1 and
+    d2 - d1 are all bit for bit unchanged keeps its sums. A changed d1 alters
+    row i's ``total`` term only in the columns where dist[i, h] is below the
+    old or the new d1: elsewhere both terms are +0.0, so the sequential sum
+    is the same float. When more than ``PAM_REFRESH_SHARE`` of the columns
+    are dirty, all of ``total`` is summed again. A new ``SwapSums`` holds no
+    terms (d1 = -inf makes every term 0), so the first pass recomputes
+    whatever its medoids make nonzero.
     """
+
+    def __init__(self, n):
+        self.n1 = np.full(n, -1)         # nearest medoid position; -1: none
+        self.d1 = np.full(n, -np.inf)
+        self.gap = np.full(n, np.inf)    # d2 - d1
+        self.total = np.zeros(n)
+        self.lost = np.zeros((0, n))
+        self.gained = np.zeros((0, n))
+
+    def copy(self):
+        """A copy whose sums ``deltas`` can move without changing these."""
+        other = copy.copy(self)  # n1, d1 and gap are replaced, never written
+        other.total, other.lost, other.gained = (
+            self.total.copy(), self.lost.copy(), self.gained.copy())
+        return other
+
+    def deltas(self, dist, medoids):
+        """(k, n) change of total cost when medoid position m is swapped for
+        point h; leaves these sums at ``medoids``."""
+        n = dist.shape[0]
+        k = medoids.shape[0]
+        rows = np.arange(n)
+        sub = dist[:, medoids]
+        n1 = np.argmin(sub, axis=1)  # the first nearest medoid on ties
+        d1 = sub[rows, n1]
+        sub[rows, n1] = np.inf
+        gap = sub.min(axis=1) - d1  # inf when k == 1
+        moved = d1 != self.d1
+        changed = moved | (n1 != self.n1) | (gap != self.gap)
+        dirty = np.zeros(k, dtype=bool)  # groups that gained, lost or changed a row
+        dirty[n1[changed]] = True
+        left = self.n1[changed]
+        dirty[left[(left >= 0) & (left < k)]] = True
+        if k != self.lost.shape[0]:
+            self.lost, self.gained = (_resize_rows(a, k) for a in (self.lost, self.gained))
+        buf = np.empty((PAM_ROWS + 1, n))
+        scratch = np.empty((PAM_ROWS, n))
+        for m in np.flatnonzero(dirty).tolist():
+            own = np.flatnonzero(n1 == m)  # ascending rows
+            lost, gained = self.lost[m], self.gained[m]
+            lost[:] = 0.0
+            gained[:] = 0.0
+            for lo in range(0, own.shape[0], PAM_ROWS):
+                block = own[lo:lo + PAM_ROWS]
+                r = block.shape[0]
+                x = np.subtract(dist[block], d1[block, None], out=scratch[:r])
+                np.minimum(x, 0.0, out=buf[1:r + 1])
+                _add_rows(lost, buf, r)
+                np.minimum(x, gap[block, None], out=buf[1:r + 1])
+                _add_rows(gained, buf, r)
+        reach = np.maximum(self.d1[moved], d1[moved])
+        cols = _dirty_columns(dist, np.flatnonzero(moved), reach)
+        _sum_total(dist, d1, self.total, cols)
+        self.n1, self.d1, self.gap = n1, d1, gap
+        return self.total - self.lost + self.gained
+
+
+def _resize_rows(a, k):
+    """``a`` cut or zero-padded to k rows."""
+    out = np.zeros((k, a.shape[1]))
+    keep = min(k, a.shape[0])
+    out[:keep] = a[:keep]
+    return out
+
+
+def _dirty_columns(dist, rows, reach):
+    """Columns h with dist[i, h] < reach[i] for some i of ``rows``, ascending;
+    ``slice(None)`` once they are more than ``PAM_REFRESH_SHARE`` of all."""
     n = dist.shape[0]
-    k = medoids.shape[0]
-    rows = np.arange(n)
-    sub = dist[:, medoids]
-    n1 = np.argmin(sub, axis=1)  # the first nearest medoid on ties
-    d1 = sub[rows, n1][:, None]
-    sub[rows, n1] = np.inf
-    gap = sub.min(axis=1, keepdims=True) - d1  # inf when k == 1
-    buf = np.empty((PAM_ROWS + 1, n))
-    total = np.zeros(n)
+    dirty = np.zeros(n, dtype=bool)
+    for lo in range(0, rows.shape[0], PAM_ROWS):
+        near = dist[rows[lo:lo + PAM_ROWS]] < reach[lo:lo + PAM_ROWS, None]
+        dirty |= near.any(axis=0)
+        if np.count_nonzero(dirty) > PAM_REFRESH_SHARE * n:
+            return slice(None)
+    cols = np.flatnonzero(dirty)
+    if cols.shape[0] == 1:
+        # numpy sums an (r, 1) block pairwise, not row after row; the second
+        # column is clean, and summing it again gives the float it holds
+        cols = np.array([cols[0], (cols[0] + 1) % n])
+    return cols
+
+
+def _sum_total(dist, d1, total, cols):
+    """total[cols] = column sums of min(dist[:, cols] - d1, 0), rows ascending."""
+    n = dist.shape[0]
+    sums = np.zeros(total[cols].shape[0])
+    if sums.shape[0] == 0:
+        return
+    buf = np.empty((PAM_ROWS + 1, sums.shape[0]))
     for lo in range(0, n, PAM_ROWS):
         hi = min(n, lo + PAM_ROWS)
         x = buf[1:hi - lo + 1]
-        np.subtract(dist[lo:hi], d1[lo:hi], out=x)
+        np.subtract(dist[lo:hi, cols], d1[lo:hi, None], out=x)
         np.minimum(x, 0.0, out=x)
-        _add_rows(total, buf, hi - lo)
-    lost = np.zeros((k, n))
-    gained = np.zeros((k, n))
-    scratch = np.empty((PAM_ROWS, n))
-    by_medoid = np.argsort(n1, kind="stable")  # rows of each medoid, ascending
-    counts = np.bincount(n1, minlength=k)
-    ends = np.cumsum(counts)
-    for m in range(k):
-        for lo in range(ends[m] - counts[m], ends[m], PAM_ROWS):
-            own = by_medoid[lo:min(ends[m], lo + PAM_ROWS)]
-            r = own.shape[0]
-            x = np.subtract(dist[own], d1[own], out=scratch[:r])
-            np.minimum(x, 0.0, out=buf[1:r + 1])
-            _add_rows(lost[m], buf, r)
-            np.minimum(x, gap[own], out=buf[1:r + 1])
-            _add_rows(gained[m], buf, r)
-    return total - lost + gained
+        _add_rows(sums, buf, hi - lo)
+    total[cols] = sums
 
 
 def assign_to_medoids(dist, medoids):

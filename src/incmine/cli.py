@@ -144,6 +144,8 @@ def _load_inputs(args):
 
 
 def _outdir(args) -> str:
+    """Make the output directory. Each subcommand calls this just before it
+    writes its first file, so a refused call leaves no directory behind."""
     out = "." if args.output_dir is None else args.output_dir
     os.makedirs(out, exist_ok=True)
     return out
@@ -155,11 +157,11 @@ def _outdir(args) -> str:
 
 def cmd_preprocess(args) -> int:
     loaded, pre, ontology = _load_inputs(args)
-    out = _outdir(args)
     txs = corpus_mod.to_transactions(loaded, pre, ontology)
     top_k = corpus_mod.TOP_WORDS if args.top_k is None else args.top_k
     top = corpus_mod.top_frequent_words(loaded, top_k, pre)
 
+    out = _outdir(args)
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "items"])
@@ -187,11 +189,11 @@ def cmd_preprocess(args) -> int:
 
 def cmd_mine_rules(args) -> int:
     loaded, pre, ontology = _load_inputs(args)
-    out = _outdir(args)
     txs = corpus_mod.to_transactions(loaded, pre, ontology)
     n = len(txs.transactions)
     config = rules_mod.MiningConfig(**_given(args, rules_mod.MiningConfig))
     mined = rules_mod.fisinfis_mine(txs.transactions, config)
+    out = _outdir(args)
     _write_text(os.path.join(out, "rules.csv"), rules_mod.rules_to_csv(mined))
     _write_text(os.path.join(out, "rules.dot"), rules_mod.export_rule_graph(mined))
     n_par = len(mined) - int(np.count_nonzero(mined.neg_antecedent | mined.neg_consequent))
@@ -200,8 +202,8 @@ def cmd_mine_rules(args) -> int:
     return 0
 
 
-def _cluster_and_report(points, ids, args, out, **defaults) -> dict:
-    """k-medoids over ``points``; ``defaults`` overrides ``ClusterConfig``'s.
+def _cluster_config(args, **defaults) -> clustering.ClusterConfig:
+    """The ``ClusterConfig`` the flags set; ``defaults`` overrides its own.
 
     ``--k K`` (or ``clustering.k``) is the range (K, K); ``--k-range`` beats
     ``clustering.k`` from a config file."""
@@ -210,8 +212,12 @@ def _cluster_and_report(points, ids, args, out, **defaults) -> dict:
         if args.k is None:
             raise _UsageError("either --k or --k-range is required")
         k_range = (args.k, args.k)
-    config = clustering.ClusterConfig(
+    return clustering.ClusterConfig(
         k_range=tuple(k_range), **{**defaults, **_given(args, clustering.ClusterConfig)})
+
+
+def _cluster_and_report(points, ids, config) -> tuple[str, dict]:
+    """k-medoids over ``points``: the text of clusters.csv and the summary."""
     best, report = clustering.sweep_k(points, config)
     unconverged = [k for k, fit in report.fits if fit.swap_passes >= config.max_iter]
     if unconverged:
@@ -223,9 +229,8 @@ def _cluster_and_report(points, ids, args, out, **defaults) -> dict:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "cluster"])
     writer.writerows(zip(ids, best.labels.tolist()))
-    _write_text(os.path.join(out, "clusters.csv"), buf.getvalue())
 
-    return {
+    return buf.getvalue(), {
         "k": len(best.medoids),
         "cost": best.cost,
         "silhouette": best.silhouette,
@@ -240,7 +245,7 @@ def _cluster_and_report(points, ids, args, out, **defaults) -> dict:
 
 def cmd_cluster_tfidf(args) -> int:
     loaded, pre, ontology = _load_inputs(args)
-    out = _outdir(args)
+    config = _cluster_config(args, metric="cosine")
     docs = vectors.corpus_term_counts(loaded, pre, ontology)
     index = vectors.build_term_index(docs)
     matrix = vectors.tfidf_matrix(docs, index)
@@ -248,9 +253,10 @@ def cmd_cluster_tfidf(args) -> int:
     # refuse before densifying: the n x n distances, then the dense rows
     check_allocation(n_rows * n_rows * 8, f"the distance matrix of {n_rows} points")
     check_allocation(n_rows * n_cols * 8, f"the dense {n_rows} x {n_cols} tf-idf matrix")
+    clusters, summary = _cluster_and_report(matrix.toarray(), list(loaded.ids), config)
+    out = _outdir(args)
     _write_text(os.path.join(out, "tfidf_matrix.txt"), matrix.to_coo_text())
-    summary = _cluster_and_report(matrix.toarray(), list(loaded.ids), args, out,
-                                  metric="cosine")
+    _write_text(os.path.join(out, "clusters.csv"), clusters)
     summary["n_terms"] = n_cols
     _write_json(os.path.join(out, "cluster_summary.json"), summary)
     print(f"cluster-tfidf: k={summary['k']} silhouette={summary['silhouette']:.4f} "
@@ -259,9 +265,9 @@ def cmd_cluster_tfidf(args) -> int:
 
 
 def cmd_cluster_embeddings(args) -> int:
-    out = _outdir(args)
     if args.embeddings is None:
         raise _UsageError("an embedding file is required (--embeddings)")
+    config = _cluster_config(args)
     fmt = args.embeddings_format
     if fmt is None:
         fmt = "binary" if str(args.embeddings).endswith(".bin") else "text"
@@ -279,7 +285,9 @@ def cmd_cluster_embeddings(args) -> int:
     # fit and reduce on the same matrix: the reduction is in-sample
     model = clustering.ipca_fit(matrix.values, **_given(args, clustering.ipca_fit))
     reduced, m = clustering.reduce_to_variance(model, matrix.values, threshold)
-    summary = _cluster_and_report(reduced, ids, args, out)
+    clusters, summary = _cluster_and_report(reduced, ids, config)
+    out = _outdir(args)
+    _write_text(os.path.join(out, "clusters.csv"), clusters)
     summary["reduced_dims"] = m
     summary["explained"] = float(np.cumsum(model.explained_variance_ratio)[m - 1])
     _write_json(os.path.join(out, "cluster_summary.json"), summary)
@@ -290,13 +298,13 @@ def cmd_cluster_embeddings(args) -> int:
 
 def cmd_train_lm(args) -> int:
     loaded, pre, _ = _load_inputs(args)
-    out = _outdir(args)
     config = langmodel.LmConfig(**_given(args, langmodel.LmConfig))
     texts = [corpus_mod.preprocess(r.dynamics, pre) for r in loaded]
     texts += [corpus_mod.preprocess(r.consequence, pre) for r in loaded]
     vocab = langmodel.fit_vocab(texts, cap=config.vocab_size)
     pairs = langmodel.make_train_pairs(loaded, vocab, config, pre)
     model, history = langmodel.train(pairs, config, vocab)
+    out = _outdir(args)
     model_dir = os.path.join(out, "model")
     langmodel.save_model(model, model_dir)
     _write_json(os.path.join(out, "training_history.json"), {"loss": history})
@@ -307,11 +315,11 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    out = _outdir(args)
     model = langmodel.load_model(args.model)
     pre = _pre_config(args)
     top = langmodel.predict_consequence(model, args.text, pre=pre,
                                         **_given(args, langmodel.predict_consequence))
+    out = _outdir(args)
     _write_json(os.path.join(out, "prediction.json"), {
         "text": args.text,
         "top": [[token, prob] for token, prob in top],

@@ -6,9 +6,14 @@ result independent of the seed; the seed is only echoed into reports.
 ``sweep_k`` is the one fit: it fits every k of ``ClusterConfig.k_range`` and
 picks the best by mean silhouette, and a fixed k is the range (k, k). It
 builds the distance matrix and runs BUILD once, to the largest k, and starts
-each k's SWAP from the first k BUILD medoids. The matrix is the only n x n
-array: distances are computed in cache-sized chunks in place, and the
-BUILD/SWAP kernels in ``_kernels`` read it in row blocks.
+each k's SWAP from the first k BUILD medoids. The first k + 1 BUILD medoids
+only add one to the first k, so each k's first SWAP pass starts from the sums
+of the k before (``_kernels.SwapSums``) and recomputes only the medoid groups
+and the columns the added medoid changed; a term that is +0.0 before and
+after leaves its column's sum as it was, so every fit is the one a fresh
+SWAP gives. The matrix is the only n x n array: distances are computed in
+cache-sized chunks in place, and the BUILD/SWAP kernels in ``_kernels`` read
+it in row blocks.
 
 Incremental PCA consumes an externally produced sentence-embedding matrix in
 row batches, keeping every principal direction up to the data rank seen so
@@ -182,9 +187,12 @@ def _cosine_distances(points) -> np.ndarray:
     return d
 
 
-def _swap_and_score(dist, built, max_iter: int) -> ClusterAssignment:
-    """SWAP from the BUILD medoids, then labels, cost and mean silhouette."""
-    medoids, passes = _kernels.pam_swap(dist, built, max_iter)
+def _swap_and_score(dist, built, max_iter: int, sums) -> ClusterAssignment:
+    """SWAP from the BUILD medoids, then labels, cost and mean silhouette.
+
+    ``sums`` (``_kernels.SwapSums``) carries SWAP's first-pass sums from one
+    call to the next."""
+    medoids, passes = _kernels.pam_swap(dist, built, max_iter, sums)
     medoids = np.sort(medoids)
     labels, d_near = _kernels.assign_to_medoids(dist, medoids)
     cost = float(d_near.sum())
@@ -210,7 +218,8 @@ def sweep_k(points, config: ClusterConfig) -> tuple[ClusterAssignment, SweepRepo
     ks = range(k_lo, min(k_hi, n) + 1)
     dist = pairwise_distances(points, config.metric)
     built = _kernels.pam_build(dist, ks[-1])
-    fits = tuple((k, _swap_and_score(dist, built[:k], config.max_iter)) for k in ks)
+    sums = _kernels.SwapSums(n)
+    fits = tuple((k, _swap_and_score(dist, built[:k], config.max_iter, sums)) for k in ks)
     best = max((fit for _, fit in fits), key=lambda fit: fit.silhouette)  # first on ties
     return best, SweepReport(fits=fits, truncated=k_hi > n)
 

@@ -376,6 +376,43 @@ def _format_distinct(values: np.ndarray, template: str) -> np.ndarray:
                     dtype=object)[inverse]
 
 
+def _format_rounded(values: np.ndarray, template: str) -> np.ndarray:
+    """``_format_distinct(values, template)`` for a fixed-point ``template``,
+    formatting far fewer floats when many round to one string.
+
+    Correctly rounded formatting is monotone in the value, so when the two
+    ends of a run of sorted distinct values format alike, so does every value
+    between them. Bisecting the runs whose ends differ formats about log2 of
+    the run's length values per change of string, not one per value. NaN,
+    the infinities and -0.0 (equal to 0.0, formatted apart) are formatted on
+    their own.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    keys = keys.view(np.float64)
+    strings = np.empty(keys.shape[0], dtype=object)
+    odd = ~np.isfinite(keys) | ((keys == 0.0) & np.signbit(keys))
+    strings[odd] = [template.format(v) for v in keys[odd].tolist()]
+    regular = np.flatnonzero(~odd)
+    regular = regular[np.argsort(keys[regular])]  # distinct values, ascending
+    ordered = keys[regular].tolist()
+    formatted = [None] * len(ordered)
+    if ordered:
+        fmt = template.format
+        runs = [(0, len(ordered) - 1, fmt(ordered[0]), fmt(ordered[-1]))]
+        while runs:
+            lo, hi, first, last = runs.pop()
+            if first == last:
+                formatted[lo:hi + 1] = [first] * (hi + 1 - lo)
+            elif hi - lo == 1:
+                formatted[lo], formatted[hi] = first, last
+            else:
+                mid = (lo + hi) // 2
+                middle = fmt(ordered[mid])
+                runs += ((lo, mid, first, middle), (mid, hi, middle, last))
+    strings[regular] = formatted
+    return strings[inverse]
+
+
 def _gather(strings: Sequence[str], index: np.ndarray) -> np.ndarray:
     """``strings[i]`` for each ``i`` of ``index``, as an object array."""
     return np.array(strings, dtype=object)[index]
@@ -417,8 +454,8 @@ def export_rule_graph(table: RuleTable) -> str:
     Output is byte-stable: nodes are emitted as sorted strings and edges
     sorted by (tail, head), the pair that identifies a rule. Each edge line
     is the join of preformatted pieces: the quoted tail and head of each node
-    with their punctuation, each distinct metric float formatted once, and
-    one of two line endings.
+    with their punctuation, each distinct metric string formatted about
+    once, and one of two line endings.
     """
     labels = ["+".join(items) for items in table.itemsets]
     # a name per distinct (itemset id, negation) key; equal names are one node
@@ -438,9 +475,9 @@ def export_rule_graph(table: RuleTable) -> str:
     lines += map("".join, zip(
         _gather([f"  {name} -> " for name in quoted], tail[order]),
         _gather([f'{name} [label="' for name in quoted], head[order]),
-        _format_distinct(table.support[order], "s={:.3f}"),
-        _format_distinct(table.confidence[order], " c={:.3f}"),
-        _format_distinct(table.lift[order], " l={:.3f}"),
+        _format_rounded(table.support[order], "s={:.3f}"),
+        _format_rounded(table.confidence[order], " c={:.3f}"),
+        _format_rounded(table.lift[order], " l={:.3f}"),
         _gather(('"];', '", style=dashed];'), dashed[order].view(np.uint8))))
     lines.append("}\n")  # the final newline, without copying the joined text
     return "\n".join(lines)

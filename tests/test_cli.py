@@ -82,6 +82,35 @@ class TestExitCodes:
                    "--output-dir", str(tmp_path)) == 2
         assert "k must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("code, argv", [
+        (2, ["preprocess", "--corpus", "{missing}"]),
+        (2, ["preprocess", "--corpus", "{corpus}", "--top-k", "0"]),
+        (2, ["mine-rules", "--corpus", "{corpus}", "--minsupp", "2.0"]),
+        (1, ["cluster-tfidf", "--corpus", "{corpus}"]),
+        (2, ["cluster-tfidf", "--corpus", "{corpus}", "--k", "1"]),
+        (2, ["cluster-tfidf", "--corpus", "{corpus}", "--k", "999"]),
+        (1, ["cluster-embeddings", "--k", "2"]),
+        (2, ["cluster-embeddings", "--embeddings", "{embeddings}", "--k", "1"]),
+        (2, ["cluster-embeddings", "--embeddings", "{embeddings}", "--k", "21"]),
+        (2, ["train-lm", "--corpus", "{corpus}", "--epochs", "-1"]),
+        (2, ["predict", "--model", "{missing}", "--text", "operaio cade"]),
+        (2, ["predict", "--model", "{bad_model}", "--text", "operaio cade"]),
+    ])
+    def test_refused_call_makes_no_output_directory(self, code, argv, fixture_corpus_path,
+                                                     tmp_path, capsys):
+        embeddings = tmp_path / "emb.txt"
+        save_embeddings(EmbeddingMatrix(np.random.default_rng(0).normal(size=(20, 3))),
+                        embeddings)
+        bad_model = tmp_path / "model"
+        bad_model.mkdir()
+        (bad_model / "manifest.json").write_text("[]", encoding="utf-8")
+        paths = {"corpus": fixture_corpus_path, "embeddings": str(embeddings),
+                 "missing": str(tmp_path / "nope"), "bad_model": str(bad_model)}
+        out = tmp_path / "out"
+        assert run(*(arg.format(**paths) for arg in argv), "--output-dir", str(out)) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deeply_nested_jsonl_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"
         depth = 200_000

@@ -316,7 +316,8 @@ class TestSweep:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24),
            metric=st.sampled_from(METRICS), max_iter=st.sampled_from((0, 1, 100)))
     def test_matches_per_k_fits(self, seed, n, metric, max_iter):
-        # one BUILD to the largest k must give every k what its own BUILD gives
+        # one BUILD to the largest k, and each k's SWAP started from the sums
+        # of the k before, must give every k what it gets on its own
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(n, 3))
         pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
@@ -324,17 +325,18 @@ class TestSweep:
         swaps = []
         real_swap = _kernels.pam_swap
 
-        def recording_swap(dist, medoids, limit):
-            medoids_out, passes = real_swap(dist, medoids, limit)
+        def recording_swap(dist, medoids, limit, sums):
+            medoids_out, passes = real_swap(dist, medoids, limit, sums)
             swaps.append((medoids_out.tolist(), passes))
             return medoids_out, passes
 
         with mock.patch.object(_kernels, "pam_swap", recording_swap):
             best, report = sweep(pts, 2, k_hi, metric=metric, max_iter=max_iter)
             swept = swaps[:]
+            # each k alone: its own BUILD, and SWAP from fresh sums
             dist = pairwise_distances(pts, metric)
             fits = {k: clustering._swap_and_score(dist, _kernels.pam_build(dist, k),
-                                                  max_iter)
+                                                  max_iter, _kernels.SwapSums(n))
                     for k, _ in report.fits}
         assert swept == swaps[len(swept):]
         assert [k for k, _ in report.fits] == list(range(2, min(k_hi, n) + 1))
@@ -460,7 +462,7 @@ class TestKernelEquivalence:
         d_near = dist[:, medoids].min(axis=1)
         with mock.patch.object(_kernels, "PAM_ROWS", rows):
             costs = _kernels._build_costs(dist, d_near)
-            deltas = _kernels._swap_deltas(dist, medoids)
+            deltas = _kernels.SwapSums(n).deltas(dist, medoids)
         assert np.array_equal(costs, whole_matrix_oracle.build_costs(dist, d_near))
         assert np.array_equal(deltas, whole_matrix_oracle.swap_deltas(dist, medoids))
 
@@ -491,6 +493,108 @@ class TestKernelEquivalence:
         swapped, passes = _kernels.pam_swap(dist, built, 100)
         assert (swapped.tolist(), passes) == ([2, 0], 1)
         assert pam_oracle.pam_swap_loop(dist, built, 100)[0].tolist() == [2, 0]
+
+
+class _RecordingSums(_kernels.SwapSums):
+    """SwapSums that keeps each pass's medoids and deltas."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.seen = []
+
+    def deltas(self, dist, medoids):
+        got = super().deltas(dist, medoids)
+        self.seen.append((medoids.copy(), got.copy()))
+        return got
+
+
+def _swap_points(data, kind, metric, n):
+    pts = _oracle_points(data, kind, n)
+    if metric == "cosine" and data.draw(st.booleans()):
+        pts[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = 0.0
+    return pts
+
+
+def _check_every_pass(dist, sums, start, max_iter):
+    """SWAP from ``start`` on ``sums``; every pass's deltas must be the floats
+    of fresh sums and of the whole-matrix formula."""
+    n, k = dist.shape[0], start.shape[0]
+    sums.seen = []
+    medoids, passes = _kernels.pam_swap(dist, start, max_iter, sums)
+    # a pass per swap, and one more that finds none unless max_iter stops it
+    if k < n and max_iter > 0:
+        assert len(sums.seen) == passes + (passes < max_iter)
+    else:
+        assert sums.seen == []
+    for at, deltas in sums.seen:
+        assert np.array_equal(deltas, _kernels.SwapSums(n).deltas(dist, at))
+        assert np.array_equal(deltas, whole_matrix_oracle.swap_deltas(dist, at))
+    if sums.seen:
+        # the caller's sums are left at the start medoids
+        assert sums.seen[0][0].tolist() == start.tolist()
+        assert np.array_equal(sums.total - sums.lost + sums.gained, sums.seen[0][1])
+    return medoids, passes
+
+
+class TestIncrementalSwap:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("normal", "integer")),
+           metric=st.sampled_from(METRICS), n=st.integers(2, 30),
+           rows=st.sampled_from((1, 2, 3, 32)), share=st.sampled_from((0.0, 0.5, 1.0)),
+           max_iter=st.sampled_from((0, 1, 2, 100)))
+    def test_every_pass_matches_fresh_sums_and_whole_matrix(
+            self, data, kind, metric, n, rows, share, max_iter):
+        # share 0 sums all of total again whenever a column is dirty, share 1
+        # never does; integer points give exact ties, duplicates and zeros
+        dist = pairwise_distances(_swap_points(data, kind, metric, n), metric)
+        k = data.draw(st.integers(1, n))
+        start = np.array(data.draw(st.permutations(range(n)))[:k], dtype=np.int64)
+        with mock.patch.object(_kernels, "PAM_ROWS", rows), \
+                mock.patch.object(_kernels, "PAM_REFRESH_SHARE", share):
+            sums = _RecordingSums(n)
+            got = _check_every_pass(dist, sums, start, max_iter)
+            # go on from those sums with other medoids, of another k too,
+            # as the sweep does from one k to the next
+            k2 = data.draw(st.integers(1, n))
+            other = np.array(data.draw(st.permutations(range(n)))[:k2], dtype=np.int64)
+            _check_every_pass(dist, sums, other, max_iter)
+            again = _check_every_pass(dist, sums, start, max_iter)
+        want = _kernels.pam_swap(dist, start, max_iter)
+        for medoids, passes in (got, again):
+            assert (medoids.tolist(), passes) == (want[0].tolist(), want[1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_dirty_column_is_summed_row_after_row(self, seed):
+        # numpy sums a one-column block pairwise; the kernel must not
+        rng = np.random.default_rng(seed)
+        n = 200
+        dist = rng.random((n, n)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+        d1 = rng.random(n) * dist.max()
+        row = int(rng.integers(0, n))
+        h = int(np.argmin(dist[row]))
+        reach = np.array([np.partition(dist[row], 1)[1]])  # only h lies below
+        cols = _kernels._dirty_columns(dist, np.array([row]), reach)
+        assert h in cols.tolist()
+        total = np.zeros(n)
+        _kernels._sum_total(dist, d1, total, cols)
+        column = np.minimum(dist[:, h] - d1, 0.0)
+        sequential = 0.0
+        for term in column.tolist():
+            sequential += term
+        assert total[h] == sequential
+
+    @pytest.mark.parametrize("share", [0.0, 1.0])
+    def test_sweep_matches_fresh_swaps_at_either_share(self, share, rng):
+        pts = np.vstack([rng.normal(size=(40, 2)) + c for c in (0.0, 6.0, 12.0)])
+        pts[::9] = pts[1::9][:pts[::9].shape[0]]  # duplicate points
+        dist = pairwise_distances(pts)
+        built = _kernels.pam_build(dist, 12)
+        with mock.patch.object(_kernels, "PAM_REFRESH_SHARE", share):
+            sums = _RecordingSums(dist.shape[0])
+            for k in range(2, 13):
+                got, passes = _check_every_pass(dist, sums, built[:k], 100)
+                want, want_passes = _kernels.pam_swap(dist, built[:k], 100)
+                assert (got.tolist(), passes) == (want.tolist(), want_passes)
 
 
 class TestKernelModule:

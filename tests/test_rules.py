@@ -410,6 +410,26 @@ class TestExport:
         assert rules_to_csv(table) == export_oracle.rules_to_csv(objects)
         assert export_rule_graph(table) == export_oracle.export_rule_graph(objects)
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.floats(),  # NaN, the infinities and -0.0 included
+               st.floats(-3.0, 3.0),
+               # k / 2000 lies half-way between two 3-decimal strings, and
+               # its float neighbours round either way
+               st.builds(lambda k, side: float(np.nextafter(k / 2000, side)),
+                         st.integers(-6000, 6000),
+                         st.sampled_from((-math.inf, 0.0, math.inf))),
+               st.integers(-6000, 6000).map(lambda k: k / 2000)),
+               max_size=80),
+           template=st.sampled_from(("s={:.3f}", " c={:.3f}", "{:.1f}", "{:.0f}")))
+    @example(values=[0.0005, 0.0015, -0.0005, -0.0, 0.0, math.nan, math.inf, -math.inf,
+                     0.0004999999999999999, 2.5, 2.5], template=" l={:.3f}")
+    def test_rounded_formatting_matches_distinct(self, values, template):
+        values = np.array(values, dtype=np.float64)
+        got = rules._format_rounded(values, template)
+        assert got.dtype == object and got.shape == values.shape
+        assert got.tolist() == rules._format_distinct(values, template).tolist()
+
     @pytest.mark.parametrize("export", [rules_to_csv, export_rule_graph])
     def test_peak_memory_is_a_few_outputs(self, export):
         # the strings and arrays built per row stay within a few copies of
