@@ -299,17 +299,17 @@ def cmd_cluster_embeddings(args) -> int:
 def cmd_train_lm(args) -> int:
     loaded, pre, _ = _load_inputs(args)
     config = langmodel.LmConfig(**_given(args, langmodel.LmConfig))
-    texts = [corpus_mod.preprocess(r.dynamics, pre) for r in loaded]
-    texts += [corpus_mod.preprocess(r.consequence, pre) for r in loaded]
-    vocab = langmodel.fit_vocab(texts, cap=config.vocab_size)
-    pairs = langmodel.make_train_pairs(loaded, vocab, config, pre)
-    model, history = langmodel.train(pairs, config, vocab)
+    dynamics = [corpus_mod.preprocess(r.dynamics, pre) for r in loaded]
+    consequences = [corpus_mod.preprocess(r.consequence, pre) for r in loaded]
+    vocab = langmodel.fit_vocab(dynamics + consequences, cap=config.vocab_size)
+    ids, targets = langmodel.make_train_pairs(dynamics, consequences, vocab, config)
+    model, history = langmodel.train(ids, targets, config, vocab)
     out = _outdir(args)
     model_dir = os.path.join(out, "model")
     langmodel.save_model(model, model_dir)
     _write_json(os.path.join(out, "training_history.json"), {"loss": history})
     final = history[-1] if history else float("nan")
-    print(f"train-lm: {len(pairs)} pairs, {config.epochs} epochs, "
+    print(f"train-lm: {len(ids)} pairs, {config.epochs} epochs, "
           f"final loss {final:.6f} -> {model_dir}")
     return 0
 

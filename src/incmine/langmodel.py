@@ -25,6 +25,10 @@ on cache-sized blocks of it. ``load_model`` reads each tensor file straight into
 view's bytes of a little-endian float32 buffer and hashes those same bytes;
 a float64 config casts the buffer once, after every checksum has passed.
 
+The training set is two arrays, built once from the token lists that also
+fit the vocabulary: ``ids`` (N, seq_len) int64 and multi-hot ``targets``
+(N, V) in the config dtype. A step's batch is the same rows of both.
+
 Parameters default to float32 so the on-disk artifact (little-endian float32
 blobs) round-trips bit-exactly; gradient checking uses float64 configs. An
 ``LmConfig`` whose training buffers (weights, gradients, Adam m and v, and
@@ -45,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, PreprocessConfig, preprocess
+from .corpus import PreprocessConfig, preprocess
 from .errors import IncmineError, check_allocation
 
 PAD_TOKEN = "<pad>"
@@ -103,17 +107,11 @@ class LmVocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    def __eq__(self, other):
-        return isinstance(other, LmVocabulary) and self.tokens == other.tokens
-
     def id_of(self, token: str) -> int:
         return self._index.get(token, UNK_ID)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
-
-def fit_vocab(texts: Iterable[Sequence[str]], cap: int = 5000) -> LmVocabulary:
+def fit_vocab(texts: Iterable[Sequence[str]], cap: int) -> LmVocabulary:
     """Rank tokens by descending count (ties lexicographic), keep cap-2 of them."""
     if cap < 2:
         raise ValueError("cap must be >= 2 to hold PAD and UNK")
@@ -276,35 +274,29 @@ class LmModel:
         return cls(config=config, vocab=vocab, params=init_params(config, rng))
 
 
-@dataclass(frozen=True)
-class TrainPair:
-    input_ids: np.ndarray  # (seq_len,) int64
-    target: np.ndarray     # (vocab_size,) multi-hot
+def make_train_pairs(dynamics: Sequence[Sequence[str]],
+                     consequences: Sequence[Sequence[str]], vocab: LmVocabulary,
+                     config: LmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Token lists -> the training set ``(ids, targets)``.
 
-    def __post_init__(self):
-        if self.target[PAD_ID] != 0:
-            raise LangModelError("PAD must never be set in a target")
-
-
-def make_train_pairs(corpus: Corpus, vocab: LmVocabulary, config: LmConfig,
-                     pre: PreprocessConfig) -> list[TrainPair]:
-    """Dynamics -> ids, consequence tokens -> multi-hot target.
-
-    Consequence tokens missing from the vocabulary are dropped rather than
-    collapsed onto UNK, so the model never learns to predict UNK.
+    Row i of ``ids`` (N, seq_len) int64 is ``encode(dynamics[i])``; row i of
+    ``targets`` (N, V) in the config dtype is 1 at the id of each of
+    ``consequences[i]``'s tokens. Ids at or below UNK are never set: a token
+    missing from the vocabulary is dropped rather than collapsed onto UNK, so
+    the model never learns to predict UNK, and PAD is never a target.
     """
-    check_allocation(len(corpus) * config.vocab_size * np.dtype(config.dtype).itemsize,
-                     f"the {len(corpus)} x {config.vocab_size} training targets")
-    pairs = []
-    for rec in corpus:
-        ids = encode(preprocess(rec.dynamics, pre), vocab, config.seq_len)
-        target = np.zeros(config.vocab_size, dtype=config.np_dtype)
-        for tok in preprocess(rec.consequence, pre):
+    n = len(dynamics)
+    check_allocation(n * config.vocab_size * np.dtype(config.dtype).itemsize,
+                     f"the {n} x {config.vocab_size} training targets")
+    ids = np.empty((n, config.seq_len), dtype=np.int64)
+    targets = np.zeros((n, config.vocab_size), dtype=config.np_dtype)
+    for i, (tokens, consequence) in enumerate(zip(dynamics, consequences, strict=True)):
+        ids[i] = encode(tokens, vocab, config.seq_len)
+        for tok in consequence:
             idx = vocab.id_of(tok)
-            if idx != UNK_ID:
-                target[idx] = 1.0
-        pairs.append(TrainPair(input_ids=ids, target=target))
-    return pairs
+            if idx > UNK_ID:
+                targets[i, idx] = 1.0
+    return ids, targets
 
 
 # --------------------------------------------------------------------------
@@ -480,25 +472,20 @@ def bce_loss(probs, target) -> float:
     return float(losses.mean())
 
 
-def _batch_arrays(batch: Sequence[TrainPair], config: LmConfig):
-    ids = np.stack([p.input_ids for p in batch]).astype(np.int64)
-    targets = np.stack([p.target for p in batch]).astype(config.np_dtype)
-    return ids, targets
-
-
-def backward(model: LmModel, batch: Sequence[TrainPair],
+def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
              rng: Optional[np.random.Generator] = None,
              grads: Optional[FlatParams] = None):
     """Exact gradients of the mean BCE for the batch; returns (grads, loss).
 
-    The gradients are written into ``grads`` (a new ``FlatParams`` if None),
-    overwriting every view, so ``train`` reuses one buffer for all steps.
+    The batch is ``ids`` (B, seq_len) int64 and ``targets`` (B, V) in the
+    config dtype, rows of ``make_train_pairs``'s arrays. The gradients are
+    written into ``grads`` (a new ``FlatParams`` if None), overwriting every
+    view, so ``train`` reuses one buffer for all steps.
     """
-    if len(batch) == 0:
+    if len(ids) == 0:
         raise LangModelError("batch must be non-empty")
     config = model.config
     params = model.params
-    ids, targets = _batch_arrays(batch, config)
     B = ids.shape[0]
     V = config.vocab_size
     u = config.recurrent_units
@@ -597,31 +584,32 @@ def clip_gradients(grads: FlatParams, clip_norm: float) -> float:
     return norm
 
 
-def train(pairs: Sequence[TrainPair], config: LmConfig,
+def train(ids: np.ndarray, targets: np.ndarray, config: LmConfig,
           vocab: LmVocabulary) -> tuple[LmModel, list[float]]:
-    """Shuffled mini-batch training; returns model + mean per-epoch losses."""
-    if len(pairs) == 0:
+    """Shuffled mini-batch training on ``make_train_pairs``'s arrays;
+    returns model + mean per-epoch losses."""
+    n = len(ids)
+    if n == 0:
         raise LangModelError("need at least one training pair")
     rng = np.random.default_rng(config.seed)
     model = LmModel.initialized(config, vocab, rng)
     grads = FlatParams(config)
     adam = AdamState.for_params(model.params.flat)
     history: list[float] = []
-    n = len(pairs)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
         for bi, start in enumerate(range(0, n, config.batch_size)):
-            batch = [pairs[i] for i in order[start:start + config.batch_size]]
+            b = order[start:start + config.batch_size]
             try:
-                _, loss = backward(model, batch, rng, grads)
+                _, loss = backward(model, ids[b], targets[b], rng, grads)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(epoch, bi) from exc
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, bi)
             clip_gradients(grads, config.clip_norm)
             adam_step(model.params.flat, grads.flat, adam, config)
-            total += loss * len(batch)
+            total += loss * len(b)
         history.append(total / n)
     return model, history
 

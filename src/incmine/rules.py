@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from io import StringIO
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import csv
 
@@ -55,10 +55,6 @@ MAX_RULES = 1_000_000
 
 
 class EmptyTransactionListError(RulesError):
-    pass
-
-
-class ItemAbsentError(RulesError):
     pass
 
 
@@ -154,29 +150,9 @@ def _check_transactions(transactions: Sequence[Transaction]):
         raise EmptyTransactionListError("transaction list is empty")
 
 
-def support(itemset: Itemset | Iterable[str], transactions: Sequence[Transaction]) -> float:
-    """Fraction of transactions containing every item of the set."""
-    _check_transactions(transactions)
-    items = set(itemset)
-    hits = sum(1 for t in transactions if items <= t.items)
-    return hits / len(transactions)
-
-
-def idf(item: str, transactions: Sequence[Transaction],
-        doc_freq: Mapping[str, int] | None = None) -> float:
-    """Natural log of |T| / document-frequency(item).
-
-    ``doc_freq`` (item -> number of transactions containing it) replaces the
-    scan over the transactions when given.
-    """
-    _check_transactions(transactions)
-    if doc_freq is None:
-        df = sum(1 for t in transactions if item in t.items)
-    else:
-        df = doc_freq.get(item, 0)
-    if df == 0:
-        raise ItemAbsentError(f"item {item!r} occurs in no transaction")
-    return math.log(len(transactions) / df)
+def idf(n: int, df: int) -> float:
+    """Natural log of n / df: the IDF of an item in df of n transactions."""
+    return math.log(n / df)
 
 
 def rule_metrics(antecedent: Itemset, consequent: Itemset,
@@ -249,8 +225,8 @@ def fisinfis_mine(transactions: Sequence[Transaction],
         _check_band(config.idf_min, idf_max)
 
     doc_freq = Counter(item for t in transactions for item in t.items)
-    kept = [item for item in sorted(doc_freq)
-            if config.idf_min <= idf(item, transactions, doc_freq) <= idf_max]
+    kept = [item for item, df in sorted(doc_freq.items())
+            if config.idf_min <= idf(n, df) <= idf_max]
     if not kept:
         return _no_rules()
 

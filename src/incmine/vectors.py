@@ -1,8 +1,9 @@
 """Sparse TF-IDF features over (optionally tag-substituted) descriptions.
 
 TF is the raw in-description count; IDF is ln(N/df) with no smoothing, so for
-binary counts the weights agree exactly with ``rules.idf``. Terms present in
-every description weigh zero and are not stored.
+binary counts the weights agree exactly with ``rules.idf(N, df)``, the IDF
+band's value. Terms present in every description weigh zero and are not
+stored.
 """
 
 from __future__ import annotations

@@ -23,20 +23,21 @@ OVERFIT_ROWS = [
 def overfit_fixture(epochs=200):
     corpus = make_corpus(OVERFIT_ROWS)
     pre = PreprocessConfig()
-    texts = [preprocess(r.dynamics, pre) for r in corpus]
-    texts += [preprocess(r.consequence, pre) for r in corpus]
-    vocab = lm.fit_vocab(texts, cap=64)
+    dynamics = [preprocess(r.dynamics, pre) for r in corpus]
+    consequences = [preprocess(r.consequence, pre) for r in corpus]
+    vocab = lm.fit_vocab(dynamics + consequences, cap=64)
     config = lm.LmConfig(
         vocab_size=len(vocab), embed_dim=8, recurrent_units=8, dense_units=16,
         dropout_rate=0.0, seq_len=5, learning_rate=0.02, batch_size=8,
         epochs=epochs, seed=11, dtype="float32",
     )
-    pairs = lm.make_train_pairs(corpus, vocab, config, pre)
-    return corpus, pre, vocab, config, pairs
+    ids, targets = lm.make_train_pairs(dynamics, consequences, vocab, config)
+    return corpus, pre, vocab, config, ids, targets
 
 
 def gradcheck_fixture(seed=7):
-    """Tiny float64 model and 3 random pairs for finite differences."""
+    """Tiny float64 model and 3 random pairs, ``(model, ids, targets)``, for
+    finite differences."""
     config = lm.LmConfig(
         vocab_size=12, embed_dim=4, recurrent_units=3, dense_units=4,
         dropout_rate=0.0, seq_len=5, dtype="float64", seed=3,
@@ -45,13 +46,12 @@ def gradcheck_fixture(seed=7):
                             + [f"t{i}" for i in range(10)])
     rng = np.random.default_rng(seed)
     model = lm.LmModel.initialized(config, vocab, rng)
-    pairs = []
-    for _ in range(3):
-        ids = rng.integers(0, config.vocab_size, size=config.seq_len)
-        target = np.zeros(config.vocab_size)
-        target[rng.integers(2, config.vocab_size, size=2)] = 1.0
-        pairs.append(lm.TrainPair(input_ids=ids.astype(np.int64), target=target))
-    return model, pairs
+    ids = np.empty((3, config.seq_len), dtype=np.int64)
+    targets = np.zeros((3, config.vocab_size))
+    for i in range(3):
+        ids[i] = rng.integers(0, config.vocab_size, size=config.seq_len)
+        targets[i, rng.integers(2, config.vocab_size, size=2)] = 1.0
+    return model, ids, targets
 
 
 def zero_model(config):
@@ -63,16 +63,15 @@ def zero_model(config):
     return lm.LmModel(config=config, vocab=vocab, params=params)
 
 
-def batch_loss(model, pairs):
+def batch_loss(model, ids, targets):
     """Train-mode forward and mean BCE, without gradients."""
-    ids, targets = lm._batch_arrays(pairs, model.config)
     probs, _ = lm._forward_batch(model.params, model.config, ids, True, None)
     return lm.bce_loss(probs, targets)
 
 
-def max_relative_fd_error(model, pairs, coords_per_tensor, fd_rng, h=1e-5):
+def max_relative_fd_error(model, ids, targets, coords_per_tensor, fd_rng, h=1e-5):
     """Max symmetric relative error between analytic and central-diff grads."""
-    grads, _ = lm.backward(model, pairs)
+    grads, _ = lm.backward(model, ids, targets)
     worst = 0.0
     for name in sorted(model.params):
         flat = model.params[name].ravel()
@@ -82,9 +81,9 @@ def max_relative_fd_error(model, pairs, coords_per_tensor, fd_rng, h=1e-5):
         for idx in idxs:
             orig = flat[idx]
             flat[idx] = orig + h
-            loss_plus = batch_loss(model, pairs)
+            loss_plus = batch_loss(model, ids, targets)
             flat[idx] = orig - h
-            loss_minus = batch_loss(model, pairs)
+            loss_minus = batch_loss(model, ids, targets)
             flat[idx] = orig
             fd = (loss_plus - loss_minus) / (2.0 * h)
             analytic = gflat[idx]

@@ -12,7 +12,19 @@ from itertools import combinations
 import numpy as np
 
 from incmine.corpus import Transaction
-from incmine.rules import MiningConfig, RuleTable
+from incmine.rules import MiningConfig, RuleTable, _check_transactions, idf
+
+
+def support(itemset, transactions):
+    """Fraction of transactions containing every item of the set."""
+    _check_transactions(transactions)
+    items = set(itemset)
+    return sum(1 for t in transactions if items <= t.items) / len(transactions)
+
+
+def idf_of(item, transactions):
+    """``rules.idf`` of an item, its document frequency counted by a scan."""
+    return idf(len(transactions), sum(1 for t in transactions if item in t.items))
 
 
 def enumerate_rules(transactions, config):

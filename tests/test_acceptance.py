@@ -29,7 +29,6 @@ from incmine.rules import (
     export_rule_graph,
     fisinfis_mine,
     rule_metrics,
-    support,
 )
 from incmine.vectors import build_term_index, tfidf_matrix
 
@@ -85,7 +84,7 @@ def test_c02_metric_identities():
             assert abs(direct.lift - lift) < 1e-12
             checked += 1
         for item in sorted({i for t in txs for i in t.items}):
-            p = support(Itemset([item]), txs)
+            p = rule_oracle.support(Itemset([item]), txs)
             p_not = sum(1 for t in txs if item not in t.items) / n
             assert abs(p_not - (1.0 - p)) < 1e-12
     assert checked > 50
@@ -136,7 +135,6 @@ def test_c05_tfidf_fixture_and_idf_consistency():
     dense2 = tfidf_matrix(double, idx2).toarray()
     assert abs(dense2[0, idx2.positions["raro"]] - 2 * math.log(2)) < 1e-12
 
-    from incmine.rules import idf as rules_idf
     rng = np.random.default_rng(505)
     txs = rule_oracle.random_transactions(rng, max_items=10, max_tx=30)
     docs_bin = [(t.id, {item: 1 for item in sorted(t.items)}) for t in txs]
@@ -145,7 +143,7 @@ def test_c05_tfidf_fixture_and_idf_consistency():
     for i, t in enumerate(txs):
         for item in t.items:
             assert abs(dense3[i, idx3.positions[item]]
-                       - rules_idf(item, txs)) < 1e-12
+                       - rule_oracle.idf_of(item, txs)) < 1e-12
     _report(5, "tf-idf fixture weights and rules.idf consistency")
 
 
@@ -211,8 +209,8 @@ def test_c07_ipca_against_batch_pca():
 
 def test_c08_lm_gradient_check():
     start = time.perf_counter()
-    model, pairs = gradcheck_fixture()
-    worst = max_relative_fd_error(model, pairs, coords_per_tensor=12,
+    model, ids, targets = gradcheck_fixture()
+    worst = max_relative_fd_error(model, ids, targets, coords_per_tensor=12,
                                   fd_rng=np.random.default_rng(808))
     elapsed = time.perf_counter() - start
     assert worst < 1e-4
@@ -223,8 +221,8 @@ def test_c08_lm_gradient_check():
 
 def test_c09_lm_overfit_and_prediction():
     start = time.perf_counter()
-    corpus, pre, vocab, config, pairs = overfit_fixture(epochs=200)
-    model, history = lm.train(pairs, config, vocab)
+    corpus, pre, vocab, config, ids, targets = overfit_fixture(epochs=200)
+    model, history = lm.train(ids, targets, config, vocab)
     elapsed = time.perf_counter() - start
     assert history[-1] < 0.1 * history[0]
     for rec in corpus:

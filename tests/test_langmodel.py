@@ -51,8 +51,8 @@ class TestEncode:
 
 class TestForward:
     def test_shape_and_range(self):
-        model, pairs = gradcheck_fixture()
-        probs = lm.forward(model, pairs[0].input_ids)
+        model, ids, _ = gradcheck_fixture()
+        probs = lm.forward(model, ids[0])
         assert probs.shape == (model.config.vocab_size,)
         assert ((probs > 0.0) & (probs < 1.0)).all()
 
@@ -63,9 +63,9 @@ class TestForward:
         assert np.allclose(probs, 0.5)
 
     def test_eval_mode_deterministic(self):
-        model, pairs = gradcheck_fixture()
-        one = lm.forward(model, pairs[0].input_ids, train_mode=False)
-        two = lm.forward(model, pairs[0].input_ids, train_mode=False)
+        model, ids, _ = gradcheck_fixture()
+        one = lm.forward(model, ids[0], train_mode=False)
+        two = lm.forward(model, ids[0], train_mode=False)
         assert np.array_equal(one, two)
 
 
@@ -86,39 +86,38 @@ class TestBceLoss:
 
 class TestBackward:
     def test_finite_difference_agreement(self):
-        model, pairs = gradcheck_fixture()
-        worst = max_relative_fd_error(model, pairs, coords_per_tensor=11,
+        model, ids, targets = gradcheck_fixture()
+        worst = max_relative_fd_error(model, ids, targets, coords_per_tensor=11,
                                       fd_rng=np.random.default_rng(0))
         assert worst < 1e-4
 
     def test_zero_model_zero_target_bias_gradient(self):
         model = zero_model(lm.LmConfig(vocab_size=12, embed_dim=4, recurrent_units=3,
                                        dense_units=4, dropout_rate=0.0, seq_len=5))
-        pair = lm.TrainPair(input_ids=np.zeros(5, dtype=np.int64),
-                            target=np.zeros(12, dtype=np.float32))
-        grads, _ = lm.backward(model, [pair])
+        grads, _ = lm.backward(model, np.zeros((1, 5), dtype=np.int64),
+                               np.zeros((1, 12), dtype=np.float32))
         assert np.allclose(grads["out_b"], 0.5 / 12)
 
     def test_duplicated_example_same_gradient(self):
-        model, pairs = gradcheck_fixture()
-        single, _ = lm.backward(model, [pairs[0]])
-        doubled, _ = lm.backward(model, [pairs[0], pairs[0]])
+        model, ids, targets = gradcheck_fixture()
+        single, _ = lm.backward(model, ids[[0]], targets[[0]])
+        doubled, _ = lm.backward(model, ids[[0, 0]], targets[[0, 0]])
         for name in single:
             assert np.allclose(single[name], doubled[name], atol=1e-12)
 
     def test_empty_batch_rejected(self):
-        model, _ = gradcheck_fixture()
+        model, _, _ = gradcheck_fixture()
         with pytest.raises(lm.LangModelError):
-            lm.backward(model, [])
+            lm.backward(model, np.zeros((0, 5), dtype=np.int64), np.zeros((0, 12)))
 
     def test_reused_buffer_matches_fresh(self):
         # every view is overwritten; the embedding, accumulated into, is zeroed
-        model, pairs = gradcheck_fixture()
+        model, ids, targets = gradcheck_fixture()
         grads = lm.FlatParams(model.config)
         grads.flat.fill(np.nan)
-        for batch in ([pairs[0]], pairs[1:], pairs):
-            fresh, fresh_loss = lm.backward(model, batch)
-            got, loss = lm.backward(model, batch, None, grads)
+        for b in ([0], [1, 2], [0, 1, 2]):
+            fresh, fresh_loss = lm.backward(model, ids[b], targets[b])
+            got, loss = lm.backward(model, ids[b], targets[b], None, grads)
             assert got is grads and loss == fresh_loss
             assert np.array_equal(grads.flat, fresh.flat)
 
@@ -312,8 +311,8 @@ class TestAdam:
 
 class TestTrain:
     def test_zero_epochs_keeps_init(self):
-        _, _, vocab, config, pairs = overfit_fixture(epochs=0)
-        model, history = lm.train(pairs, config, vocab)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
+        model, history = lm.train(ids, targets, config, vocab)
         rng = np.random.default_rng(config.seed)
         init = lm.init_params(config, rng)
         assert history == []
@@ -321,32 +320,32 @@ class TestTrain:
             assert np.array_equal(model.params[name], init[name])
 
     def test_seed_reproducibility(self):
-        _, _, vocab, config, pairs = overfit_fixture(epochs=5)
-        m1, h1 = lm.train(pairs, config, vocab)
-        m2, h2 = lm.train(pairs, config, vocab)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=5)
+        m1, h1 = lm.train(ids, targets, config, vocab)
+        m2, h2 = lm.train(ids, targets, config, vocab)
         assert h1 == h2
         for name in m1.params:
             assert np.array_equal(m1.params[name], m2.params[name])
 
     def test_divergence_reports_position(self):
-        _, _, vocab, config, pairs = overfit_fixture(epochs=3)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=3)
         from dataclasses import replace
         hot = replace(config, learning_rate=1e18, clip_norm=0.0, epochs=8)
         with np.errstate(all="ignore"):
             with pytest.raises(lm.TrainingDivergedError, match="epoch"):
-                lm.train(pairs, hot, vocab)
+                lm.train(ids, targets, hot, vocab)
 
     def test_overfits_eight_pairs(self):
-        corpus, pre, vocab, config, pairs = overfit_fixture(epochs=200)
-        model, history = lm.train(pairs, config, vocab)
+        corpus, pre, vocab, config, ids, targets = overfit_fixture(epochs=200)
+        model, history = lm.train(ids, targets, config, vocab)
         assert history[-1] < 0.1 * history[0]
         for rec in corpus:
             top = lm.predict_consequence(model, rec.dynamics, top_k=1, pre=pre)
             assert top[0][0] == rec.consequence
 
     def test_loss_window_non_increasing_after_20(self):
-        _, _, vocab, config, pairs = overfit_fixture(epochs=120)
-        _, history = lm.train(pairs, config, vocab)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=120)
+        _, history = lm.train(ids, targets, config, vocab)
         windows = [float(np.mean(history[i:i + 10]))
                    for i in range(len(history) - 9)]
         for i in range(20, len(windows) - 1):
@@ -395,8 +394,8 @@ class TestPredict:
         assert all(p == 0.5 for _, p in top)
 
     def test_reserved_tokens_excluded(self):
-        _, _, vocab, config, pairs = overfit_fixture(epochs=0)
-        model, _ = lm.train(pairs, config, vocab)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
+        model, _ = lm.train(ids, targets, config, vocab)
         everything = lm.predict_consequence(model, "scala", top_k=len(vocab))
         names = [t for t, _ in everything]
         assert lm.PAD_TOKEN not in names and lm.UNK_TOKEN not in names
@@ -405,17 +404,17 @@ class TestPredict:
 
 class TestArtifact:
     def test_roundtrip_exact_forward(self, tmp_path):
-        _, _, vocab, config, pairs = overfit_fixture(epochs=3)
-        model, _ = lm.train(pairs, config, vocab)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=3)
+        model, _ = lm.train(ids, targets, config, vocab)
         lm.save_model(model, tmp_path / "model")
         loaded = lm.load_model(tmp_path / "model")
-        before = lm.forward(model, pairs[0].input_ids)
-        after = lm.forward(loaded, pairs[0].input_ids)
+        before = lm.forward(model, ids[0])
+        after = lm.forward(loaded, ids[0])
         assert np.array_equal(before, after)
 
     def test_checksum_error(self, tmp_path):
-        _, _, vocab, config, pairs = overfit_fixture(epochs=0)
-        model, _ = lm.train(pairs, config, vocab)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
+        model, _ = lm.train(ids, targets, config, vocab)
         lm.save_model(model, tmp_path / "model")
         blob = tmp_path / "model" / "tensors" / "out_b.bin"
         raw = bytearray(blob.read_bytes())
@@ -426,8 +425,8 @@ class TestArtifact:
 
     def test_version_error_names_both(self, tmp_path):
         import json
-        _, _, vocab, config, pairs = overfit_fixture(epochs=0)
-        model, _ = lm.train(pairs, config, vocab)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
+        model, _ = lm.train(ids, targets, config, vocab)
         lm.save_model(model, tmp_path / "model")
         manifest_path = tmp_path / "model" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -439,10 +438,10 @@ class TestArtifact:
 
 def _saved(tmp_path, dtype="float32"):
     if dtype == "float32":
-        _, _, vocab, config, pairs = overfit_fixture(epochs=2)
-        model, _ = lm.train(pairs, config, vocab)
+        _, _, vocab, config, ids, targets = overfit_fixture(epochs=2)
+        model, _ = lm.train(ids, targets, config, vocab)
     else:
-        model, _ = gradcheck_fixture()
+        model, _, _ = gradcheck_fixture()
     lm.save_model(model, tmp_path / "model")
     return tmp_path / "model"
 
@@ -537,12 +536,24 @@ class TestTensorFileSize:
         assert "'out_w' file is" in err and "Traceback" not in err
 
 
-class TestTrainPair:
-    def test_pad_target_rejected(self):
-        target = np.zeros(8)
-        target[lm.PAD_ID] = 1.0
-        with pytest.raises(lm.LangModelError):
-            lm.TrainPair(input_ids=np.zeros(3, dtype=np.int64), target=target)
+class TestMakeTrainPairs:
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_rows_are_encoded_dynamics(self, dtype):
+        config = lm.LmConfig(vocab_size=6, seq_len=3, dtype=dtype)
+        dynamics = [["a", "z", "b", "a"], [], ["b"]]
+        ids, targets = lm.make_train_pairs(dynamics, [[], [], []], small_vocab(), config)
+        assert ids.dtype == np.int64 and ids.shape == (3, 3)
+        for row, tokens in zip(ids, dynamics):
+            assert np.array_equal(row, lm.encode(tokens, small_vocab(), 3))
+        assert targets.dtype == config.np_dtype and targets.shape == (3, 6)
+        assert not targets.any()
+
+    def test_only_vocabulary_ids_above_unk_are_set(self):
+        config = lm.LmConfig(vocab_size=6, seq_len=2)
+        consequences = [[lm.PAD_TOKEN, "z", lm.UNK_TOKEN, "b", "b"], ["a"]]
+        _, targets = lm.make_train_pairs([["a"], ["b"]], consequences,
+                                         small_vocab(), config)
+        assert targets.tolist() == [[0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]
 
 
 class TestConfig:

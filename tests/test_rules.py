@@ -11,7 +11,6 @@ from incmine.corpus import Transaction
 from incmine.rules import (
     EmptyTransactionListError,
     Itemset,
-    ItemAbsentError,
     MiningConfig,
     RulesError,
     UndefinedConfidenceError,
@@ -21,11 +20,11 @@ from incmine.rules import (
     idf,
     rule_metrics,
     rules_to_csv,
-    support,
 )
 from apriori_oracle import apriori_frequent
 import export_oracle
 import rule_oracle
+from rule_oracle import idf_of, support
 from support_oracle import support_counts_loop
 
 
@@ -88,22 +87,31 @@ class TestRuleMetrics:
 
 class TestIdf:
     def test_three_of_four(self, toy_transactions):
-        assert abs(idf("a", toy_transactions) - math.log(4 / 3)) < 1e-12
-        assert abs(idf("a", toy_transactions) - 0.287682) < 1e-6
+        assert abs(idf_of("a", toy_transactions) - math.log(4 / 3)) < 1e-12
+        assert abs(idf_of("a", toy_transactions) - 0.287682) < 1e-6
 
     def test_universal_item_is_zero(self):
         txs = [Transaction(str(i), frozenset({"x", f"y{i}"})) for i in range(5)]
-        assert idf("x", txs) == 0.0
+        assert idf_of("x", txs) == 0.0
 
     def test_hapax_in_thousand(self):
         txs = [Transaction(str(i), frozenset({"filler"})) for i in range(999)]
         txs.append(Transaction("999", frozenset({"raro"})))
-        assert abs(idf("raro", txs) - math.log(1000)) < 1e-12
-        assert abs(idf("raro", txs) - 6.907755) < 1e-6
+        assert abs(idf_of("raro", txs) - math.log(1000)) < 1e-12
+        assert abs(idf_of("raro", txs) - 6.907755) < 1e-6
 
-    def test_absent_item(self, toy_transactions):
-        with pytest.raises(ItemAbsentError):
-            idf("z", toy_transactions)
+    def test_band_reads_each_present_items_count(self, toy_transactions, monkeypatch):
+        # the miner asks for the IDF of the items that occur, in sorted order,
+        # from their document frequencies: an absent item is never asked for
+        calls = []
+
+        def recorded(n, df):
+            calls.append((n, df))
+            return idf(n, df)
+
+        monkeypatch.setattr(rules, "idf", recorded)
+        fisinfis_mine(toy_transactions, MiningConfig(idf_min=0.0, idf_max=10.0))
+        assert calls == [(4, 3), (4, 3), (4, 1)]
 
 
 class TestAprioriFrequent:

@@ -1,0 +1,74 @@
+"""Every module-level function and class of the package has a caller in the
+program: in ``src/incmine`` itself or in the benchmark (``perfbench/*.py``).
+Code that only the tests call belongs with the tests.
+
+The files are parsed, not imported or run, and only read. A name counts as
+referenced by a ``Name`` load, by an attribute of a name bound to an incmine
+module (``langmodel.train``, ``rules_mod.fisinfis_mine``), by a
+``from ... import`` of it, or by an entry of the benchmark tracer's
+``TARGETS`` table, which wraps functions by name."""
+
+import ast
+import glob
+import os
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE_DIR = os.path.join(REPO, "src", "incmine")
+PACKAGE_FILES = sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py")))
+CALLER_FILES = PACKAGE_FILES + sorted(glob.glob(os.path.join(REPO, "perfbench", "*.py")))
+MODULES = {os.path.splitext(os.path.basename(p))[0] for p in PACKAGE_FILES}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _module_aliases(tree):
+    """Names bound to an incmine module by ``from . import`` or
+    ``from incmine import``."""
+    return {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level == 1 and node.module is None or node.module == "incmine")
+            for a in node.names if a.name in MODULES}
+
+
+def _tracer_targets(tree):
+    """First component of each ``TARGETS`` attribute, e.g. ``TfIdfMatrix``."""
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS":
+            return {entry.elts[1].value.split(".")[0] for entry in node.value.elts}
+    return set()
+
+
+def referenced_names():
+    names = set()
+    for path in CALLER_FILES:
+        tree = _parse(path)
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+        if os.path.basename(path) == "tracer.py":
+            names |= _tracer_targets(tree)
+    return names
+
+
+def defined_names():
+    """(module, name) of each top-level def and class of the package."""
+    return [(os.path.basename(path), node.name)
+            for path in PACKAGE_FILES for node in _parse(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def test_every_package_function_and_class_has_a_program_caller():
+    defined = defined_names()
+    assert len(defined) > 50  # the scan found the package
+    names = referenced_names()
+    uncalled = [f"{module}:{name}" for module, name in defined if name not in names]
+    assert uncalled == []
