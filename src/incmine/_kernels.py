@@ -1,4 +1,4 @@
-"""Hot inner loops, one numpy implementation per kernel.
+"""Hot inner loops in numpy.
 
 Itemset support counting packs item columns as uint64 bitsets over the
 transactions, ANDs them per candidate in fixed-size blocks and counts with
@@ -23,6 +23,15 @@ columns where a point whose nearest distance changed has a nonzero term
 before or after: elsewhere both terms are +0.0, and the sequential sum keeps
 its float. So the deltas of every pass are the floats a fresh computation
 gives, and SWAP takes the same path.
+
+The group sums have two routes, picked by what a pass changed. When every
+group is dirty, one pass down ``dist`` reads each row block once, sums the
+all-points total from it and adds each row to its group's sums one row at a
+time. Otherwise each dirty group gathers its own rows a block at a time, and
+the dirty total columns are summed apart. Each route is the faster one where
+it is used: the one pass reads each row once instead of three times, while
+per-row adds cost more than the gathers when few groups are dirty. Both add
+a group's rows in ascending order, so they give the same floats.
 
 Readable scalar-loop references for every kernel live under ``tests/``
 (``support_oracle.py``, ``pam_oracle.py``) and are checked against these.
@@ -178,7 +187,10 @@ class SwapSums:
     row i's ``total`` term only in the columns where dist[i, h] is below the
     old or the new d1: elsewhere both terms are +0.0, so the sequential sum
     is the same float. When more than ``PAM_REFRESH_SHARE`` of the columns
-    are dirty, all of ``total`` is summed again. A new ``SwapSums`` holds no
+    are dirty, all of ``total`` is summed again. When every group is dirty,
+    ``_sum_all_rows`` sums ``total`` and every group in one pass down the
+    rows; otherwise ``_sum_groups`` sums the dirty groups from their own
+    rows and ``_sum_total`` the dirty columns. A new ``SwapSums`` holds no
     terms (d1 = -inf makes every term 0), so the first pass recomputes
     whatever its medoids make nonzero.
     """
@@ -190,6 +202,9 @@ class SwapSums:
         self.total = np.zeros(n)
         self.lost = np.zeros((0, n))
         self.gained = np.zeros((0, n))
+        # row-block scratch of every pass, shared by copies: a fresh one per
+        # pass would touch fresh pages whenever the heap was trimmed
+        self.work = np.empty((2 * PAM_ROWS + 1, n))
 
     def copy(self):
         """A copy whose sums ``deltas`` can move without changing these."""
@@ -217,26 +232,62 @@ class SwapSums:
         dirty[left[(left >= 0) & (left < k)]] = True
         if k != self.lost.shape[0]:
             self.lost, self.gained = (_resize_rows(a, k) for a in (self.lost, self.gained))
-        buf = np.empty((PAM_ROWS + 1, n))
-        scratch = np.empty((PAM_ROWS, n))
-        for m in np.flatnonzero(dirty).tolist():
-            own = np.flatnonzero(n1 == m)  # ascending rows
-            lost, gained = self.lost[m], self.gained[m]
-            lost[:] = 0.0
-            gained[:] = 0.0
-            for lo in range(0, own.shape[0], PAM_ROWS):
-                block = own[lo:lo + PAM_ROWS]
-                r = block.shape[0]
-                x = np.subtract(dist[block], d1[block, None], out=scratch[:r])
-                np.minimum(x, 0.0, out=buf[1:r + 1])
-                _add_rows(lost, buf, r)
-                np.minimum(x, gap[block, None], out=buf[1:r + 1])
-                _add_rows(gained, buf, r)
-        reach = np.maximum(self.d1[moved], d1[moved])
-        cols = _dirty_columns(dist, np.flatnonzero(moved), reach)
-        _sum_total(dist, d1, self.total, cols)
+        if dirty.all():
+            _sum_all_rows(dist, n1, d1, gap, self.total, self.lost, self.gained, self.work)
+        else:
+            _sum_groups(dist, n1, d1, gap, np.flatnonzero(dirty), self.lost, self.gained,
+                        self.work)
+            reach = np.maximum(self.d1[moved], d1[moved])
+            cols = _dirty_columns(dist, np.flatnonzero(moved), reach)
+            _sum_total(dist, d1, self.total, cols)
         self.n1, self.d1, self.gap = n1, d1, gap
         return self.total - self.lost + self.gained
+
+
+def _sum_all_rows(dist, n1, d1, gap, total, lost, gained, work):
+    """``total`` and every group's ``lost``/``gained`` again, in one pass.
+
+    Each ``PAM_ROWS``-row slice of ``dist`` is read once: its min(x, 0)
+    block goes on ``total`` as ``_sum_total`` adds it, and each row's
+    min(x, 0) and min(x, gap) go on its group's sums one row at a time, in
+    ascending order, so every sum is the float ``_sum_groups`` gives.
+    """
+    n = dist.shape[0]
+    total[:] = 0.0
+    lost[:] = 0.0
+    gained[:] = 0.0
+    buf, scratch = work[:PAM_ROWS + 1], work[PAM_ROWS + 1:]
+    neg_rows, capped_rows = list(buf[1:]), list(scratch)
+    lost_rows, gained_rows = list(lost), list(gained)
+    groups = n1.tolist()
+    for lo in range(0, n, PAM_ROWS):
+        hi = min(n, lo + PAM_ROWS)
+        x = np.subtract(dist[lo:hi], d1[lo:hi, None], out=scratch[:hi - lo])
+        np.minimum(x, 0.0, out=buf[1:hi - lo + 1])
+        _add_rows(total, buf, hi - lo)
+        np.minimum(x, gap[lo:hi, None], out=x)
+        for neg, capped, m in zip(neg_rows, capped_rows, groups[lo:hi]):
+            np.add(lost_rows[m], neg, out=lost_rows[m])
+            np.add(gained_rows[m], capped, out=gained_rows[m])
+
+
+def _sum_groups(dist, n1, d1, gap, groups, lost, gained, work):
+    """``lost[m]`` and ``gained[m]`` again for each m of ``groups``, each from
+    its own rows gathered ``PAM_ROWS`` at a time, ascending."""
+    buf, scratch = work[:PAM_ROWS + 1], work[PAM_ROWS + 1:]
+    for m in groups.tolist():
+        own = np.flatnonzero(n1 == m)  # ascending rows
+        lost_m, gained_m = lost[m], gained[m]
+        lost_m[:] = 0.0
+        gained_m[:] = 0.0
+        for lo in range(0, own.shape[0], PAM_ROWS):
+            block = own[lo:lo + PAM_ROWS]
+            r = block.shape[0]
+            x = np.subtract(dist[block], d1[block, None], out=scratch[:r])
+            np.minimum(x, 0.0, out=buf[1:r + 1])
+            _add_rows(lost_m, buf, r)
+            np.minimum(x, gap[block, None], out=buf[1:r + 1])
+            _add_rows(gained_m, buf, r)
 
 
 def _resize_rows(a, k):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, PreprocessConfig, TagOntology, apply_tags, preprocess
 from .errors import IncmineError
+from .rules import _format_distinct
 
 Doc = tuple[str, Mapping[str, int]]
 
@@ -56,10 +57,13 @@ class TfIdfMatrix:
         return dense
 
     def to_coo_text(self) -> str:
-        """Header `n_rows n_cols nnz`, then `row col weight` lines, 0-based."""
+        """Header `n_rows n_cols nnz`, then `row col weight` lines, 0-based.
+
+        Each distinct weight is formatted once: a matrix holds few of them.
+        """
         lines = [f"{self.n_rows} {self.n_cols} {self.nnz}"]
-        for r, c, w in zip(self.rows, self.cols, self.weights):
-            lines.append(f"{int(r)} {int(c)} {float(w)!r}")
+        lines += map("{} {} {}".format, self.rows.tolist(), self.cols.tolist(),
+                     _format_distinct(self.weights, "{!r}").tolist())
         return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,9 @@ before the exporters formatted the columns of a ``RuleTable``.
 The two functions are kept unchanged and read one object per rule; ``rows``
 turns a table into such objects through a minimal stand-in for the old
 ``Rule``. The column exporters must match them byte for byte.
+
+``coo_text`` is ``TfIdfMatrix.to_coo_text`` as it was before each distinct
+weight was formatted once: one f-string per stored entry.
 """
 
 import csv
@@ -90,4 +93,12 @@ def export_rule_graph(rules) -> str:
         style = ", style=dashed" if dashed else ""
         lines.append(f'  {quote(tail)} -> {quote(head)} [label="{label}"{style}];')
     lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def coo_text(matrix):
+    """``TfIdfMatrix.to_coo_text`` as it was: one f-string per entry."""
+    lines = [f"{matrix.n_rows} {matrix.n_cols} {matrix.nnz}"]
+    for r, c, w in zip(matrix.rows, matrix.cols, matrix.weights):
+        lines.append(f"{int(r)} {int(c)} {float(w)!r}")
     return "\n".join(lines) + "\n"

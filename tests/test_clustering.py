@@ -597,6 +597,101 @@ class TestIncrementalSwap:
                 assert (got.tolist(), passes) == (want.tolist(), want_passes)
 
 
+def _route_sums(dist, sums, route):
+    """(total, lost, gained) summed again by one route from the nearest and
+    second-nearest medoids ``sums`` holds, starting from NaN."""
+    n, k = dist.shape[0], sums.lost.shape[0]
+    total, lost, gained = np.full(n, np.nan), np.full((k, n), np.nan), np.full((k, n), np.nan)
+    if route == "all rows":
+        _kernels._sum_all_rows(dist, sums.n1, sums.d1, sums.gap, total, lost, gained,
+                               sums.work)
+    else:
+        _kernels._sum_groups(dist, sums.n1, sums.d1, sums.gap, np.arange(k), lost, gained,
+                             sums.work)
+        _kernels._sum_total(dist, sums.d1, total, slice(None))
+    return total, lost, gained
+
+
+def _assert_routes_agree(dist, sums):
+    routed = _route_sums(dist, sums, "all rows")
+    grouped = _route_sums(dist, sums, "per group")
+    for a, b, held in zip(routed, grouped, (sums.total, sums.lost, sums.gained)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert np.array_equal(a, held)
+        assert np.array_equal(np.signbit(a), np.signbit(held))
+
+
+def _spy_routes():
+    return (mock.patch.object(_kernels, "_sum_all_rows", wraps=_kernels._sum_all_rows),
+            mock.patch.object(_kernels, "_sum_groups", wraps=_kernels._sum_groups))
+
+
+class TestAllDirtyRoute:
+    """A pass whose medoid groups are all dirty sums every row once, routing
+    each to its group; it must give the per-group route's floats."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("normal", "integer")),
+           metric=st.sampled_from(METRICS), n=st.integers(2, 70),
+           rows=st.sampled_from((1, 2, 3, 32)),
+           k_kind=st.sampled_from(("one", "n - 1", "any")))
+    def test_routes_give_the_same_sums(self, data, kind, metric, n, rows, k_kind):
+        # integer points give ties, duplicate points and exact zeros; cosine
+        # may get zero rows; n up to 70 leaves a short last block of 32
+        dist = pairwise_distances(_swap_points(data, kind, metric, n), metric)
+        k = {"one": 1, "n - 1": n - 1, "any": data.draw(st.integers(1, n - 1))}[k_kind]
+        order = data.draw(st.permutations(range(n)))
+        first = np.array(order[:k], dtype=np.int64)
+        k2 = data.draw(st.integers(1, n - 1))
+        second = np.array(data.draw(st.permutations(range(n)))[:k2], dtype=np.int64)
+        with mock.patch.object(_kernels, "PAM_ROWS", rows):
+            sums = _kernels.SwapSums(n)
+            for medoids in (first, second, first):
+                deltas = sums.deltas(dist, medoids)
+                assert np.array_equal(deltas, whole_matrix_oracle.swap_deltas(dist, medoids))
+                _assert_routes_agree(dist, sums)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 32])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_taken_on_every_all_dirty_pass(self, rows, metric, rng):
+        # distinct points: each medoid of a set disjoint from the last one
+        # moves its own row's d1 to 0, so every group is dirty again
+        n = 47  # not a multiple of any block size above 1
+        pts = rng.normal(size=(n, 3))
+        if metric == "cosine":
+            pts[[4, 17]] = 0.0
+        dist = pairwise_distances(pts, metric)
+        sets = [np.array(m, dtype=np.int64)
+                for m in ([0, 1, 2], [3, 4, 5, 6], [7], [8, 9, 10, 11, 12], [13, 14])]
+        all_rows, groups = _spy_routes()
+        with mock.patch.object(_kernels, "PAM_ROWS", rows), all_rows as spy, groups as other:
+            sums = _kernels.SwapSums(n)
+            for medoids in sets:
+                deltas = sums.deltas(dist, medoids)
+                assert (spy.call_count, other.call_count) == (1, 0)
+                assert np.array_equal(deltas, whole_matrix_oracle.swap_deltas(dist, medoids))
+                _assert_routes_agree(dist, sums)
+                spy.reset_mock()
+                other.reset_mock()
+
+    def test_not_taken_on_a_partial_pass(self):
+        # three groups on a line: moving the far group's medoid leaves the
+        # nearest and second-nearest medoids of the other two groups as
+        # they were, so only that group is summed again
+        pts = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0, 100.0, 101.0, 102.0, 103.0])[:, None]
+        dist = pairwise_distances(pts)
+        all_rows, groups = _spy_routes()
+        with all_rows as spy, groups as other:
+            sums = _kernels.SwapSums(dist.shape[0])
+            sums.deltas(dist, np.array([1, 4, 7]))
+            assert (spy.call_count, other.call_count) == (1, 0)
+            deltas = sums.deltas(dist, np.array([1, 4, 8]))
+            assert (spy.call_count, other.call_count) == (1, 1)
+            assert other.call_args.args[4].tolist() == [2]
+        assert np.array_equal(deltas, whole_matrix_oracle.swap_deltas(dist, np.array([1, 4, 8])))
+        _assert_routes_agree(dist, sums)
+
 class TestKernelModule:
     def test_one_plain_function_per_kernel(self):
         for name in ("pam_build", "pam_swap", "assign_to_medoids",

@@ -14,6 +14,7 @@ from incmine.vectors import (
     tfidf_matrix,
 )
 from conftest import make_corpus
+import export_oracle
 
 
 class TestTermIndex:
@@ -115,6 +116,35 @@ class TestExport:
         coords = [tuple(map(int, line.split()[:2]))
                   for line in text.splitlines()[1:]]
         assert coords == sorted(coords)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           pool=st.lists(st.one_of(
+               st.floats(),  # NaN, the infinities and -0.0 included
+               st.integers(-10**6, 10**6).map(float),  # integral: "3.0"
+               st.sampled_from((5e-324, 2.2250738585072014e-308 / 3, 1e300,
+                                -1e300, 0.1, 1.0))),
+               min_size=1, max_size=5),
+           n_rows=st.integers(0, 2**40), n_cols=st.integers(0, 2**40),
+           nnz=st.integers(0, 40))
+    def test_coo_text_matches_per_entry_oracle(self, data, pool, n_rows, n_cols, nnz):
+        # a few distinct weights, each repeated, as a tf-idf matrix holds
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=nnz, max_size=nnz))
+        coords = st.lists(st.integers(0, 2**40), min_size=nnz, max_size=nnz)
+        matrix = TfIdfMatrix(n_rows=n_rows, n_cols=n_cols,
+                             rows=np.array(data.draw(coords), dtype=np.int64),
+                             cols=np.array(data.draw(coords), dtype=np.int64),
+                             weights=np.array(picks, dtype=np.float64))
+        assert matrix.to_coo_text() == export_oracle.coo_text(matrix)
+
+    def test_coo_text_matches_oracle_on_a_corpus(self, rng):
+        import rule_oracle
+        txs = rule_oracle.random_transactions(rng, max_items=10, max_tx=40)
+        docs = [(t.id, {item: 1 + i % 3 for i, item in enumerate(sorted(t.items))})
+                for t in txs]
+        matrix = tfidf_matrix(docs, build_term_index(docs))
+        assert matrix.nnz > len(set(matrix.weights.tolist()))  # repeated weights
+        assert matrix.to_coo_text() == export_oracle.coo_text(matrix)
 
 
 def test_corpus_term_counts_with_tags():
