@@ -14,6 +14,7 @@ were set, by field name, so the dataclass defaults are the only defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -194,8 +195,19 @@ def cmd_mine_rules(args) -> int:
     config = rules_mod.MiningConfig(**_given(args, rules_mod.MiningConfig))
     mined = rules_mod.fisinfis_mine(txs.transactions, config)
     out = _outdir(args)
-    _write_text(os.path.join(out, "rules.csv"), rules_mod.rules_to_csv(mined))
-    _write_text(os.path.join(out, "rules.dot"), rules_mod.export_rule_graph(mined))
+    opened = []  # a failed export removes every file this call opened
+    try:
+        for name, export in (("rules.csv", rules_mod.rules_to_csv),
+                             ("rules.dot", rules_mod.export_rule_graph)):
+            path = os.path.join(out, name)
+            with open(path, "wb") as fh:
+                opened.append(path)
+                export(mined, fh)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     n_par = len(mined) - int(np.count_nonzero(mined.neg_antecedent | mined.neg_consequent))
     print(f"mine-rules: {len(mined)} rules ({n_par} PAR, {len(mined) - n_par} NAR) "
           f"from {n} transactions -> {out}")

@@ -1,8 +1,10 @@
 """K-medoids (PAM) clustering over a range of k, and incremental PCA.
 
 PAM runs on a precomputed distance matrix: greedy BUILD, then repeated
-single-best SWAP passes. All ties break to the lowest index, which makes the
-result independent of the seed; the seed is only echoed into reports.
+single-best SWAP passes. Equal computed costs break to the lowest index; an
+exact tie may differ in its last bit as summed, and then rounding decides.
+Either way the result does not depend on the seed, which is only echoed
+into reports.
 ``sweep_k`` is the one fit: it fits every k of ``ClusterConfig.k_range`` and
 picks the best by mean silhouette, and a fixed k is the range (k, k). It
 builds the distance matrix and runs BUILD once, to the largest k, and starts

@@ -19,8 +19,9 @@ enumerator produce bit-identical fractions. The miner returns its rules as one
 columnar ``RuleTable``, which the CSV and DOT exporters format directly. The
 columns repeat (a 74k-rule table holds about 1,300 itemset labels, and each
 metric column at most a third as many distinct floats as rules), so the
-exporters format each distinct label, node name and float once and build every
-line by joining the preformatted strings.
+exporters format and encode each distinct label, node name and float once,
+and write UTF-8 bytes to a binary file: ``EXPORT_ROWS`` rows at a time, each
+block the join of the preformatted pieces of its rows.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ MAX_LATTICE_CANDIDATES = 5_000_000
 # every passing rule becomes a table row, a CSV line and a DOT edge; refuse
 # instead of exhausting memory
 MAX_RULES = 1_000_000
+
+# rules the CSV and DOT exporters join and write at a time, so their memory
+# is the distinct labels and metric strings plus one block, not the file. A
+# block costs about 570 bytes a row while it is joined (bytes.join holds an
+# 80-byte buffer view per piece): 1.2 MB at 2048 rows, 4.7 MB at 8192, which
+# exported the 74k-rule perfbench table no faster
+EXPORT_ROWS = 2048
 
 
 class EmptyTransactionListError(RulesError):
@@ -340,19 +348,33 @@ def _lex_rank(combos, n_items, binom):
             - binom[n_items - 1 - combos, np.arange(size, 0, -1)].sum(axis=1))
 
 
-def _format_distinct(values: np.ndarray, template: str) -> np.ndarray:
-    """``template.format(v)`` for each float64 of ``values``, as an object array.
+def _distinct_bits(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct bit patterns of the float64 ``values``, as int64.
 
-    Each distinct bit pattern is formatted once and its string gathered back
-    to every row. Keying on the bits, not the float value, keeps ``-0.0`` and
-    ``0.0`` (equal as floats, formatted apart) on their own strings.
+    Sorted and masked directly: ``np.unique``'s hash table takes several
+    times as long here.
     """
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(list(map(template.format, keys.view(np.float64).tolist())),
-                    dtype=object)[inverse]
+    keys = np.sort(values.view(np.int64))
+    first = np.ones(len(keys), dtype=np.bool_)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
-def _format_rounded(values: np.ndarray, template: str) -> np.ndarray:
+def _format_distinct(values: np.ndarray, template: str | bytes):
+    """Each distinct float64 of ``values`` with ``template % v``, formatted once.
+
+    Returns the sorted distinct bit patterns as int64 keys and their strings
+    in key order as an object array; ``_lookup`` gathers them to rows.
+    Keying on the bits, not the float value, keeps ``-0.0`` and ``0.0``
+    (equal as floats, formatted apart) on their own strings. ``template`` is
+    ``str`` or ``bytes``: both take ``%``, and ``"%r" % v == repr(v)``.
+    """
+    keys = _distinct_bits(values)
+    return keys, np.array(list(map(template.__mod__, keys.view(np.float64).tolist())),
+                          dtype=object)
+
+
+def _format_rounded(values: np.ndarray, template: str | bytes):
     """``_format_distinct(values, template)`` for a fixed-point ``template``,
     formatting far fewer floats when many round to one string.
 
@@ -363,17 +385,17 @@ def _format_rounded(values: np.ndarray, template: str) -> np.ndarray:
     the infinities and -0.0 (equal to 0.0, formatted apart) are formatted on
     their own.
     """
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    keys = keys.view(np.float64)
+    keys = _distinct_bits(values)
+    floats = keys.view(np.float64)
     strings = np.empty(keys.shape[0], dtype=object)
-    odd = ~np.isfinite(keys) | ((keys == 0.0) & np.signbit(keys))
-    strings[odd] = [template.format(v) for v in keys[odd].tolist()]
+    odd = ~np.isfinite(floats) | ((floats == 0.0) & np.signbit(floats))
+    strings[odd] = [template % v for v in floats[odd].tolist()]
     regular = np.flatnonzero(~odd)
-    regular = regular[np.argsort(keys[regular])]  # distinct values, ascending
-    ordered = keys[regular].tolist()
+    regular = regular[np.argsort(floats[regular])]  # distinct values, ascending
+    ordered = floats[regular].tolist()
     formatted = [None] * len(ordered)
     if ordered:
-        fmt = template.format
+        fmt = template.__mod__
         runs = [(0, len(ordered) - 1, fmt(ordered[0]), fmt(ordered[-1]))]
         while runs:
             lo, hi, first, last = runs.pop()
@@ -386,74 +408,111 @@ def _format_rounded(values: np.ndarray, template: str) -> np.ndarray:
                 middle = fmt(ordered[mid])
                 runs += ((lo, mid, first, middle), (mid, hi, middle, last))
     strings[regular] = formatted
-    return strings[inverse]
+    return keys, strings
 
 
-def _gather(strings: Sequence[str], index: np.ndarray) -> np.ndarray:
-    """``strings[i]`` for each ``i`` of ``index``, as an object array."""
-    return np.array(strings, dtype=object)[index]
+def _lookup(formatted, values: np.ndarray) -> np.ndarray:
+    """The string of each float64 of ``values`` in ``formatted``, the keys and
+    strings of ``_format_distinct`` or ``_format_rounded`` over a superset."""
+    keys, strings = formatted
+    bits = values.view(np.int64)
+    # searched in ascending order, each search starts where the last ended
+    ascending = np.argsort(bits)
+    found = np.empty(len(bits), dtype=np.intp)
+    found[ascending] = np.searchsorted(keys, bits[ascending])
+    return strings[found]
 
 
-def rules_to_csv(table: RuleTable) -> str:
-    """CSV with '+'-joined itemsets, 0/1 negation flags and 6-decimal metrics.
+def _write_rows(fh, columns):
+    """Write the pieces of ``columns``, equal-length object arrays of bytes,
+    row after row: one join and one write."""
+    width = len(columns)
+    pieces = [None] * (width * len(columns[0]))
+    for j, column in enumerate(columns):
+        pieces[j::width] = column.tolist()
+    fh.write(b"".join(pieces))
 
-    Each row is the comma join of preformatted strings: every itemset label
-    is quoted once, and every distinct metric float formatted once. This is
-    the ``csv.writer`` output byte for byte, because ``QUOTE_MINIMAL`` quotes
-    a field by its own text alone (a label is quoted with a second, empty
+
+def rules_to_csv(table: RuleTable, fh) -> None:
+    """Write the rules as UTF-8 CSV to the binary file ``fh``: '+'-joined
+    itemsets, 0/1 negation flags and 6-decimal metrics.
+
+    Every itemset label is quoted and encoded once, and every distinct
+    metric float formatted once, each with the separator after it; each
+    block of ``EXPORT_ROWS`` rows is then joined and written. This is the
+    ``csv.writer`` output byte for byte, because ``QUOTE_MINIMAL`` quotes a
+    field by its own text alone (a label is quoted with a second, empty
     field, as a lone empty field would be written as ``""``).
     """
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    quoted = []
-    for items in table.itemsets:
+    labels = np.empty(len(table.itemsets), dtype=object)
+    for i, items in enumerate(table.itemsets):
         buf.seek(0)
         buf.truncate()
         writer.writerow(("+".join(items), ""))
-        quoted.append(buf.getvalue()[:-2])  # drop the empty field's ",\n"
-    flags = ("0", "1")
-    lines = ["antecedent,consequent,neg_a,neg_c,support,confidence,lift"]
-    lines += map(",".join, zip(
-        _gather(quoted, table.antecedent), _gather(quoted, table.consequent),
-        _gather(flags, table.neg_antecedent.view(np.uint8)),
-        _gather(flags, table.neg_consequent.view(np.uint8)),
-        _format_distinct(table.support, "{:.6f}"),
-        _format_distinct(table.confidence, "{:.6f}"),
-        _format_distinct(table.lift, "{:.6f}")))
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+        labels[i] = buf.getvalue()[:-1].encode()  # the label and its comma
+    flags = np.array([b"0,0,", b"0,1,", b"1,0,", b"1,1,"], dtype=object)
+    support = _format_distinct(table.support, b"%.6f,")
+    confidence = _format_distinct(table.confidence, b"%.6f,")
+    lift = _format_distinct(table.lift, b"%.6f\n")
+    fh.write(b"antecedent,consequent,neg_a,neg_c,support,confidence,lift\n")
+    for lo in range(0, len(table), EXPORT_ROWS):
+        rows = slice(lo, lo + EXPORT_ROWS)
+        _write_rows(fh, (
+            labels[table.antecedent[rows]], labels[table.consequent[rows]],
+            flags[table.neg_antecedent[rows] * 2 + table.neg_consequent[rows]],
+            _lookup(support, table.support[rows]),
+            _lookup(confidence, table.confidence[rows]),
+            _lookup(lift, table.lift[rows])))
 
 
-def export_rule_graph(table: RuleTable) -> str:
-    """Directed GraphViz DOT text; NAR edges dashed, negated sides prefixed.
+def export_rule_graph(table: RuleTable, fh) -> None:
+    """Write the rules as a directed GraphViz DOT graph, UTF-8, to the binary
+    file ``fh``; NAR edges dashed, negated sides prefixed.
 
     Output is byte-stable: nodes are emitted as sorted strings and edges
-    sorted by (tail, head), the pair that identifies a rule. Each edge line
-    is the join of preformatted pieces: the quoted tail and head of each node
-    with their punctuation, each distinct metric string formatted about
-    once, and one of two line endings.
+    sorted by (tail, head), the pair that identifies a rule. Each node's
+    pieces (its line, and its quoted name as a tail and as a head with their
+    punctuation) are encoded once, and each distinct metric string formatted
+    about once; each block of ``EXPORT_ROWS`` edges is then joined and
+    written.
     """
     labels = ["+".join(items) for items in table.itemsets]
-    # a name per distinct (itemset id, negation) key; equal names are one node
-    keys, inverse = np.unique(np.concatenate([
-        table.antecedent * 2 + table.neg_antecedent,
-        table.consequent * 2 + table.neg_consequent]), return_inverse=True)
-    names = [("¬" if key & 1 else "") + labels[key >> 1] for key in keys.tolist()]
+    # node key 2 * itemset id + negated; keys of equal names share a rank
+    names = [prefix + label for label in labels for prefix in ("", "¬")]
     nodes = sorted(set(names))
     rank = {name: r for r, name in enumerate(nodes)}
-    tail, head = np.split(np.array([rank[name] for name in names], dtype=np.int64)[inverse], 2)
+    node_rank = np.array([rank[name] for name in names], dtype=np.int64)
+    # (tail rank, head rank) as one int64, whose sort is the edge order
+    pair = np.empty(len(table), dtype=np.int64)
+    used = np.zeros(len(nodes), dtype=np.bool_)
+    for lo in range(0, len(table), EXPORT_ROWS):
+        rows = slice(lo, lo + EXPORT_ROWS)
+        tail = node_rank[table.antecedent[rows] * 2 + table.neg_antecedent[rows]]
+        head = node_rank[table.consequent[rows] * 2 + table.neg_consequent[rows]]
+        used[tail] = used[head] = True
+        pair[rows] = tail * len(nodes) + head
+    order = np.argsort(pair)
+    if not np.all(np.diff(pair[order])):  # equal pairs keep table order
+        order = np.argsort(pair, kind="stable")
     quoted = ['"' + name.replace('"', '\\"') + '"' for name in nodes]
-    order = np.lexsort((head, tail))
-    dashed = table.neg_antecedent | table.neg_consequent
+    tails = np.array([f"  {name} -> ".encode() for name in quoted], dtype=object)
+    heads = np.array([f'{name} [label="'.encode() for name in quoted], dtype=object)
+    ends = np.array([b'"];\n', b'", style=dashed];\n'], dtype=object)
+    support = _format_rounded(table.support, b"s=%.3f")
+    confidence = _format_rounded(table.confidence, b" c=%.3f")
+    lift = _format_rounded(table.lift, b" l=%.3f")
 
-    lines = ["digraph rules {"]
-    lines += [f"  {name};" for name in quoted]
-    lines += map("".join, zip(
-        _gather([f"  {name} -> " for name in quoted], tail[order]),
-        _gather([f'{name} [label="' for name in quoted], head[order]),
-        _format_rounded(table.support[order], "s={:.3f}"),
-        _format_rounded(table.confidence[order], " c={:.3f}"),
-        _format_rounded(table.lift[order], " l={:.3f}"),
-        _gather(('"];', '", style=dashed];'), dashed[order].view(np.uint8))))
-    lines.append("}\n")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+    fh.write(b"digraph rules {\n")
+    fh.write(b"".join(f"  {quoted[r]};\n".encode() for r in np.flatnonzero(used).tolist()))
+    for lo in range(0, len(table), EXPORT_ROWS):
+        rows = order[lo:lo + EXPORT_ROWS]
+        tail, head = np.divmod(pair[rows], len(nodes))
+        _write_rows(fh, (
+            tails[tail], heads[head],
+            _lookup(support, table.support[rows]),
+            _lookup(confidence, table.confidence[rows]),
+            _lookup(lift, table.lift[rows]),
+            ends[(table.neg_antecedent[rows] | table.neg_consequent[rows]).view(np.uint8)]))
+    fh.write(b"}\n")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, PreprocessConfig, TagOntology, apply_tags, preprocess
 from .errors import IncmineError
-from .rules import _format_distinct
+from .rules import _format_distinct, _lookup
 
 Doc = tuple[str, Mapping[str, int]]
 
@@ -62,8 +62,9 @@ class TfIdfMatrix:
         Each distinct weight is formatted once: a matrix holds few of them.
         """
         lines = [f"{self.n_rows} {self.n_cols} {self.nnz}"]
+        weights = _lookup(_format_distinct(self.weights, "%r"), self.weights)
         lines += map("{} {} {}".format, self.rows.tolist(), self.cols.tolist(),
-                     _format_distinct(self.weights, "{!r}").tolist())
+                     weights.tolist())
         return "\n".join(lines) + "\n"
 
 

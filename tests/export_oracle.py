@@ -7,11 +7,14 @@ turns a table into such objects through a minimal stand-in for the old
 
 ``coo_text`` is ``TfIdfMatrix.to_coo_text`` as it was before each distinct
 weight was formatted once: one f-string per stored entry.
+
+The oracles return text; the exporters write UTF-8 bytes to a binary file,
+which ``written`` collects.
 """
 
 import csv
 from dataclasses import dataclass
-from io import StringIO
+from io import BytesIO, StringIO
 
 from incmine.rules import RuleMetrics
 
@@ -32,6 +35,13 @@ class _Rule:
     @property
     def is_par(self) -> bool:
         return not self.neg_antecedent and not self.neg_consequent
+
+
+def written(export, table) -> bytes:
+    """The bytes ``export(table, fh)`` writes to a binary file."""
+    buf = BytesIO()
+    export(table, buf)
+    return buf.getvalue()
 
 
 def rows(table):

@@ -34,6 +34,7 @@ from incmine.vectors import build_term_index, tfidf_matrix
 
 from apriori_oracle import apriori_frequent
 import rule_oracle
+from export_oracle import written
 from conftest import FIXTURE_ROWS
 from lm_fixtures import gradcheck_fixture, max_relative_fd_error, overfit_fixture
 from test_clustering import exhaustive_two_medoids, principal_angles, small_fixture_suite
@@ -283,8 +284,8 @@ def test_c10_determinism_and_roundtrips(tmp_path):
     txs = [Transaction(str(i), frozenset(s)) for i, s in
            enumerate([{"a", "b"}, {"a", "b"}, {"a", "b"}, {"c"}])]
     config = MiningConfig(minsupp=0.5, mincnf=0.8, idf_min=0.0, idf_max=10.0)
-    assert export_rule_graph(fisinfis_mine(txs, config)) == \
-        export_rule_graph(fisinfis_mine(txs, config))
+    assert written(export_rule_graph, fisinfis_mine(txs, config)) == \
+        written(export_rule_graph, fisinfis_mine(txs, config))
     _report(10, "byte-identical CLI reruns and artifact round-trip",
             f"{len(compared)} files compared")
 

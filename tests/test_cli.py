@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import inspect
 import io
 import json
@@ -15,13 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from incmine import clustering, corpus, errors, rules
+from incmine import cli, clustering, corpus, errors, rules
 from incmine.cli import build_parser, main, parse_config_file
 from incmine.clustering import EmbeddingMatrix
 from incmine.errors import IncmineError
 from incmine.langmodel import LmConfig
 
 from conftest import FIXTURE_ROWS, save_embeddings
+from export_oracle import written
 
 
 def run(*argv):
@@ -238,7 +240,8 @@ class TestMineRules:
         txs = corpus.to_transactions(corpus.load_corpus(fixture_corpus_path), pre)
         mined = rules.fisinfis_mine(txs.transactions, rules.MiningConfig(minsupp=0.1))
         assert mined
-        assert read(os.path.join(out, "rules.csv")).decode() == rules.rules_to_csv(mined)
+        assert read(os.path.join(out, "rules.csv")).decode() == \
+            written(rules.rules_to_csv, mined).decode()
 
     def test_rule_bound_is_data_error(self, fixture_corpus_path, tmp_path, capsys,
                                       monkeypatch):
@@ -249,6 +252,39 @@ class TestMineRules:
         err = capsys.readouterr().err
         assert "more than 5 rules" in err and "Traceback" not in err
         assert not (out / "rules.csv").exists()
+
+    @pytest.mark.parametrize("failing, write", [("rules.csv", 3), ("rules.dot", 4)])
+    def test_failed_export_leaves_no_file(self, fixture_corpus_path, tmp_path, capsys,
+                                          monkeypatch, failing, write):
+        # the CSV writes its header, then blocks; the DOT its header and
+        # nodes, then blocks: ``write`` is the second block's write
+        monkeypatch.setattr(rules, "EXPORT_ROWS", 2)
+        failed = []
+
+        class FullDisk(io.FileIO):
+            writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == write:
+                    failed.append(self.name)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        def open_(path, mode="r", *args, **kwargs):
+            if os.path.basename(path) == failing:
+                return FullDisk(path, mode)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", open_, raising=False)
+        out = tmp_path / "out"
+        assert run("mine-rules", "--corpus", fixture_corpus_path, "--minsupp", "0.1",
+                   "--output-dir", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "error: [Errno 28] No space left on device" in captured.err
+        assert "Traceback" not in captured.err and "mine-rules:" not in captured.out
+        assert failed == [str(out / failing)]
+        assert not (out / "rules.csv").exists() and not (out / "rules.dot").exists()
 
     def test_byte_identical_outputs(self, fixture_corpus_path, tmp_path):
         outs = []

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from incmine.rules import (
 )
 from apriori_oracle import apriori_frequent
 import export_oracle
+from export_oracle import written
 import rule_oracle
 from rule_oracle import idf_of, support
 from support_oracle import support_counts_loop
@@ -282,7 +284,7 @@ class TestFisinfisMine:
         monkeypatch.setattr(rules, "np", _NumpySpy(built))
         monkeypatch.setattr(rules, "RuleTable", _recorded(built, rules.RuleTable))
         monkeypatch.setattr(rules, "MAX_RULES", len(mined))
-        assert rules_to_csv(fisinfis_mine(txs, config)) == rules_to_csv(mined)
+        assert written(rules_to_csv, fisinfis_mine(txs, config)) == written(rules_to_csv, mined)
         assert set(built) == {"concatenate", "unique", "RuleTable"}  # the spy sees the output
         built.clear()
         monkeypatch.setattr(rules, "MAX_RULES", len(mined) - 1)
@@ -361,29 +363,86 @@ def _mined_shaped_table():
                                            idf_max=10.0, max_itemset_size=3))
 
 
+# labels with accents, csv and DOT quote characters and upper-case tags
+_BLOCK_ITEMS = ("à", "è", "caduta", "b,c", 'd"e', "TAG", "TAG,X", 'Z"')
+# NaN (two bit patterns), the infinities, both zeros and ordinary values
+_BLOCK_FLOATS = (math.nan, _from_bits(0xFFF8000000000000), math.inf, -math.inf, -0.0, 0.0,
+                 0.0005, 0.0015, 0.1234565, 0.75, 4 / 3, 2.5)
+
+
+def _edge_case_table(n_rules):
+    """``n_rules`` rules in shuffled order, with distinct (tail, head) node
+    names, over ``_BLOCK_ITEMS`` itemsets and ``_BLOCK_FLOATS`` metrics."""
+    sides = [items for size in (1, 2, 3) for items in combinations(_BLOCK_ITEMS, size)]
+    sides = [tuple(sorted(items)) for items in sides]
+    nodes = len(sides) * 2
+    assert n_rules <= nodes * nodes
+    rng = np.random.default_rng(n_rules)
+    rows = []
+    for key in rng.permutation(nodes * nodes)[:n_rules].tolist():
+        tail, head = divmod(key, nodes)
+        rows.append((sides[tail >> 1], sides[head >> 1], bool(tail & 1), bool(head & 1),
+                     *rng.choice(_BLOCK_FLOATS, size=3).tolist()))
+    return rule_oracle.make_table(rows)
+
+
+def _repetitive_table(n_rules):
+    """``n_rules`` rules over 7,000 itemsets of one to four 4-10 letter words,
+    with as many distinct metric floats as the 441k rules mined from
+    perfbench's ``mine`` corpus (seed 0) with itemsets up to size 4 and
+    ``idf_max`` 3.0 have: 1,600 supports, and about 0.08 confidences and
+    0.12 lifts per rule."""
+    rng = np.random.default_rng(1)
+    letters = np.array(list("acdeilmnoprstu"))
+    words = ["".join(rng.choice(letters, size=int(rng.integers(4, 11)))) for _ in range(60)]
+    itemsets = sorted({tuple(sorted(set(rng.choice(words, size=int(rng.integers(1, 5))).tolist())))
+                       for _ in range(7_000)})
+
+    def metric(distinct):
+        return rng.choice(rng.uniform(0.0, 3.0, size=distinct), size=n_rules)
+
+    return rules.RuleTable(
+        tuple(itemsets), rng.integers(0, len(itemsets), size=n_rules),
+        rng.integers(0, len(itemsets), size=n_rules),
+        rng.random(n_rules) < 0.5, rng.random(n_rules) < 0.5,
+        metric(1_600), metric(n_rules * 8 // 100), metric(n_rules * 12 // 100))
+
+
+class _ByteCounter:
+    """A binary file that keeps only the count of its writes and bytes."""
+
+    def __init__(self):
+        self.writes = self.count = 0
+
+    def write(self, data):
+        self.writes += 1
+        self.count += len(data)
+
+
 class TestExport:
     def test_par_graph_structure(self):
-        dot = export_rule_graph(rule_oracle.make_table([PAR]))
+        dot = written(export_rule_graph, rule_oracle.make_table([PAR])).decode()
         assert dot.count('";') == 2  # two node lines
         assert '"a" -> "b" [label="s=0.750 c=1.000 l=1.333"];' in dot
         assert "dashed" not in dot
 
     def test_nar_dashed_and_prefixed(self):
-        dot = export_rule_graph(rule_oracle.make_table([NAR]))
+        dot = written(export_rule_graph, rule_oracle.make_table([NAR])).decode()
         assert '"¬c"' in dot
         assert "style=dashed" in dot
 
     def test_empty_graph_is_valid(self):
-        assert export_rule_graph(rule_oracle.make_table([])) == "digraph rules {\n}\n"
+        assert written(export_rule_graph, rule_oracle.make_table([])).decode() == \
+            "digraph rules {\n}\n"
 
     def test_dot_byte_stable(self, toy_transactions):
         config = MiningConfig(minsupp=0.5, mincnf=0.8, idf_min=0.0, idf_max=10.0)
-        first = export_rule_graph(fisinfis_mine(toy_transactions, config))
-        second = export_rule_graph(fisinfis_mine(toy_transactions, config))
+        first = written(export_rule_graph, fisinfis_mine(toy_transactions, config))
+        second = written(export_rule_graph, fisinfis_mine(toy_transactions, config))
         assert first == second
 
     def test_csv_format(self):
-        text = rules_to_csv(rule_oracle.make_table([PAR, NAR]))
+        text = written(rules_to_csv, rule_oracle.make_table([PAR, NAR])).decode()
         lines = text.splitlines()
         assert lines[0] == "antecedent,consequent,neg_a,neg_c,support,confidence,lift"
         assert lines[1] == "a,b,0,0,0.750000,1.000000,1.333333"
@@ -391,7 +450,7 @@ class TestExport:
 
     def test_csv_quotes_like_csv_module(self):
         row = (("TAG,X", "a"), ('d"e',), True, False, 0.5, 0.6, 1.2)
-        line = rules_to_csv(rule_oracle.make_table([row])).splitlines()[1]
+        line = written(rules_to_csv, rule_oracle.make_table([row])).decode().splitlines()[1]
         assert line == '"TAG,X+a","d""e",1,0,0.500000,0.600000,1.200000'
 
     @settings(max_examples=60, deadline=None)
@@ -405,8 +464,9 @@ class TestExport:
                               max_itemset_size=3, require_lift_gt1=require_lift_gt1)
         table = fisinfis_mine(txs, config)
         objects = export_oracle.rows(table)
-        assert rules_to_csv(table) == export_oracle.rules_to_csv(objects)
-        assert export_rule_graph(table) == export_oracle.export_rule_graph(objects)
+        assert written(rules_to_csv, table).decode() == export_oracle.rules_to_csv(objects)
+        assert written(export_rule_graph, table).decode() == \
+            export_oracle.export_rule_graph(objects)
 
     @settings(max_examples=200, deadline=None)
     @given(rows=_adversarial_rows())
@@ -415,8 +475,9 @@ class TestExport:
     def test_adversarial_table_matches_object_oracle(self, rows):
         table = rule_oracle.make_table(rows)
         objects = export_oracle.rows(table)
-        assert rules_to_csv(table) == export_oracle.rules_to_csv(objects)
-        assert export_rule_graph(table) == export_oracle.export_rule_graph(objects)
+        assert written(rules_to_csv, table).decode() == export_oracle.rules_to_csv(objects)
+        assert written(export_rule_graph, table).decode() == \
+            export_oracle.export_rule_graph(objects)
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.one_of(
@@ -429,36 +490,84 @@ class TestExport:
                          st.sampled_from((-math.inf, 0.0, math.inf))),
                st.integers(-6000, 6000).map(lambda k: k / 2000)),
                max_size=80),
-           template=st.sampled_from(("s={:.3f}", " c={:.3f}", "{:.1f}", "{:.0f}")))
+           template=st.sampled_from(("s=%.3f", " c=%.3f", "%.1f", "%.0f", b" l=%.3f")))
     @example(values=[0.0005, 0.0015, -0.0005, -0.0, 0.0, math.nan, math.inf, -math.inf,
-                     0.0004999999999999999, 2.5, 2.5], template=" l={:.3f}")
+                     0.0004999999999999999, 2.5, 2.5], template=" l=%.3f")
     def test_rounded_formatting_matches_distinct(self, values, template):
         values = np.array(values, dtype=np.float64)
-        got = rules._format_rounded(values, template)
+        got = rules._lookup(rules._format_rounded(values, template), values)
         assert got.dtype == object and got.shape == values.shape
-        assert got.tolist() == rules._format_distinct(values, template).tolist()
+        assert got.tolist() == \
+            rules._lookup(rules._format_distinct(values, template), values).tolist()
 
     @pytest.mark.parametrize("export", [rules_to_csv, export_rule_graph])
     def test_peak_memory_is_a_few_outputs(self, export):
-        # the strings and arrays built per row stay within a few copies of
-        # the text (about 3.9 x for the CSV and 4.6 x for the DOT, whose
-        # "¬" makes the text two bytes a character)
+        # the in-memory file that collects the bytes is counted too
         table = _mined_shaped_table()
         assert 40_000 < len(table) < 60_000
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
-            text = export(table)
+            text = written(export, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 5 * len(text)
 
+    @pytest.mark.parametrize("export", [rules_to_csv, export_rule_graph])
+    def test_peak_memory_is_distinct_values_and_a_block(self, export):
+        # a file's worth of text, or one string per row, would exceed half
+        # the bytes written; the distinct strings and one block stay below
+        table = _repetitive_table(250_000)
+        sink = _ByteCounter()
+        tracemalloc.start()
+        try:
+            export(table, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.count / 2
+
+    @pytest.mark.parametrize("n_rules", [0, 1, rules.EXPORT_ROWS - 1, rules.EXPORT_ROWS,
+                                         rules.EXPORT_ROWS + 1, 3 * rules.EXPORT_ROWS + 5])
+    def test_blocks_match_object_oracle(self, n_rules):
+        table = _edge_case_table(n_rules)
+        assert len(table) == n_rules
+        objects = export_oracle.rows(table)
+        assert written(rules_to_csv, table) == \
+            export_oracle.rules_to_csv(objects).encode("utf-8")
+        assert written(export_rule_graph, table) == \
+            export_oracle.export_rule_graph(objects).encode("utf-8")
+
+    def test_equal_node_pairs_keep_table_order(self):
+        # "¬f" names both the itemset ("¬f",) and the negated ("f",): 300
+        # edges share one (tail, head) pair and must keep the table's order
+        rows = [((("¬f",), ("f",))[i % 2], ("a",), i % 2 == 1, False, i / 1000, 0.5, 2.0)
+                for i in range(300)]
+        rows.append((("a",), ("b",), False, False, 0.5, 0.5, 2.0))
+        dot = written(export_rule_graph, rule_oracle.make_table(rows)).decode()
+        edges = [line for line in dot.splitlines() if " -> " in line]
+        assert edges[0] == '  "a" -> "b" [label="s=0.500 c=0.500 l=2.000"];'
+        ends = ('"];', '", style=dashed];')
+        assert edges[1:] == [f'  "¬f" -> "a" [label="s={i / 1000:.3f} c=0.500 l=2.000{ends[i % 2]}'
+                             for i in range(300)]
+
+    def test_each_block_is_one_write(self, monkeypatch):
+        # blocks of 3 + 3 + 1 rules, after the CSV header, or between the DOT
+        # header and nodes and its closing brace
+        monkeypatch.setattr(rules, "EXPORT_ROWS", 3)
+        table = _edge_case_table(7)
+        for export, other_writes in ((rules_to_csv, 1), (export_rule_graph, 3)):
+            sink = _ByteCounter()
+            export(table, sink)
+            assert sink.writes == other_writes + 3
+
     def test_empty_table_matches_object_oracle(self, toy_transactions):
         config = MiningConfig(minsupp=1.0, mincnf=0.8, idf_min=0.0, idf_max=10.0)
         table = fisinfis_mine(toy_transactions, config)
         assert len(table) == 0
-        assert rules_to_csv(table) == export_oracle.rules_to_csv([])
-        assert export_rule_graph(table) == export_oracle.export_rule_graph([])
+        assert written(rules_to_csv, table).decode() == export_oracle.rules_to_csv([])
+        assert written(export_rule_graph, table).decode() == \
+            export_oracle.export_rule_graph([])
 
 
 class TestItemset:
