@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_config_file(path) -> dict[str, str]:
     """Flat `section.key = value` lines; '#' comments and blank lines allowed."""
     cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -258,9 +258,7 @@ def _cluster_and_report(points, ids, config) -> tuple[str, dict]:
 def cmd_cluster_tfidf(args) -> int:
     loaded, pre, ontology = _load_inputs(args)
     config = _cluster_config(args, metric="cosine")
-    docs = vectors.corpus_term_counts(loaded, pre, ontology)
-    index = vectors.build_term_index(docs)
-    matrix = vectors.tfidf_matrix(docs, index)
+    matrix = vectors.tfidf_matrix(vectors.corpus_term_counts(loaded, pre, ontology))
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
     # refuse before densifying: the n x n distances, then the dense rows
     check_allocation(n_rows * n_rows * 8, f"the distance matrix of {n_rows} points")

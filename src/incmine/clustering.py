@@ -315,7 +315,7 @@ def load_embeddings(path, fmt: str = "text") -> EmbeddingMatrix:
     followed by n_rows*n_cols little-endian float32, row-major.
     """
     if fmt == "text":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             header = fh.readline().split()
             if len(header) != 2:
                 raise EmbeddingFormatError(f"{path}: header must be 'n_rows n_cols'")
@@ -359,5 +359,5 @@ def load_embeddings(path, fmt: str = "text") -> EmbeddingMatrix:
 
 def load_embedding_ids(path) -> list[str]:
     """Companion id list: one sentence id per line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return [line.strip() for line in fh if line.strip()]

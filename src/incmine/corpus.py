@@ -125,7 +125,7 @@ class TagOntology:
     def from_tsv(cls, path) -> "TagOntology":
         """Parse `word<TAB>TAG` lines; blank lines and `#` comments allowed."""
         pairs: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -261,6 +261,7 @@ def preprocess(text: str, config: PreprocessConfig) -> list[str]:
     punctuation never enter tokens. Order follows the text.
     """
     normalized = unicodedata.normalize("NFC", text).lower()
+    # lowercasing can leave a base letter and mark that compose: "J\u030c" -> "ǰ"
     normalized = unicodedata.normalize("NFC", normalized)
     out = []
     for tok in _TOKEN_RE.findall(normalized):
@@ -314,7 +315,7 @@ def to_transactions(corpus: Corpus, config: PreprocessConfig,
 def load_stopwords(path) -> frozenset[str]:
     """One word per line, UTF-8; lowercased on load, blank lines skipped."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             word = line.strip().lower()
             if word:

@@ -1,5 +1,8 @@
 """Sparse TF-IDF features over (optionally tag-substituted) descriptions.
 
+``tfidf_matrix(corpus_term_counts(corpus, pre, ontology))`` gives one row per
+record in corpus order and one column per term, in sorted term order.
+
 TF is the raw in-description count; IDF is ln(N/df) with no smoothing, so for
 binary counts the weights agree exactly with ``rules.idf(N, df)``, the IDF
 band's value. Terms present in every description weigh zero and are not
@@ -19,24 +22,9 @@ from .corpus import Corpus, PreprocessConfig, TagOntology, apply_tags, preproces
 from .errors import IncmineError
 from .rules import _format_distinct, _lookup
 
-Doc = tuple[str, Mapping[str, int]]
-
 
 class VectorsError(IncmineError):
     pass
-
-
-class UnknownTermError(VectorsError):
-    pass
-
-
-@dataclass(frozen=True)
-class TermIndex:
-    terms: tuple[str, ...]
-    positions: Mapping[str, int]
-
-    def __len__(self):
-        return len(self.terms)
 
 
 @dataclass(frozen=True)
@@ -69,47 +57,45 @@ class TfIdfMatrix:
 
 
 def corpus_term_counts(corpus: Corpus, config: PreprocessConfig,
-                       ontology: Optional[TagOntology] = None) -> list[Doc]:
+                       ontology: Optional[TagOntology] = None) -> list[Counter[str]]:
     """Per-record term counts in corpus order; empty records keep a zero row."""
-    docs: list[Doc] = []
+    docs: list[Counter[str]] = []
     for rec in corpus:
         tokens = preprocess(rec.dynamics, config)
         if ontology is not None:
             tokens = apply_tags(tokens, ontology)
-        docs.append((rec.id, Counter(tokens)))
+        docs.append(Counter(tokens))
     return docs
 
 
-def build_term_index(docs: Sequence[Doc]) -> TermIndex:
-    terms = sorted({t for _, counts in docs for t in counts})
+def build_term_index(docs: Sequence[Mapping[str, int]]) -> dict[str, int]:
+    """``{term: column}`` over the sorted terms of every doc."""
+    terms = sorted({t for counts in docs for t in counts})
     if not terms:
         raise VectorsError("no terms in any document")
-    return TermIndex(terms=tuple(terms),
-                     positions={t: j for j, t in enumerate(terms)})
+    return {t: j for j, t in enumerate(terms)}
 
 
-def tfidf_matrix(docs: Sequence[Doc], index: TermIndex) -> TfIdfMatrix:
-    """weight(d, t) = count(t in d) * ln(N / df(t)); zero weights unstored."""
+def tfidf_matrix(docs: Sequence[Mapping[str, int]]) -> TfIdfMatrix:
+    """weight(d, t) = count(t in d) * ln(N / df(t)); zero weights unstored.
+
+    Every key is a column, in sorted order; a key counted 0 adds no df.
+    """
+    columns = build_term_index(docs)  # raises when no doc has a term
     n = len(docs)
-    if n == 0:
-        raise VectorsError("no documents")
     df: Counter[str] = Counter()
-    for _, counts in docs:
-        for term, count in counts.items():
-            if term not in index.positions:
-                raise UnknownTermError(f"term {term!r} missing from index")
-            if count > 0:
-                df[term] += 1
+    for counts in docs:
+        df.update(term for term, count in counts.items() if count > 0)
     idf = {term: math.log(n / d) for term, d in df.items()}
     rows, cols, weights = [], [], []
-    for i, (_, counts) in enumerate(docs):
+    for i, counts in enumerate(docs):
         entries = []
         for term, count in counts.items():
             if count <= 0:
                 continue
             w = count * idf[term]
             if w != 0.0:
-                entries.append((index.positions[term], w))
+                entries.append((columns[term], w))
         entries.sort()
         for j, w in entries:
             rows.append(i)
@@ -117,7 +103,7 @@ def tfidf_matrix(docs: Sequence[Doc], index: TermIndex) -> TfIdfMatrix:
             weights.append(w)
     return TfIdfMatrix(
         n_rows=n,
-        n_cols=len(index),
+        n_cols=len(columns),
         rows=np.asarray(rows, dtype=np.int64),
         cols=np.asarray(cols, dtype=np.int64),
         weights=np.asarray(weights, dtype=np.float64),

@@ -36,6 +36,19 @@ def save_embeddings(matrix, path, fmt="text"):
         raise ValueError("fmt must be 'text' or 'binary'")
 
 
+def plain_and_bom(tmp_path, name, text):
+    """Write ``text`` as UTF-8 twice: plain, and after a byte-order mark."""
+    plain, bom = tmp_path / f"plain.{name}", tmp_path / f"bom.{name}"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return str(plain), str(bom)
+
+
+def term_columns(docs):
+    """``{term: column}`` as ``tfidf_matrix`` numbers them: sorted terms."""
+    return {t: j for j, t in enumerate(sorted({t for counts in docs for t in counts}))}
+
+
 def make_corpus(rows):
     """Build a Corpus directly from (id, dynamics, consequence) tuples."""
     records = tuple(RawRecord(id=r[0], dynamics=r[1],

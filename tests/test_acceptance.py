@@ -30,12 +30,12 @@ from incmine.rules import (
     fisinfis_mine,
     rule_metrics,
 )
-from incmine.vectors import build_term_index, tfidf_matrix
+from incmine.vectors import tfidf_matrix
 
 from apriori_oracle import apriori_frequent
 import rule_oracle
 from export_oracle import written
-from conftest import FIXTURE_ROWS
+from conftest import FIXTURE_ROWS, term_columns
 from lm_fixtures import gradcheck_fixture, max_relative_fd_error, overfit_fixture
 from test_clustering import exhaustive_two_medoids, principal_angles, small_fixture_suite
 
@@ -125,25 +125,25 @@ def test_c04_idf_band_filters_extremes():
 
 
 def test_c05_tfidf_fixture_and_idf_consistency():
-    docs = [("d1", {"cade": 1, "scala": 1}), ("d2", {"cade": 1, "martello": 1})]
-    index = build_term_index(docs)
-    dense = tfidf_matrix(docs, index).toarray()
-    assert abs(dense[0, index.positions["scala"]] - math.log(2)) < 1e-12
-    assert abs(dense[1, index.positions["martello"]] - math.log(2)) < 1e-12
-    assert dense[0, index.positions["cade"]] == 0.0
-    double = [("d1", {"raro": 2, "comune": 1}), ("d2", {"comune": 1})]
-    idx2 = build_term_index(double)
-    dense2 = tfidf_matrix(double, idx2).toarray()
-    assert abs(dense2[0, idx2.positions["raro"]] - 2 * math.log(2)) < 1e-12
+    docs = [{"cade": 1, "scala": 1}, {"cade": 1, "martello": 1}]
+    index = term_columns(docs)
+    dense = tfidf_matrix(docs).toarray()
+    assert abs(dense[0, index["scala"]] - math.log(2)) < 1e-12
+    assert abs(dense[1, index["martello"]] - math.log(2)) < 1e-12
+    assert dense[0, index["cade"]] == 0.0
+    double = [{"raro": 2, "comune": 1}, {"comune": 1}]
+    idx2 = term_columns(double)
+    dense2 = tfidf_matrix(double).toarray()
+    assert abs(dense2[0, idx2["raro"]] - 2 * math.log(2)) < 1e-12
 
     rng = np.random.default_rng(505)
     txs = rule_oracle.random_transactions(rng, max_items=10, max_tx=30)
-    docs_bin = [(t.id, {item: 1 for item in sorted(t.items)}) for t in txs]
-    idx3 = build_term_index(docs_bin)
-    dense3 = tfidf_matrix(docs_bin, idx3).toarray()
+    docs_bin = [{item: 1 for item in sorted(t.items)} for t in txs]
+    idx3 = term_columns(docs_bin)
+    dense3 = tfidf_matrix(docs_bin).toarray()
     for i, t in enumerate(txs):
         for item in t.items:
-            assert abs(dense3[i, idx3.positions[item]]
+            assert abs(dense3[i, idx3[item]]
                        - rule_oracle.idf_of(item, txs)) < 1e-12
     _report(5, "tf-idf fixture weights and rules.idf consistency")
 

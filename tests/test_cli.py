@@ -22,7 +22,7 @@ from incmine.clustering import EmbeddingMatrix
 from incmine.errors import IncmineError
 from incmine.langmodel import LmConfig
 
-from conftest import FIXTURE_ROWS, save_embeddings
+from conftest import FIXTURE_ROWS, plain_and_bom, save_embeddings
 from export_oracle import written
 
 
@@ -698,6 +698,10 @@ class TestConfigFile:
         cfg.write_text("not a key value line\n", encoding="utf-8")
         with pytest.raises(Exception, match="key = value"):
             parse_config_file(str(cfg))
+
+    def test_parse_skips_byte_order_mark(self, tmp_path):
+        plain, bom = plain_and_bom(tmp_path, "cfg", "rules.minsupp = 0.2\n# note\n")
+        assert parse_config_file(bom) == parse_config_file(plain) == {"rules.minsupp": "0.2"}
 
     def test_unknown_key_is_usage_error(self, fixture_corpus_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -27,7 +27,7 @@ from incmine.errors import AllocationError
 
 import pam_oracle
 import whole_matrix_oracle
-from conftest import save_embeddings
+from conftest import plain_and_bom, save_embeddings
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
 
@@ -843,6 +843,15 @@ class TestEmbeddingsIO:
         path = tmp_path / "ids.txt"
         path.write_text("s1\ns2\n\ns3\n", encoding="utf-8")
         assert load_embedding_ids(path) == ["s1", "s2", "s3"]
+
+    def test_text_byte_order_mark_is_skipped(self, tmp_path):
+        plain, bom = plain_and_bom(tmp_path, "txt", "2 2\n1.5 -2\n0 3\n")
+        assert np.array_equal(load_embeddings(bom, fmt="text").values,
+                              load_embeddings(plain, fmt="text").values)
+
+    def test_ids_byte_order_mark_is_skipped(self, tmp_path):
+        plain, bom = plain_and_bom(tmp_path, "ids", "s1\ns2\n")
+        assert load_embedding_ids(bom) == load_embedding_ids(plain) == ["s1", "s2"]
 
 
 class TestClusterConfig:

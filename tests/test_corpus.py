@@ -20,7 +20,7 @@ from incmine.corpus import (
     to_transactions,
     top_frequent_words,
 )
-from conftest import make_corpus
+from conftest import make_corpus, plain_and_bom
 
 
 class TestLoadCorpus:
@@ -89,11 +89,9 @@ class TestLoadCorpus:
         ("csv", "id,dynamics,consequence\na,cade male,botta\nb,ND,\n"),
     ])
     def test_byte_order_mark_is_skipped(self, tmp_path, fmt, text):
-        plain, bom = tmp_path / f"plain.{fmt}", tmp_path / f"bom.{fmt}"
-        plain.write_bytes(text.encode("utf-8"))
-        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        assert load_corpus(str(bom), fmt=fmt) == load_corpus(str(plain), fmt=fmt)
-        assert load_corpus(str(bom), fmt=fmt).ids == ("a",)
+        plain, bom = plain_and_bom(tmp_path, fmt, text)
+        assert load_corpus(bom, fmt=fmt) == load_corpus(plain, fmt=fmt)
+        assert load_corpus(bom, fmt=fmt).ids == ("a",)
 
     def test_jsonl_parse_error_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -113,6 +111,11 @@ class TestPreprocess:
         assert preprocess("È CADUTO!!", cfg) == ["caduto"]
         # decomposed form normalizes to the same tokens
         assert preprocess("È CADUTO!!", cfg) == ["caduto"]
+
+    def test_nfc_again_after_lowercasing(self):
+        # "J" has no precomposed caron form, its lowercase does: "ǰ" (U+01F0)
+        cfg = PreprocessConfig(min_token_len=1)
+        assert preprocess("J\u030cA", cfg) == ["\u01f0a"]
 
     def test_digits_and_short_tokens(self):
         cfg = PreprocessConfig()
@@ -182,6 +185,11 @@ class TestTagOntology:
         onto = TagOntology.from_tsv(str(path))
         assert onto.pairs == {"martello": "UTENSILE", "trapano": "UTENSILE"}
 
+    def test_tsv_byte_order_mark_is_skipped(self, tmp_path):
+        plain, bom = plain_and_bom(tmp_path, "tsv", "martello\tUTENSILE\nscala\tATTREZZO\n")
+        assert TagOntology.from_tsv(bom).pairs == TagOntology.from_tsv(plain).pairs
+        assert "martello" in TagOntology.from_tsv(bom).pairs
+
     def test_tsv_conflict(self, tmp_path):
         path = tmp_path / "onto.tsv"
         path.write_text("martello\tUTENSILE\nmartello\tARNESE\n", encoding="utf-8")
@@ -243,6 +251,11 @@ def test_stopword_file_roundtrip(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("Il\ndalla\n\nE\n", encoding="utf-8")
     assert load_stopwords(str(path)) == frozenset({"il", "dalla", "e"})
+
+
+def test_stopword_file_byte_order_mark_is_skipped(tmp_path):
+    plain, bom = plain_and_bom(tmp_path, "txt", "il\ndalla\n")
+    assert load_stopwords(bom) == load_stopwords(plain) == frozenset({"il", "dalla"})
 
 
 def test_bundled_stopwords():

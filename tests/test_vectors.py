@@ -1,76 +1,83 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incmine.corpus import PreprocessConfig, TagOntology, Transaction
+from incmine.corpus import PreprocessConfig, TagOntology
 from incmine.vectors import (
     TfIdfMatrix,
-    UnknownTermError,
     VectorsError,
-    build_term_index,
     corpus_term_counts,
     tfidf_matrix,
 )
-from conftest import make_corpus
+from conftest import make_corpus, term_columns
 import export_oracle
 
 
 class TestTermIndex:
+    """The columns ``tfidf_matrix`` numbers through ``build_term_index``."""
+
     def test_two_docs(self):
-        index = build_term_index([("d1", {"a": 1}), ("d2", {"b": 2})])
-        assert index.terms == ("a", "b")
-        assert index.positions == {"a": 0, "b": 1}
+        matrix = tfidf_matrix([{"a": 1}, {"b": 2}])
+        assert matrix.n_cols == 2
+        assert list(zip(matrix.rows.tolist(), matrix.cols.tolist())) == [(0, 0), (1, 1)]
 
     def test_order_independent(self):
-        one = build_term_index([("d1", {"b": 1}), ("d2", {"a": 1})])
-        two = build_term_index([("d1", {"a": 1}), ("d2", {"b": 1})])
-        assert one.terms == two.terms == ("a", "b")
+        one = tfidf_matrix([{"b": 1}, {"a": 1}])
+        two = tfidf_matrix([{"a": 1}, {"b": 1}])
+        assert one.cols.tolist() == [1, 0]
+        assert two.cols.tolist() == [0, 1]
+        assert np.array_equal(one.toarray()[::-1], two.toarray())
 
     def test_single_doc(self):
-        index = build_term_index([("d1", {"x": 3})])
-        assert len(index) == 1
+        matrix = tfidf_matrix([{"x": 3}])
+        assert matrix.n_cols == 1
 
     def test_no_terms(self):
         with pytest.raises(VectorsError):
-            build_term_index([("d1", {}), ("d2", {})])
+            tfidf_matrix([{}, {}])
+        with pytest.raises(VectorsError):
+            tfidf_matrix([])
+
+    def test_zero_count_key_has_a_column_and_no_df(self):
+        # "a" counted 0 in d2 does not raise its df, so d1 keeps ln(2)
+        docs = [{"a": 1}, {"a": 0, "b": 1}, {"c": 1}]
+        matrix = tfidf_matrix(docs)
+        assert matrix.n_cols == 3
+        dense = matrix.toarray()
+        assert abs(dense[0, 0] - math.log(3)) < 1e-12
+        assert dense[1, 0] == 0.0
+        assert matrix.nnz == 3
 
 
 class TestTfIdf:
     def test_toy_weights(self):
-        docs = [("d1", {"cade": 1, "scala": 1}), ("d2", {"cade": 1, "martello": 1})]
-        index = build_term_index(docs)
-        matrix = tfidf_matrix(docs, index)
+        docs = [{"cade": 1, "scala": 1}, {"cade": 1, "martello": 1}]
+        index = term_columns(docs)
+        matrix = tfidf_matrix(docs)
         dense = matrix.toarray()
-        scala = index.positions["scala"]
-        cade = index.positions["cade"]
+        scala = index["scala"]
+        cade = index["cade"]
         assert abs(dense[0, scala] - math.log(2)) < 1e-12
         assert dense[0, cade] == 0.0  # universal term weighs nothing
 
     def test_count_scales_weight(self):
-        docs = [("d1", {"raro": 2, "comune": 1}), ("d2", {"comune": 1})]
-        index = build_term_index(docs)
-        dense = tfidf_matrix(docs, index).toarray()
-        assert abs(dense[0, index.positions["raro"]] - 2 * math.log(2)) < 1e-12
+        docs = [{"raro": 2, "comune": 1}, {"comune": 1}]
+        index = term_columns(docs)
+        dense = tfidf_matrix(docs).toarray()
+        assert abs(dense[0, index["raro"]] - 2 * math.log(2)) < 1e-12
 
     def test_single_doc_all_zero(self):
-        docs = [("d1", {"a": 3, "b": 1})]
-        index = build_term_index(docs)
-        matrix = tfidf_matrix(docs, index)
+        docs = [{"a": 3, "b": 1}]
+        matrix = tfidf_matrix(docs)
         assert matrix.nnz == 0
         assert matrix.n_rows == 1
 
-    def test_missing_term_named(self):
-        docs = [("d1", {"a": 1})]
-        index = build_term_index(docs)
-        with pytest.raises(UnknownTermError, match="fantasma"):
-            tfidf_matrix([("d1", {"fantasma": 1})], index)
-
     def test_sparsity_stores_only_nonzero(self):
-        docs = [("d1", {"a": 1, "b": 1}), ("d2", {"a": 1})]
-        index = build_term_index(docs)
-        matrix = tfidf_matrix(docs, index)
+        docs = [{"a": 1, "b": 1}, {"a": 1}]
+        matrix = tfidf_matrix(docs)
         assert (matrix.weights != 0.0).all()
         dense = matrix.toarray()
         assert matrix.nnz == np.count_nonzero(dense)
@@ -79,28 +86,26 @@ class TestTfIdf:
         # set-valued docs: weight must equal count * rules.idf(term)
         import rule_oracle
         txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=20)
-        docs = [(t.id, {item: 1 for item in sorted(t.items)}) for t in txs]
-        index = build_term_index(docs)
-        dense = tfidf_matrix(docs, index).toarray()
+        docs = [{item: 1 for item in sorted(t.items)} for t in txs]
+        index = term_columns(docs)
+        dense = tfidf_matrix(docs).toarray()
         for i, t in enumerate(txs):
             for item in t.items:
                 want = rule_oracle.idf_of(item, txs)
-                assert abs(dense[i, index.positions[item]] - want) < 1e-12
+                assert abs(dense[i, index[item]] - want) < 1e-12
 
     def test_row_permutation_equivariance(self):
-        docs = [("d1", {"a": 2}), ("d2", {"b": 1}), ("d3", {"a": 1, "b": 1})]
-        index = build_term_index(docs)
-        base = tfidf_matrix(docs, index).toarray()
+        docs = [{"a": 2}, {"b": 1}, {"a": 1, "b": 1}]
+        base = tfidf_matrix(docs).toarray()
         perm = [docs[2], docs[0], docs[1]]
-        permuted = tfidf_matrix(perm, build_term_index(perm)).toarray()
+        permuted = tfidf_matrix(perm).toarray()
         assert np.allclose(permuted, base[[2, 0, 1]])
 
 
 class TestExport:
     def test_coo_text_format(self):
-        docs = [("d1", {"cade": 1, "scala": 1}), ("d2", {"cade": 1, "martello": 1})]
-        index = build_term_index(docs)
-        text = tfidf_matrix(docs, index).to_coo_text()
+        docs = [{"cade": 1, "scala": 1}, {"cade": 1, "martello": 1}]
+        text = tfidf_matrix(docs).to_coo_text()
         lines = text.splitlines()
         assert lines[0] == "2 3 2"
         assert lines[1].startswith("0 2 ")  # (row 0, col scala)
@@ -110,9 +115,8 @@ class TestExport:
     def test_sorted_by_row_col(self, rng):
         import rule_oracle
         txs = rule_oracle.random_transactions(rng, max_items=10, max_tx=15)
-        docs = [(t.id, {item: 1 for item in sorted(t.items)}) for t in txs]
-        index = build_term_index(docs)
-        text = tfidf_matrix(docs, index).to_coo_text()
+        docs = [{item: 1 for item in sorted(t.items)} for t in txs]
+        text = tfidf_matrix(docs).to_coo_text()
         coords = [tuple(map(int, line.split()[:2]))
                   for line in text.splitlines()[1:]]
         assert coords == sorted(coords)
@@ -140,9 +144,8 @@ class TestExport:
     def test_coo_text_matches_oracle_on_a_corpus(self, rng):
         import rule_oracle
         txs = rule_oracle.random_transactions(rng, max_items=10, max_tx=40)
-        docs = [(t.id, {item: 1 + i % 3 for i, item in enumerate(sorted(t.items))})
-                for t in txs]
-        matrix = tfidf_matrix(docs, build_term_index(docs))
+        docs = [{item: 1 + i % 3 for i, item in enumerate(sorted(t.items))} for t in txs]
+        matrix = tfidf_matrix(docs)
         assert matrix.nnz > len(set(matrix.weights.tolist()))  # repeated weights
         assert matrix.to_coo_text() == export_oracle.coo_text(matrix)
 
@@ -151,12 +154,12 @@ def test_corpus_term_counts_with_tags():
     corp = make_corpus([("x", "martello cade martello", "")])
     onto = TagOntology({"martello": "UTENSILE"})
     docs = corpus_term_counts(corp, PreprocessConfig(), onto)
-    assert docs == [("x", {"UTENSILE": 2, "cade": 1})]
+    assert docs == [Counter({"UTENSILE": 2, "cade": 1})]
 
 
 def test_corpus_term_counts_keeps_empty_rows():
     cfg = PreprocessConfig(stopwords=frozenset({"il"}))
     corp = make_corpus([("a", "il", ""), ("b", "scala", "")])
     docs = corpus_term_counts(corp, cfg)
-    assert docs[0] == ("a", {})
+    assert docs[0] == Counter()
     assert len(docs) == 2
