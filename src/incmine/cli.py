@@ -159,8 +159,8 @@ def _outdir(args) -> str:
 def cmd_preprocess(args) -> int:
     loaded, pre, ontology = _load_inputs(args)
     txs = corpus_mod.to_transactions(loaded, pre, ontology)
-    top_k = corpus_mod.TOP_WORDS if args.top_k is None else args.top_k
-    top = corpus_mod.top_frequent_words(loaded, top_k, pre)
+    top = corpus_mod.top_frequent_words(loaded, pre,
+                                        **_given(args, corpus_mod.top_frequent_words))
 
     out = _outdir(args)
     buf = StringIO()
@@ -289,12 +289,10 @@ def cmd_cluster_embeddings(args) -> int:
                 f"id list has {len(ids)} entries, embeddings have {matrix.n_rows} rows")
     else:
         ids = [str(i) for i in range(matrix.n_rows)]
-    threshold = args.variance_threshold
-    if threshold is None:
-        threshold = clustering.VARIANCE_THRESHOLD
     # fit and reduce on the same matrix: the reduction is in-sample
     model = clustering.ipca_fit(matrix.values, **_given(args, clustering.ipca_fit))
-    reduced, m = clustering.reduce_to_variance(model, matrix.values, threshold)
+    reduced, m = clustering.reduce_to_variance(
+        model, matrix.values, **_given(args, clustering.reduce_to_variance))
     clusters, summary = _cluster_and_report(reduced, ids, config)
     out = _outdir(args)
     _write_text(os.path.join(out, "clusters.csv"), clusters)

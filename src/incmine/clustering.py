@@ -285,19 +285,20 @@ def ipca_fit(data, batch_size: Optional[int] = None) -> IpcaModel:
 
 
 def reduce_to_variance(model: IpcaModel, points,
-                       threshold: float = VARIANCE_THRESHOLD) -> tuple[np.ndarray, int]:
-    """Project onto the smallest component prefix explaining >= threshold."""
+                       variance_threshold: float = VARIANCE_THRESHOLD
+                       ) -> tuple[np.ndarray, int]:
+    """Project onto the smallest component prefix explaining >= variance_threshold."""
     points = _validate_points(points)
     if points.shape[1] != model.n_cols:
         raise ClusteringError(
             f"points have {points.shape[1]} columns, model expects {model.n_cols}")
-    if not 0.0 <= threshold <= 1.0:
+    if not 0.0 <= variance_threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     cum = np.cumsum(model.explained_variance_ratio)
-    reached = np.nonzero(cum >= threshold)[0]
+    reached = np.nonzero(cum >= variance_threshold)[0]
     if len(reached) == 0:
-        raise ClusteringError(
-            f"retained components explain only {cum[-1]:.6f} < {threshold} of variance")
+        raise ClusteringError(f"retained components explain only {cum[-1]:.6f} < "
+                              f"{variance_threshold} of variance")
     m = int(reached[0]) + 1
     reduced = (points - model.mean) @ model.components[:m].T
     return reduced, m

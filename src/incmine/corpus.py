@@ -271,16 +271,16 @@ def preprocess(text: str, config: PreprocessConfig) -> list[str]:
     return out
 
 
-def top_frequent_words(corpus: Corpus, k: int,
-                       config: PreprocessConfig) -> list[tuple[str, int]]:
+def top_frequent_words(corpus: Corpus, config: PreprocessConfig,
+                       top_k: int = TOP_WORDS) -> list[tuple[str, int]]:
     """Top-k dynamics words by count, ties broken lexicographically ascending."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
     counts: Counter[str] = Counter()
     for rec in corpus:
         counts.update(preprocess(rec.dynamics, config))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    return ranked[:top_k]
 
 
 def apply_tags(tokens: Sequence[str], ontology: TagOntology) -> list[str]:

@@ -21,16 +21,17 @@ order and shape of the tensors, and so each tensor's offset, and
 ``FlatParams`` maps each name to its reshaped view. Training keeps its
 gradients and the Adam m and v as buffers of the same layout; ``backward``
 writes into the gradient views, clipping runs on the whole buffer and Adam
-on cache-sized blocks of it. ``load_model`` reads each tensor file straight into its
-view's bytes of a little-endian float32 buffer and hashes those same bytes;
-a float64 config casts the buffer once, after every checksum has passed.
+on cache-sized blocks of it. The artifact stores that buffer as one file,
+``params.bin``, with one checksum: ``load_model`` reads it straight into a
+little-endian float32 buffer and hashes those same bytes; a float64 config
+casts the buffer once, after the checksum has passed.
 
 The training set is two arrays, built once from the token lists that also
 fit the vocabulary: ``ids`` (N, seq_len) int64 and multi-hot ``targets``
 (N, V) in the config dtype. A step's batch is the same rows of both.
 
 Parameters default to float32 so the on-disk artifact (little-endian float32
-blobs) round-trips bit-exactly; gradient checking uses float64 configs. An
+bytes) round-trips bit-exactly; gradient checking uses float64 configs. An
 ``LmConfig`` whose training buffers (weights, gradients, Adam m and v, and
 the float64 squares of clipping) would exceed
 ``errors.MAX_ALLOCATION_BYTES`` is refused when it is built, and
@@ -57,7 +58,7 @@ UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
 
-ARTIFACT_VERSION = "lm-v1"
+ARTIFACT_VERSION = "lm-v2"
 _PROB_EPS = 1e-7
 
 
@@ -262,15 +263,13 @@ class AdamState:
 class LmModel:
     config: LmConfig
     vocab: LmVocabulary
-    params: dict[str, np.ndarray]  # a FlatParams from initialized and load_model
+    params: FlatParams
 
     @classmethod
     def initialized(cls, config: LmConfig, vocab: LmVocabulary,
-                    rng: Optional[np.random.Generator] = None) -> "LmModel":
+                    rng: np.random.Generator) -> "LmModel":
         if len(vocab) > config.vocab_size:
             raise LangModelError("vocabulary larger than configured vocab_size")
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
         return cls(config=config, vocab=vocab, params=init_params(config, rng))
 
 
@@ -452,11 +451,10 @@ def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
     return probs, cache
 
 
-def forward(model: LmModel, input_ids, train_mode: bool = False,
-            rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Probability vector over the vocabulary for one id sequence."""
+def forward(model: LmModel, input_ids) -> np.ndarray:
+    """Eval-mode probability vector over the vocabulary for one id sequence."""
     ids = np.asarray(input_ids, dtype=np.int64)[None, :]
-    probs, _ = _forward_batch(model.params, model.config, ids, train_mode, rng)
+    probs, _ = _forward_batch(model.params, model.config, ids, False, None)
     return probs[0]
 
 
@@ -627,7 +625,7 @@ def predict_consequence(model: LmModel, text: str, top_k: int = 10,
         pre = PreprocessConfig()
     tokens = preprocess(text, pre)
     ids = encode(tokens, model.vocab, model.config.seq_len)
-    probs = forward(model, ids, train_mode=False)
+    probs = forward(model, ids)
     order = np.argsort(-probs, kind="stable")
     out = []
     for idx in order:
@@ -641,8 +639,11 @@ def predict_consequence(model: LmModel, text: str, top_k: int = 10,
 
 
 # --------------------------------------------------------------------------
-# model artifact (manifest + float32 tensor blobs)
+# model artifact (manifest + one float32 parameter file)
 # --------------------------------------------------------------------------
+
+PARAMS_FILE = "params.bin"
+
 
 def _bytes_of(arr: np.ndarray) -> memoryview:
     """The bytes of a C-contiguous array, without a copy."""
@@ -650,37 +651,29 @@ def _bytes_of(arr: np.ndarray) -> memoryview:
 
 
 def save_model(model: LmModel, path) -> None:
-    """Write manifest.json plus one little-endian float32 blob per tensor.
+    """Write manifest.json and params.bin, the parameter buffer as
+    little-endian float32 in ``_param_specs`` order.
 
-    A float32 tensor is written and hashed straight from its view; a float64
-    one is cast to float32 first.
+    A float32 buffer is written and hashed straight from memory; a float64
+    one is cast to float32 first. The manifest holds the version, config,
+    vocabulary and the SHA-256 of params.bin.
     """
-    os.makedirs(os.path.join(path, "tensors"), exist_ok=True)
-    tensors = {}
-    for name in sorted(model.params):
-        blob = _bytes_of(np.ascontiguousarray(model.params[name], dtype="<f4"))
-        rel = f"tensors/{name}.bin"
-        with open(os.path.join(path, rel), "wb") as fh:
-            fh.write(blob)
-        tensors[name] = {
-            "shape": list(model.params[name].shape),
-            "dtype": "float32",
-            "file": rel,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        }
+    os.makedirs(path, exist_ok=True)
+    blob = _bytes_of(np.ascontiguousarray(model.params.flat, dtype="<f4"))
+    with open(os.path.join(path, PARAMS_FILE), "wb") as fh:
+        fh.write(blob)
     manifest = {
         "version": ARTIFACT_VERSION,
         "config": asdict(model.config),
         "vocab": list(model.vocab.tokens),
-        "tensors": tensors,
+        "sha256": hashlib.sha256(blob).hexdigest(),
     }
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-_MANIFEST_KEYS = frozenset({"version", "config", "vocab", "tensors"})
-_TENSOR_KEYS = frozenset({"shape", "dtype", "file", "sha256"})
+_MANIFEST_KEYS = frozenset({"version", "config", "vocab", "sha256"})
 
 
 def _check_keys(obj, keys, what: str) -> None:
@@ -693,20 +686,19 @@ def _check_keys(obj, keys, what: str) -> None:
 
 
 def load_model(path) -> LmModel:
-    """Rebuild a model from an artifact directory, verifying checksums.
+    """Rebuild a model from an artifact directory, verifying its checksum.
 
     Every malformed manifest raises ``ArtifactError``: JSON that does not
     parse (named by the manifest's path), a value that is not a JSON object
     where one belongs, a missing or unknown key, a config value ``LmConfig``
-    rejects, a vocabulary longer than the config's ``vocab_size``, a tensor
-    set, shape or dtype other than the config's float32 tensors, a tensor
-    file outside the artifact directory, or one whose size is not its
-    shape's byte count (checked before any byte is read).
+    rejects, or a vocabulary longer than the config's ``vocab_size``. So
+    does a params.bin whose size is not the config's parameter count times
+    4 bytes (checked before any byte is read). Another version, lm-v1
+    included, raises ``ArtifactVersionError``.
 
-    The tensors are read into one little-endian float32 ``FlatParams``
-    buffer, each file straight into its view's bytes, and each checksum is
-    over exactly those bytes; a float64 config casts the buffer once, after
-    every checksum has passed.
+    params.bin is read straight into one little-endian float32 buffer and
+    the checksum is over exactly those bytes; a float64 config casts the
+    buffer once, after the checksum has passed.
     """
     manifest_path = os.path.join(path, "manifest.json")
     with open(manifest_path, encoding="utf-8") as fh:
@@ -733,34 +725,17 @@ def load_model(path) -> LmModel:
         raise ArtifactError(f"manifest vocab has {len(tokens)} tokens, above the "
                             f"configured vocab_size {config.vocab_size}")
     vocab = LmVocabulary(tokens)
-    if not isinstance(manifest["tensors"], dict):
-        raise ArtifactError("manifest tensors is not a JSON object")
-    shapes = {name: list(shape) for name, shape in _param_specs(config)}
-    if manifest["tensors"].keys() != shapes.keys():
-        raise ArtifactError("artifact tensor set does not match configuration")
-    root = os.path.realpath(path)
-    stored = FlatParams(config, np.empty(_param_count(config), dtype="<f4"))
-    for name, spec in manifest["tensors"].items():
-        _check_keys(spec, _TENSOR_KEYS, f"tensor {name!r}")
-        if spec["shape"] != shapes[name] or spec["dtype"] != "float32":
-            raise ArtifactError(
-                f"tensor {name!r} is {spec['dtype']!r} {spec['shape']!r}, the "
-                f"configuration needs 'float32' {shapes[name]!r}")
-        file = os.path.realpath(os.path.join(root, str(spec["file"])))
-        if os.path.commonpath([root, file]) != root:
-            raise ArtifactError(
-                f"tensor {name!r} file {spec['file']!r} lies outside the artifact directory")
-        blob = _bytes_of(stored[name])
-        with open(file, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size != blob.nbytes:
-                raise ArtifactError(f"tensor {name!r} file is {size} bytes, its shape "
-                                    f"needs {blob.nbytes}")
-            if fh.readinto(blob) != blob.nbytes:
-                raise ArtifactError(f"tensor {name!r} file shrank while being read")
-        if hashlib.sha256(blob).hexdigest() != spec["sha256"]:
-            raise ArtifactChecksumError(f"checksum mismatch for tensor {name!r}")
-    params = stored
-    if stored.flat.dtype != config.np_dtype:
-        params = FlatParams(config, stored.flat.astype(config.np_dtype))
+    params_path = os.path.join(path, PARAMS_FILE)
+    stored = np.empty(_param_count(config), dtype="<f4")
+    blob = _bytes_of(stored)
+    with open(params_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != blob.nbytes:
+            raise ArtifactError(f"{params_path} is {size} bytes, the config "
+                                f"needs {blob.nbytes}")
+        if fh.readinto(blob) != blob.nbytes:
+            raise ArtifactError(f"{params_path} shrank while being read")
+    if hashlib.sha256(blob).hexdigest() != manifest["sha256"]:
+        raise ArtifactChecksumError(f"checksum mismatch for {params_path}")
+    params = FlatParams(config, stored.astype(config.np_dtype, copy=False))
     return LmModel(config=config, vocab=vocab, params=params)

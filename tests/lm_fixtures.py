@@ -58,8 +58,7 @@ def zero_model(config):
     """Model with every parameter zero and the vocabulary PAD, UNK, t0, t1, ..."""
     vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN]
                             + [f"t{i}" for i in range(config.vocab_size - 2)])
-    params = {name: np.zeros(shape, dtype=config.np_dtype)
-              for name, shape in lm._param_specs(config)}
+    params = lm.FlatParams(config, np.zeros(lm._param_count(config), dtype=config.np_dtype))
     return lm.LmModel(config=config, vocab=vocab, params=params)
 
 

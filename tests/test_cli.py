@@ -497,7 +497,7 @@ class TestTrainPredict:
                        "--dropout", "0.5", "--seq-len", "5", "--epochs", "2",
                        "--seed", "9", "--no-stopwords",
                        "--output-dir", out) == 0
-            with open(os.path.join(out, "model", "tensors", "out_w.bin"), "rb") as fh:
+            with open(os.path.join(out, "model", "params.bin"), "rb") as fh:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1]
 
@@ -641,23 +641,12 @@ class TestModelManifest:
         err = capsys.readouterr().err
         assert code == 2 and "manifest" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("key, value", [("shape", [32, 1]), ("dtype", "float64")])
-    def test_tensor_shape_and_dtype_checked(self, model_dir, capsys, key, value):
-        # same blob and checksum: out_b of shape [V, 1] would broadcast
+    def test_lm_v1_manifest_must_be_retrained(self, model_dir, capsys):
         data = self._manifest(model_dir)
-        data["tensors"]["out_b"][key] = value
+        del data["sha256"]
+        data.update(version="lm-v1", tensors={})  # lm-v1 described one file per tensor
         code, err = self._predict_with(model_dir, data, capsys)
-        assert code == 2 and "'out_b'" in err and "needs 'float32' [32]" in err
-
-    def test_tensor_file_outside_artifact(self, model_dir, capsys):
-        data = self._manifest(model_dir)
-        spec = data["tensors"]["out_w"]
-        outside = os.path.join(os.path.dirname(os.path.dirname(model_dir)), "out_w.bin")
-        with open(outside, "wb") as fh:
-            fh.write(read(os.path.join(model_dir, spec["file"])))
-        spec["file"] = os.path.join("..", "..", "out_w.bin")
-        code, err = self._predict_with(model_dir, data, capsys)
-        assert code == 2 and "outside the artifact directory" in err
+        assert code == 2 and "'lm-v1'" in err and "'lm-v2'" in err
 
 
 class TestConfigFile:
@@ -1019,16 +1008,17 @@ def test_manifest_fuzz_keeps_exit_contract(model_dir, data):
 
 
 class TestPipelineConfig:
-    """Defaults the CLI reads from a module constant, not a literal of its own."""
+    """Defaults the CLI leaves to the library function, whose signature takes
+    them from a module constant: the CLI has no literal or copy of its own."""
 
     def test_variance_threshold_has_one_source(self, tmp_path, capsys, monkeypatch):
         threshold = clustering.VARIANCE_THRESHOLD
         assert inspect.signature(clustering.reduce_to_variance) \
-            .parameters["threshold"].default == threshold
+            .parameters["variance_threshold"].default == threshold
         assert run("cluster-embeddings", "--help") == 0
         assert f"(default {threshold})" in capsys.readouterr().out
-        # the CLI reads the constant when it runs: 0.0 keeps one component
-        monkeypatch.setattr(clustering, "VARIANCE_THRESHOLD", 0.0)
+        # the CLI passes no threshold of its own: 0.0 keeps one component
+        monkeypatch.setattr(clustering.reduce_to_variance, "__defaults__", (0.0,))
         emb = tmp_path / "emb.txt"
         save_embeddings(EmbeddingMatrix(np.random.default_rng(0).normal(size=(8, 4))), emb)
         out = str(tmp_path / "out")
@@ -1039,9 +1029,11 @@ class TestPipelineConfig:
 
     def test_top_words_has_one_source(self, fixture_corpus_path, tmp_path, capsys,
                                       monkeypatch):
+        assert inspect.signature(corpus.top_frequent_words) \
+            .parameters["top_k"].default == corpus.TOP_WORDS
         assert run("preprocess", "--help") == 0
         assert f"(default {corpus.TOP_WORDS})" in capsys.readouterr().out
-        monkeypatch.setattr(corpus, "TOP_WORDS", 3)
+        monkeypatch.setattr(corpus.top_frequent_words, "__defaults__", (3,))
         out = str(tmp_path / "out")
         assert run("preprocess", "--corpus", fixture_corpus_path, "--output-dir", out) == 0
         assert len(read(os.path.join(out, "top_words.csv")).splitlines()) == 1 + 3

@@ -140,22 +140,22 @@ class TestPreprocess:
 class TestTopFrequentWords:
     def test_counting(self):
         corp = make_corpus([("x", "alfa alfa beta", "")])
-        assert top_frequent_words(corp, 2, PreprocessConfig()) == \
+        assert top_frequent_words(corp, PreprocessConfig(), 2) == \
             [("alfa", 2), ("beta", 1)]
 
     def test_tie_breaks_lexicographic(self):
         corp = make_corpus([("x", "beta alfa", "")])
-        assert top_frequent_words(corp, 1, PreprocessConfig()) == [("alfa", 1)]
+        assert top_frequent_words(corp, PreprocessConfig(), 1) == [("alfa", 1)]
 
     def test_truncates_to_distinct(self):
         words = " ".join(f"parola{chr(97 + i // 26)}{chr(97 + i % 26)}"
                          for i in range(40))
         corp = make_corpus([("x", words, "")])
-        assert len(top_frequent_words(corp, 100, PreprocessConfig())) == 40
+        assert len(top_frequent_words(corp, PreprocessConfig(), 100)) == 40
 
     def test_counts_bounded_by_total(self):
         corp = make_corpus([("x", "uno due due tre tre tre", "")])
-        top = top_frequent_words(corp, 10, PreprocessConfig())
+        top = top_frequent_words(corp, PreprocessConfig(), 10)
         assert sum(c for _, c in top) <= 6
 
 

@@ -64,8 +64,8 @@ class TestForward:
 
     def test_eval_mode_deterministic(self):
         model, ids, _ = gradcheck_fixture()
-        one = lm.forward(model, ids[0], train_mode=False)
-        two = lm.forward(model, ids[0], train_mode=False)
+        one = lm.forward(model, ids[0])
+        two = lm.forward(model, ids[0])
         assert np.array_equal(one, two)
 
 
@@ -382,7 +382,8 @@ class TestDropout:
         model = zero_model(lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
                                        dense_units=3, dropout_rate=0.5, seq_len=3))
         with pytest.raises(ValueError):
-            lm.forward(model, np.zeros(3, dtype=np.int64), train_mode=True)
+            lm._forward_batch(model.params, model.config, np.zeros((1, 3), dtype=np.int64),
+                              True, None)
 
 
 class TestPredict:
@@ -416,11 +417,11 @@ class TestArtifact:
         _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
         model, _ = lm.train(ids, targets, config, vocab)
         lm.save_model(model, tmp_path / "model")
-        blob = tmp_path / "model" / "tensors" / "out_b.bin"
+        blob = tmp_path / "model" / "params.bin"
         raw = bytearray(blob.read_bytes())
-        raw[0] ^= 0xFF
+        raw[-1] ^= 0xFF  # the last byte of out_b
         blob.write_bytes(bytes(raw))
-        with pytest.raises(lm.ArtifactChecksumError, match="out_b"):
+        with pytest.raises(lm.ArtifactChecksumError, match="params.bin"):
             lm.load_model(tmp_path / "model")
 
     def test_version_error_names_both(self, tmp_path):
@@ -432,17 +433,19 @@ class TestArtifact:
         manifest = json.loads(manifest_path.read_text())
         manifest["version"] = "lm-v0"
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(lm.ArtifactVersionError, match="lm-v0.*lm-v1"):
+        with pytest.raises(lm.ArtifactVersionError, match="lm-v0.*lm-v2"):
             lm.load_model(tmp_path / "model")
 
 
-def _saved(tmp_path, dtype="float32"):
+def _model(dtype="float32"):
     if dtype == "float32":
         _, _, vocab, config, ids, targets = overfit_fixture(epochs=2)
-        model, _ = lm.train(ids, targets, config, vocab)
-    else:
-        model, _, _ = gradcheck_fixture()
-    lm.save_model(model, tmp_path / "model")
+        return lm.train(ids, targets, config, vocab)[0]
+    return gradcheck_fixture()[0]
+
+
+def _saved(tmp_path, dtype="float32"):
+    lm.save_model(_model(dtype), tmp_path / "model")
     return tmp_path / "model"
 
 
@@ -506,14 +509,28 @@ class TestArtifactRoundTrip:
         loaded = lm.load_model(path)
         assert loaded.config.dtype == "float64"
         _assert_tiles_one_buffer(loaded.params, loaded.config)
+        stored = np.fromfile(path / "params.bin", dtype="<f4")
+        start = 0
         for name, shape in lm._param_specs(loaded.config):
-            stored = np.fromfile(path / "tensors" / f"{name}.bin", dtype="<f4")
+            stop = start + math.prod(shape)
             assert loaded.params[name].dtype == np.float64
-            assert np.array_equal(loaded.params[name], stored.reshape(shape))
+            assert np.array_equal(loaded.params[name], stored[start:stop].reshape(shape))
+            start = stop
+        assert start == stored.size
+
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_params_file_is_the_views_in_registry_order(self, tmp_path, dtype):
+        model = _model(dtype)
+        path = tmp_path / "model"
+        lm.save_model(model, path)
+        assert {p.name for p in path.iterdir()} == {"manifest.json", "params.bin"}
+        want = b"".join(np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
+                        for name, _ in lm._param_specs(model.config))
+        assert (path / "params.bin").read_bytes() == want
 
 
 class TestTensorFileSize:
-    """A tensor file of the wrong size is refused before it is read."""
+    """A params.bin of the wrong size is refused before it is read."""
 
     @pytest.mark.parametrize("size", [
         pytest.param(lambda n: n - 1, id="truncated"),
@@ -522,18 +539,33 @@ class TestTensorFileSize:
     ])
     def test_wrong_size_is_artifact_error(self, tmp_path, capsys, size):
         path = _saved(tmp_path)
-        blob = path / "tensors" / "out_w.bin"
+        blob = path / "params.bin"
         n = blob.stat().st_size
         with open(blob, "r+b") as fh:  # truncate() extends sparsely: no disk used
             fh.truncate(size(n))
-        with pytest.raises(lm.ArtifactError, match=f"'out_w' file is {size(n)} bytes, "
-                                                   f"its shape needs {n}"):
+        with pytest.raises(lm.ArtifactError, match=f"params.bin is {size(n)} bytes, "
+                                                   f"the config needs {n}"):
             lm.load_model(path)
         capsys.readouterr()
         assert main(["predict", "--model", str(path), "--text", "scala",
                      "--output-dir", str(tmp_path / "pred")]) == 2
         err = capsys.readouterr().err
-        assert "'out_w' file is" in err and "Traceback" not in err
+        assert "params.bin is" in err and "Traceback" not in err
+
+    def test_file_that_shrinks_while_read_is_artifact_error(self, tmp_path, monkeypatch):
+        path = _saved(tmp_path)
+        blob = path / "params.bin"
+        n = blob.stat().st_size
+        with open(blob, "r+b") as fh:
+            fh.truncate(n - 1)
+
+        class BeforeTheCut:  # the size fstat saw before the file lost its last byte
+            st_size = n
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lm.os, "fstat", lambda fd: BeforeTheCut)
+            with pytest.raises(lm.ArtifactError, match="params.bin shrank while being read"):
+                lm.load_model(path)
 
 
 class TestMakeTrainPairs:

@@ -1,6 +1,6 @@
-"""Every module-level function and class of the package has a caller in the
-program: in ``src/incmine`` itself or in the benchmark (``perfbench/*.py``).
-Code that only the tests call belongs with the tests.
+"""Every module-level function, class and constant of the package has a
+caller in the program: in ``src/incmine`` itself or in the benchmark
+(``perfbench/*.py``). Code that only the tests call belongs with the tests.
 
 The files are parsed, not imported or run, and only read. A name counts as
 referenced by a ``Name`` load, by an attribute of a name bound to an incmine
@@ -59,11 +59,23 @@ def referenced_names():
     return names
 
 
+def _top_level_names(node):
+    """Names a top-level statement defines: a def, a class, or the plain
+    names an ``Assign`` or ``AnnAssign`` binds (dunders such as ``__all__``
+    exempt)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
 def defined_names():
-    """(module, name) of each top-level def and class of the package."""
-    return [(os.path.basename(path), node.name)
+    """(module, name) of each top-level def, class and constant of the package."""
+    return [(os.path.basename(path), name)
             for path in PACKAGE_FILES for node in _parse(path).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+            for name in _top_level_names(node)]
 
 
 def test_every_package_function_and_class_has_a_program_caller():
