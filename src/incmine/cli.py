@@ -1,7 +1,7 @@
 """Subcommand CLI composing the pipeline stages.
 
 Exit codes: 0 success, 1 usage error, 2 data error. All outputs are
-deterministic given identical inputs and seeds - reports carry no timestamps
+deterministic given identical inputs and flags - reports carry no timestamps
 and floats are serialized with a fixed format.
 
 Each flag that a ``--config`` file may set declares its config key where the
@@ -137,11 +137,11 @@ def _load_inputs(args):
     if args.corpus is None:
         raise _UsageError("a corpus is required (--corpus or paths.corpus)")
     pre = _pre_config(args)
-    loaded = corpus_mod.load_corpus(args.corpus, placeholders=pre.placeholders,
-                                    **_given(args, corpus_mod.load_corpus))
-    ontology = (None if args.ontology is None
-                else corpus_mod.TagOntology.from_tsv(args.ontology))
-    return loaded, pre, ontology
+    return corpus_mod.load_corpus(args.corpus, **_given(args, corpus_mod.load_corpus)), pre
+
+
+def _ontology(args):
+    return None if args.ontology is None else corpus_mod.TagOntology.from_tsv(args.ontology)
 
 
 def _outdir(args) -> str:
@@ -157,8 +157,8 @@ def _outdir(args) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
-    loaded, pre, ontology = _load_inputs(args)
-    txs = corpus_mod.to_transactions(loaded, pre, ontology)
+    loaded, pre = _load_inputs(args)
+    txs = corpus_mod.to_transactions(loaded, pre, _ontology(args))
     top = corpus_mod.top_frequent_words(loaded, pre,
                                         **_given(args, corpus_mod.top_frequent_words))
 
@@ -189,8 +189,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_mine_rules(args) -> int:
-    loaded, pre, ontology = _load_inputs(args)
-    txs = corpus_mod.to_transactions(loaded, pre, ontology)
+    loaded, pre = _load_inputs(args)
+    txs = corpus_mod.to_transactions(loaded, pre, _ontology(args))
     n = len(txs.transactions)
     config = rules_mod.MiningConfig(**_given(args, rules_mod.MiningConfig))
     mined = rules_mod.fisinfis_mine(txs.transactions, config)
@@ -250,13 +250,13 @@ def _cluster_and_report(points, ids, config) -> tuple[str, dict]:
         "per_k_table": [[k, fit.cost, fit.silhouette] for k, fit in report.fits],
         "swap_passes": [[k, fit.swap_passes] for k, fit in report.fits],
         "metric": config.metric,
-        "seed": config.seed,
         "truncated": report.truncated,
     }
 
 
 def cmd_cluster_tfidf(args) -> int:
-    loaded, pre, ontology = _load_inputs(args)
+    loaded, pre = _load_inputs(args)
+    ontology = _ontology(args)
     config = _cluster_config(args, metric="cosine")
     matrix = vectors.tfidf_matrix(vectors.corpus_term_counts(loaded, pre, ontology))
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
@@ -305,7 +305,7 @@ def cmd_cluster_embeddings(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    loaded, pre, _ = _load_inputs(args)
+    loaded, pre = _load_inputs(args)
     config = langmodel.LmConfig(**_given(args, langmodel.LmConfig))
     dynamics = [corpus_mod.preprocess(r.dynamics, pre) for r in loaded]
     consequences = [corpus_mod.preprocess(r.consequence, pre) for r in loaded]
@@ -341,10 +341,9 @@ def cmd_predict(args) -> int:
 # parser wiring: each flag a config file may set names its key here
 # --------------------------------------------------------------------------
 
-def _add_common(sub, seed_key=None):
+def _add_common(sub):
     sub.add_argument("--config", help="flat key=value config file")
     sub.setting("--output-dir", "paths.output_dir", help="directory for outputs")
-    sub.setting("--seed", seed_key, type=int, help="deterministic seed")
 
 
 def _add_pre_opts(sub):
@@ -355,11 +354,12 @@ def _add_pre_opts(sub):
     sub.setting("--min-token-len", "corpus.min_token_len", type=int)
 
 
-def _add_corpus_opts(sub):
+def _add_corpus_opts(sub, ontology=True):
     sub.setting("--corpus", "paths.corpus", help="corpus CSV/JSONL path")
     sub.setting("--format", "corpus.format", dest="fmt", choices=("csv", "jsonl"))
     _add_pre_opts(sub)
-    sub.setting("--ontology", "paths.ontology", help="word<TAB>TAG substitution file")
+    if ontology:
+        sub.setting("--ontology", "paths.ontology", help="word<TAB>TAG substitution file")
 
 
 def _add_cluster_opts(sub):
@@ -406,7 +406,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("cluster-tfidf",
                           help="k-medoids over tf-idf rows (tag-substituted "
                                "when an ontology is given)")
-    _add_common(sub, "clustering.seed")
+    _add_common(sub)
     _add_corpus_opts(sub)
     _add_cluster_opts(sub)
     sub.set_defaults(func=cmd_cluster_tfidf)
@@ -415,7 +415,7 @@ def build_parser() -> _Parser:
                           help="reduce an external embedding matrix with "
                                "incremental PCA, then k-medoids (the PCA is "
                                "fit on the matrix it reduces)")
-    _add_common(sub, "clustering.seed")
+    _add_common(sub)
     _add_cluster_opts(sub)
     sub.setting("--embeddings", "paths.embeddings", help="embedding matrix file")
     sub.add_argument("--embeddings-format", choices=("text", "binary"),
@@ -429,8 +429,9 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=cmd_cluster_embeddings)
 
     sub = subs.add_parser("train-lm", help="train the consequence predictor")
-    _add_common(sub, "lm.seed")
-    _add_corpus_opts(sub)
+    _add_common(sub)
+    _add_corpus_opts(sub, ontology=False)
+    sub.setting("--seed", "lm.seed", type=int, help="weight, batch-order and dropout seed")
     sub.setting("--vocab-size", "lm.vocab_size", type=int)
     sub.setting("--embed-dim", "lm.embed_dim", type=int)
     sub.setting("--recurrent-units", "lm.recurrent_units", type=int)

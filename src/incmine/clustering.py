@@ -3,8 +3,7 @@
 PAM runs on a precomputed distance matrix: greedy BUILD, then repeated
 single-best SWAP passes. Equal computed costs break to the lowest index; an
 exact tie may differ in its last bit as summed, and then rounding decides.
-Either way the result does not depend on the seed, which is only echoed
-into reports.
+Nothing here draws a random number, so the fit needs no seed.
 ``sweep_k`` is the one fit: it fits every k of ``ClusterConfig.k_range`` and
 picks the best by mean silhouette, and a fixed k is the range (k, k). It
 builds the distance matrix and runs BUILD once, to the largest k, and starts
@@ -80,7 +79,6 @@ class ClusterConfig:
     k_range: tuple[int, int]  # (lo, hi), both fitted; a fixed k is (k, k)
     metric: str = "euclidean"
     max_iter: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.k_range

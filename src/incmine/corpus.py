@@ -80,9 +80,8 @@ class Corpus:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    stopwords: frozenset[str] = frozenset()
+    stopwords: frozenset[str]
     min_token_len: int = 2
-    placeholders: frozenset[str] = DEFAULT_PLACEHOLDERS
 
     def __post_init__(self):
         if self.min_token_len < 1:
@@ -91,7 +90,6 @@ class PreprocessConfig:
         if bad:
             raise ValueError(f"stopwords must be lowercase, got: {sorted(bad)[:5]}")
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
-        object.__setattr__(self, "placeholders", frozenset(self.placeholders))
 
 
 @dataclass(frozen=True)
@@ -157,15 +155,15 @@ class TransactionSet:
     flagged: tuple[str, ...] = field(default=())
 
 
-def load_corpus(path, fmt: str = "csv",
-                placeholders: frozenset[str] = DEFAULT_PLACEHOLDERS) -> Corpus:
+def load_corpus(path, fmt: str = "csv") -> Corpus:
     """Load incident records from CSV (id,dynamics,consequence) or JSONL.
 
     Either file may start with a UTF-8 byte-order mark.
 
-    Rows whose dynamics field is empty or matches a placeholder are dropped and
-    counted in ``Corpus.dropped``. Raises on malformed files, duplicate ids
-    and corpora with no usable rows.
+    Rows whose stripped dynamics field is one of ``DEFAULT_PLACEHOLDERS``
+    (the empty string among them) are dropped and counted in
+    ``Corpus.dropped``. Raises on malformed files, duplicate ids and corpora
+    with no usable rows.
     """
     if fmt == "csv":
         rows = _read_csv(path)
@@ -179,7 +177,7 @@ def load_corpus(path, fmt: str = "csv",
     dropped = 0
     for lineno, rec_id, dynamics, consequence in rows:
         stripped = dynamics.strip()
-        if stripped == "" or stripped in placeholders:
+        if stripped in DEFAULT_PLACEHOLDERS:
             dropped += 1
             continue
         if not rec_id:

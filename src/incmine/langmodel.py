@@ -43,7 +43,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
+import shutil
+import tempfile
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional, Sequence
@@ -137,6 +140,10 @@ def encode(tokens: Sequence[str], vocab: LmVocabulary, seq_len: int) -> np.ndarr
 # configuration and parameters
 # --------------------------------------------------------------------------
 
+# what each annotation of an LmConfig field admits; bool is refused for both
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real}
+
+
 @dataclass(frozen=True)
 class LmConfig:
     vocab_size: int = 5000
@@ -156,6 +163,12 @@ class LmConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for f in fields(self):  # a manifest's JSON may hold 5.0, true or "5"
+            value, kind = getattr(self, f.name), _FIELD_KINDS.get(f.type)
+            if kind is not None and (isinstance(value, bool)
+                                     or not isinstance(value, kind)):
+                raise ValueError(f"{f.name} must be {kind.__name__.lower()}, "
+                                 f"got {value!r}")
         for name in ("vocab_size", "embed_dim", "recurrent_units",
                      "dense_units", "seq_len", "batch_size"):
             if getattr(self, name) < 1:
@@ -612,17 +625,15 @@ def train(ids: np.ndarray, targets: np.ndarray, config: LmConfig,
     return model, history
 
 
-def predict_consequence(model: LmModel, text: str, top_k: int = 10,
-                        pre: Optional[PreprocessConfig] = None
-                        ) -> list[tuple[str, float]]:
-    """Top-k vocabulary tokens by probability for the given dynamics text.
+def predict_consequence(model: LmModel, text: str, top_k: int = 10, *,
+                        pre: PreprocessConfig) -> list[tuple[str, float]]:
+    """Top-k vocabulary tokens by probability for the given dynamics text,
+    tokenized with ``pre`` (pass the config the model was trained with).
 
     PAD and UNK never appear in the output; equal probabilities rank by index.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    if pre is None:
-        pre = PreprocessConfig()
     tokens = preprocess(text, pre)
     ids = encode(tokens, model.vocab, model.config.seq_len)
     probs = forward(model, ids)
@@ -657,20 +668,40 @@ def save_model(model: LmModel, path) -> None:
     A float32 buffer is written and hashed straight from memory; a float64
     one is cast to float32 first. The manifest holds the version, config,
     vocabulary and the SHA-256 of params.bin.
+
+    Both files are written to a fresh directory beside ``path``, which then
+    takes the place of any directory at ``path``: ``path`` ends up holding
+    these two files only, and a save that fails leaves it as it was.
     """
-    os.makedirs(path, exist_ok=True)
-    blob = _bytes_of(np.ascontiguousarray(model.params.flat, dtype="<f4"))
-    with open(os.path.join(path, PARAMS_FILE), "wb") as fh:
-        fh.write(blob)
-    manifest = {
-        "version": ARTIFACT_VERSION,
-        "config": asdict(model.config),
-        "vocab": list(model.vocab.tokens),
-        "sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".model-", dir=parent)
+    try:
+        new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
+        os.mkdir(new)
+        blob = _bytes_of(np.ascontiguousarray(model.params.flat, dtype="<f4"))
+        with open(os.path.join(new, PARAMS_FILE), "wb") as fh:
+            fh.write(blob)
+        manifest = {
+            "version": ARTIFACT_VERSION,
+            "config": asdict(model.config),
+            "vocab": list(model.vocab.tokens),
+            "sha256": hashlib.sha256(blob).hexdigest(),
+        }
+        with open(os.path.join(new, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        if os.path.isdir(path):
+            os.rename(path, old)
+            try:
+                os.rename(new, path)
+            except BaseException:
+                os.rename(old, path)
+                raise
+        else:
+            os.rename(new, path)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 _MANIFEST_KEYS = frozenset({"version", "config", "vocab", "sha256"})

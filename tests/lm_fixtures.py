@@ -22,7 +22,7 @@ OVERFIT_ROWS = [
 
 def overfit_fixture(epochs=200):
     corpus = make_corpus(OVERFIT_ROWS)
-    pre = PreprocessConfig()
+    pre = PreprocessConfig(stopwords=frozenset())
     dynamics = [preprocess(r.dynamics, pre) for r in corpus]
     consequences = [preprocess(r.consequence, pre) for r in corpus]
     vocab = lm.fit_vocab(dynamics + consequences, cap=64)

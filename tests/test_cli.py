@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -557,6 +558,18 @@ class TestTrainPredict:
         assert "the 45 x 5000 training targets needs 0.0 GiB" in err
         assert peak < 600_000
 
+    def test_retrain_replaces_the_whole_artifact(self, fixture_corpus_path, tmp_path):
+        out = tmp_path / "out"
+        argv = ["train-lm", "--corpus", fixture_corpus_path, "--vocab-size", "32",
+                "--embed-dim", "4", "--recurrent-units", "3", "--dense-units", "4",
+                "--seq-len", "5", "--epochs", "0", "--output-dir", str(out)]
+        assert run(*argv) == 0
+        (out / "model" / "tensors").mkdir()  # as an lm-v1 artifact left it
+        (out / "model" / "tensors" / "x.bin").write_bytes(b"\0" * 4)
+        assert run(*argv) == 0
+        assert sorted(os.listdir(out / "model")) == ["manifest.json", "params.bin"]
+        assert sorted(os.listdir(out)) == ["model", "training_history.json"]
+
     def test_stock_config_from_lm_config(self, fixture_corpus_path, tmp_path):
         out = str(tmp_path / "out")
         assert run("train-lm", "--corpus", fixture_corpus_path, "--epochs", "1",
@@ -640,6 +653,15 @@ class TestModelManifest:
                    "--output-dir", os.path.dirname(model_dir))
         err = capsys.readouterr().err
         assert code == 2 and "manifest" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq_len", 5.0), ("recurrent_units", 2.5), ("epochs", 1.5), ("batch_size", True),
+        ("seed", "0"), ("learning_rate", "0.001"), ("dropout_rate", False)])
+    def test_config_value_of_the_wrong_type(self, model_dir, capsys, field, value):
+        data = self._manifest(model_dir)
+        data["config"][field] = value
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and f"{field} must be" in err
 
     def test_lm_v1_manifest_must_be_retrained(self, model_dir, capsys):
         data = self._manifest(model_dir)
@@ -743,10 +765,55 @@ class TestConfigFile:
         assert manifest["config"]["learning_rate"] == 0.02
 
     def test_readme_table_lists_every_key(self):
+        """The README's "Config keys" table lists each key the subcommands
+        declare, once, with the flag that declares it."""
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
                   encoding="utf-8") as fh:
-            listed = re.findall(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)` \|", fh.read(), re.M)
+            rows = re.findall(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)` \| [^|]*?`(--[a-z0-9-]+)`",
+                              fh.read(), re.M)
+        listed = [key for key, _ in rows]
         assert sorted(listed) == _KNOWN_KEYS
+        declared = {}
+        for sub in build_parser().commands.values():
+            flags = {action.dest: action.option_strings[0] for action in sub._actions}
+            for key, (dest, _) in sub.settings.items():
+                declared.setdefault(key, set()).add(flags[dest])
+        assert dict(rows) == {key: flag for key, (flag,) in declared.items()}
+
+    @pytest.mark.parametrize("argv", [
+        ("preprocess", "--seed", "0"), ("mine-rules", "--seed", "0"),
+        ("cluster-tfidf", "--k", "2", "--seed", "0"),
+        ("cluster-embeddings", "--k", "2", "--seed", "0"),
+        ("predict", "--model", "m", "--text", "scala", "--seed", "0"),
+        ("train-lm", "--ontology", "onto.tsv")])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv):
+        # --seed seeded nothing outside train-lm; train-lm never used an ontology
+        assert run(*argv, "--output-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"unrecognized arguments: {argv[-2]}" in err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", [("cluster-tfidf", "--k", "2"), ("train-lm",)])
+    def test_removed_clustering_seed_key_is_usage_error(self, fixture_corpus_path, tmp_path,
+                                                        capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("clustering.seed = 0\n", encoding="utf-8")
+        assert run(*command, "--corpus", fixture_corpus_path, "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")) == 1
+        assert "unknown config key 'clustering.seed'" in capsys.readouterr().err
+
+    def test_train_lm_ignores_the_ontology_key(self, fixture_corpus_path, tmp_path):
+        onto = tmp_path / "onto.tsv"
+        onto.write_text("not a word-tag line\n", encoding="utf-8")
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"paths.ontology = {onto}\n", encoding="utf-8")
+        assert run("train-lm", "--corpus", fixture_corpus_path, "--config", str(cfg),
+                   "--vocab-size", "32", "--embed-dim", "4", "--recurrent-units", "3",
+                   "--dense-units", "4", "--seq-len", "5", "--epochs", "0",
+                   "--output-dir", str(tmp_path / "out")) == 0
+        # the same file is another subcommand's, which reads it
+        assert run("preprocess", "--corpus", fixture_corpus_path, "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "pre")) == 2
 
 
 _KNOWN_KEYS = sorted(set().union(*(sub.settings
@@ -1005,6 +1072,50 @@ def test_manifest_fuzz_keeps_exit_contract(model_dir, data):
     _fuzz_file(model_dir, "manifest.json", text)
     _exit_contract(["predict", "--model", model_dir, "--text", "operaio scivola su scala",
                     "--no-stopwords", "--output-dir", os.path.dirname(model_dir)])
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records each attribute read once ``reads`` is a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command", ["preprocess", "mine-rules", "cluster-tfidf",
+                                     "cluster-embeddings", "train-lm", "predict"])
+def test_every_flag_is_read(fixture_corpus_path, model_dir, tmp_path, command):
+    """Each dest a subcommand declares is read by the run it configures: a
+    flag that nothing reads is a setting that changes nothing. The cluster
+    subcommands run once with --k and once with --k-range, which each leave
+    the other unread."""
+    emb = tmp_path / "emb.txt"
+    save_embeddings(EmbeddingMatrix(np.random.default_rng(0).normal(size=(8, 3))), emb)
+    corpus_in = ("--corpus", fixture_corpus_path)
+    runs = {
+        "preprocess": [corpus_in],
+        "mine-rules": [(*corpus_in, "--max-itemset-size", "2")],
+        "cluster-tfidf": [(*corpus_in, "--k", "2"), (*corpus_in, "--k-range", "2", "3")],
+        "cluster-embeddings": [("--embeddings", str(emb), "--k", "2"),
+                               ("--embeddings", str(emb), "--k-range", "2", "3")],
+        "train-lm": [(*corpus_in, "--vocab-size", "32", "--embed-dim", "4",
+                      "--recurrent-units", "3", "--dense-units", "4", "--seq-len", "5",
+                      "--epochs", "0")],
+        "predict": [("--model", model_dir, "--text", "operaio scivola su scala")],
+    }[command]
+    parser = build_parser()
+    read_dests = {"config"}  # main reads it, to apply the file
+    for i, argv in enumerate(runs):
+        args = parser.parse_args([command, *argv, "--output-dir", str(tmp_path / f"out{i}")],
+                                 namespace=_ReadRecorder())
+        args.reads = read_dests
+        assert args.func(args) == 0
+    declared = {action.dest for action in parser.commands[command]._actions} - {"help"}
+    assert sorted(declared - read_dests) == []
 
 
 class TestPipelineConfig:

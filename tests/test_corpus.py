@@ -107,22 +107,22 @@ class TestPreprocess:
             ["lavoratore", "cade", "scala"]
 
     def test_accent_nfc_and_case(self):
-        cfg = PreprocessConfig()
+        cfg = PreprocessConfig(stopwords=frozenset())
         assert preprocess("È CADUTO!!", cfg) == ["caduto"]
         # decomposed form normalizes to the same tokens
         assert preprocess("È CADUTO!!", cfg) == ["caduto"]
 
     def test_nfc_again_after_lowercasing(self):
         # "J" has no precomposed caron form, its lowercase does: "ǰ" (U+01F0)
-        cfg = PreprocessConfig(min_token_len=1)
+        cfg = PreprocessConfig(stopwords=frozenset(), min_token_len=1)
         assert preprocess("J\u030cA", cfg) == ["\u01f0a"]
 
     def test_digits_and_short_tokens(self):
-        cfg = PreprocessConfig()
+        cfg = PreprocessConfig(stopwords=frozenset())
         assert preprocess("x 12 kg", cfg) == ["kg"]
 
     def test_min_token_len_one_keeps_singles(self):
-        cfg = PreprocessConfig(min_token_len=1)
+        cfg = PreprocessConfig(stopwords=frozenset(), min_token_len=1)
         assert preprocess("x 12 kg", cfg) == ["x", "kg"]
 
     def test_rejects_uppercase_stopwords(self):
@@ -140,22 +140,22 @@ class TestPreprocess:
 class TestTopFrequentWords:
     def test_counting(self):
         corp = make_corpus([("x", "alfa alfa beta", "")])
-        assert top_frequent_words(corp, PreprocessConfig(), 2) == \
+        assert top_frequent_words(corp, PreprocessConfig(stopwords=frozenset()), 2) == \
             [("alfa", 2), ("beta", 1)]
 
     def test_tie_breaks_lexicographic(self):
         corp = make_corpus([("x", "beta alfa", "")])
-        assert top_frequent_words(corp, PreprocessConfig(), 1) == [("alfa", 1)]
+        assert top_frequent_words(corp, PreprocessConfig(stopwords=frozenset()), 1) == [("alfa", 1)]
 
     def test_truncates_to_distinct(self):
         words = " ".join(f"parola{chr(97 + i // 26)}{chr(97 + i % 26)}"
                          for i in range(40))
         corp = make_corpus([("x", words, "")])
-        assert len(top_frequent_words(corp, PreprocessConfig(), 100)) == 40
+        assert len(top_frequent_words(corp, PreprocessConfig(stopwords=frozenset()), 100)) == 40
 
     def test_counts_bounded_by_total(self):
         corp = make_corpus([("x", "uno due due tre tre tre", "")])
-        top = top_frequent_words(corp, PreprocessConfig(), 10)
+        top = top_frequent_words(corp, PreprocessConfig(stopwords=frozenset()), 10)
         assert sum(c for _, c in top) <= 6
 
 
@@ -210,13 +210,13 @@ class TestTagOntology:
 class TestToTransactions:
     def test_set_semantics(self):
         corp = make_corpus([("x", "cade cade scala", "")])
-        result = to_transactions(corp, PreprocessConfig())
+        result = to_transactions(corp, PreprocessConfig(stopwords=frozenset()))
         assert result.transactions[0].items == frozenset({"cade", "scala"})
 
     def test_four_records_none_flagged(self):
         corp = make_corpus([("a", "uno due", ""), ("b", "tre", ""),
                             ("c", "quattro cinque", ""), ("d", "sei", "")])
-        result = to_transactions(corp, PreprocessConfig())
+        result = to_transactions(corp, PreprocessConfig(stopwords=frozenset()))
         assert len(result.transactions) == 4
         assert result.flagged == ()
 
@@ -243,7 +243,7 @@ class TestToTransactions:
     def test_tags_applied_before_dedup(self):
         onto = TagOntology({"martello": "UTENSILE", "trapano": "UTENSILE"})
         corp = make_corpus([("x", "martello trapano", "")])
-        result = to_transactions(corp, PreprocessConfig(), onto)
+        result = to_transactions(corp, PreprocessConfig(stopwords=frozenset()), onto)
         assert result.transactions[0].items == frozenset({"UTENSILE"})
 
 

@@ -1,4 +1,6 @@
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -390,14 +392,15 @@ class TestPredict:
     def test_untrained_zero_model_index_order(self):
         model = zero_model(lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
                                        dense_units=3, dropout_rate=0.0, seq_len=4))
-        top = lm.predict_consequence(model, "qualsiasi testo", top_k=6)
+        top = lm.predict_consequence(model, "qualsiasi testo", top_k=6,
+                                     pre=PreprocessConfig(stopwords=frozenset()))
         assert [t for t, _ in top] == [f"t{i}" for i in range(6)]
         assert all(p == 0.5 for _, p in top)
 
     def test_reserved_tokens_excluded(self):
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=0)
         model, _ = lm.train(ids, targets, config, vocab)
-        everything = lm.predict_consequence(model, "scala", top_k=len(vocab))
+        everything = lm.predict_consequence(model, "scala", top_k=len(vocab), pre=pre)
         names = [t for t, _ in everything]
         assert lm.PAD_TOKEN not in names and lm.UNK_TOKEN not in names
         assert len(everything) == len(vocab) - 2
@@ -423,6 +426,23 @@ class TestArtifact:
         blob.write_bytes(bytes(raw))
         with pytest.raises(lm.ArtifactChecksumError, match="params.bin"):
             lm.load_model(tmp_path / "model")
+
+    def test_failed_save_keeps_the_previous_model(self, tmp_path, monkeypatch):
+        corpus, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
+        lm.save_model(lm.train(ids, targets, config, vocab)[0], tmp_path / "model")
+        text = corpus.records[0].dynamics
+        before = lm.predict_consequence(lm.load_model(tmp_path / "model"), text, pre=pre)
+        retrained, _ = lm.train(ids, targets, replace(config, seed=12), vocab)
+        assert lm.predict_consequence(retrained, text, pre=pre) != before
+
+        def full_disk(*args, **kwargs):  # params.bin is written, the manifest is not
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(lm.json, "dump", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            lm.save_model(retrained, tmp_path / "model")
+        assert os.listdir(tmp_path) == ["model"]
+        assert lm.predict_consequence(lm.load_model(tmp_path / "model"), text,
+                                      pre=pre) == before
 
     def test_version_error_names_both(self, tmp_path):
         import json

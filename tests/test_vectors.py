@@ -153,7 +153,7 @@ class TestExport:
 def test_corpus_term_counts_with_tags():
     corp = make_corpus([("x", "martello cade martello", "")])
     onto = TagOntology({"martello": "UTENSILE"})
-    docs = corpus_term_counts(corp, PreprocessConfig(), onto)
+    docs = corpus_term_counts(corp, PreprocessConfig(stopwords=frozenset()), onto)
     assert docs == [Counter({"UTENSILE": 2, "cade": 1})]
 
 
