@@ -284,15 +284,15 @@ def cmd_cluster_embeddings(args) -> int:
     matrix = clustering.load_embeddings(args.embeddings, fmt=fmt)
     if args.ids is not None:
         ids = clustering.load_embedding_ids(args.ids)
-        if len(ids) != matrix.n_rows:
+        if len(ids) != len(matrix):
             raise IncmineError(
-                f"id list has {len(ids)} entries, embeddings have {matrix.n_rows} rows")
+                f"id list has {len(ids)} entries, embeddings have {len(matrix)} rows")
     else:
-        ids = [str(i) for i in range(matrix.n_rows)]
+        ids = [str(i) for i in range(len(matrix))]
     # fit and reduce on the same matrix: the reduction is in-sample
-    model = clustering.ipca_fit(matrix.values, **_given(args, clustering.ipca_fit))
+    model = clustering.ipca_fit(matrix, **_given(args, clustering.ipca_fit))
     reduced, m = clustering.reduce_to_variance(
-        model, matrix.values, **_given(args, clustering.reduce_to_variance))
+        model, matrix, **_given(args, clustering.reduce_to_variance))
     clusters, summary = _cluster_and_report(reduced, ids, config)
     out = _outdir(args)
     _write_text(os.path.join(out, "clusters.csv"), clusters)

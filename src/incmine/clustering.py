@@ -23,6 +23,7 @@ far, so at desk scale it reproduces batch PCA exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -40,38 +41,6 @@ _CHUNK_BUDGET = 16_384
 
 # explained-variance share the embedding reduction keeps by default
 VARIANCE_THRESHOLD = 0.85
-
-
-class ClusteringError(IncmineError):
-    pass
-
-
-class EmbeddingFormatError(IncmineError):
-    pass
-
-
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    values: np.ndarray  # (n_rows, n_cols) float64, row-major
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if values.ndim != 2:
-            raise ClusteringError("embedding matrix must be 2-D")
-        if values.shape[1] == 0:
-            # a header of n rows by 0 columns needs no payload, yet n ids
-            raise EmbeddingFormatError("embedding matrix has no columns")
-        if not np.isfinite(values).all():
-            raise EmbeddingFormatError("embedding matrix contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -125,9 +94,9 @@ def _validate_points(points) -> np.ndarray:
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2:
-        raise ClusteringError("points must form a 2-D matrix")
+        raise IncmineError("points must form a 2-D matrix")
     if not np.isfinite(points).all():
-        raise ClusteringError("points contain non-finite values")
+        raise IncmineError("points contain non-finite values")
     return points
 
 
@@ -214,7 +183,7 @@ def sweep_k(points, config: ClusterConfig) -> tuple[ClusterAssignment, SweepRepo
     n = points.shape[0]
     k_lo, k_hi = config.k_range
     if k_lo > n:
-        raise ClusteringError(f"k={k_lo} exceeds number of points n={n}")
+        raise IncmineError(f"k={k_lo} exceeds number of points n={n}")
     ks = range(k_lo, min(k_hi, n) + 1)
     dist = pairwise_distances(points, config.metric)
     built = _kernels.pam_build(dist, ks[-1])
@@ -271,7 +240,7 @@ def ipca_fit(data, batch_size: Optional[int] = None) -> IpcaModel:
         singular = singular[:keep]
         components = components[:keep]
     if n_seen < 2:
-        raise ClusteringError("incremental PCA needs at least 2 samples")
+        raise IncmineError("incremental PCA needs at least 2 samples")
     total_var = m2.sum() / (n_seen - 1)
     explained = (singular ** 2) / (n_seen - 1)
     if total_var > 0:
@@ -288,15 +257,15 @@ def reduce_to_variance(model: IpcaModel, points,
     """Project onto the smallest component prefix explaining >= variance_threshold."""
     points = _validate_points(points)
     if points.shape[1] != model.n_cols:
-        raise ClusteringError(
+        raise IncmineError(
             f"points have {points.shape[1]} columns, model expects {model.n_cols}")
     if not 0.0 <= variance_threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     cum = np.cumsum(model.explained_variance_ratio)
     reached = np.nonzero(cum >= variance_threshold)[0]
     if len(reached) == 0:
-        raise ClusteringError(f"retained components explain only {cum[-1]:.6f} < "
-                              f"{variance_threshold} of variance")
+        raise IncmineError(f"retained components explain only {cum[-1]:.6f} < "
+                           f"{variance_threshold} of variance")
     m = int(reached[0]) + 1
     reduced = (points - model.mean) @ model.components[:m].T
     return reduced, m
@@ -306,54 +275,76 @@ def reduce_to_variance(model: IpcaModel, points,
 # embedding file formats
 # --------------------------------------------------------------------------
 
-def load_embeddings(path, fmt: str = "text") -> EmbeddingMatrix:
-    """Read an embedding matrix.
+def load_embeddings(path, fmt: str = "text") -> np.ndarray:
+    """Read an embedding matrix as a C-contiguous (n_rows, n_cols) float64 array.
 
     Text format: first line `n_rows n_cols`, then one row of space-separated
     floats per line. Binary format: two little-endian uint64 (n_rows, n_cols)
-    followed by n_rows*n_cols little-endian float32, row-major.
+    followed by n_rows*n_cols little-endian float32, row-major. The header is
+    checked before any row is read: a negative size or no columns is
+    refused, and so is a float64 matrix over ``MAX_ALLOCATION_BYTES``; a
+    binary payload must be the size the header declares. Every value must
+    be finite.
     """
     if fmt == "text":
         with open(path, encoding="utf-8-sig") as fh:
             header = fh.readline().split()
             if len(header) != 2:
-                raise EmbeddingFormatError(f"{path}: header must be 'n_rows n_cols'")
+                raise IncmineError(f"{path}: header must be 'n_rows n_cols'")
             try:
                 n_rows, n_cols = int(header[0]), int(header[1])
             except ValueError as exc:
-                raise EmbeddingFormatError(f"{path}: bad header {header}") from exc
-            values = []
+                raise IncmineError(f"{path}: bad header {header}") from exc
+            _check_header(path, n_rows, n_cols)
+            matrix = np.empty((n_rows, n_cols))
+            found = 0
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 row = line.split()
                 if len(row) != n_cols:
-                    raise EmbeddingFormatError(
+                    raise IncmineError(
                         f"{path}:{lineno}: expected {n_cols} values, got {len(row)}")
                 try:
-                    values.append([float(v) for v in row])
+                    values = [float(v) for v in row]
                 except ValueError as exc:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from exc
-        if len(values) != n_rows:
-            raise EmbeddingFormatError(
-                f"{path}: header declares {n_rows} rows, found {len(values)}")
-        matrix = np.asarray(values, dtype=np.float64).reshape(n_rows, n_cols)
+                    raise IncmineError(f"{path}:{lineno}: {exc}") from exc
+                if found < n_rows:  # past it, rows are only checked and counted
+                    matrix[found] = values
+                found += 1
+        if found != n_rows:
+            raise IncmineError(f"{path}: header declares {n_rows} rows, found {found}")
     elif fmt == "binary":
         with open(path, "rb") as fh:
             head = fh.read(16)
             if len(head) != 16:
-                raise EmbeddingFormatError(f"{path}: truncated binary header")
+                raise IncmineError(f"{path}: truncated binary header")
             n_rows, n_cols = struct.unpack("<QQ", head)
-            payload = fh.read()
-        expected = n_rows * n_cols * 4
-        if len(payload) != expected:
-            raise EmbeddingFormatError(
-                f"{path}: payload is {len(payload)} bytes, expected {expected}")
-        matrix = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        matrix = matrix.reshape(n_rows, n_cols)
+            _check_header(path, n_rows, n_cols)
+            payload = os.fstat(fh.fileno()).st_size - len(head)
+            expected = n_rows * n_cols * 4
+            if payload != expected:
+                raise IncmineError(
+                    f"{path}: payload is {payload} bytes, expected {expected}")
+            stored = np.empty((n_rows, n_cols), dtype="<f4")
+            if fh.readinto(stored.view(np.uint8)) != expected:
+                raise IncmineError(f"{path} shrank while being read")
+        with np.errstate(invalid="ignore"):  # a signalling NaN; refused below
+            matrix = stored.astype(np.float64)
     else:
         raise ValueError("fmt must be 'text' or 'binary'")
-    return EmbeddingMatrix(values=matrix)
+    if not np.isfinite(matrix).all():
+        raise IncmineError("embedding matrix contains non-finite values")
+    return matrix
+
+
+def _check_header(path, n_rows: int, n_cols: int) -> None:
+    if n_rows < 0 or n_cols < 0:
+        raise IncmineError(f"{path}: header declares a negative size, {n_rows} x {n_cols}")
+    if n_cols == 0:
+        # a header of n rows by 0 columns needs no payload, yet n ids
+        raise IncmineError("embedding matrix has no columns")
+    check_allocation(n_rows * n_cols * 8, f"the {n_rows} x {n_cols} embedding matrix")
 
 
 def load_embedding_ids(path) -> list[str]:

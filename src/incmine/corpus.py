@@ -31,30 +31,6 @@ _CSV_COLUMNS = ("id", "dynamics", "consequence")
 TOP_WORDS = 100
 
 
-class CorpusError(IncmineError):
-    pass
-
-
-class CorpusFormatError(CorpusError):
-    """Malformed input file; message carries the 1-based line number."""
-
-
-class DuplicateIdError(CorpusError):
-    pass
-
-
-class EmptyCorpusError(CorpusError):
-    pass
-
-
-class EmptyTransactionsError(CorpusError):
-    pass
-
-
-class OntologyError(IncmineError):
-    pass
-
-
 @dataclass(frozen=True)
 class RawRecord:
     id: str
@@ -98,7 +74,9 @@ class TagOntology:
 
     A tag may not contain ``+`` or ``¬``: rule labels join an itemset's items
     with ``+`` and mark a negated side with ``¬``, so such a tag would give
-    two itemsets one label. Tokens are letters only, so tags alone can.
+    two itemsets one label. Nor may it contain ``\\``: a DOT quoted string
+    has no escape for a backslash, so one before the closing quote would
+    escape it. Tokens are letters only, so tags alone can hold either.
     """
 
     pairs: Mapping[str, str]
@@ -107,16 +85,19 @@ class TagOntology:
         pairs = dict(self.pairs)
         for word, tag in pairs.items():
             if word != word.lower():
-                raise OntologyError(f"ontology word not lowercase: {word!r}")
+                raise IncmineError(f"ontology word not lowercase: {word!r}")
             if tag != tag.upper():
-                raise OntologyError(f"ontology tag not uppercase: {tag!r}")
+                raise IncmineError(f"ontology tag not uppercase: {tag!r}")
             if "+" in tag or "¬" in tag:
-                raise OntologyError(
+                raise IncmineError(
                     f"ontology tag {tag!r} contains '+' or '¬', which rule labels reserve")
+            if "\\" in tag:
+                raise IncmineError(
+                    f"ontology tag {tag!r} contains '\\', which rules.dot cannot quote")
         tags = set(pairs.values())
         overlap = tags & set(pairs)
         if overlap:
-            raise OntologyError(f"tag equals a mapped word: {sorted(overlap)}")
+            raise IncmineError(f"tag equals a mapped word: {sorted(overlap)}")
         object.__setattr__(self, "pairs", pairs)
 
     @classmethod
@@ -130,10 +111,10 @@ class TagOntology:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise OntologyError(f"{path}:{lineno}: expected 'word<TAB>TAG'")
+                    raise IncmineError(f"{path}:{lineno}: expected 'word<TAB>TAG'")
                 word, tag = parts[0].strip().lower(), parts[1].strip().upper()
                 if word in pairs and pairs[word] != tag:
-                    raise OntologyError(
+                    raise IncmineError(
                         f"{path}:{lineno}: word {word!r} mapped to both "
                         f"{pairs[word]!r} and {tag!r}"
                     )
@@ -181,13 +162,13 @@ def load_corpus(path, fmt: str = "csv") -> Corpus:
             dropped += 1
             continue
         if not rec_id:
-            raise CorpusFormatError(f"{path}:{lineno}: empty record id")
+            raise IncmineError(f"{path}:{lineno}: empty record id")
         if rec_id in seen:
-            raise DuplicateIdError(f"duplicate record id: {rec_id!r}")
+            raise IncmineError(f"duplicate record id: {rec_id!r}")
         seen.add(rec_id)
         records.append(RawRecord(id=rec_id, dynamics=dynamics, consequence=consequence))
     if not records:
-        raise EmptyCorpusError(f"{path}: no usable rows ({dropped} dropped)")
+        raise IncmineError(f"{path}: no usable rows ({dropped} dropped)")
     return Corpus(records=tuple(records), dropped=dropped)
 
 
@@ -198,9 +179,9 @@ def _read_csv(path):
         try:
             header = next(reader, None)
         except csv.Error as exc:
-            raise CorpusFormatError(f"{path}:1: {exc}") from exc
+            raise IncmineError(f"{path}:1: {exc}") from exc
         if header is None or tuple(h.strip() for h in header) != _CSV_COLUMNS:
-            raise CorpusFormatError(
+            raise IncmineError(
                 f"{path}:1: expected header {','.join(_CSV_COLUMNS)}, got {header}"
             )
         try:
@@ -208,12 +189,12 @@ def _read_csv(path):
                 if not row:
                     continue
                 if len(row) != 3:
-                    raise CorpusFormatError(
+                    raise IncmineError(
                         f"{path}:{reader.line_num}: expected 3 fields, got {len(row)}"
                     )
                 out.append((reader.line_num, row[0], row[1], row[2]))
         except csv.Error as exc:
-            raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+            raise IncmineError(f"{path}:{reader.line_num}: {exc}") from exc
     return out
 
 
@@ -222,7 +203,7 @@ def _read_jsonl(path):
 
     ``id`` is a string or an integer; ``dynamics`` is a string, or null for a
     dropped placeholder; ``consequence`` is a string, null or absent. Any
-    other JSON type is a ``CorpusFormatError`` naming the line and the field.
+    other JSON type is an ``IncmineError`` naming the line and the field.
     """
     out = []
     with open(path, encoding="utf-8-sig") as fh:
@@ -234,19 +215,19 @@ def _read_jsonl(path):
             # ValueError covers JSONDecodeError and an integer over Python's
             # digit limit; RecursionError, nesting too deep
             except (ValueError, RecursionError) as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+                raise IncmineError(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj or "dynamics" not in obj:
-                raise CorpusFormatError(
+                raise IncmineError(
                     f"{path}:{lineno}: object must carry 'id' and 'dynamics'"
                 )
             rec_id = obj["id"]
             if isinstance(rec_id, bool) or not isinstance(rec_id, (str, int)):
-                raise CorpusFormatError(
+                raise IncmineError(
                     f"{path}:{lineno}: field 'id' must be a string or an integer")
             texts = [obj["dynamics"], obj.get("consequence")]
             for name, value in zip(("dynamics", "consequence"), texts):
                 if value is not None and not isinstance(value, str):
-                    raise CorpusFormatError(
+                    raise IncmineError(
                         f"{path}:{lineno}: field {name!r} must be a string or null")
             out.append((lineno, str(rec_id), texts[0] or "", texts[1] or ""))
     return out
@@ -292,7 +273,7 @@ def to_transactions(corpus: Corpus, config: PreprocessConfig,
     """Reduce each record's dynamics to an item set.
 
     Records that tokenize to nothing are flagged and left out of the mining
-    set. Raises EmptyTransactionsError when nothing survives.
+    set. Raises ``IncmineError`` when nothing survives.
     """
     transactions: list[Transaction] = []
     flagged: list[str] = []
@@ -306,7 +287,7 @@ def to_transactions(corpus: Corpus, config: PreprocessConfig,
         else:
             flagged.append(rec.id)
     if not transactions:
-        raise EmptyTransactionsError("every record tokenized to an empty item set")
+        raise IncmineError("every record tokenized to an empty item set")
     return TransactionSet(transactions=tuple(transactions), flagged=tuple(flagged))
 
 

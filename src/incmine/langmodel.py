@@ -65,31 +65,8 @@ ARTIFACT_VERSION = "lm-v2"
 _PROB_EPS = 1e-7
 
 
-class LangModelError(IncmineError):
-    pass
-
-
-class NonFiniteError(LangModelError):
+class NonFiniteError(IncmineError):
     """A forward activation or gradient left the finite range."""
-
-
-class TrainingDivergedError(NonFiniteError):
-    def __init__(self, epoch: int, batch: int):
-        super().__init__(f"training diverged at epoch {epoch}, batch {batch}")
-        self.epoch = epoch
-        self.batch = batch
-
-
-class ArtifactError(LangModelError):
-    pass
-
-
-class ArtifactVersionError(ArtifactError):
-    pass
-
-
-class ArtifactChecksumError(ArtifactError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -102,11 +79,11 @@ class LmVocabulary:
     def __init__(self, tokens: Sequence[str]):
         tokens = tuple(tokens)
         if len(tokens) < 2 or tokens[0] != PAD_TOKEN or tokens[1] != UNK_TOKEN:
-            raise LangModelError("vocabulary must start with PAD, UNK")
+            raise IncmineError("vocabulary must start with PAD, UNK")
         self.tokens = tokens
         self._index = {tok: i for i, tok in enumerate(tokens)}
         if len(self._index) != len(tokens):
-            raise LangModelError("vocabulary contains duplicate tokens")
+            raise IncmineError("vocabulary contains duplicate tokens")
 
     def __len__(self):
         return len(self.tokens)
@@ -123,7 +100,7 @@ def fit_vocab(texts: Iterable[Sequence[str]], cap: int) -> LmVocabulary:
     for tokens in texts:
         counts.update(tokens)
     if not counts:
-        raise LangModelError("no tokens to build a vocabulary from")
+        raise IncmineError("no tokens to build a vocabulary from")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [tok for tok, _ in ranked[:cap - 2]]
     return LmVocabulary([PAD_TOKEN, UNK_TOKEN] + kept)
@@ -282,7 +259,7 @@ class LmModel:
     def initialized(cls, config: LmConfig, vocab: LmVocabulary,
                     rng: np.random.Generator) -> "LmModel":
         if len(vocab) > config.vocab_size:
-            raise LangModelError("vocabulary larger than configured vocab_size")
+            raise IncmineError("vocabulary larger than configured vocab_size")
         return cls(config=config, vocab=vocab, params=init_params(config, rng))
 
 
@@ -476,7 +453,7 @@ def bce_loss(probs, target) -> float:
     probs = np.asarray(probs)
     target = np.asarray(target)
     if probs.shape != target.shape:
-        raise LangModelError(
+        raise IncmineError(
             f"shape mismatch: probs {probs.shape} vs target {target.shape}")
     p = np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)
     losses = -(target * np.log(p) + (1.0 - target) * np.log1p(-p))
@@ -494,7 +471,7 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     view, so ``train`` reuses one buffer for all steps.
     """
     if len(ids) == 0:
-        raise LangModelError("batch must be non-empty")
+        raise IncmineError("batch must be non-empty")
     config = model.config
     params = model.params
     B = ids.shape[0]
@@ -601,7 +578,7 @@ def train(ids: np.ndarray, targets: np.ndarray, config: LmConfig,
     returns model + mean per-epoch losses."""
     n = len(ids)
     if n == 0:
-        raise LangModelError("need at least one training pair")
+        raise IncmineError("need at least one training pair")
     rng = np.random.default_rng(config.seed)
     model = LmModel.initialized(config, vocab, rng)
     grads = FlatParams(config)
@@ -614,10 +591,10 @@ def train(ids: np.ndarray, targets: np.ndarray, config: LmConfig,
             b = order[start:start + config.batch_size]
             try:
                 _, loss = backward(model, ids[b], targets[b], rng, grads)
+                if not math.isfinite(loss):
+                    raise NonFiniteError("non-finite loss")
             except NonFiniteError as exc:
-                raise TrainingDivergedError(epoch, bi) from exc
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, bi)
+                raise IncmineError(f"training diverged at epoch {epoch}, batch {bi}") from exc
             clip_gradients(grads, config.clip_norm)
             adam_step(model.params.flat, grads.flat, adam, config)
             total += loss * len(b)
@@ -709,23 +686,23 @@ _MANIFEST_KEYS = frozenset({"version", "config", "vocab", "sha256"})
 
 def _check_keys(obj, keys, what: str) -> None:
     if not isinstance(obj, dict):
-        raise ArtifactError(f"{what} is not a JSON object")
+        raise IncmineError(f"{what} is not a JSON object")
     missing = sorted(keys - obj.keys())
     unknown = sorted(obj.keys() - keys)
     if missing or unknown:
-        raise ArtifactError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+        raise IncmineError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
 def load_model(path) -> LmModel:
     """Rebuild a model from an artifact directory, verifying its checksum.
 
-    Every malformed manifest raises ``ArtifactError``: JSON that does not
-    parse (named by the manifest's path), a value that is not a JSON object
-    where one belongs, a missing or unknown key, a config value ``LmConfig``
-    rejects, or a vocabulary longer than the config's ``vocab_size``. So
-    does a params.bin whose size is not the config's parameter count times
-    4 bytes (checked before any byte is read). Another version, lm-v1
-    included, raises ``ArtifactVersionError``.
+    Every refused artifact raises ``IncmineError``: another version, lm-v1
+    included; a malformed manifest, that is JSON that does not parse (named
+    by the manifest's path), a value that is not a JSON object where one
+    belongs, a missing or unknown key, a config value ``LmConfig`` rejects,
+    or a vocabulary longer than the config's ``vocab_size``; a params.bin
+    whose size is not the config's parameter count times 4 bytes (checked
+    before any byte is read); and a checksum mismatch.
 
     params.bin is read straight into one little-endian float32 buffer and
     the checksum is over exactly those bytes; a float64 config casts the
@@ -736,25 +713,25 @@ def load_model(path) -> LmModel:
         try:
             manifest = json.load(fh)
         except (ValueError, RecursionError) as exc:  # or nested too deep
-            raise ArtifactError(f"{manifest_path}: {exc}") from exc
+            raise IncmineError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise ArtifactError("manifest is not a JSON object")
+        raise IncmineError("manifest is not a JSON object")
     version = manifest.get("version")
     if version != ARTIFACT_VERSION:
-        raise ArtifactVersionError(
+        raise IncmineError(
             f"artifact version {version!r}, this build reads {ARTIFACT_VERSION!r}")
     _check_keys(manifest, _MANIFEST_KEYS, "manifest")
     _check_keys(manifest["config"], {f.name for f in fields(LmConfig)}, "manifest config")
     try:
         config = LmConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
-        raise ArtifactError(f"manifest config: {exc}") from exc
+        raise IncmineError(f"manifest config: {exc}") from exc
     tokens = manifest["vocab"]
     if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
-        raise ArtifactError("manifest vocab is not a JSON list of strings")
+        raise IncmineError("manifest vocab is not a JSON list of strings")
     if len(tokens) > config.vocab_size:  # ids past the embedding rows
-        raise ArtifactError(f"manifest vocab has {len(tokens)} tokens, above the "
-                            f"configured vocab_size {config.vocab_size}")
+        raise IncmineError(f"manifest vocab has {len(tokens)} tokens, above the "
+                           f"configured vocab_size {config.vocab_size}")
     vocab = LmVocabulary(tokens)
     params_path = os.path.join(path, PARAMS_FILE)
     stored = np.empty(_param_count(config), dtype="<f4")
@@ -762,11 +739,11 @@ def load_model(path) -> LmModel:
     with open(params_path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size != blob.nbytes:
-            raise ArtifactError(f"{params_path} is {size} bytes, the config "
-                                f"needs {blob.nbytes}")
+            raise IncmineError(f"{params_path} is {size} bytes, the config "
+                               f"needs {blob.nbytes}")
         if fh.readinto(blob) != blob.nbytes:
-            raise ArtifactError(f"{params_path} shrank while being read")
+            raise IncmineError(f"{params_path} shrank while being read")
     if hashlib.sha256(blob).hexdigest() != manifest["sha256"]:
-        raise ArtifactChecksumError(f"checksum mismatch for {params_path}")
+        raise IncmineError(f"checksum mismatch for {params_path}")
     params = FlatParams(config, stored.astype(config.np_dtype, copy=False))
     return LmModel(config=config, vocab=vocab, params=params)

@@ -42,10 +42,6 @@ from .corpus import Transaction
 from .errors import IncmineError
 
 
-class RulesError(IncmineError):
-    pass
-
-
 # NAR completeness requires the full itemset lattice over band-passing items;
 # refuse instead of hanging when the band leaves it intractable
 MAX_LATTICE_CANDIDATES = 5_000_000
@@ -60,18 +56,6 @@ MAX_RULES = 1_000_000
 # 80-byte buffer view per piece): 1.2 MB at 2048 rows, 4.7 MB at 8192, which
 # exported the 74k-rule perfbench table no faster
 EXPORT_ROWS = 2048
-
-
-class EmptyTransactionListError(RulesError):
-    pass
-
-
-class UndefinedConfidenceError(RulesError):
-    """P(antecedent event) = 0, confidence has no value."""
-
-
-class UndefinedLiftError(RulesError):
-    """P(consequent event) = 0, lift has no value."""
 
 
 @dataclass(frozen=True)
@@ -142,20 +126,15 @@ class MiningConfig:
             raise ValueError("mincnf must be in (0, 1]")
         if self.idf_min < 0.0:
             raise ValueError("idf_min must be >= 0")
-        if self.idf_max is not None:
-            _check_band(self.idf_min, self.idf_max)
+        if self.idf_max is not None and not self.idf_max > self.idf_min:
+            raise ValueError("idf_max must be > idf_min")
         if self.max_itemset_size < 1:
             raise ValueError("max_itemset_size must be >= 1")
 
 
-def _check_band(idf_min: float, idf_max: float):
-    if not idf_max > idf_min:
-        raise ValueError("idf_max must be > idf_min")
-
-
 def _check_transactions(transactions: Sequence[Transaction]):
     if len(transactions) == 0:
-        raise EmptyTransactionListError("transaction list is empty")
+        raise IncmineError("transaction list is empty")
 
 
 def idf(n: int, df: int) -> float:
@@ -184,9 +163,9 @@ def rule_metrics(antecedent: Itemset, consequent: Itemset,
         count_b += ev_b
         count_both += ev_a and ev_b
     if count_a == 0:
-        raise UndefinedConfidenceError("antecedent event has probability 0")
+        raise IncmineError("antecedent event has probability 0")
     if count_b == 0:
-        raise UndefinedLiftError("consequent event has probability 0")
+        raise IncmineError("consequent event has probability 0")
     supp = count_both / n
     p_a = count_a / n
     p_b = count_b / n
@@ -219,7 +198,7 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     the negation flags.
 
     Returns one ``RuleTable``. More than ``MAX_RULES`` passing rules raise
-    ``RulesError`` before any output column is built.
+    ``IncmineError`` before any output column is built.
 
     Steps (3) and (4) run as array operations over all itemsets of one size
     for one choice of antecedent positions; a rule's support threshold is the
@@ -230,7 +209,10 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     idf_max = config.idf_max
     if idf_max is None:
         idf_max = max(math.log(n) - 0.1, 0.2)
-        _check_band(config.idf_min, idf_max)
+        if not idf_max > config.idf_min:
+            raise ValueError(
+                f"idf_max must be > idf_min = {config.idf_min:g}; the default "
+                f"idf_max for {n} transactions is {idf_max:.6f}")
 
     doc_freq = Counter(item for t in transactions for item in t.items)
     kept = [item for item, df in sorted(doc_freq.items())
@@ -245,7 +227,7 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     total_candidates = sum(math.comb(n_items, size)
                            for size in range(1, max_size + 1))
     if total_candidates > MAX_LATTICE_CANDIDATES:
-        raise RulesError(
+        raise IncmineError(
             f"{n_items} items pass the IDF band, giving {total_candidates} "
             f"candidate itemsets up to size {max_size}; tighten the band or "
             f"lower max_itemset_size")
@@ -294,7 +276,7 @@ def fisinfis_mine(transactions: Sequence[Transaction],
                     ok = ok[passed]
                     n_rules += len(ok)
                     if n_rules > MAX_RULES:
-                        raise RulesError(
+                        raise IncmineError(
                             f"more than {MAX_RULES} rules pass the thresholds; raise "
                             f"minsupp or mincnf, tighten the band or lower "
                             f"max_itemset_size")

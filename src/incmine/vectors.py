@@ -23,10 +23,6 @@ from .errors import IncmineError
 from .rules import _format_distinct, _lookup
 
 
-class VectorsError(IncmineError):
-    pass
-
-
 @dataclass(frozen=True)
 class TfIdfMatrix:
     n_rows: int
@@ -72,7 +68,7 @@ def build_term_index(docs: Sequence[Mapping[str, int]]) -> dict[str, int]:
     """``{term: column}`` over the sorted terms of every doc."""
     terms = sorted({t for counts in docs for t in counts})
     if not terms:
-        raise VectorsError("no terms in any document")
+        raise IncmineError("no terms in any document")
     return {t: j for j, t in enumerate(terms)}
 
 

@@ -22,16 +22,17 @@ def toy_transactions():
 
 
 def save_embeddings(matrix, path, fmt="text"):
-    """Write an EmbeddingMatrix in the text or binary format ``load_embeddings`` reads."""
+    """Write the 2-D array ``matrix`` in the text or binary format
+    ``load_embeddings`` reads."""
     if fmt == "text":
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{matrix.n_rows} {matrix.n_cols}\n")
-            for row in matrix.values:
+            fh.write("{} {}\n".format(*matrix.shape))
+            for row in matrix:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
     elif fmt == "binary":
         with open(path, "wb") as fh:
-            fh.write(struct.pack("<QQ", matrix.n_rows, matrix.n_cols))
-            fh.write(matrix.values.astype("<f4").tobytes(order="C"))
+            fh.write(struct.pack("<QQ", *matrix.shape))
+            fh.write(matrix.astype("<f4").tobytes(order="C"))
     else:
         raise ValueError("fmt must be 'text' or 'binary'")
 

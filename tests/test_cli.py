@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from incmine import cli, clustering, corpus, errors, rules
 from incmine.cli import build_parser, main, parse_config_file
-from incmine.clustering import EmbeddingMatrix
 from incmine.errors import IncmineError
 from incmine.langmodel import LmConfig
 
@@ -102,8 +101,7 @@ class TestExitCodes:
     def test_refused_call_makes_no_output_directory(self, code, argv, fixture_corpus_path,
                                                      tmp_path, capsys):
         embeddings = tmp_path / "emb.txt"
-        save_embeddings(EmbeddingMatrix(np.random.default_rng(0).normal(size=(20, 3))),
-                        embeddings)
+        save_embeddings(np.random.default_rng(0).normal(size=(20, 3)), embeddings)
         bad_model = tmp_path / "model"
         bad_model.mkdir()
         (bad_model / "manifest.json").write_text("[]", encoding="utf-8")
@@ -218,6 +216,29 @@ class TestMineRules:
         err = capsys.readouterr().err
         assert "'A+B'" in err and "Traceback" not in err
         assert not (out / "rules.csv").exists()
+
+    def test_ontology_tag_with_backslash_is_data_error(self, fixture_corpus_path,
+                                                       tmp_path, capsys):
+        # the node "FALL\"; would leave its DOT string unclosed
+        onto = tmp_path / "onto.tsv"
+        onto.write_text("scala\tFALL\\\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("mine-rules", "--corpus", fixture_corpus_path,
+                   "--ontology", str(onto), "--output-dir", str(out),
+                   "--no-stopwords") == 2
+        err = capsys.readouterr().err
+        assert err == "error: ontology tag 'FALL\\\\' contains '\\', which rules.dot " \
+                      "cannot quote\n"
+        assert not (out / "rules.dot").exists()
+
+    def test_default_band_refusal_names_the_default(self, fixture_corpus_path,
+                                                    tmp_path, capsys):
+        # no --idf-max: the band's ceiling is ln 12 - 0.1 for the 12 transactions
+        assert run("mine-rules", "--corpus", fixture_corpus_path, "--idf-min", "5",
+                   "--output-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            "error: idf_max must be > idf_min = 5; the default idf_max for 12 "
+            "transactions is 2.384907\n")
 
     def test_writes_rules_and_graph(self, fixture_corpus_path, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -402,7 +423,7 @@ class TestClusterEmbeddings:
         rng = np.random.default_rng(3)
         blob_a = rng.normal(size=(10, 6))
         blob_b = rng.normal(size=(10, 6)) + 9.0
-        matrix = EmbeddingMatrix(np.vstack([blob_a, blob_b]))
+        matrix = np.vstack([blob_a, blob_b])
         suffix = "bin" if fmt == "binary" else "txt"
         path = tmp_path / f"emb.{suffix}"
         save_embeddings(matrix, path, fmt=fmt)
@@ -1094,7 +1115,7 @@ def test_every_flag_is_read(fixture_corpus_path, model_dir, tmp_path, command):
     subcommands run once with --k and once with --k-range, which each leave
     the other unread."""
     emb = tmp_path / "emb.txt"
-    save_embeddings(EmbeddingMatrix(np.random.default_rng(0).normal(size=(8, 3))), emb)
+    save_embeddings(np.random.default_rng(0).normal(size=(8, 3)), emb)
     corpus_in = ("--corpus", fixture_corpus_path)
     runs = {
         "preprocess": [corpus_in],
@@ -1131,7 +1152,7 @@ class TestPipelineConfig:
         # the CLI passes no threshold of its own: 0.0 keeps one component
         monkeypatch.setattr(clustering.reduce_to_variance, "__defaults__", (0.0,))
         emb = tmp_path / "emb.txt"
-        save_embeddings(EmbeddingMatrix(np.random.default_rng(0).normal(size=(8, 4))), emb)
+        save_embeddings(np.random.default_rng(0).normal(size=(8, 4)), emb)
         out = str(tmp_path / "out")
         assert run("cluster-embeddings", "--embeddings", str(emb), "--k", "2",
                    "--output-dir", out) == 0

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -12,9 +13,6 @@ from incmine import _kernels, clustering, errors
 from incmine.clustering import (
     METRICS,
     ClusterConfig,
-    ClusteringError,
-    EmbeddingFormatError,
-    EmbeddingMatrix,
     IpcaModel,
     ipca_fit,
     load_embedding_ids,
@@ -23,7 +21,7 @@ from incmine.clustering import (
     reduce_to_variance,
     sweep_k,
 )
-from incmine.errors import AllocationError
+from incmine.errors import IncmineError
 
 import pam_oracle
 import whole_matrix_oracle
@@ -154,7 +152,7 @@ class TestPairwiseDistances:
         pts = np.zeros((100_000, 1))  # an 80 GB matrix
         tracemalloc.start()
         try:
-            with pytest.raises(AllocationError, match="distance matrix"):
+            with pytest.raises(IncmineError, match="distance matrix"):
                 pairwise_distances(pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -169,7 +167,7 @@ class TestPairwiseDistances:
         for fit in (lambda: pairwise_distances(pts, "cosine"),
                     lambda: fit_k(pts, 2),
                     lambda: sweep(pts, 2, 3)):
-            with pytest.raises(AllocationError, match="10 points"):
+            with pytest.raises(IncmineError, match="10 points"):
                 fit()
 
 
@@ -199,12 +197,12 @@ class TestKMedoids:
 
     def test_k_too_large(self):
         for k_lo, k_hi in ((5, 5), (5, 9)):
-            with pytest.raises(ClusteringError, match="k=5 exceeds number of points n=4"):
+            with pytest.raises(IncmineError, match="k=5 exceeds number of points n=4"):
                 sweep(FOUR_POINTS, k_lo, k_hi)
 
     def test_non_finite_rejected(self):
         pts = np.array([[0.0], [np.nan]])
-        with pytest.raises(ClusteringError):
+        with pytest.raises(IncmineError, match="points contain non-finite values"):
             fit_k(pts, 2)
 
     def test_medoid_labels_own_cluster(self, rng):
@@ -755,7 +753,7 @@ class TestIpca:
         assert ratios.sum() <= 1.0 + 1e-9
 
     def test_needs_two_samples(self):
-        with pytest.raises(ClusteringError):
+        with pytest.raises(IncmineError, match="incremental PCA needs at least 2 samples"):
             ipca_fit(np.ones((1, 4)))
 
 
@@ -786,7 +784,7 @@ class TestReduceToVariance:
         model = IpcaModel(mean=np.zeros(6), components=np.eye(6)[:2],
                           singular_values=np.ones(2),
                           explained_variance_ratio=np.array([0.375, 0.25]), n_seen=50)
-        with pytest.raises(ClusteringError, match="explain only 0.625000 < 0.999"):
+        with pytest.raises(IncmineError, match="explain only 0.625000 < 0.999"):
             reduce_to_variance(model, data, 0.999)
 
     def test_distance_preservation_on_full_rank(self, rng):
@@ -800,44 +798,100 @@ class TestReduceToVariance:
 
 class TestEmbeddingsIO:
     def test_text_roundtrip(self, tmp_path, rng):
-        matrix = EmbeddingMatrix(rng.normal(size=(3, 16)))
+        matrix = rng.normal(size=(3, 16))
         path = tmp_path / "emb.txt"
         save_embeddings(matrix, path, fmt="text")
         loaded = load_embeddings(path, fmt="text")
-        assert loaded.values.shape == (3, 16)
-        assert np.array_equal(loaded.values, matrix.values)
+        assert loaded.shape == (3, 16)
+        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+        assert np.array_equal(loaded, matrix)
 
     def test_binary_roundtrip(self, tmp_path, rng):
-        matrix = EmbeddingMatrix(rng.normal(size=(5, 4)).astype(np.float32))
+        matrix = rng.normal(size=(5, 4)).astype(np.float32)
         path = tmp_path / "emb.bin"
         save_embeddings(matrix, path, fmt="binary")
         loaded = load_embeddings(path, fmt="binary")
-        assert np.array_equal(loaded.values, matrix.values)
+        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+        assert np.array_equal(loaded, matrix)
 
     def test_shape_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 4\n1 2 3 4\n1 2 3\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(IncmineError, match="bad.txt:3: expected 4 values, got 3"):
             load_embeddings(path, fmt="text")
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\n1 2\n3 4\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="declares 3"):
+        with pytest.raises(IncmineError, match="declares 3"):
+            load_embeddings(path, fmt="text")
+
+    def test_rows_past_the_header_are_counted(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 2\n1 2\n3 4\n5 6\n", encoding="utf-8")
+        with pytest.raises(IncmineError, match="declares 1 rows, found 3"):
             load_embeddings(path, fmt="text")
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\nnan 1.0\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(IncmineError, match="embedding matrix contains non-finite values"):
             load_embeddings(path, fmt="text")
 
+    def test_binary_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        # float32 0xffa00000 warns when cast; RuntimeWarning is an error here
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<QQI", 1, 1, 0xFFA00000))
+        with pytest.raises(IncmineError, match="embedding matrix contains non-finite values"):
+            load_embeddings(path, fmt="binary")
+
     def test_binary_payload_size_checked(self, tmp_path):
-        import struct
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack("<QQ", 2, 4) + b"\x00" * 28)
-        with pytest.raises(EmbeddingFormatError, match="28 bytes"):
+        with pytest.raises(IncmineError, match="28 bytes"):
             load_embeddings(path, fmt="binary")
+
+    @pytest.mark.parametrize("header, message", [
+        ("-1 3", "negative size, -1 x 3"),
+        ("3 -2", "negative size, 3 x -2"),
+        ("5 0", "embedding matrix has no columns"),
+    ])
+    def test_bad_header_sizes_refused(self, tmp_path, header, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(IncmineError, match=message):
+            load_embeddings(path, fmt="text")
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_header_over_the_size_guard_refused_before_any_row(self, tmp_path,
+                                                               monkeypatch, fmt):
+        # the rows after the header are malformed, so reading any of them
+        # would raise a different error
+        path = tmp_path / "emb"
+        if fmt == "text":
+            path.write_text("2 3\nnot a row\n", encoding="utf-8")
+        else:
+            path.write_bytes(struct.pack("<QQ", 2, 3) + b"\x00" * 5)
+        monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 2 * 3 * 8 - 1)
+        with pytest.raises(IncmineError, match="the 2 x 3 embedding matrix needs"):
+            load_embeddings(path, fmt=fmt)
+        monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 2 * 3 * 8)
+        with pytest.raises(IncmineError, match=r"emb:2: could not convert|payload is 5 bytes"):
+            load_embeddings(path, fmt=fmt)
+
+    def test_text_load_peak_memory(self, tmp_path):
+        # one float64 matrix filled row by row, not a list of Python floats
+        matrix = np.random.default_rng(4).normal(size=(2000, 64))
+        path = tmp_path / "emb.txt"
+        save_embeddings(matrix, path, fmt="text")
+        tracemalloc.start()
+        try:
+            loaded = load_embeddings(path, fmt="text")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, matrix)
+        assert peak <= 1.5 * matrix.nbytes
 
     def test_ids_loader(self, tmp_path):
         path = tmp_path / "ids.txt"
@@ -846,8 +900,8 @@ class TestEmbeddingsIO:
 
     def test_text_byte_order_mark_is_skipped(self, tmp_path):
         plain, bom = plain_and_bom(tmp_path, "txt", "2 2\n1.5 -2\n0 3\n")
-        assert np.array_equal(load_embeddings(bom, fmt="text").values,
-                              load_embeddings(plain, fmt="text").values)
+        assert np.array_equal(load_embeddings(bom, fmt="text"),
+                              load_embeddings(plain, fmt="text"))
 
     def test_ids_byte_order_mark_is_skipped(self, tmp_path):
         plain, bom = plain_and_bom(tmp_path, "ids", "s1\ns2\n")

@@ -1,6 +1,9 @@
 """Every module-level function, class and constant of the package has a
 caller in the program: in ``src/incmine`` itself or in the benchmark
 (``perfbench/*.py``). Code that only the tests call belongs with the tests.
+Likewise every exception class of the package is caught somewhere in the
+package: a class that no ``except`` names tells no caller anything that
+its message does not.
 
 The files are parsed, not imported or run, and only read. A name counts as
 referenced by a ``Name`` load, by an attribute of a name bound to an incmine
@@ -9,6 +12,7 @@ module (``langmodel.train``, ``rules_mod.fisinfis_mine``), by a
 ``TARGETS`` table, which wraps functions by name."""
 
 import ast
+import builtins
 import glob
 import os
 
@@ -84,3 +88,49 @@ def test_every_package_function_and_class_has_a_program_caller():
     names = referenced_names()
     uncalled = [f"{module}:{name}" for module, name in defined if name not in names]
     assert uncalled == []
+
+
+def _name(node):
+    """The name a base class or an ``except`` entry refers to:
+    ``IncmineError`` for ``IncmineError`` and ``errors.IncmineError``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def exception_classes():
+    """(module, name) of each class in the package that derives from a
+    built-in exception, directly or through another such class."""
+    classes = [(os.path.basename(path), node) for path in PACKAGE_FILES
+               for node in ast.walk(_parse(path)) if isinstance(node, ast.ClassDef)]
+    bases = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    found = []
+    while True:
+        new = [(module, node.name) for module, node in classes
+               if node.name not in bases and any(_name(b) in bases for b in node.bases)]
+        if not new:
+            return found
+        found += new
+        bases.update(name for _, name in new)
+
+
+def caught_names():
+    """Every name an ``except`` clause of the package catches, tuples included."""
+    names = set()
+    for path in PACKAGE_FILES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                entries = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names.update(_name(entry) for entry in entries)
+    return names
+
+
+def test_every_package_exception_class_is_caught_in_the_package():
+    defined = exception_classes()
+    assert ("errors.py", "IncmineError") in defined  # the scan found the package's
+    caught = caught_names()
+    uncaught = [f"{module}:{name}" for module, name in defined if name not in caught]
+    assert uncaught == []

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incmine.corpus import PreprocessConfig, TagOntology
+from incmine.errors import IncmineError
 from incmine.vectors import (
     TfIdfMatrix,
-    VectorsError,
     corpus_term_counts,
     tfidf_matrix,
 )
@@ -36,9 +36,9 @@ class TestTermIndex:
         assert matrix.n_cols == 1
 
     def test_no_terms(self):
-        with pytest.raises(VectorsError):
+        with pytest.raises(IncmineError, match="no terms in any document"):
             tfidf_matrix([{}, {}])
-        with pytest.raises(VectorsError):
+        with pytest.raises(IncmineError, match="no terms in any document"):
             tfidf_matrix([])
 
     def test_zero_count_key_has_a_column_and_no_df(self):
