@@ -19,7 +19,9 @@ import csv
 import inspect
 import json
 import os
+import shutil
 import sys
+import tempfile
 from io import StringIO
 from typing import Callable
 
@@ -144,12 +146,34 @@ def _ontology(args):
     return None if args.ontology is None else corpus_mod.TagOntology.from_tsv(args.ontology)
 
 
-def _outdir(args) -> str:
-    """Make the output directory. Each subcommand calls this just before it
-    writes its first file, so a refused call leaves no directory behind."""
+@contextlib.contextmanager
+def _output_set(args):
+    """Make the output directory and a fresh ``.incmine-*`` stage inside it,
+    on the same file system, and yield ``(out, stage)``. A subcommand enters
+    just before its first write, so a refused call makes no directory, and
+    writes every output into the stage. On success each entry is renamed
+    into ``out`` in sorted name order; a directory (``model/``) swaps with
+    the one it replaces, which is put back if the swap fails. The stage is
+    removed in every case, so a failed call leaves ``out`` as it was.
+    """
     out = "." if args.output_dir is None else args.output_dir
     os.makedirs(out, exist_ok=True)
-    return out
+    stage = tempfile.mkdtemp(prefix=".incmine-", dir=out)
+    try:
+        yield out, stage
+        for name in sorted(os.listdir(stage)):
+            new, dest = os.path.join(stage, name), os.path.join(out, name)
+            if os.path.isdir(new) and os.path.isdir(dest):
+                os.rename(dest, new + ".old")
+                try:
+                    os.rename(new, dest)
+                except BaseException:
+                    os.rename(new + ".old", dest)
+                    raise
+            else:
+                os.replace(new, dest)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 # --------------------------------------------------------------------------
@@ -162,27 +186,27 @@ def cmd_preprocess(args) -> int:
     top = corpus_mod.top_frequent_words(loaded, pre,
                                         **_given(args, corpus_mod.top_frequent_words))
 
-    out = _outdir(args)
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "items"])
-    for t in txs.transactions:
-        writer.writerow([t.id, " ".join(sorted(t.items))])
-    _write_text(os.path.join(out, "transactions.csv"), buf.getvalue())
+    with _output_set(args) as (out, stage):
+        buf = StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "items"])
+        for t in txs.transactions:
+            writer.writerow([t.id, " ".join(sorted(t.items))])
+        _write_text(os.path.join(stage, "transactions.csv"), buf.getvalue())
 
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["word", "count"])
-    for word, count in top:
-        writer.writerow([word, count])
-    _write_text(os.path.join(out, "top_words.csv"), buf.getvalue())
+        buf = StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["word", "count"])
+        for word, count in top:
+            writer.writerow([word, count])
+        _write_text(os.path.join(stage, "top_words.csv"), buf.getvalue())
 
-    _write_json(os.path.join(out, "preprocess_report.json"), {
-        "records": len(loaded),
-        "dropped": loaded.dropped,
-        "flagged": list(txs.flagged),
-        "transactions": len(txs.transactions),
-    })
+        _write_json(os.path.join(stage, "preprocess_report.json"), {
+            "records": len(loaded),
+            "dropped": loaded.dropped,
+            "flagged": list(txs.flagged),
+            "transactions": len(txs.transactions),
+        })
     print(f"preprocess: {len(txs.transactions)} transactions "
           f"({loaded.dropped} dropped, {len(txs.flagged)} flagged) -> {out}")
     return 0
@@ -194,20 +218,11 @@ def cmd_mine_rules(args) -> int:
     n = len(txs.transactions)
     config = rules_mod.MiningConfig(**_given(args, rules_mod.MiningConfig))
     mined = rules_mod.fisinfis_mine(txs.transactions, config)
-    out = _outdir(args)
-    opened = []  # a failed export removes every file this call opened
-    try:
+    with _output_set(args) as (out, stage):
         for name, export in (("rules.csv", rules_mod.rules_to_csv),
                              ("rules.dot", rules_mod.export_rule_graph)):
-            path = os.path.join(out, name)
-            with open(path, "wb") as fh:
-                opened.append(path)
+            with open(os.path.join(stage, name), "wb") as fh:
                 export(mined, fh)
-    except BaseException:
-        for path in opened:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
     n_par = len(mined) - int(np.count_nonzero(mined.neg_antecedent | mined.neg_consequent))
     print(f"mine-rules: {len(mined)} rules ({n_par} PAR, {len(mined) - n_par} NAR) "
           f"from {n} transactions -> {out}")
@@ -264,11 +279,11 @@ def cmd_cluster_tfidf(args) -> int:
     check_allocation(n_rows * n_rows * 8, f"the distance matrix of {n_rows} points")
     check_allocation(n_rows * n_cols * 8, f"the dense {n_rows} x {n_cols} tf-idf matrix")
     clusters, summary = _cluster_and_report(matrix.toarray(), list(loaded.ids), config)
-    out = _outdir(args)
-    _write_text(os.path.join(out, "tfidf_matrix.txt"), matrix.to_coo_text())
-    _write_text(os.path.join(out, "clusters.csv"), clusters)
     summary["n_terms"] = n_cols
-    _write_json(os.path.join(out, "cluster_summary.json"), summary)
+    with _output_set(args) as (out, stage):
+        _write_text(os.path.join(stage, "tfidf_matrix.txt"), matrix.to_coo_text())
+        _write_text(os.path.join(stage, "clusters.csv"), clusters)
+        _write_json(os.path.join(stage, "cluster_summary.json"), summary)
     print(f"cluster-tfidf: k={summary['k']} silhouette={summary['silhouette']:.4f} "
           f"over {n_rows}x{n_cols} tf-idf matrix -> {out}")
     return 0
@@ -294,11 +309,11 @@ def cmd_cluster_embeddings(args) -> int:
     reduced, m = clustering.reduce_to_variance(
         model, matrix, **_given(args, clustering.reduce_to_variance))
     clusters, summary = _cluster_and_report(reduced, ids, config)
-    out = _outdir(args)
-    _write_text(os.path.join(out, "clusters.csv"), clusters)
     summary["reduced_dims"] = m
     summary["explained"] = float(np.cumsum(model.explained_variance_ratio)[m - 1])
-    _write_json(os.path.join(out, "cluster_summary.json"), summary)
+    with _output_set(args) as (out, stage):
+        _write_text(os.path.join(stage, "clusters.csv"), clusters)
+        _write_json(os.path.join(stage, "cluster_summary.json"), summary)
     print(f"cluster-embeddings: k={summary['k']} dims={m} "
           f"silhouette={summary['silhouette']:.4f} -> {out}")
     return 0
@@ -312,13 +327,12 @@ def cmd_train_lm(args) -> int:
     vocab = langmodel.fit_vocab(dynamics + consequences, cap=config.vocab_size)
     ids, targets = langmodel.make_train_pairs(dynamics, consequences, vocab, config)
     model, history = langmodel.train(ids, targets, config, vocab)
-    out = _outdir(args)
-    model_dir = os.path.join(out, "model")
-    langmodel.save_model(model, model_dir)
-    _write_json(os.path.join(out, "training_history.json"), {"loss": history})
+    with _output_set(args) as (out, stage):
+        langmodel.save_model(model, os.path.join(stage, "model"))
+        _write_json(os.path.join(stage, "training_history.json"), {"loss": history})
     final = history[-1] if history else float("nan")
     print(f"train-lm: {len(ids)} pairs, {config.epochs} epochs, "
-          f"final loss {final:.6f} -> {model_dir}")
+          f"final loss {final:.6f} -> {os.path.join(out, 'model')}")
     return 0
 
 
@@ -327,11 +341,11 @@ def cmd_predict(args) -> int:
     pre = _pre_config(args)
     top = langmodel.predict_consequence(model, args.text, pre=pre,
                                         **_given(args, langmodel.predict_consequence))
-    out = _outdir(args)
-    _write_json(os.path.join(out, "prediction.json"), {
-        "text": args.text,
-        "top": [[token, prob] for token, prob in top],
-    })
+    with _output_set(args) as (out, stage):
+        _write_json(os.path.join(stage, "prediction.json"), {
+            "text": args.text,
+            "top": [[token, prob] for token, prob in top],
+        })
     shown = " ".join(tok for tok, _ in top[:5])
     print(f"predict: {shown} -> {out}/prediction.json")
     return 0

@@ -24,6 +24,7 @@ far, so at desk scale it reproduces batch PCA exactly.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -275,6 +276,13 @@ def reduce_to_variance(model: IpcaModel, points,
 # embedding file formats
 # --------------------------------------------------------------------------
 
+# a header size or value of a text embedding file: ASCII digits with an
+# optional sign, point and exponent, or nan, inf or infinity in any case.
+# int() and float() alone would also read "1_5" as 15 and U+0661 as 1.
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                     r"|nan|inf(?:inity)?)", re.ASCII | re.IGNORECASE)
+
+
 def load_embeddings(path, fmt: str = "text") -> np.ndarray:
     """Read an embedding matrix as a C-contiguous (n_rows, n_cols) float64 array.
 
@@ -283,8 +291,8 @@ def load_embeddings(path, fmt: str = "text") -> np.ndarray:
     followed by n_rows*n_cols little-endian float32, row-major. The header is
     checked before any row is read: a negative size or no columns is
     refused, and so is a float64 matrix over ``MAX_ALLOCATION_BYTES``; a
-    binary payload must be the size the header declares. Every value must
-    be finite.
+    binary payload must be the size the header declares. A text size or
+    value must match ``_NUMBER``. Every value must be finite.
     """
     if fmt == "text":
         with open(path, encoding="utf-8-sig") as fh:
@@ -292,9 +300,11 @@ def load_embeddings(path, fmt: str = "text") -> np.ndarray:
             if len(header) != 2:
                 raise IncmineError(f"{path}: header must be 'n_rows n_cols'")
             try:
+                if not all(map(_NUMBER.fullmatch, header)):
+                    raise ValueError
                 n_rows, n_cols = int(header[0]), int(header[1])
             except ValueError as exc:
-                raise IncmineError(f"{path}: bad header {header}") from exc
+                raise IncmineError(f"{path}:1: bad header {header}") from exc
             _check_header(path, n_rows, n_cols)
             matrix = np.empty((n_rows, n_cols))
             found = 0
@@ -305,12 +315,12 @@ def load_embeddings(path, fmt: str = "text") -> np.ndarray:
                 if len(row) != n_cols:
                     raise IncmineError(
                         f"{path}:{lineno}: expected {n_cols} values, got {len(row)}")
-                try:
-                    values = [float(v) for v in row]
-                except ValueError as exc:
-                    raise IncmineError(f"{path}:{lineno}: {exc}") from exc
+                for v in row:
+                    if not _NUMBER.fullmatch(v):
+                        raise IncmineError(
+                            f"{path}:{lineno}: could not convert string to float: {v!r}")
                 if found < n_rows:  # past it, rows are only checked and counted
-                    matrix[found] = values
+                    matrix[found] = [float(v) for v in row]
                 found += 1
         if found != n_rows:
             raise IncmineError(f"{path}: header declares {n_rows} rows, found {found}")
@@ -334,7 +344,7 @@ def load_embeddings(path, fmt: str = "text") -> np.ndarray:
     else:
         raise ValueError("fmt must be 'text' or 'binary'")
     if not np.isfinite(matrix).all():
-        raise IncmineError("embedding matrix contains non-finite values")
+        raise IncmineError(f"{path}: embedding matrix contains non-finite values")
     return matrix
 
 
@@ -343,7 +353,7 @@ def _check_header(path, n_rows: int, n_cols: int) -> None:
         raise IncmineError(f"{path}: header declares a negative size, {n_rows} x {n_cols}")
     if n_cols == 0:
         # a header of n rows by 0 columns needs no payload, yet n ids
-        raise IncmineError("embedding matrix has no columns")
+        raise IncmineError(f"{path}: embedding matrix has no columns")
     check_allocation(n_rows * n_cols * 8, f"the {n_rows} x {n_cols} embedding matrix")
 
 

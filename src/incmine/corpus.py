@@ -154,7 +154,7 @@ def load_corpus(path, fmt: str = "csv") -> Corpus:
         raise ValueError(f"unknown corpus format: {fmt!r}")
 
     records: list[RawRecord] = []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # record id -> line
     dropped = 0
     for lineno, rec_id, dynamics, consequence in rows:
         stripped = dynamics.strip()
@@ -164,8 +164,9 @@ def load_corpus(path, fmt: str = "csv") -> Corpus:
         if not rec_id:
             raise IncmineError(f"{path}:{lineno}: empty record id")
         if rec_id in seen:
-            raise IncmineError(f"duplicate record id: {rec_id!r}")
-        seen.add(rec_id)
+            raise IncmineError(f"{path}:{lineno}: duplicate record id {rec_id!r} "
+                               f"(first at line {seen[rec_id]})")
+        seen[rec_id] = lineno
         records.append(RawRecord(id=rec_id, dynamics=dynamics, consequence=consequence))
     if not records:
         raise IncmineError(f"{path}: no usable rows ({dropped} dropped)")

@@ -45,8 +45,6 @@ import json
 import math
 import numbers
 import os
-import shutil
-import tempfile
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional, Sequence
@@ -639,46 +637,29 @@ def _bytes_of(arr: np.ndarray) -> memoryview:
 
 
 def save_model(model: LmModel, path) -> None:
-    """Write manifest.json and params.bin, the parameter buffer as
-    little-endian float32 in ``_param_specs`` order.
+    """Make the directory ``path`` and write manifest.json and params.bin
+    into it, the parameter buffer as little-endian float32 in
+    ``_param_specs`` order.
 
     A float32 buffer is written and hashed straight from memory; a float64
     one is cast to float32 first. The manifest holds the version, config,
-    vocabulary and the SHA-256 of params.bin.
-
-    Both files are written to a fresh directory beside ``path``, which then
-    takes the place of any directory at ``path``: ``path`` ends up holding
-    these two files only, and a save that fails leaves it as it was.
+    vocabulary and the SHA-256 of params.bin. ``path`` must not exist yet:
+    the CLI saves into its stage and commits ``model/`` with its other
+    outputs.
     """
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".model-", dir=parent)
-    try:
-        new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
-        os.mkdir(new)
-        blob = _bytes_of(np.ascontiguousarray(model.params.flat, dtype="<f4"))
-        with open(os.path.join(new, PARAMS_FILE), "wb") as fh:
-            fh.write(blob)
-        manifest = {
-            "version": ARTIFACT_VERSION,
-            "config": asdict(model.config),
-            "vocab": list(model.vocab.tokens),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        }
-        with open(os.path.join(new, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        if os.path.isdir(path):
-            os.rename(path, old)
-            try:
-                os.rename(new, path)
-            except BaseException:
-                os.rename(old, path)
-                raise
-        else:
-            os.rename(new, path)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    os.makedirs(path)
+    blob = _bytes_of(np.ascontiguousarray(model.params.flat, dtype="<f4"))
+    with open(os.path.join(path, PARAMS_FILE), "wb") as fh:
+        fh.write(blob)
+    manifest = {
+        "version": ARTIFACT_VERSION,
+        "config": asdict(model.config),
+        "vocab": list(model.vocab.tokens),
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 _MANIFEST_KEYS = frozenset({"version", "config", "vocab", "sha256"})

@@ -8,7 +8,10 @@ import json
 import math
 import os
 import re
+import resource
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import asdict
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from incmine import cli, clustering, corpus, errors, rules
+from incmine import cli, clustering, corpus, errors, langmodel, rules
 from incmine.cli import build_parser, main, parse_config_file
 from incmine.errors import IncmineError
 from incmine.langmodel import LmConfig
@@ -33,6 +36,17 @@ def run(*argv):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def tree(root):
+    """Every entry under ``root`` by relative path: a file's bytes, or None
+    for a directory."""
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            path = os.path.join(dirpath, name)
+            found[os.path.relpath(path, root)] = None if name in dirnames else read(path)
+    return found
 
 
 def assert_k_forms_identical(tmp_path, argv, k):
@@ -278,6 +292,11 @@ class TestMineRules:
     @pytest.mark.parametrize("failing, write", [("rules.csv", 3), ("rules.dot", 4)])
     def test_failed_export_leaves_no_file(self, fixture_corpus_path, tmp_path, capsys,
                                           monkeypatch, failing, write):
+        out = tmp_path / "out"
+        argv = ["mine-rules", "--corpus", fixture_corpus_path, "--minsupp", "0.1",
+                "--output-dir", str(out)]
+        assert run(*argv, "--no-stopwords") == 0  # an earlier run's outputs
+        before = tree(out)
         # the CSV writes its header, then blocks; the DOT its header and
         # nodes, then blocks: ``write`` is the second block's write
         monkeypatch.setattr(rules, "EXPORT_ROWS", 2)
@@ -299,14 +318,13 @@ class TestMineRules:
             return open(path, mode, *args, **kwargs)
 
         monkeypatch.setattr(cli, "open", open_, raising=False)
-        out = tmp_path / "out"
-        assert run("mine-rules", "--corpus", fixture_corpus_path, "--minsupp", "0.1",
-                   "--output-dir", str(out)) == 2
+        capsys.readouterr()
+        assert run(*argv) == 2
         captured = capsys.readouterr()
         assert "error: [Errno 28] No space left on device" in captured.err
         assert "Traceback" not in captured.err and "mine-rules:" not in captured.out
-        assert failed == [str(out / failing)]
-        assert not (out / "rules.csv").exists() and not (out / "rules.dot").exists()
+        assert [os.path.basename(path) for path in failed] == [failing]
+        assert tree(out) == before
 
     def test_byte_identical_outputs(self, fixture_corpus_path, tmp_path):
         outs = []
@@ -479,7 +497,22 @@ class TestClusterEmbeddings:
         emb.write_bytes(struct.pack("<QQ", 10**12, 0))
         assert run("cluster-embeddings", "--embeddings", str(emb), "--k", "2",
                    "--output-dir", str(tmp_path / "out")) == 2
-        assert capsys.readouterr().err == "error: embedding matrix has no columns\n"
+        assert capsys.readouterr().err == f"error: {emb}: embedding matrix has no columns\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 2\n1_5 0.5\n1 2\n3 4\n", 2),  # float() reads 1_5 as 15
+        ("3 2\n1 2\n\u0661 0.5\n3 4\n", 3),  # and ARABIC-INDIC DIGIT ONE as 1
+        ("1_0 2\n" + "0.5 1.5\n" * 10, 1),  # int() reads 1_0 as 10
+    ])
+    def test_loose_numbers_are_data_errors(self, tmp_path, capsys, text, line):
+        emb = tmp_path / "emb.txt"
+        emb.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("cluster-embeddings", "--embeddings", str(emb), "--k", "2",
+                   "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {emb}:{line}: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_id_count_mismatch(self, tmp_path):
         emb, _ = self._write_blobs(tmp_path)
@@ -579,6 +612,33 @@ class TestTrainPredict:
         assert "the 45 x 5000 training targets needs 0.0 GiB" in err
         assert peak < 600_000
 
+    def test_failed_save_keeps_the_previous_model(self, fixture_corpus_path, tmp_path,
+                                                  capsys, monkeypatch):
+        out = tmp_path / "out"
+        argv = ["train-lm", "--corpus", fixture_corpus_path, "--vocab-size", "32",
+                "--embed-dim", "4", "--recurrent-units", "3", "--dense-units", "4",
+                "--seq-len", "5", "--epochs", "3"]
+        predict = ["predict", "--model", str(out / "model"), "--text",
+                   "operaio scivola su scala", "--output-dir", str(tmp_path / "pred")]
+        assert run(*argv, "--seed", "1", "--output-dir", str(out)) == 0
+        before = tree(out)
+        assert run(*predict) == 0
+        prediction = read(tmp_path / "pred" / "prediction.json")
+        # the retrained model differs, so keeping the old one is seen
+        assert run(*argv, "--seed", "2", "--output-dir", str(tmp_path / "other")) == 0
+        assert read(tmp_path / "other" / "model" / "params.bin") != before["model/params.bin"]
+
+        def full_disk(*args, **kwargs):  # params.bin is written, the manifest is not
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(langmodel.json, "dump", full_disk)
+        capsys.readouterr()
+        assert run(*argv, "--seed", "2", "--output-dir", str(out)) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        monkeypatch.undo()
+        assert tree(out) == before
+        assert run(*predict) == 0
+        assert read(tmp_path / "pred" / "prediction.json") == prediction
+
     def test_retrain_replaces_the_whole_artifact(self, fixture_corpus_path, tmp_path):
         out = tmp_path / "out"
         argv = ["train-lm", "--corpus", fixture_corpus_path, "--vocab-size", "32",
@@ -609,6 +669,56 @@ def model_dir(fixture_corpus_path, tmp_path):
                "--seq-len", "5", "--epochs", "0", "--no-stopwords",
                "--output-dir", out) == 0
     return os.path.join(out, "model")
+
+
+def _run_capped(argv, max_file_bytes):
+    """Exit code and standard error of an ``incmine`` call in a child process
+    that can write no file past ``max_file_bytes`` (Python ignores SIGXFSZ,
+    so a write past it fails with EFBIG)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (max_file_bytes, max_file_bytes))
+
+    proc = subprocess.run([sys.executable, "-m", "incmine.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+_SMALL_LM = ["--vocab-size", "32", "--embed-dim", "4", "--recurrent-units", "3",
+             "--dense-units", "4", "--seq-len", "5", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("argv, first, rerun", [
+    (["preprocess", "--corpus", "{corpus}"], ["--top-k", "5"], ["--no-stopwords"]),
+    (["mine-rules", "--corpus", "{corpus}", "--minsupp", "0.1"], [], ["--no-stopwords"]),
+    (["cluster-tfidf", "--corpus", "{corpus}"], ["--k", "3"], ["--k", "4"]),
+    (["cluster-embeddings", "--embeddings", "{embeddings}"], ["--k", "3"], ["--k", "4"]),
+    (["train-lm", "--corpus", "{corpus}", *_SMALL_LM], ["--seed", "1"], ["--seed", "2"]),
+    (["predict", "--model", "{model}"], ["--text", "operaio scivola su scala"],
+     ["--text", "caduta da ponteggio"]),
+], ids=["preprocess", "mine-rules", "cluster-tfidf", "cluster-embeddings", "train-lm",
+        "predict"])
+def test_failed_rerun_changes_nothing(fixture_corpus_path, model_dir, tmp_path, argv,
+                                      first, rerun):
+    """A rerun into a filled output directory that fails while writing, here
+    on a file size cap below its largest output, exits 2 and leaves every
+    byte of the directory as the earlier run wrote it, with no stage left."""
+    embeddings = tmp_path / "emb.txt"
+    save_embeddings(np.random.default_rng(3).normal(size=(20, 6)), embeddings)
+    paths = {"corpus": fixture_corpus_path, "embeddings": str(embeddings),
+             "model": model_dir}
+    argv = [arg.format(**paths) for arg in argv]
+    out = tmp_path / "filled"
+    assert run(*argv, *first, "--output-dir", str(out)) == 0
+    before = tree(out)
+    largest = max(len(blob) for blob in before.values() if blob is not None)
+    code, err = _run_capped([*argv, *rerun, "--output-dir", str(out)], largest // 2)
+    assert code == 2 and "File too large" in err and "Traceback" not in err
+    assert tree(out) == before
+    assert not [name for name in os.listdir(out) if name.startswith(".incmine-")]
 
 
 class TestModelManifest:

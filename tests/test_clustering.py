@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -838,6 +839,29 @@ class TestEmbeddingsIO:
         with pytest.raises(IncmineError, match="embedding matrix contains non-finite values"):
             load_embeddings(path, fmt="text")
 
+    @pytest.mark.parametrize("value", ["NaN", "-inf", "+INF", "Infinity", "-iNfInItY"])
+    def test_non_finite_spellings_reach_the_finite_check(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 2\n{value} 1.0\n", encoding="utf-8")
+        with pytest.raises(IncmineError,
+                           match="bad.txt: embedding matrix contains non-finite values"):
+            load_embeddings(path, fmt="text")
+
+    def test_number_forms(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("+1 7\n1 -2.5 +.5 3. 1e-3 2E+2 -0\n", encoding="utf-8")
+        assert load_embeddings(path, fmt="text").tolist() == [
+            [1.0, -2.5, 0.5, 3.0, 0.001, 200.0, -0.0]]
+
+    # float() reads 1_5 as 15 and U+0661, ARABIC-INDIC DIGIT ONE, as 1
+    @pytest.mark.parametrize("value", ["1_5", "0x1", "1e", ".", "nan1", "\u0661", "\uff11"])
+    def test_loose_values_refused(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 2\n0.5 {value}\n", encoding="utf-8")
+        with pytest.raises(IncmineError, match=re.escape(
+                f"bad.txt:2: could not convert string to float: {value!r}")):
+            load_embeddings(path, fmt="text")
+
     def test_binary_signalling_nan_rejected_without_a_warning(self, tmp_path):
         # float32 0xffa00000 warns when cast; RuntimeWarning is an error here
         path = tmp_path / "bad.bin"
@@ -855,6 +879,10 @@ class TestEmbeddingsIO:
         ("-1 3", "negative size, -1 x 3"),
         ("3 -2", "negative size, 3 x -2"),
         ("5 0", "embedding matrix has no columns"),
+        ("1_0 2", r"bad.txt:1: bad header \['1_0', '2'\]"),  # int() reads 1_0 as 10
+        ("1 \u0662", "bad.txt:1: bad header"),
+        ("1.0 2", "bad.txt:1: bad header"),
+        ("nan 2", "bad.txt:1: bad header"),
     ])
     def test_bad_header_sizes_refused(self, tmp_path, header, message):
         path = tmp_path / "bad.txt"

@@ -43,8 +43,10 @@ class TestLoadCorpus:
         assert corp.dropped == 3
 
     def test_duplicate_id_names_the_id(self, corpus_csv):
-        path = corpus_csv([("dup", "primo testo", ""), ("dup", "secondo testo", "")])
-        with pytest.raises(IncmineError, match="dup"):
+        path = corpus_csv([("dup", "primo testo", ""), ("x", "altro", ""),
+                           ("dup", "secondo testo", "")])
+        with pytest.raises(IncmineError, match=re.escape(
+                f"{path}:4: duplicate record id 'dup' (first at line 2)")):
             load_corpus(path)
 
     def test_zero_usable_rows(self, corpus_csv):

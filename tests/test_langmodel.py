@@ -1,6 +1,4 @@
 import math
-import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,23 +425,6 @@ class TestArtifact:
         blob.write_bytes(bytes(raw))
         with pytest.raises(IncmineError, match="params.bin"):
             lm.load_model(tmp_path / "model")
-
-    def test_failed_save_keeps_the_previous_model(self, tmp_path, monkeypatch):
-        corpus, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
-        lm.save_model(lm.train(ids, targets, config, vocab)[0], tmp_path / "model")
-        text = corpus.records[0].dynamics
-        before = lm.predict_consequence(lm.load_model(tmp_path / "model"), text, pre=pre)
-        retrained, _ = lm.train(ids, targets, replace(config, seed=12), vocab)
-        assert lm.predict_consequence(retrained, text, pre=pre) != before
-
-        def full_disk(*args, **kwargs):  # params.bin is written, the manifest is not
-            raise OSError(28, "No space left on device")
-        monkeypatch.setattr(lm.json, "dump", full_disk)
-        with pytest.raises(OSError, match="No space"):
-            lm.save_model(retrained, tmp_path / "model")
-        assert os.listdir(tmp_path) == ["model"]
-        assert lm.predict_consequence(lm.load_model(tmp_path / "model"), text,
-                                      pre=pre) == before
 
     def test_version_error_names_both(self, tmp_path):
         import json
