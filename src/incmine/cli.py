@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import clustering, corpus as corpus_mod, langmodel, rules as rules_mod, vectors
-from .errors import IncmineError, check_allocation
+from .errors import IncmineError, check_allocation, strict_float, strict_int
 
 
 class _UsageError(Exception):
@@ -365,7 +365,7 @@ def _add_pre_opts(sub):
                 metavar="FILE", help="stopword file (default: bundled Italian)")
     sub.add_argument("--no-stopwords", action="store_true",
                      help="disable stopword removal")
-    sub.setting("--min-token-len", "corpus.min_token_len", type=int)
+    sub.setting("--min-token-len", "corpus.min_token_len", type=strict_int)
 
 
 def _add_corpus_opts(sub, ontology=True):
@@ -378,13 +378,13 @@ def _add_corpus_opts(sub, ontology=True):
 
 def _add_cluster_opts(sub):
     k_or_sweep = sub.add_mutually_exclusive_group()
-    sub.setting("--k", "clustering.k", type=int, group=k_or_sweep,
+    sub.setting("--k", "clustering.k", type=strict_int, group=k_or_sweep,
                 help="fixed cluster count")
-    k_or_sweep.add_argument("--k-range", type=int, nargs=2,
+    k_or_sweep.add_argument("--k-range", type=strict_int, nargs=2,
                             metavar=("LO", "HI"),
                             help="sweep k over [LO, HI], pick by silhouette")
     sub.setting("--metric", "clustering.metric", choices=clustering.METRICS)
-    sub.setting("--max-iter", "clustering.max_iter", type=int)
+    sub.setting("--max-iter", "clustering.max_iter", type=strict_int)
 
 
 def build_parser() -> _Parser:
@@ -398,7 +398,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("preprocess", help="tokenize corpus into transactions")
     _add_common(sub)
     _add_corpus_opts(sub)
-    sub.setting("--top-k", "corpus.top_k", type=int,
+    sub.setting("--top-k", "corpus.top_k", type=strict_int,
                 help="how many frequent words to report "
                      f"(default {corpus_mod.TOP_WORDS})")
     sub.set_defaults(func=cmd_preprocess)
@@ -407,11 +407,11 @@ def build_parser() -> _Parser:
                           help="mine positive/negative association rules")
     _add_common(sub)
     _add_corpus_opts(sub)
-    sub.setting("--minsupp", "rules.minsupp", type=float)
-    sub.setting("--mincnf", "rules.mincnf", type=float)
-    sub.setting("--idf-min", "rules.idf_min", type=float)
-    sub.setting("--idf-max", "rules.idf_max", type=float)
-    sub.setting("--max-itemset-size", "rules.max_itemset_size", type=int)
+    sub.setting("--minsupp", "rules.minsupp", type=strict_float)
+    sub.setting("--mincnf", "rules.mincnf", type=strict_float)
+    sub.setting("--idf-min", "rules.idf_min", type=strict_float)
+    sub.setting("--idf-max", "rules.idf_max", type=strict_float)
+    sub.setting("--max-itemset-size", "rules.max_itemset_size", type=strict_int)
     sub.setting("--allow-lift-le1", "rules.require_lift_gt1", cast=_parse_bool,
                 dest="require_lift_gt1", action="store_const", const=False,
                 help="also admit rules whose lift does not exceed 1")
@@ -435,33 +435,34 @@ def build_parser() -> _Parser:
     sub.add_argument("--embeddings-format", choices=("text", "binary"),
                      help="default: by extension (.bin = binary)")
     sub.add_argument("--ids", help="companion sentence-id file")
-    sub.setting("--variance-threshold", "clustering.variance_threshold", type=float,
+    sub.setting("--variance-threshold", "clustering.variance_threshold", type=strict_float,
                 help="explained-variance target "
                      f"(default {clustering.VARIANCE_THRESHOLD})")
-    sub.setting("--batch-size", "clustering.batch_size", type=int,
+    sub.setting("--batch-size", "clustering.batch_size", type=strict_int,
                 help="incremental PCA batch rows")
     sub.set_defaults(func=cmd_cluster_embeddings)
 
     sub = subs.add_parser("train-lm", help="train the consequence predictor")
     _add_common(sub)
     _add_corpus_opts(sub, ontology=False)
-    sub.setting("--seed", "lm.seed", type=int, help="weight, batch-order and dropout seed")
-    sub.setting("--vocab-size", "lm.vocab_size", type=int)
-    sub.setting("--embed-dim", "lm.embed_dim", type=int)
-    sub.setting("--recurrent-units", "lm.recurrent_units", type=int)
-    sub.setting("--dense-units", "lm.dense_units", type=int)
-    sub.setting("--dropout", "lm.dropout_rate", dest="dropout_rate", type=float)
-    sub.setting("--seq-len", "lm.seq_len", type=int)
-    sub.setting("--lr", "lm.learning_rate", dest="learning_rate", type=float)
-    sub.setting("--batch-size", "lm.batch_size", type=int)
-    sub.setting("--epochs", "lm.epochs", type=int)
+    sub.setting("--seed", "lm.seed", type=strict_int,
+                help="weight, batch-order and dropout seed")
+    sub.setting("--vocab-size", "lm.vocab_size", type=strict_int)
+    sub.setting("--embed-dim", "lm.embed_dim", type=strict_int)
+    sub.setting("--recurrent-units", "lm.recurrent_units", type=strict_int)
+    sub.setting("--dense-units", "lm.dense_units", type=strict_int)
+    sub.setting("--dropout", "lm.dropout_rate", dest="dropout_rate", type=strict_float)
+    sub.setting("--seq-len", "lm.seq_len", type=strict_int)
+    sub.setting("--lr", "lm.learning_rate", dest="learning_rate", type=strict_float)
+    sub.setting("--batch-size", "lm.batch_size", type=strict_int)
+    sub.setting("--epochs", "lm.epochs", type=strict_int)
     sub.set_defaults(func=cmd_train_lm)
 
     sub = subs.add_parser("predict", help="rank consequence tokens for a text")
     _add_common(sub)
     sub.add_argument("--model", required=True, help="model artifact directory")
     sub.add_argument("--text", required=True, help="dynamics description")
-    sub.add_argument("--top-k", type=int)
+    sub.add_argument("--top-k", type=strict_int)
     _add_pre_opts(sub)
     sub.set_defaults(func=cmd_predict)
 

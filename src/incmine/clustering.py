@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import IncmineError, check_allocation
+from .errors import IncmineError, check_allocation, strict_float, strict_int
 
 METRICS = ("euclidean", "cosine")
 
@@ -276,51 +276,48 @@ def reduce_to_variance(model: IpcaModel, points,
 # embedding file formats
 # --------------------------------------------------------------------------
 
-# a header size or value of a text embedding file: ASCII digits with an
-# optional sign, point and exponent, or nan, inf or infinity in any case.
-# int() and float() alone would also read "1_5" as 15 and U+0661 as 1.
-_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
-                     r"|nan|inf(?:inity)?)", re.ASCII | re.IGNORECASE)
+# a field of a text embedding file: separators are ASCII spaces and tabs
+# only, so a field holding another space, such as U+00A0, fails the number
+# grammar instead of splitting
+_FIELD = re.compile(r"[^ \t\n]+")
 
 
 def load_embeddings(path, fmt: str = "text") -> np.ndarray:
     """Read an embedding matrix as a C-contiguous (n_rows, n_cols) float64 array.
 
-    Text format: first line `n_rows n_cols`, then one row of space-separated
-    floats per line. Binary format: two little-endian uint64 (n_rows, n_cols)
+    Text format: first line `n_rows n_cols`, then one row of floats per
+    line, fields separated by ASCII spaces and tabs. Binary format: two little-endian uint64 (n_rows, n_cols)
     followed by n_rows*n_cols little-endian float32, row-major. The header is
     checked before any row is read: a negative size or no columns is
     refused, and so is a float64 matrix over ``MAX_ALLOCATION_BYTES``; a
     binary payload must be the size the header declares. A text size or
-    value must match ``_NUMBER``. Every value must be finite.
+    value must match ``errors.NUMBER``. Every value must be finite.
     """
     if fmt == "text":
         with open(path, encoding="utf-8-sig") as fh:
-            header = fh.readline().split()
+            header = _FIELD.findall(fh.readline())
             if len(header) != 2:
                 raise IncmineError(f"{path}: header must be 'n_rows n_cols'")
             try:
-                if not all(map(_NUMBER.fullmatch, header)):
-                    raise ValueError
-                n_rows, n_cols = int(header[0]), int(header[1])
+                n_rows, n_cols = map(strict_int, header)
             except ValueError as exc:
                 raise IncmineError(f"{path}:1: bad header {header}") from exc
             _check_header(path, n_rows, n_cols)
             matrix = np.empty((n_rows, n_cols))
             found = 0
             for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
+                row = _FIELD.findall(line)
+                if not row:
                     continue
-                row = line.split()
                 if len(row) != n_cols:
                     raise IncmineError(
                         f"{path}:{lineno}: expected {n_cols} values, got {len(row)}")
-                for v in row:
-                    if not _NUMBER.fullmatch(v):
-                        raise IncmineError(
-                            f"{path}:{lineno}: could not convert string to float: {v!r}")
+                try:
+                    values = [strict_float(v) for v in row]
+                except ValueError as exc:
+                    raise IncmineError(f"{path}:{lineno}: {exc}") from exc
                 if found < n_rows:  # past it, rows are only checked and counted
-                    matrix[found] = [float(v) for v in row]
+                    matrix[found] = values
                 found += 1
         if found != n_rows:
             raise IncmineError(f"{path}: header declares {n_rows} rows, found {found}")

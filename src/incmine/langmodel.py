@@ -26,16 +26,20 @@ on cache-sized blocks of it. The artifact stores that buffer as one file,
 little-endian float32 buffer and hashes those same bytes; a float64 config
 casts the buffer once, after the checksum has passed.
 
-The training set is two arrays, built once from the token lists that also
-fit the vocabulary: ``ids`` (N, seq_len) int64 and multi-hot ``targets``
-(N, V) in the config dtype. A step's batch is the same rows of both.
+The training set is built once from the token lists that also fit the
+vocabulary: ``ids`` (N, seq_len) int64, and each pair's target ids in CSR
+form (``TargetIds``), one int64 per consequence token. A step's batch is the
+same rows of both; only that batch's multi-hot targets, (B, V) in the config
+dtype, are made dense, just before its ``backward``. ``backward`` drops the
+head's (B, V) temporaries and then each LSTM layer's activations as soon as
+it has used them, so training memory does not grow with N x V.
 
 Parameters default to float32 so the on-disk artifact (little-endian float32
 bytes) round-trips bit-exactly; gradient checking uses float64 configs. An
 ``LmConfig`` whose training buffers (weights, gradients, Adam m and v, and
 the float64 squares of clipping) would exceed
 ``errors.MAX_ALLOCATION_BYTES`` is refused when it is built, and
-``make_train_pairs`` refuses N x V targets over it.
+``make_train_pairs`` refuses a batch's dense targets over it.
 """
 
 from __future__ import annotations
@@ -261,29 +265,47 @@ class LmModel:
         return cls(config=config, vocab=vocab, params=init_params(config, rng))
 
 
+@dataclass(frozen=True)
+class TargetIds:
+    """Each training pair's target ids, CSR style: pair i's are
+    ``ids[offsets[i]:offsets[i + 1]]``, with ``offsets`` (N + 1,) int64."""
+    offsets: np.ndarray
+    ids: np.ndarray
+
+    def multi_hot(self, rows: np.ndarray, config: LmConfig) -> np.ndarray:
+        """The batch's dense targets, (len(rows), V) in the config dtype:
+        row k is 1 at each target id of pair ``rows[k]``, 0 elsewhere."""
+        dense = np.zeros((len(rows), config.vocab_size), dtype=config.np_dtype)
+        for k, i in enumerate(rows):
+            dense[k, self.ids[self.offsets[i]:self.offsets[i + 1]]] = 1.0
+        return dense
+
+
 def make_train_pairs(dynamics: Sequence[Sequence[str]],
                      consequences: Sequence[Sequence[str]], vocab: LmVocabulary,
-                     config: LmConfig) -> tuple[np.ndarray, np.ndarray]:
+                     config: LmConfig) -> tuple[np.ndarray, TargetIds]:
     """Token lists -> the training set ``(ids, targets)``.
 
-    Row i of ``ids`` (N, seq_len) int64 is ``encode(dynamics[i])``; row i of
-    ``targets`` (N, V) in the config dtype is 1 at the id of each of
-    ``consequences[i]``'s tokens. Ids at or below UNK are never set: a token
-    missing from the vocabulary is dropped rather than collapsed onto UNK, so
-    the model never learns to predict UNK, and PAD is never a target.
+    Row i of ``ids`` (N, seq_len) int64 is ``encode(dynamics[i])``; pair i's
+    ``targets`` are the ids of ``consequences[i]``'s tokens, which
+    ``TargetIds.multi_hot`` sets to 1. Ids at or below UNK are never kept: a
+    token missing from the vocabulary is dropped rather than collapsed onto
+    UNK, so the model never learns to predict UNK, and PAD is never a target.
+    The dense targets of one batch, min(N, batch_size) x V, are checked
+    against the size guard before anything is allocated.
     """
     n = len(dynamics)
-    check_allocation(n * config.vocab_size * np.dtype(config.dtype).itemsize,
-                     f"the {n} x {config.vocab_size} training targets")
+    rows = min(n, config.batch_size)
+    check_allocation(rows * config.vocab_size * np.dtype(config.dtype).itemsize,
+                     f"the {rows} x {config.vocab_size} batch targets")
     ids = np.empty((n, config.seq_len), dtype=np.int64)
-    targets = np.zeros((n, config.vocab_size), dtype=config.np_dtype)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    target_ids: list[int] = []
     for i, (tokens, consequence) in enumerate(zip(dynamics, consequences, strict=True)):
         ids[i] = encode(tokens, vocab, config.seq_len)
-        for tok in consequence:
-            idx = vocab.id_of(tok)
-            if idx > UNK_ID:
-                targets[i, idx] = 1.0
-    return ids, targets
+        target_ids.extend(idx for idx in map(vocab.id_of, consequence) if idx > UNK_ID)
+        offsets[i + 1] = len(target_ids)
+    return ids, TargetIds(offsets, np.array(target_ids, dtype=np.int64))
 
 
 # --------------------------------------------------------------------------
@@ -328,8 +350,10 @@ def _lstm_forward(x, wx, wh, b):
     return h_seq, (x, gates, c_s, tc_s, h_seq)
 
 
-def _lstm_backward(cache, wx, wh, d_h_seq):
-    """Gradients (d_x, d_wx, d_wh, d_b) of one ``_lstm_forward`` direction.
+def _lstm_backward(cache, wx, wh, d_h_seq, d_wx, d_wh, d_b):
+    """Gradients of one ``_lstm_forward`` direction: returns d_x, and
+    writes the weight gradients into ``d_wx``, ``d_wh`` and ``d_b`` (views
+    of the gradient buffer), which are zeroed and then summed over steps.
 
     ``dzs`` (T, B, 4u) starts as the activation derivatives, which do not
     depend on the carry: 1 - a for i, f and o, 1 - g*g for g. Each step
@@ -350,9 +374,8 @@ def _lstm_backward(cache, wx, wh, d_h_seq):
     np.subtract(1.0, d_g, out=d_g)
     dtc = 1.0 - tc_s * tc_s
     d_gates = np.empty((B, 4 * u), dtype=x.dtype)
-    d_wx = np.zeros_like(wx)
-    d_wh = np.zeros_like(wh)
-    d_b = np.zeros(4 * u, dtype=x.dtype)
+    for d_w in (d_wx, d_wh, d_b):
+        d_w.fill(0.0)
     dh_carry = np.zeros((B, u), dtype=x.dtype)
     dc_carry = np.zeros((B, u), dtype=x.dtype)
     zeros = np.zeros((B, u), dtype=x.dtype)
@@ -377,8 +400,7 @@ def _lstm_backward(cache, wx, wh, d_h_seq):
         d_wh += h_prev.T @ dz
         d_b += dz.sum(axis=0)
         dh_carry = dz @ wh.T
-    d_x = np.matmul(dzs, wx.T).transpose(1, 0, 2)
-    return d_x, d_wx, d_wh, d_b
+    return np.matmul(dzs, wx.T).transpose(1, 0, 2)
 
 
 # the bw direction is the fw kernel on x[:, ::-1], its outputs flipped back
@@ -398,13 +420,15 @@ def _bilstm_forward(params, layer: int, x):
 
 
 def _bilstm_backward(params, layer: int, caches, d_h, grads):
-    """Both directions' weight gradients into grads; returns the layer's d_x."""
+    """Both directions' weight gradients into the views of ``grads``;
+    returns the layer's d_x."""
     d_x = []
     for (direction, order), cache, d_h_dir in zip(_DIRECTIONS, caches,
                                                   np.split(d_h, 2, axis=2)):
         p = f"lstm{layer}_{direction}_"
-        d_x_dir, grads[p + "wx"], grads[p + "wh"], grads[p + "b"] = _lstm_backward(
-            cache, params[p + "wx"], params[p + "wh"], d_h_dir[:, order])
+        d_x_dir = _lstm_backward(cache, params[p + "wx"], params[p + "wh"],
+                                 d_h_dir[:, order], grads[p + "wx"], grads[p + "wh"],
+                                 grads[p + "b"])
         d_x.append(d_x_dir[:, order])
     return d_x[0] + d_x[1]
 
@@ -458,31 +482,14 @@ def bce_loss(probs, target) -> float:
     return float(losses.mean())
 
 
-def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
-             rng: Optional[np.random.Generator] = None,
-             grads: Optional[FlatParams] = None):
-    """Exact gradients of the mean BCE for the batch; returns (grads, loss).
-
-    The batch is ``ids`` (B, seq_len) int64 and ``targets`` (B, V) in the
-    config dtype, rows of ``make_train_pairs``'s arrays. The gradients are
-    written into ``grads`` (a new ``FlatParams`` if None), overwriting every
-    view, so ``train`` reuses one buffer for all steps.
-    """
-    if len(ids) == 0:
-        raise IncmineError("batch must be non-empty")
-    config = model.config
-    params = model.params
-    B = ids.shape[0]
-    V = config.vocab_size
-    u = config.recurrent_units
-    probs, cache = _forward_batch(params, config, ids, True, rng)
-    loss = bce_loss(probs, targets)
-
-    if grads is None:
-        grads = FlatParams(config)
+def _head_backward(params, config: LmConfig, probs, targets, cache, grads):
+    """The sigmoid head's and dense layers' gradients into ``grads``;
+    returns d_h2 (B, seq_len, 2u), the gradient at layer 2's output. Its
+    (B, V) temporaries go when it returns."""
+    B = probs.shape[0]
     in_range = (probs > _PROB_EPS) & (probs < 1.0 - _PROB_EPS)
     dzo = np.where(in_range, probs - targets, 0.0).astype(config.np_dtype)
-    dzo /= V * B
+    dzo /= config.vocab_size * B
     np.matmul(cache["a2d"].T, dzo, out=grads["out_w"])
     np.sum(dzo, axis=0, out=grads["out_b"])
     da2d = dzo @ params["out_w"].T
@@ -498,15 +505,38 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     np.matmul(cache["flat"].T, dz1, out=grads["dense1_w"])
     np.sum(dz1, axis=0, out=grads["dense1_b"])
     dflat = dz1 @ params["dense1_w"].T
-    dh2 = dflat.reshape(B, config.seq_len, 2 * u)
+    return dflat.reshape(B, config.seq_len, 2 * config.recurrent_units)
 
-    lstm_grads = {}
-    dh1 = _bilstm_backward(params, 2, cache["lstm2"], dh2, lstm_grads)
-    demb = _bilstm_backward(params, 1, cache["lstm1"], dh1, lstm_grads)
-    for name, g in lstm_grads.items():
-        grads[name][...] = g
+
+def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
+             rng: Optional[np.random.Generator] = None,
+             grads: Optional[FlatParams] = None):
+    """Exact gradients of the mean BCE for the batch; returns (grads, loss).
+
+    The batch is ``ids`` (B, seq_len) int64 and ``targets`` (B, V) in the
+    config dtype, as ``TargetIds.multi_hot`` makes them. The gradients are
+    written into ``grads`` (a new ``FlatParams`` if None), overwriting every
+    view, so ``train`` reuses one buffer for all steps. Activations are
+    dropped once used: the dense layers' and the head's (B, V) temporaries
+    before the LSTM backward, layer 2's caches before layer 1's backward.
+    """
+    if len(ids) == 0:
+        raise IncmineError("batch must be non-empty")
+    config = model.config
+    params = model.params
+    probs, cache = _forward_batch(params, config, ids, True, rng)
+    loss = bce_loss(probs, targets)
+
+    if grads is None:
+        grads = FlatParams(config)
+    lstm1, lstm2 = cache.pop("lstm1"), cache.pop("lstm2")
+    dh2 = _head_backward(params, config, probs, targets, cache, grads)
+    del probs, cache
+    dh1 = _bilstm_backward(params, 2, lstm2, dh2, grads)
+    del lstm2, dh2
+    demb = _bilstm_backward(params, 1, lstm1, dh1, grads)
     d_embedding = grads["embedding"]
-    d_embedding.fill(0.0)  # the one view accumulated into
+    d_embedding.fill(0.0)  # accumulated into, as the LSTM weight views are
     np.add.at(d_embedding, ids, demb)
     if not np.isfinite(grads.flat).all():
         raise NonFiniteError("non-finite gradient")
@@ -570,10 +600,13 @@ def clip_gradients(grads: FlatParams, clip_norm: float) -> float:
     return norm
 
 
-def train(ids: np.ndarray, targets: np.ndarray, config: LmConfig,
+def train(ids: np.ndarray, targets: TargetIds, config: LmConfig,
           vocab: LmVocabulary) -> tuple[LmModel, list[float]]:
-    """Shuffled mini-batch training on ``make_train_pairs``'s arrays;
-    returns model + mean per-epoch losses."""
+    """Shuffled mini-batch training on ``make_train_pairs``'s training set;
+    returns model + mean per-epoch losses.
+
+    Each step makes only its batch's dense (B, V) targets, so memory does
+    not grow with N x V."""
     n = len(ids)
     if n == 0:
         raise IncmineError("need at least one training pair")
@@ -588,7 +621,8 @@ def train(ids: np.ndarray, targets: np.ndarray, config: LmConfig,
         for bi, start in enumerate(range(0, n, config.batch_size)):
             b = order[start:start + config.batch_size]
             try:
-                _, loss = backward(model, ids[b], targets[b], rng, grads)
+                _, loss = backward(model, ids[b], targets.multi_hot(b, config),
+                                   rng, grads)
                 if not math.isfinite(loss):
                     raise NonFiniteError("non-finite loss")
             except NonFiniteError as exc:

@@ -604,12 +604,12 @@ class TestTrainPredict:
     def test_oversized_targets_refused_before_allocating(self, corpus_csv, tmp_path,
                                                          capsys, monkeypatch):
         # the weights (about 0.3 MB with their Adam state) fit under the
-        # limit, the 45 x 5000 float32 targets (0.9 MB) do not
+        # limit, one batch's 32 x 5000 float32 targets (640,000 bytes) do not
         monkeypatch.setattr(errors, "MAX_ALLOCATION_BYTES", 600_000)
         err, peak = self._train_refused(
             corpus_csv, tmp_path, capsys, ["--vocab-size", "5000", "--embed-dim", "1",
                                            "--dense-units", "1", "--recurrent-units", "1"])
-        assert "the 45 x 5000 training targets needs 0.0 GiB" in err
+        assert "the 32 x 5000 batch targets needs 0.0 GiB" in err
         assert peak < 600_000
 
     def test_failed_save_keeps_the_previous_model(self, fixture_corpus_path, tmp_path,
@@ -932,6 +932,38 @@ class TestConfigFile:
         assert run(*command, "--corpus", fixture_corpus_path, "--config", str(cfg),
                    "--output-dir", str(tmp_path / "out")) == 1
         assert "unknown config key 'clustering.seed'" in capsys.readouterr().err
+
+    # int() reads 1_0 as 10 and float() 0.1_0 as 0.1; both read U+0661,
+    # ARABIC-INDIC DIGIT ONE, as 1
+    _LOOSE_NUMBERS = pytest.mark.parametrize("flag, key, value", [
+        ("--k", "clustering.k", "1_0"), ("--k", "clustering.k", "\u0661"),
+        ("--minsupp", "rules.minsupp", "0.1_0"), ("--minsupp", "rules.minsupp", "0.\u0661")])
+    # the subcommand that takes each flag, and the type the flag reads
+    _NUMBER_FLAGS = {"--k": ("cluster-tfidf", "int"), "--minsupp": ("mine-rules", "float")}
+
+    @_LOOSE_NUMBERS
+    def test_loose_flag_number_is_usage_error(self, fixture_corpus_path, tmp_path, capsys,
+                                              flag, key, value):
+        command, kind = self._NUMBER_FLAGS[flag]
+        out = tmp_path / "out"
+        assert run(command, "--corpus", fixture_corpus_path, flag, value,
+                   "--output-dir", str(out)) == 1
+        assert capsys.readouterr().err.endswith(
+            f"usage error: argument {flag}: invalid {kind} value: {value!r}\n")
+        assert not os.path.exists(out)
+
+    @_LOOSE_NUMBERS
+    def test_loose_config_number_is_data_error(self, fixture_corpus_path, tmp_path, capsys,
+                                               flag, key, value):
+        command, kind = self._NUMBER_FLAGS[flag]
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert run(command, "--corpus", fixture_corpus_path, "--config", str(cfg),
+                   "--output-dir", str(out)) == 2
+        message = (f"invalid literal for int() with base 10: {value!r}" if kind == "int"
+                   else f"could not convert string to float: {value!r}")
+        assert capsys.readouterr().err == f"error: {cfg}: {key}: {message}\n"
+        assert not os.path.exists(out)
 
     def test_train_lm_ignores_the_ontology_key(self, fixture_corpus_path, tmp_path):
         onto = tmp_path / "onto.tsv"

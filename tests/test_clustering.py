@@ -862,6 +862,27 @@ class TestEmbeddingsIO:
                 f"bad.txt:2: could not convert string to float: {value!r}")):
             load_embeddings(path, fmt="text")
 
+    def test_space_and_tab_separate(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2\t2 \n1\t2\n \t3  \t4 \n\t\n", encoding="utf-8")
+        assert load_embeddings(path, fmt="text").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    # str.split() also splits on these, so 1<U+00A0>2 read as the row [1, 2]
+    @pytest.mark.parametrize("sep", ["\u00a0", "\u2003", "\u3000", "\x0b", "\x0c",
+                                     "\x1f", "\x85"])
+    def test_other_whitespace_does_not_separate(self, tmp_path, sep):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 2\n1{sep}2\n", encoding="utf-8")
+        with pytest.raises(IncmineError, match="bad.txt:2: expected 2 values, got 1"):
+            load_embeddings(path, fmt="text")
+        path.write_text(f"1 1\n{sep}1\n", encoding="utf-8")
+        with pytest.raises(IncmineError, match=re.escape(
+                f"bad.txt:2: could not convert string to float: {sep + '1'!r}")):
+            load_embeddings(path, fmt="text")
+        path.write_text(f"1{sep}2\n1 2\n", encoding="utf-8")
+        with pytest.raises(IncmineError, match="bad.txt: header must be 'n_rows n_cols'"):
+            load_embeddings(path, fmt="text")
+
     def test_binary_signalling_nan_rejected_without_a_warning(self, tmp_path):
         # float32 0xffa00000 warns when cast; RuntimeWarning is an error here
         path = tmp_path / "bad.bin"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,12 @@ _LSTM_CASE = dict(seed=st.integers(0, 2**32 - 1),
                   n_in=st.integers(1, 5), u=st.integers(1, 4))
 
 
+def _nan_buffers(wx, wh, b):
+    """d_wx, d_wh and d_b buffers for ``_lstm_backward``, filled with NaN so
+    that a view it does not zero shows in the comparison."""
+    return [np.full_like(w, np.nan) for w in (wx, wh, b)]
+
+
 class TestLstmKernelOracle:
     """The fw-only kernels, with bw run on reversed time, equal the old
     reverse-indexed kernels bit for bit."""
@@ -168,7 +175,8 @@ class TestLstmKernelOracle:
             want_h, want_cache = lstm_oracle._lstm_forward(x, wx, wh, b, reverse)
             want = lstm_oracle._lstm_backward(want_cache, wx, wh, d_h)
             h, cache = lm._lstm_forward(x[:, order], wx, wh, b)
-            d_x, *d_w = lm._lstm_backward(cache, wx, wh, d_h[:, order])
+            d_w = _nan_buffers(wx, wh, b)
+            d_x = lm._lstm_backward(cache, wx, wh, d_h[:, order], *d_w)
             assert h.dtype == dtype and np.array_equal(h[:, order], want_h)
             assert np.array_equal(d_x[:, order], want[0])
             for got, ref in zip(d_w, want[1:]):  # d_wx, d_wh, d_b
@@ -185,7 +193,7 @@ class TestLstmKernelOracle:
                                       ("b", (4 * u,)))}
         d_h = rng.normal(0.0, 0.8, size=(B, T, 2 * u)).astype(dtype)
         h, caches = lm._bilstm_forward(params, 1, x)
-        grads = {}
+        grads = {name: np.full_like(p, np.nan) for name, p in params.items()}
         d_x = lm._bilstm_backward(params, 1, caches, d_h, grads)
         want_h, want_d_x = [], []
         for d, d_h_dir in zip(("fw", "bw"), np.split(d_h, 2, axis=2)):
@@ -221,10 +229,11 @@ class TestLstmKernelOracle:
             want_h, want_cache = lstm_oracle._lstm_forward(x, wx, wh, b, reverse)
             want = lstm_oracle._lstm_backward(want_cache, wx, wh, d_h)
             h, cache = lm._lstm_forward(x[:, order], wx, wh, b)
-            got = lm._lstm_backward(cache, wx, wh, d_h[:, order])
+            d_w = _nan_buffers(wx, wh, b)
+            d_x = lm._lstm_backward(cache, wx, wh, d_h[:, order], *d_w)
             assert np.array_equal(h[:, order], want_h)
-            assert np.array_equal(got[0][:, order], want[0])
-            for g, ref in zip(got[1:], want[1:]):  # d_wx, d_wh, d_b
+            assert np.array_equal(d_x[:, order], want[0])
+            for g, ref in zip(d_w, want[1:]):  # d_wx, d_wh, d_b
                 assert g.dtype == dtype and np.array_equal(g, ref)
 
 
@@ -343,6 +352,29 @@ class TestTrain:
         for rec in corpus:
             top = lm.predict_consequence(model, rec.dynamics, top_k=1, pre=pre)
             assert top[0][0] == rec.consequence
+
+    def test_memory_does_not_grow_with_pairs_times_vocab(self):
+        """Pairs and one epoch of training on 8N pairs peak less than one
+        N x V float32 matrix above N pairs: only a batch's targets are
+        ever dense."""
+        config = lm.LmConfig(vocab_size=5000, embed_dim=4, recurrent_units=3,
+                             dense_units=4, seq_len=5, epochs=1, batch_size=32)
+        vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN]
+                                + [f"t{i}" for i in range(100)])
+
+        def peak(n):
+            dynamics = [[f"t{i % 100}", f"t{7 * i % 100}"] for i in range(n)]
+            consequences = [[f"t{3 * i % 100}", f"t{5 * i % 100}"] for i in range(n)]
+            tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+            try:
+                ids, targets = lm.make_train_pairs(dynamics, consequences, vocab, config)
+                lm.train(ids, targets, config, vocab)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 64
+        assert peak(8 * n) - peak(n) < n * config.vocab_size * 4
 
     def test_loss_window_non_increasing_after_20(self):
         _, _, vocab, config, ids, targets = overfit_fixture(epochs=120)
@@ -579,15 +611,19 @@ class TestMakeTrainPairs:
         assert ids.dtype == np.int64 and ids.shape == (3, 3)
         for row, tokens in zip(ids, dynamics):
             assert np.array_equal(row, lm.encode(tokens, small_vocab(), 3))
-        assert targets.dtype == config.np_dtype and targets.shape == (3, 6)
-        assert not targets.any()
+        dense = targets.multi_hot(np.arange(3), config)
+        assert dense.dtype == config.np_dtype and dense.shape == (3, 6)
+        assert not dense.any()
 
     def test_only_vocabulary_ids_above_unk_are_set(self):
         config = lm.LmConfig(vocab_size=6, seq_len=2)
         consequences = [[lm.PAD_TOKEN, "z", lm.UNK_TOKEN, "b", "b"], ["a"]]
         _, targets = lm.make_train_pairs([["a"], ["b"]], consequences,
                                          small_vocab(), config)
-        assert targets.tolist() == [[0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]
+        assert targets.multi_hot(np.arange(2), config).tolist() == [
+            [0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]
+        assert targets.multi_hot(np.array([1, 1, 0]), config).tolist() == [
+            [0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]
 
 
 class TestConfig:

@@ -1,10 +1,11 @@
 """The benchmark's recorded outputs as a standing gate.
 
 ``perfbench/reference.json`` pins the output digests of each benchmark
-workload per input seed. This test makes the seed-0 ``mine``,
-``cluster_tfidf`` and ``cluster_sweep`` calls in one subprocess, with BLAS
-pinned to one thread as the benchmark runs it, and compares what
-``workloads.found_outputs`` reads with the recorded entry. The benchmark's
+workload per input seed, and the final training loss of ``lm``. This test
+makes the seed-0 ``mine``, ``cluster_tfidf``, ``cluster_sweep`` and ``lm``
+calls in one subprocess, with BLAS pinned to one thread as the benchmark
+runs it, and compares what ``workloads.found_outputs`` reads with the
+recorded entry; the loss holds training to the bit. The benchmark's
 modules are imported from ``perfbench/`` on the subprocess's path and only
 read; every file the calls write goes under ``tmp_path``."""
 
@@ -17,7 +18,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(REPO, "perfbench")
 SRC = os.path.join(REPO, "src")
 SEED = "0"
-NAMES = ("mine", "cluster_tfidf", "cluster_sweep")
+NAMES = ("mine", "cluster_tfidf", "cluster_sweep", "lm")
 
 _CALLS = """
 import json, os, sys
