@@ -326,7 +326,7 @@ def cmd_train_lm(args) -> int:
     consequences = [corpus_mod.preprocess(r.consequence, pre) for r in loaded]
     vocab = langmodel.fit_vocab(dynamics + consequences, cap=config.vocab_size)
     ids, targets = langmodel.make_train_pairs(dynamics, consequences, vocab, config)
-    model, history = langmodel.train(ids, targets, config, vocab)
+    model, history = langmodel.train(ids, targets, config, vocab, pre)
     with _output_set(args) as (out, stage):
         langmodel.save_model(model, os.path.join(stage, "model"))
         _write_json(os.path.join(stage, "training_history.json"), {"loss": history})
@@ -338,8 +338,7 @@ def cmd_train_lm(args) -> int:
 
 def cmd_predict(args) -> int:
     model = langmodel.load_model(args.model)
-    pre = _pre_config(args)
-    top = langmodel.predict_consequence(model, args.text, pre=pre,
+    top = langmodel.predict_consequence(model, args.text,
                                         **_given(args, langmodel.predict_consequence))
     with _output_set(args) as (out, stage):
         _write_json(os.path.join(stage, "prediction.json"), {
@@ -360,18 +359,14 @@ def _add_common(sub):
     sub.setting("--output-dir", "paths.output_dir", help="directory for outputs")
 
 
-def _add_pre_opts(sub):
+def _add_corpus_opts(sub, ontology=True):
+    sub.setting("--corpus", "paths.corpus", help="corpus CSV/JSONL path")
+    sub.setting("--format", "corpus.format", dest="fmt", choices=("csv", "jsonl"))
     sub.setting("--stopwords", "corpus.stopwords", dest="stopwords_file",
                 metavar="FILE", help="stopword file (default: bundled Italian)")
     sub.add_argument("--no-stopwords", action="store_true",
                      help="disable stopword removal")
     sub.setting("--min-token-len", "corpus.min_token_len", type=strict_int)
-
-
-def _add_corpus_opts(sub, ontology=True):
-    sub.setting("--corpus", "paths.corpus", help="corpus CSV/JSONL path")
-    sub.setting("--format", "corpus.format", dest="fmt", choices=("csv", "jsonl"))
-    _add_pre_opts(sub)
     if ontology:
         sub.setting("--ontology", "paths.ontology", help="word<TAB>TAG substitution file")
 
@@ -458,12 +453,12 @@ def build_parser() -> _Parser:
     sub.setting("--epochs", "lm.epochs", type=strict_int)
     sub.set_defaults(func=cmd_train_lm)
 
-    sub = subs.add_parser("predict", help="rank consequence tokens for a text")
+    sub = subs.add_parser("predict", help="rank consequence tokens for a text, "
+                                          "tokenized as the model's training was")
     _add_common(sub)
     sub.add_argument("--model", required=True, help="model artifact directory")
     sub.add_argument("--text", required=True, help="dynamics description")
     sub.add_argument("--top-k", type=strict_int)
-    _add_pre_opts(sub)
     sub.set_defaults(func=cmd_predict)
 
     return parser

@@ -21,10 +21,15 @@ order and shape of the tensors, and so each tensor's offset, and
 ``FlatParams`` maps each name to its reshaped view. Training keeps its
 gradients and the Adam m and v as buffers of the same layout; ``backward``
 writes into the gradient views, clipping runs on the whole buffer and Adam
-on cache-sized blocks of it. The artifact stores that buffer as one file,
-``params.bin``, with one checksum: ``load_model`` reads it straight into a
-little-endian float32 buffer and hashes those same bytes; a float64 config
-casts the buffer once, after the checksum has passed.
+on cache-sized blocks of it. The artifact stores, as one file
+``params.bin`` with one checksum, the live parameters of that buffer: those
+a vocabulary token can reach (``_live_segments``). ``load_model`` reads
+them straight into a zero-filled little-endian float32 buffer of the full
+layout and hashes those same bytes; a float64 config casts the buffer once,
+after the checksum has passed. No dead slot changes a live float, and
+``forward`` returns the ``len(vocab)`` live probabilities only, so a reload
+gives the same bytes. The manifest also carries the ``PreprocessConfig``
+that training tokenized with.
 
 The training set is built once from the token lists that also fit the
 vocabulary: ``ids`` (N, seq_len) int64, and each pair's target ids in CSR
@@ -63,7 +68,7 @@ UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
 
-ARTIFACT_VERSION = "lm-v2"
+ARTIFACT_VERSION = "lm-v3"
 _PROB_EPS = 1e-7
 
 
@@ -253,16 +258,19 @@ class AdamState:
 
 @dataclass
 class LmModel:
+    """The network and its tokenizer: ``pre`` and ``vocab`` turn a text
+    into the ids that ``forward`` reads."""
     config: LmConfig
     vocab: LmVocabulary
+    pre: PreprocessConfig
     params: FlatParams
 
     @classmethod
-    def initialized(cls, config: LmConfig, vocab: LmVocabulary,
+    def initialized(cls, config: LmConfig, vocab: LmVocabulary, pre: PreprocessConfig,
                     rng: np.random.Generator) -> "LmModel":
         if len(vocab) > config.vocab_size:
             raise IncmineError("vocabulary larger than configured vocab_size")
-        return cls(config=config, vocab=vocab, params=init_params(config, rng))
+        return cls(config=config, vocab=vocab, pre=pre, params=init_params(config, rng))
 
 
 @dataclass(frozen=True)
@@ -464,10 +472,21 @@ def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
 
 
 def forward(model: LmModel, input_ids) -> np.ndarray:
-    """Eval-mode probability vector over the vocabulary for one id sequence."""
+    """Eval-mode probabilities of the ``len(model.vocab)`` vocabulary tokens
+    for one id sequence; an id outside ``[0, len(model.vocab))`` is refused.
+
+    The head still multiplies every ``vocab_size`` column, so each live
+    float is the one training's ``_forward_batch`` computes; the columns
+    past the vocabulary are dropped from the result.
+    """
     ids = np.asarray(input_ids, dtype=np.int64)[None, :]
+    n_live = len(model.vocab)
+    outside = ids[(ids < 0) | (ids >= n_live)]
+    if outside.size:
+        raise IncmineError(f"input id {int(outside[0])} is outside the "
+                           f"vocabulary's ids [0, {n_live})")
     probs, _ = _forward_batch(model.params, model.config, ids, False, None)
-    return probs[0]
+    return probs[0, :n_live]
 
 
 def bce_loss(probs, target) -> float:
@@ -600,10 +619,11 @@ def clip_gradients(grads: FlatParams, clip_norm: float) -> float:
     return norm
 
 
-def train(ids: np.ndarray, targets: TargetIds, config: LmConfig,
-          vocab: LmVocabulary) -> tuple[LmModel, list[float]]:
-    """Shuffled mini-batch training on ``make_train_pairs``'s training set;
-    returns model + mean per-epoch losses.
+def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabulary,
+          pre: PreprocessConfig) -> tuple[LmModel, list[float]]:
+    """Shuffled mini-batch training on ``make_train_pairs``'s training set,
+    tokenized with ``pre`` and ``vocab``; returns model + mean per-epoch
+    losses.
 
     Each step makes only its batch's dense (B, V) targets, so memory does
     not grow with N x V."""
@@ -611,7 +631,7 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig,
     if n == 0:
         raise IncmineError("need at least one training pair")
     rng = np.random.default_rng(config.seed)
-    model = LmModel.initialized(config, vocab, rng)
+    model = LmModel.initialized(config, vocab, pre, rng)
     grads = FlatParams(config)
     adam = AdamState.for_params(model.params.flat)
     history: list[float] = []
@@ -634,23 +654,23 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig,
     return model, history
 
 
-def predict_consequence(model: LmModel, text: str, top_k: int = 10, *,
-                        pre: PreprocessConfig) -> list[tuple[str, float]]:
+def predict_consequence(model: LmModel, text: str,
+                        top_k: int = 10) -> list[tuple[str, float]]:
     """Top-k vocabulary tokens by probability for the given dynamics text,
-    tokenized with ``pre`` (pass the config the model was trained with).
+    tokenized with the model's own ``pre``, as in training.
 
     PAD and UNK never appear in the output; equal probabilities rank by index.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    tokens = preprocess(text, pre)
+    tokens = preprocess(text, model.pre)
     ids = encode(tokens, model.vocab, model.config.seq_len)
     probs = forward(model, ids)
     order = np.argsort(-probs, kind="stable")
     out = []
     for idx in order:
         idx = int(idx)
-        if idx in (PAD_ID, UNK_ID) or idx >= len(model.vocab):
+        if idx in (PAD_ID, UNK_ID):
             continue
         out.append((model.vocab.tokens[idx], float(probs[idx])))
         if len(out) == top_k:
@@ -670,33 +690,51 @@ def _bytes_of(arr: np.ndarray) -> memoryview:
     return memoryview(arr).cast("B")
 
 
+def _live_segments(params: FlatParams, n_live: int) -> list[np.ndarray]:
+    """The views of ``params`` that params.bin stores, in file order: the
+    first ``n_live`` embedding rows, every tensor from ``lstm1_fw_wx`` to
+    ``dense2_b`` as one block of the flat buffer, the first ``n_live``
+    columns of ``out_w`` (strided unless ``n_live`` is ``vocab_size``) and
+    the first ``n_live`` entries of ``out_b``."""
+    out_w, out_b = params["out_w"], params["out_b"]
+    middle = params.flat[params["embedding"].size:params.flat.size - out_w.size - out_b.size]
+    return [params["embedding"][:n_live], middle, out_w[:, :n_live], out_b[:n_live]]
+
+
 def save_model(model: LmModel, path) -> None:
     """Make the directory ``path`` and write manifest.json and params.bin
-    into it, the parameter buffer as little-endian float32 in
-    ``_param_specs`` order.
+    into it, the live parameters (``_live_segments``) as little-endian
+    float32 in ``_param_specs`` order.
 
-    A float32 buffer is written and hashed straight from memory; a float64
-    one is cast to float32 first. The manifest holds the version, config,
-    vocabulary and the SHA-256 of params.bin. ``path`` must not exist yet:
-    the CLI saves into its stage and commits ``model/`` with its other
-    outputs.
+    A float32 segment is written and hashed straight from memory; only the
+    live columns of ``out_w`` and a float64 model's segments are copied,
+    one segment at a time. The manifest holds the version, config,
+    vocabulary, the tokenizer settings (``preprocess``: the sorted stopword
+    list and ``min_token_len``) and the SHA-256 of params.bin. ``path``
+    must not exist yet: the CLI saves into its stage and commits ``model/``
+    with its other outputs.
     """
     os.makedirs(path)
-    blob = _bytes_of(np.ascontiguousarray(model.params.flat, dtype="<f4"))
+    digest = hashlib.sha256()
     with open(os.path.join(path, PARAMS_FILE), "wb") as fh:
-        fh.write(blob)
+        for segment in _live_segments(model.params, len(model.vocab)):
+            blob = _bytes_of(np.ascontiguousarray(segment, dtype="<f4"))
+            fh.write(blob)
+            digest.update(blob)
     manifest = {
         "version": ARTIFACT_VERSION,
         "config": asdict(model.config),
         "vocab": list(model.vocab.tokens),
-        "sha256": hashlib.sha256(blob).hexdigest(),
+        "preprocess": {"stopwords": sorted(model.pre.stopwords),
+                       "min_token_len": model.pre.min_token_len},
+        "sha256": digest.hexdigest(),
     }
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-_MANIFEST_KEYS = frozenset({"version", "config", "vocab", "sha256"})
+_MANIFEST_KEYS = frozenset({"version", "config", "vocab", "preprocess", "sha256"})
 
 
 def _check_keys(obj, keys, what: str) -> None:
@@ -708,20 +746,37 @@ def _check_keys(obj, keys, what: str) -> None:
         raise IncmineError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
+def _manifest_preprocess(obj) -> PreprocessConfig:
+    """The manifest's ``preprocess`` object as the config training used."""
+    _check_keys(obj, {"stopwords", "min_token_len"}, "manifest preprocess")
+    stopwords, min_len = obj["stopwords"], obj["min_token_len"]
+    if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
+        raise IncmineError("manifest preprocess stopwords is not a JSON list of strings")
+    if isinstance(min_len, bool) or not isinstance(min_len, int):
+        raise IncmineError(f"manifest preprocess: min_token_len must be int, got {min_len!r}")
+    try:
+        return PreprocessConfig(stopwords=frozenset(stopwords), min_token_len=min_len)
+    except ValueError as exc:
+        raise IncmineError(f"manifest preprocess: {exc}") from exc
+
+
 def load_model(path) -> LmModel:
     """Rebuild a model from an artifact directory, verifying its checksum.
 
     Every refused artifact raises ``IncmineError``: another version, lm-v1
-    included; a malformed manifest, that is JSON that does not parse (named
-    by the manifest's path), a value that is not a JSON object where one
-    belongs, a missing or unknown key, a config value ``LmConfig`` rejects,
-    or a vocabulary longer than the config's ``vocab_size``; a params.bin
-    whose size is not the config's parameter count times 4 bytes (checked
-    before any byte is read); and a checksum mismatch.
+    and lm-v2 included; a malformed manifest, that is JSON that does not
+    parse (named by the manifest's path), a value that is not a JSON object
+    where one belongs, a missing or unknown key, a config or preprocess
+    value that ``LmConfig`` or ``PreprocessConfig`` rejects, or a
+    vocabulary longer than the config's ``vocab_size``; a params.bin whose
+    size is not the live parameter count times 4 bytes (checked before any
+    byte is read); and a checksum mismatch.
 
-    params.bin is read straight into one little-endian float32 buffer and
-    the checksum is over exactly those bytes; a float64 config casts the
-    buffer once, after the checksum has passed.
+    The parameters are a zero-filled little-endian float32 buffer of the
+    config's full layout. Each contiguous live segment is read straight
+    into it, and ``out_w``'s live columns through a small temporary; the
+    checksum is over exactly the bytes read, in file order. A float64
+    config casts the buffer once, after the checksum has passed.
     """
     manifest_path = os.path.join(path, "manifest.json")
     with open(manifest_path, encoding="utf-8") as fh:
@@ -748,17 +803,26 @@ def load_model(path) -> LmModel:
         raise IncmineError(f"manifest vocab has {len(tokens)} tokens, above the "
                            f"configured vocab_size {config.vocab_size}")
     vocab = LmVocabulary(tokens)
+    pre = _manifest_preprocess(manifest["preprocess"])
     params_path = os.path.join(path, PARAMS_FILE)
-    stored = np.empty(_param_count(config), dtype="<f4")
-    blob = _bytes_of(stored)
+    stored = FlatParams(config, np.zeros(_param_count(config), dtype="<f4"))
+    segments = _live_segments(stored, len(vocab))
+    need = 4 * sum(segment.size for segment in segments)
+    digest = hashlib.sha256()
     with open(params_path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size != blob.nbytes:
+        if size != need:
             raise IncmineError(f"{params_path} is {size} bytes, the config "
-                               f"needs {blob.nbytes}")
-        if fh.readinto(blob) != blob.nbytes:
-            raise IncmineError(f"{params_path} shrank while being read")
-    if hashlib.sha256(blob).hexdigest() != manifest["sha256"]:
+                               f"needs {need}")
+        for segment in segments:
+            into = segment if segment.flags.c_contiguous else np.empty(segment.shape, "<f4")
+            blob = _bytes_of(into)
+            if fh.readinto(blob) != blob.nbytes:
+                raise IncmineError(f"{params_path} shrank while being read")
+            digest.update(blob)
+            if into is not segment:
+                segment[...] = into
+    if digest.hexdigest() != manifest["sha256"]:
         raise IncmineError(f"checksum mismatch for {params_path}")
-    params = FlatParams(config, stored.astype(config.np_dtype, copy=False))
-    return LmModel(config=config, vocab=vocab, params=params)
+    params = FlatParams(config, stored.flat.astype(config.np_dtype, copy=False))
+    return LmModel(config=config, vocab=vocab, pre=pre, params=params)

@@ -20,9 +20,12 @@ OVERFIT_ROWS = [
 ]
 
 
+NO_STOPWORDS = PreprocessConfig(stopwords=frozenset())
+
+
 def overfit_fixture(epochs=200):
     corpus = make_corpus(OVERFIT_ROWS)
-    pre = PreprocessConfig(stopwords=frozenset())
+    pre = NO_STOPWORDS
     dynamics = [preprocess(r.dynamics, pre) for r in corpus]
     consequences = [preprocess(r.consequence, pre) for r in corpus]
     vocab = lm.fit_vocab(dynamics + consequences, cap=64)
@@ -45,7 +48,7 @@ def gradcheck_fixture(seed=7):
     vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN]
                             + [f"t{i}" for i in range(10)])
     rng = np.random.default_rng(seed)
-    model = lm.LmModel.initialized(config, vocab, rng)
+    model = lm.LmModel.initialized(config, vocab, NO_STOPWORDS, rng)
     ids = np.empty((3, config.seq_len), dtype=np.int64)
     targets = np.zeros((3, config.vocab_size))
     for i in range(3):
@@ -59,7 +62,7 @@ def zero_model(config):
     vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN]
                             + [f"t{i}" for i in range(config.vocab_size - 2)])
     params = lm.FlatParams(config, np.zeros(lm._param_count(config), dtype=config.np_dtype))
-    return lm.LmModel(config=config, vocab=vocab, params=params)
+    return lm.LmModel(config=config, vocab=vocab, pre=NO_STOPWORDS, params=params)
 
 
 def batch_loss(model, ids, targets):

@@ -36,7 +36,8 @@ from apriori_oracle import apriori_frequent
 import rule_oracle
 from export_oracle import written
 from conftest import FIXTURE_ROWS, term_columns
-from lm_fixtures import gradcheck_fixture, max_relative_fd_error, overfit_fixture
+from lm_fixtures import (NO_STOPWORDS, gradcheck_fixture, max_relative_fd_error,
+                         overfit_fixture)
 from test_clustering import exhaustive_two_medoids, principal_angles, small_fixture_suite
 
 
@@ -223,11 +224,11 @@ def test_c08_lm_gradient_check():
 def test_c09_lm_overfit_and_prediction():
     start = time.perf_counter()
     corpus, pre, vocab, config, ids, targets = overfit_fixture(epochs=200)
-    model, history = lm.train(ids, targets, config, vocab)
+    model, history = lm.train(ids, targets, config, vocab, pre)
     elapsed = time.perf_counter() - start
     assert history[-1] < 0.1 * history[0]
     for rec in corpus:
-        top = lm.predict_consequence(model, rec.dynamics, top_k=1, pre=pre)
+        top = lm.predict_consequence(model, rec.dynamics, top_k=1)
         assert top[0][0] == rec.consequence
     assert elapsed < 120.0
     _report(9, "LM overfit fixture",
@@ -255,7 +256,7 @@ def test_c10_determinism_and_roundtrips(tmp_path):
                          "--output-dir", out]) == 0
         assert cli_main(["predict", "--model", os.path.join(out, "model"),
                          "--text", "operaio scivola su scala bagnata",
-                         "--no-stopwords", "--output-dir", out]) == 0
+                         "--output-dir", out]) == 0
 
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     run_all(out_a)
@@ -303,7 +304,7 @@ def test_c11_paper_default_configuration():
 
     vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] +
                             [f"tok{i:04d}" for i in range(4998)])
-    model = lm.LmModel.initialized(config, vocab, np.random.default_rng(0))
+    model = lm.LmModel.initialized(config, vocab, NO_STOPWORDS, np.random.default_rng(0))
     u = config.recurrent_units
     assert model.params["embedding"].shape == (5000, 128)
     assert model.params["lstm1_fw_wx"].shape == (128, 4 * u)

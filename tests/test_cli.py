@@ -14,7 +14,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -538,7 +538,7 @@ class TestTrainPredict:
         capsys.readouterr()
         assert run("predict", "--model", os.path.join(out, "model"),
                    "--text", "operaio scivola su scala", "--top-k", "3",
-                   "--no-stopwords", "--output-dir", out) == 0
+                   "--output-dir", out) == 0
         pred = json.loads(read(os.path.join(out, "prediction.json")))
         assert len(pred["top"]) == 3
 
@@ -650,6 +650,39 @@ class TestTrainPredict:
         assert run(*argv) == 0
         assert sorted(os.listdir(out / "model")) == ["manifest.json", "params.bin"]
         assert sorted(os.listdir(out)) == ["model", "training_history.json"]
+
+    def test_manifest_records_the_tokenizer(self, fixture_corpus_path, tmp_path):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("su\nDA\ncon\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("train-lm", "--corpus", fixture_corpus_path, *_SMALL_LM,
+                   "--stopwords", str(stopwords), "--min-token-len", "3",
+                   "--output-dir", str(out)) == 0
+        manifest = json.loads(read(out / "model" / "manifest.json"))
+        assert manifest["preprocess"] == {"stopwords": ["con", "da", "su"],
+                                          "min_token_len": 3}
+        assert langmodel.load_model(out / "model").pre == corpus.PreprocessConfig(
+            stopwords=frozenset({"con", "da", "su"}), min_token_len=3)
+
+    def test_predict_tokenizes_as_training(self, fixture_corpus_path, tmp_path,
+                                           monkeypatch):
+        out = tmp_path / "out"
+        assert run("train-lm", "--corpus", fixture_corpus_path, *_SMALL_LM,
+                   "--no-stopwords", "--output-dir", str(out)) == 0
+        model = langmodel.load_model(out / "model")
+        text = "operaio scivola su scala"  # "su" is a bundled stopword
+        default = replace(model, pre=corpus.PreprocessConfig(
+            stopwords=corpus.default_stopwords()))
+        want = [[tok, p] for tok, p in langmodel.predict_consequence(model, text)]
+        assert want != [[tok, p] for tok, p in langmodel.predict_consequence(default, text)]
+
+        def read_stopwords(*args):
+            raise AssertionError("predict read a stopword file")
+        monkeypatch.setattr(corpus, "default_stopwords", read_stopwords)
+        monkeypatch.setattr(corpus, "load_stopwords", read_stopwords)
+        assert run("predict", "--model", str(out / "model"), "--text", text,
+                   "--output-dir", str(tmp_path / "pred")) == 0
+        assert json.loads(read(tmp_path / "pred" / "prediction.json"))["top"] == want
 
     def test_stock_config_from_lm_config(self, fixture_corpus_path, tmp_path):
         out = str(tmp_path / "out")
@@ -794,12 +827,32 @@ class TestModelManifest:
         code, err = self._predict_with(model_dir, data, capsys)
         assert code == 2 and f"{field} must be" in err
 
+    def test_preprocess_is_the_training_tokenizer(self, model_dir):
+        assert self._manifest(model_dir)["preprocess"] == {"stopwords": [],
+                                                           "min_token_len": 2}
+
+    @pytest.mark.parametrize("value, message", [
+        ({"stopwords": [], "min_token_len": 0}, "min_token_len must be >= 1"),
+        ({"stopwords": [], "min_token_len": "2"}, "min_token_len must be int, got '2'"),
+        ({"stopwords": [], "min_token_len": True}, "min_token_len must be int, got True"),
+        ({"stopwords": ["Su"], "min_token_len": 2}, "stopwords must be lowercase"),
+        ({"stopwords": "su", "min_token_len": 2}, "stopwords is not a JSON list of strings"),
+        ({"stopwords": [1], "min_token_len": 2}, "stopwords is not a JSON list of strings"),
+        ({"min_token_len": 2}, "missing keys ['stopwords']"),
+        (["su"], "manifest preprocess is not a JSON object"),
+    ])
+    def test_bad_preprocess(self, model_dir, capsys, value, message):
+        data = self._manifest(model_dir)
+        data["preprocess"] = value
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and message in err
+
     def test_lm_v1_manifest_must_be_retrained(self, model_dir, capsys):
         data = self._manifest(model_dir)
         del data["sha256"]
         data.update(version="lm-v1", tensors={})  # lm-v1 described one file per tensor
         code, err = self._predict_with(model_dir, data, capsys)
-        assert code == 2 and "'lm-v1'" in err and "'lm-v2'" in err
+        assert code == 2 and "'lm-v1'" in err and "'lm-v3'" in err
 
 
 class TestConfigFile:
@@ -923,6 +976,27 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "usage error" in err and f"unrecognized arguments: {argv[-2]}" in err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("flag", [("--stopwords", "words.txt"), ("--min-token-len", "3"),
+                                      ("--no-stopwords",)])
+    def test_predict_has_no_tokenizer_flags(self, tmp_path, capsys, flag):
+        # the model carries the tokenizer it was trained with
+        assert run("predict", "--model", "m", "--text", "scala", *flag,
+                   "--output-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: unrecognized arguments: {' '.join(flag)}" in err
+
+    def test_corpus_keys_are_ignored_by_predict(self, model_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus.stopwords = {tmp_path / 'missing.txt'}\n"
+                       "corpus.min_token_len = 9\n", encoding="utf-8")
+        text = ("--text", "operaio scivola su scala")
+        assert run("predict", "--model", model_dir, *text,
+                   "--output-dir", str(tmp_path / "plain")) == 0
+        assert run("predict", "--model", model_dir, *text, "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "configured")) == 0
+        assert read(tmp_path / "configured" / "prediction.json") == \
+            read(tmp_path / "plain" / "prediction.json")
 
     @pytest.mark.parametrize("command", [("cluster-tfidf", "--k", "2"), ("train-lm",)])
     def test_removed_clustering_seed_key_is_usage_error(self, fixture_corpus_path, tmp_path,
@@ -1234,7 +1308,7 @@ def test_manifest_fuzz_keeps_exit_contract(model_dir, data):
         text = data.draw(st.binary(max_size=8))
     _fuzz_file(model_dir, "manifest.json", text)
     _exit_contract(["predict", "--model", model_dir, "--text", "operaio scivola su scala",
-                    "--no-stopwords", "--output-dir", os.path.dirname(model_dir)])
+                    "--output-dir", os.path.dirname(model_dir)])
 
 
 class _ReadRecorder(argparse.Namespace):

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import lstm_oracle
 from incmine import langmodel as lm
 from incmine.cli import main
-from incmine.corpus import PreprocessConfig
 from incmine.errors import IncmineError
-from lm_fixtures import (gradcheck_fixture, max_relative_fd_error,
+from lm_fixtures import (NO_STOPWORDS, gradcheck_fixture, max_relative_fd_error,
                          overfit_fixture, zero_model)
 
 
@@ -55,7 +54,7 @@ class TestForward:
     def test_shape_and_range(self):
         model, ids, _ = gradcheck_fixture()
         probs = lm.forward(model, ids[0])
-        assert probs.shape == (model.config.vocab_size,)
+        assert probs.shape == (len(model.vocab),)
         assert ((probs > 0.0) & (probs < 1.0)).all()
 
     def test_zero_params_give_half(self):
@@ -69,6 +68,34 @@ class TestForward:
         one = lm.forward(model, ids[0])
         two = lm.forward(model, ids[0])
         assert np.array_equal(one, two)
+
+    def test_returns_the_vocabulary_slots_only(self):
+        model = _short_vocab_model()
+        probs = lm.forward(model, np.arange(5))
+        assert probs.shape == (len(model.vocab),) == (8,)
+        full, _ = lm._forward_batch(model.params, model.config, np.arange(5)[None, :],
+                                    False, None)
+        assert np.array_equal(probs, full[0, :8])
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(8, id="below-vocab_size"),  # read an untrained row, silently
+        pytest.param(12, id="at-vocab_size"),    # raised a raw IndexError
+        pytest.param(-1, id="negative"),         # read the last embedding row
+    ])
+    def test_id_outside_the_vocabulary_is_refused(self, bad):
+        model = _short_vocab_model()
+        ids = np.array([2, 3, bad, 0, 0])
+        with pytest.raises(IncmineError, match=rf"input id {bad} is outside the "
+                                               rf"vocabulary's ids \[0, 8\)"):
+            lm.forward(model, ids)
+
+
+def _short_vocab_model():
+    """A float64 model of 8 tokens under a vocab_size of 12."""
+    config = lm.LmConfig(vocab_size=12, embed_dim=4, recurrent_units=3, dense_units=4,
+                         dropout_rate=0.0, seq_len=5, dtype="float64")
+    vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] + [f"t{i}" for i in range(6)])
+    return lm.LmModel.initialized(config, vocab, NO_STOPWORDS, np.random.default_rng(1))
 
 
 class TestBceLoss:
@@ -321,8 +348,8 @@ class TestAdam:
 
 class TestTrain:
     def test_zero_epochs_keeps_init(self):
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
-        model, history = lm.train(ids, targets, config, vocab)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=0)
+        model, history = lm.train(ids, targets, config, vocab, pre)
         rng = np.random.default_rng(config.seed)
         init = lm.init_params(config, rng)
         assert history == []
@@ -330,27 +357,27 @@ class TestTrain:
             assert np.array_equal(model.params[name], init[name])
 
     def test_seed_reproducibility(self):
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=5)
-        m1, h1 = lm.train(ids, targets, config, vocab)
-        m2, h2 = lm.train(ids, targets, config, vocab)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=5)
+        m1, h1 = lm.train(ids, targets, config, vocab, pre)
+        m2, h2 = lm.train(ids, targets, config, vocab, pre)
         assert h1 == h2
         for name in m1.params:
             assert np.array_equal(m1.params[name], m2.params[name])
 
     def test_divergence_reports_position(self):
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=3)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
         from dataclasses import replace
         hot = replace(config, learning_rate=1e18, clip_norm=0.0, epochs=8)
         with np.errstate(all="ignore"):
             with pytest.raises(IncmineError, match="epoch"):
-                lm.train(ids, targets, hot, vocab)
+                lm.train(ids, targets, hot, vocab, pre)
 
     def test_overfits_eight_pairs(self):
         corpus, pre, vocab, config, ids, targets = overfit_fixture(epochs=200)
-        model, history = lm.train(ids, targets, config, vocab)
+        model, history = lm.train(ids, targets, config, vocab, pre)
         assert history[-1] < 0.1 * history[0]
         for rec in corpus:
-            top = lm.predict_consequence(model, rec.dynamics, top_k=1, pre=pre)
+            top = lm.predict_consequence(model, rec.dynamics, top_k=1)
             assert top[0][0] == rec.consequence
 
     def test_memory_does_not_grow_with_pairs_times_vocab(self):
@@ -368,7 +395,7 @@ class TestTrain:
             tracemalloc.start()  # numpy reports its array buffers to tracemalloc
             try:
                 ids, targets = lm.make_train_pairs(dynamics, consequences, vocab, config)
-                lm.train(ids, targets, config, vocab)
+                lm.train(ids, targets, config, vocab, NO_STOPWORDS)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -377,8 +404,8 @@ class TestTrain:
         assert peak(8 * n) - peak(n) < n * config.vocab_size * 4
 
     def test_loss_window_non_increasing_after_20(self):
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=120)
-        _, history = lm.train(ids, targets, config, vocab)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=120)
+        _, history = lm.train(ids, targets, config, vocab, pre)
         windows = [float(np.mean(history[i:i + 10]))
                    for i in range(len(history) - 9)]
         for i in range(20, len(windows) - 1):
@@ -393,7 +420,7 @@ class TestDropout:
                              dtype="float64")
         vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN] +
                                 [f"t{i}" for i in range(8)])
-        model = lm.LmModel.initialized(config, vocab,
+        model = lm.LmModel.initialized(config, vocab, NO_STOPWORDS,
                                        np.random.default_rng(5))
         from incmine.langmodel import _forward_batch
         ids = np.array([[2, 3, 4, 5]], dtype=np.int64)
@@ -423,15 +450,14 @@ class TestPredict:
     def test_untrained_zero_model_index_order(self):
         model = zero_model(lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
                                        dense_units=3, dropout_rate=0.0, seq_len=4))
-        top = lm.predict_consequence(model, "qualsiasi testo", top_k=6,
-                                     pre=PreprocessConfig(stopwords=frozenset()))
+        top = lm.predict_consequence(model, "qualsiasi testo", top_k=6)
         assert [t for t, _ in top] == [f"t{i}" for i in range(6)]
         assert all(p == 0.5 for _, p in top)
 
     def test_reserved_tokens_excluded(self):
         _, pre, vocab, config, ids, targets = overfit_fixture(epochs=0)
-        model, _ = lm.train(ids, targets, config, vocab)
-        everything = lm.predict_consequence(model, "scala", top_k=len(vocab), pre=pre)
+        model, _ = lm.train(ids, targets, config, vocab, pre)
+        everything = lm.predict_consequence(model, "scala", top_k=len(vocab))
         names = [t for t, _ in everything]
         assert lm.PAD_TOKEN not in names and lm.UNK_TOKEN not in names
         assert len(everything) == len(vocab) - 2
@@ -439,8 +465,8 @@ class TestPredict:
 
 class TestArtifact:
     def test_roundtrip_exact_forward(self, tmp_path):
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=3)
-        model, _ = lm.train(ids, targets, config, vocab)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
+        model, _ = lm.train(ids, targets, config, vocab, pre)
         lm.save_model(model, tmp_path / "model")
         loaded = lm.load_model(tmp_path / "model")
         before = lm.forward(model, ids[0])
@@ -448,8 +474,8 @@ class TestArtifact:
         assert np.array_equal(before, after)
 
     def test_checksum_error(self, tmp_path):
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
-        model, _ = lm.train(ids, targets, config, vocab)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=0)
+        model, _ = lm.train(ids, targets, config, vocab, pre)
         lm.save_model(model, tmp_path / "model")
         blob = tmp_path / "model" / "params.bin"
         raw = bytearray(blob.read_bytes())
@@ -460,21 +486,21 @@ class TestArtifact:
 
     def test_version_error_names_both(self, tmp_path):
         import json
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=0)
-        model, _ = lm.train(ids, targets, config, vocab)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=0)
+        model, _ = lm.train(ids, targets, config, vocab, pre)
         lm.save_model(model, tmp_path / "model")
         manifest_path = tmp_path / "model" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["version"] = "lm-v0"
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(IncmineError, match="lm-v0.*lm-v2"):
+        with pytest.raises(IncmineError, match="lm-v0.*lm-v3"):
             lm.load_model(tmp_path / "model")
 
 
 def _model(dtype="float32"):
     if dtype == "float32":
-        _, _, vocab, config, ids, targets = overfit_fixture(epochs=2)
-        return lm.train(ids, targets, config, vocab)[0]
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=2)
+        return lm.train(ids, targets, config, vocab, pre)[0]
     return gradcheck_fixture()[0]
 
 
