@@ -26,12 +26,13 @@ gives, and SWAP takes the same path.
 
 The group sums have two routes, picked by what a pass changed. When every
 group is dirty, one pass down ``dist`` reads each row block once, sums the
-all-points total from it and adds each row to its group's sums one row at a
-time. Otherwise each dirty group gathers its own rows a block at a time, and
-the dirty total columns are summed apart. Each route is the faster one where
-it is used: the one pass reads each row once instead of three times, while
-per-row adds cost more than the gathers when few groups are dirty. Both add
-a group's rows in ascending order, so they give the same floats.
+all-points total from it and adds each row's (lost, gained) pair to its
+group's pair with one add. Otherwise each dirty group gathers its own rows a
+block at a time, and the dirty total columns are summed apart. Each route is
+the faster one where it is used: the one pass reads each row once instead of
+three times, while per-row adds cost more than the gathers when few groups
+are dirty. Both add a group's rows in ascending order, so they give the same
+floats.
 
 Readable scalar-loop references for every kernel live under ``tests/``
 (``support_oracle.py``, ``pam_oracle.py``) and are checked against these.
@@ -92,9 +93,10 @@ PAM_REFRESH_SHARE = 0.5
 def _add_rows(acc, buf, rows):
     """acc += buf[1], buf[2], ..., buf[rows], one row after another.
 
-    numpy sums a C-ordered array down axis 0 one row at a time, so carrying
-    ``acc`` in as row 0 goes on with the running column sums exactly as one
-    ``sum(axis=0)`` over all the rows would.
+    numpy sums a 2-D array with contiguous rows down axis 0 one row at a
+    time, whatever the stride between rows, so carrying ``acc`` in as row 0
+    goes on with the running column sums exactly as one ``sum(axis=0)`` over
+    all the rows would.
     """
     buf[0] = acc
     buf[:rows + 1].sum(axis=0, out=acc)
@@ -200,17 +202,23 @@ class SwapSums:
         self.d1 = np.full(n, -np.inf)
         self.gap = np.full(n, np.inf)    # d2 - d1
         self.total = np.zeros(n)
-        self.lost = np.zeros((0, n))
-        self.gained = np.zeros((0, n))
+        self.group_sums = np.zeros((0, 2, n))  # [m, 0]: lost[m], [m, 1]: gained[m]
         # row-block scratch of every pass, shared by copies: a fresh one per
         # pass would touch fresh pages whenever the heap was trimmed
-        self.work = np.empty((2 * PAM_ROWS + 1, n))
+        self.work = np.empty((PAM_ROWS + 1, 2, n))
+
+    @property
+    def lost(self):
+        return self.group_sums[:, 0]
+
+    @property
+    def gained(self):
+        return self.group_sums[:, 1]
 
     def copy(self):
         """A copy whose sums ``deltas`` can move without changing these."""
         other = copy.copy(self)  # n1, d1 and gap are replaced, never written
-        other.total, other.lost, other.gained = (
-            self.total.copy(), self.lost.copy(), self.gained.copy())
+        other.total, other.group_sums = self.total.copy(), self.group_sums.copy()
         return other
 
     def deltas(self, dist, medoids):
@@ -230,13 +238,12 @@ class SwapSums:
         dirty[n1[changed]] = True
         left = self.n1[changed]
         dirty[left[(left >= 0) & (left < k)]] = True
-        if k != self.lost.shape[0]:
-            self.lost, self.gained = (_resize_rows(a, k) for a in (self.lost, self.gained))
+        if k != self.group_sums.shape[0]:
+            self.group_sums = _resize_rows(self.group_sums, k)
         if dirty.all():
-            _sum_all_rows(dist, n1, d1, gap, self.total, self.lost, self.gained, self.work)
+            _sum_all_rows(dist, n1, d1, gap, self.total, self.group_sums, self.work)
         else:
-            _sum_groups(dist, n1, d1, gap, np.flatnonzero(dirty), self.lost, self.gained,
-                        self.work)
+            _sum_groups(dist, n1, d1, gap, np.flatnonzero(dirty), self.group_sums, self.work)
             reach = np.maximum(self.d1[moved], d1[moved])
             cols = _dirty_columns(dist, np.flatnonzero(moved), reach)
             _sum_total(dist, d1, self.total, cols)
@@ -244,42 +251,40 @@ class SwapSums:
         return self.total - self.lost + self.gained
 
 
-def _sum_all_rows(dist, n1, d1, gap, total, lost, gained, work):
-    """``total`` and every group's ``lost``/``gained`` again, in one pass.
+def _sum_all_rows(dist, n1, d1, gap, total, group_sums, work):
+    """``total`` and every group's (k, 2, n) ``group_sums`` again, in one pass.
 
-    Each ``PAM_ROWS``-row slice of ``dist`` is read once: its min(x, 0)
-    block goes on ``total`` as ``_sum_total`` adds it, and each row's
-    min(x, 0) and min(x, gap) go on its group's sums one row at a time, in
-    ascending order, so every sum is the float ``_sum_groups`` gives.
+    Each ``PAM_ROWS``-row slice of ``dist`` is read once into the (rows, 2,
+    n) ``work`` block: each row's min(x, 0) in slot 0, its min(x, gap) in
+    slot 1. The slot-0 rows go on ``total`` as ``_sum_total`` adds them (a
+    strided ``sum(axis=0)`` still adds row after row), and each row's pair
+    goes on its group's pair with one add, in ascending order, so every sum
+    is the float ``_sum_groups`` gives.
     """
     n = dist.shape[0]
     total[:] = 0.0
-    lost[:] = 0.0
-    gained[:] = 0.0
-    buf, scratch = work[:PAM_ROWS + 1], work[PAM_ROWS + 1:]
-    neg_rows, capped_rows = list(buf[1:]), list(scratch)
-    lost_rows, gained_rows = list(lost), list(gained)
+    group_sums[:] = 0.0
+    block_rows, pair_rows = list(work[1:]), list(group_sums)
     groups = n1.tolist()
     for lo in range(0, n, PAM_ROWS):
         hi = min(n, lo + PAM_ROWS)
-        x = np.subtract(dist[lo:hi], d1[lo:hi, None], out=scratch[:hi - lo])
-        np.minimum(x, 0.0, out=buf[1:hi - lo + 1])
-        _add_rows(total, buf, hi - lo)
+        x = np.subtract(dist[lo:hi], d1[lo:hi, None], out=work[1:hi - lo + 1, 1])
+        np.minimum(x, 0.0, out=work[1:hi - lo + 1, 0])
+        _add_rows(total, work[:, 0], hi - lo)
         np.minimum(x, gap[lo:hi, None], out=x)
-        for neg, capped, m in zip(neg_rows, capped_rows, groups[lo:hi]):
-            np.add(lost_rows[m], neg, out=lost_rows[m])
-            np.add(gained_rows[m], capped, out=gained_rows[m])
+        for row, m in zip(block_rows, groups[lo:hi]):
+            np.add(pair_rows[m], row, out=pair_rows[m])
 
 
-def _sum_groups(dist, n1, d1, gap, groups, lost, gained, work):
-    """``lost[m]`` and ``gained[m]`` again for each m of ``groups``, each from
-    its own rows gathered ``PAM_ROWS`` at a time, ascending."""
-    buf, scratch = work[:PAM_ROWS + 1], work[PAM_ROWS + 1:]
+def _sum_groups(dist, n1, d1, gap, groups, group_sums, work):
+    """``group_sums[m]`` (lost, gained) again for each m of ``groups``, each
+    from its own rows gathered ``PAM_ROWS`` at a time, ascending."""
+    rows = work.reshape(-1, dist.shape[0])
+    buf, scratch = rows[:PAM_ROWS + 1], rows[PAM_ROWS + 1:]
     for m in groups.tolist():
         own = np.flatnonzero(n1 == m)  # ascending rows
-        lost_m, gained_m = lost[m], gained[m]
-        lost_m[:] = 0.0
-        gained_m[:] = 0.0
+        lost_m, gained_m = group_sums[m]
+        group_sums[m] = 0.0
         for lo in range(0, own.shape[0], PAM_ROWS):
             block = own[lo:lo + PAM_ROWS]
             r = block.shape[0]
@@ -292,7 +297,7 @@ def _sum_groups(dist, n1, d1, gap, groups, lost, gained, work):
 
 def _resize_rows(a, k):
     """``a`` cut or zero-padded to k rows."""
-    out = np.zeros((k, a.shape[1]))
+    out = np.zeros((k,) + a.shape[1:])
     keep = min(k, a.shape[0])
     out[:keep] = a[:keep]
     return out

@@ -275,10 +275,11 @@ def cmd_cluster_tfidf(args) -> int:
     config = _cluster_config(args, metric="cosine")
     matrix = vectors.tfidf_matrix(vectors.corpus_term_counts(loaded, pre, ontology))
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
-    # refuse before densifying: the n x n distances, then the dense rows
+    # refuse before clustering: the n x n distances, then the dense n x V rows
+    # (the unit rows of cosine distances, or the densified matrix of euclidean)
     check_allocation(n_rows * n_rows * 8, f"the distance matrix of {n_rows} points")
     check_allocation(n_rows * n_cols * 8, f"the dense {n_rows} x {n_cols} tf-idf matrix")
-    clusters, summary = _cluster_and_report(matrix.toarray(), list(loaded.ids), config)
+    clusters, summary = _cluster_and_report(matrix, list(loaded.ids), config)
     summary["n_terms"] = n_cols
     with _output_set(args) as (out, stage):
         _write_text(os.path.join(stage, "tfidf_matrix.txt"), matrix.to_coo_text())

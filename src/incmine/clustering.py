@@ -101,22 +101,34 @@ def _validate_points(points) -> np.ndarray:
     return points
 
 
+def _as_rows(points):
+    """``points`` itself when it has a 2-D ``shape`` and row slices, checked
+    block by block where it is read; otherwise the validated array."""
+    if len(getattr(points, "shape", ())) == 2:
+        return points
+    return _validate_points(points)  # lists and 1-D arrays; refuses other ranks
+
+
 def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
     """Full symmetric distance matrix, built as its only n x n array.
 
-    Euclidean distances are computed from explicit row differences, not the
-    expanded-dot-product identity, so identical rows give exactly 0. A
-    difference and its negation square to the same float, so each chunk of
-    rows fills its upper triangle and mirrors it. Cosine distances clip and
-    subtract in place in the Gram matrix, which is exactly symmetric.
+    ``points`` is an array, or anything with a 2-D ``shape`` whose row
+    slices ``points[lo:hi]`` give dense rows, such as
+    ``vectors.TfIdfMatrix``. Euclidean distances take every row at once and
+    are computed from explicit row differences, not the expanded-dot-product
+    identity, so identical rows give exactly 0. A difference and its
+    negation square to the same float, so each chunk of rows fills its upper
+    triangle and mirrors it. Cosine distances read the rows a block at a
+    time into one array of unit rows, then clip and subtract in place in
+    the Gram matrix, which is exactly symmetric.
     """
-    points = _validate_points(points)
+    points = _as_rows(points)
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     n = points.shape[0]
     check_allocation(n * n * 8, f"the distance matrix of {n} points")
     if metric == "euclidean":
-        d = _euclidean_distances(points)
+        d = _euclidean_distances(_validate_points(points[:]))
     else:
         d = _cosine_distances(points)
     np.fill_diagonal(d, 0.0)
@@ -140,20 +152,35 @@ def _euclidean_distances(points) -> np.ndarray:
 
 
 def _cosine_distances(points) -> np.ndarray:
-    norms = np.linalg.norm(points, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = points / safe[:, None]
+    """1 - cos over the rows of a 2-D ``points``, read ``_CHUNK_BUDGET``
+    elements of rows at a time.
+
+    Each row's norm is reduced along that row alone, so a block gives it the
+    float the whole matrix gives, and ``unit`` is the array the whole-matrix
+    division makes.
+    """
+    n, dim = points.shape
+    step = max(1, _CHUNK_BUDGET // max(1, dim))
+    unit = np.empty((n, dim))
+    zero = np.empty(n, dtype=bool)
+    for lo in range(0, n, step):
+        block = _validate_points(points[lo:lo + step])
+        norms = np.linalg.norm(block, axis=1)
+        zero[lo:lo + step] = norms == 0.0
+        norms[zero[lo:lo + step]] = 1.0
+        np.divide(block, norms[:, None], out=unit[lo:lo + step])
     # exactly symmetric: BLAS computes this as a symmetric rank-k update
     # (syrk) and mirrors the triangle, and numpy's own loop sums each pair in
     # the same order either way round
     d = unit @ unit.T
-    np.clip(d, -1.0, 1.0, out=d)
-    zero = norms == 0.0
+    for lo in range(0, n, step):
+        rows = d[lo:lo + step]
+        np.clip(rows, -1.0, 1.0, out=rows)
+        np.subtract(1.0, rows, out=rows)
     if zero.any():
-        d[zero, :] = 0.0
-        d[:, zero] = 0.0
-        d[np.ix_(zero, zero)] = 1.0  # two zero rows are identical points
-    np.subtract(1.0, d, out=d)
+        d[zero, :] = 1.0
+        d[:, zero] = 1.0
+        d[np.ix_(zero, zero)] = 0.0  # two zero rows are identical points
     return d
 
 
@@ -180,7 +207,7 @@ def sweep_k(points, config: ClusterConfig) -> tuple[ClusterAssignment, SweepRepo
     BUILD runs once, to the largest k: greedy BUILD only adds medoids, so its
     first k are the BUILD result for k.
     """
-    points = _validate_points(points)
+    points = _as_rows(points)
     n = points.shape[0]
     k_lo, k_hi = config.k_range
     if k_lo > n:

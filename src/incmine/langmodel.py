@@ -566,7 +566,8 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
 # optimization
 # --------------------------------------------------------------------------
 
-def adam_step(params, grads, state: AdamState, config: LmConfig):
+def adam_step(params, grads, state: AdamState, config: LmConfig,
+              skip: tuple[int, int] = (0, 0)):
     """One ADAM update in place: m, v moments, bias correction, step.
 
     ``params`` and ``grads`` are flat buffers of one layout, updated in
@@ -574,14 +575,21 @@ def adam_step(params, grads, state: AdamState, config: LmConfig):
     in the order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``; the update
     is elementwise, so every float is that of the per-tensor update. ``grads``
     is used as scratch once m and v have read it, and is left overwritten.
+
+    ``skip``, a range [lo, hi) of the buffer whose gradient has always been
+    zero, is not touched: there m and v stay 0 and the step is 0, so the
+    update would leave every float as it is.
     """
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    for start in range(0, params.size, _ADAM_BLOCK):
-        block = slice(start, start + _ADAM_BLOCK)
+    lo, hi = skip
+    blocks = [slice(start, min(stop, start + _ADAM_BLOCK))
+              for first, stop in ((0, lo), (hi, params.size))
+              for start in range(first, stop, _ADAM_BLOCK)]
+    for block in blocks:
         p, g, m, v = params[block], grads[block], state.m[block], state.v[block]
         s = state.scratch[:p.size]
         m *= b1
@@ -634,6 +642,10 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabu
     model = LmModel.initialized(config, vocab, pre, rng)
     grads = FlatParams(config)
     adam = AdamState.for_params(model.params.flat)
+    # the embedding rows no id reaches, the first tensor's tail, get a zero
+    # gradient at every step, so Adam skips them
+    reached = max(len(vocab), int(ids.max()) + 1)
+    dead = (reached * config.embed_dim, config.vocab_size * config.embed_dim)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -648,7 +660,7 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabu
             except NonFiniteError as exc:
                 raise IncmineError(f"training diverged at epoch {epoch}, batch {bi}") from exc
             clip_gradients(grads, config.clip_norm)
-            adam_step(model.params.flat, grads.flat, adam, config)
+            adam_step(model.params.flat, grads.flat, adam, config, dead)
             total += loss * len(b)
         history.append(total / n)
     return model, history

@@ -35,9 +35,26 @@ class TfIdfMatrix:
     def nnz(self) -> int:
         return len(self.weights)
 
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros((self.n_rows, self.n_cols))
-        dense[self.rows, self.cols] = self.weights
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.n_cols
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """Dense float64 rows ``rows``, a row slice of step 1, as an array
+        slice gives them: ``clustering.pairwise_distances`` reads the matrix
+        a block of rows at a time through this."""
+        lo, hi, step = rows.indices(self.n_rows)
+        if step != 1:
+            raise ValueError("only row slices of step 1 are supported")
+        return self.toarray(lo, max(lo, hi))
+
+    def toarray(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Rows [lo, hi) as a dense float64 array; every row by default."""
+        if hi is None:
+            hi = self.n_rows
+        start, stop = np.searchsorted(self.rows, (lo, hi))
+        dense = np.zeros((hi - lo, self.n_cols))
+        dense[self.rows[start:stop] - lo, self.cols[start:stop]] = self.weights[start:stop]
         return dense
 
     def to_coo_text(self) -> str:

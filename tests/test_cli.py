@@ -398,6 +398,30 @@ class TestClusterTfidf:
         err = capsys.readouterr().err
         assert f"12 x {n_terms} tf-idf matrix" in err and "Traceback" not in err
 
+    def test_peak_holds_one_dense_copy_of_the_rows(self, corpus_csv, tmp_path):
+        # more terms than records, so a dense n x V copy outweighs the n x n
+        # distances: the cosine unit rows are the only one, read from the
+        # sparse matrix a block of rows at a time
+        def word(i):
+            return "parola" + "".join(chr(97 + int(c, 26)) for c in np.base_repr(i, 26))
+
+        n = 300
+        rows = [(f"r{r:03d}", " ".join(word(i) for i in
+                                      (2 * r, 2 * r + 1, 2 * n + r // 2, 3 * n + r % 7)), "")
+                for r in range(n)]
+        path = corpus_csv(rows, name="wide.csv")
+        out = str(tmp_path / "out")
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            assert run("cluster-tfidf", "--corpus", path, "--k", "4",
+                       "--output-dir", out, "--no-stopwords") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_terms = json.loads(read(os.path.join(out, "cluster_summary.json")))["n_terms"]
+        assert n_terms > 2 * n
+        assert peak < 8 * n * n + 1.25 * 8 * n * n_terms + 512 * 1024
+
     def test_k_thirty_on_larger_corpus(self, corpus_csv, tmp_path):
         # the stock tags-occurrence setting: a fixed k of 30
         rng = np.random.default_rng(8)

@@ -23,6 +23,7 @@ from incmine.clustering import (
     sweep_k,
 )
 from incmine.errors import IncmineError
+from incmine.vectors import TfIdfMatrix
 
 import pam_oracle
 import whole_matrix_oracle
@@ -128,6 +129,36 @@ class TestPairwiseDistances:
         with mock.patch.object(clustering, "_CHUNK_BUDGET", budget):
             got = pairwise_distances(pts, metric)
         assert np.array_equal(got, whole_matrix_oracle.pairwise_distances(pts, metric))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+    def test_matches_oracle_at_block_edges(self, metric, extra, rng):
+        # blocks of 4 rows: n one short of, at, just past and between edges
+        dim = 3
+        n = 12 + extra
+        pts = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        pts[[0, n // 2]] = 0.0
+        with mock.patch.object(clustering, "_CHUNK_BUDGET", 4 * dim):
+            got = pairwise_distances(pts, metric)
+        assert np.array_equal(got, whole_matrix_oracle.pairwise_distances(pts, metric))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRICS),
+           n=st.integers(1, 40), n_cols=st.integers(1, 9),
+           density=st.floats(0.0, 1.0), budget=st.integers(1, 200))
+    def test_sparse_rows_match_their_dense_matrix(self, seed, metric, n, n_cols, density,
+                                                  budget):
+        # a TfIdfMatrix is read a block of rows at a time; empty rows, a
+        # single row, one column and blocks that do not divide n all occur
+        rng = np.random.default_rng(seed)
+        stored = rng.random((n, n_cols)) < density
+        rows, cols = np.nonzero(stored)  # sorted by (row, col)
+        weights = rng.random(rows.shape[0]) * 10.0 ** rng.integers(-3, 4) + 1e-3
+        matrix = TfIdfMatrix(n_rows=n, n_cols=n_cols, rows=rows.astype(np.int64),
+                             cols=cols.astype(np.int64), weights=weights)
+        with mock.patch.object(clustering, "_CHUNK_BUDGET", budget):
+            got = pairwise_distances(matrix, metric)
+        assert np.array_equal(got, pairwise_distances(matrix.toarray(), metric))
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_matches_oracle_across_tiles(self, metric, rng):
@@ -600,15 +631,14 @@ def _route_sums(dist, sums, route):
     """(total, lost, gained) summed again by one route from the nearest and
     second-nearest medoids ``sums`` holds, starting from NaN."""
     n, k = dist.shape[0], sums.lost.shape[0]
-    total, lost, gained = np.full(n, np.nan), np.full((k, n), np.nan), np.full((k, n), np.nan)
+    total, group_sums = np.full(n, np.nan), np.full((k, 2, n), np.nan)
     if route == "all rows":
-        _kernels._sum_all_rows(dist, sums.n1, sums.d1, sums.gap, total, lost, gained,
-                               sums.work)
+        _kernels._sum_all_rows(dist, sums.n1, sums.d1, sums.gap, total, group_sums, sums.work)
     else:
-        _kernels._sum_groups(dist, sums.n1, sums.d1, sums.gap, np.arange(k), lost, gained,
+        _kernels._sum_groups(dist, sums.n1, sums.d1, sums.gap, np.arange(k), group_sums,
                              sums.work)
         _kernels._sum_total(dist, sums.d1, total, slice(None))
-    return total, lost, gained
+    return total, group_sums[:, 0], group_sums[:, 1]
 
 
 def _assert_routes_agree(dist, sums):

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from incmine.cli import main
 from incmine.errors import IncmineError
 from lm_fixtures import (NO_STOPWORDS, gradcheck_fixture, max_relative_fd_error,
                          overfit_fixture, zero_model)
+
+
+ADAM_STEP = lm.adam_step
 
 
 def small_vocab():
@@ -334,6 +339,32 @@ class TestAdam:
                 assert np.array_equal(lm.FlatParams(config, state.m)[name], m[name])
                 assert np.array_equal(lm.FlatParams(config, state.v)[name], v[name])
 
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_skipped_zero_gradient_range_matches_full_update(self, dtype):
+        # the embedding rows past the vocabulary: zero gradients throughout,
+        # and a range whose ends fall inside Adam blocks
+        config = lm.LmConfig(vocab_size=2000, embed_dim=16, recurrent_units=8,
+                             dense_units=20, seq_len=5, dtype=dtype)
+        live = 37
+        skip = (live * config.embed_dim, config.vocab_size * config.embed_dim)
+        assert skip[0] % lm._ADAM_BLOCK and skip[1] % lm._ADAM_BLOCK
+        rng = np.random.default_rng(9)
+        full = lm.init_params(config, rng)
+        skipped = lm.FlatParams(config, full.flat.copy())
+        full_state = lm.AdamState.for_params(full.flat)
+        skipped_state = lm.AdamState.for_params(skipped.flat)
+        for _ in range(4):
+            grads = lm.FlatParams(config)
+            grads.flat[...] = rng.normal(0.0, 0.1, grads.flat.size)
+            grads["embedding"][live:] = 0.0
+            lm.adam_step(full.flat, grads.flat.copy(), full_state, config)
+            lm.adam_step(skipped.flat, grads.flat, skipped_state, config, skip)
+            assert np.array_equal(skipped.flat, full.flat)
+            assert np.array_equal(skipped_state.m, full_state.m)
+            assert np.array_equal(skipped_state.v, full_state.v)
+            assert skipped_state.t == full_state.t
+        assert not full_state.m[skip[0]:skip[1]].any()
+
     def test_constant_gradient_step_size_near_lr(self):
         config = lm.LmConfig(seq_len=1)
         params = np.zeros(1)
@@ -355,6 +386,25 @@ class TestTrain:
         assert history == []
         for name in init:
             assert np.array_equal(model.params[name], init[name])
+
+    def test_skipping_dead_embedding_rows_keeps_every_float(self):
+        # a cap above the vocabulary leaves embedding rows no id reaches;
+        # train's Adam skips them, and the model is the full-buffer one
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
+        config = replace(config, vocab_size=len(vocab) + 23)
+        model, history = lm.train(ids, targets, config, vocab, pre)
+        skips = []
+
+        def full_update(params, grads, state, config, skip=(0, 0)):
+            skips.append(skip)
+            return ADAM_STEP(params, grads, state, config)
+
+        with mock.patch.object(lm, "adam_step", full_update):
+            want, want_history = lm.train(ids, targets, config, vocab, pre)
+        assert set(skips) == {(len(vocab) * config.embed_dim,
+                               config.vocab_size * config.embed_dim)}
+        assert history == want_history
+        assert np.array_equal(model.params.flat, want.params.flat)
 
     def test_seed_reproducibility(self):
         _, pre, vocab, config, ids, targets = overfit_fixture(epochs=5)

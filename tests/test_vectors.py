@@ -102,6 +102,31 @@ class TestTfIdf:
         assert np.allclose(permuted, base[[2, 0, 1]])
 
 
+class TestRowSlices:
+    """``clustering.pairwise_distances`` reads a ``TfIdfMatrix`` as it reads
+    an array: its ``shape``, and dense rows for a row slice."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 12),
+           n_cols=st.integers(1, 6), lo=st.none() | st.integers(-15, 15),
+           hi=st.none() | st.integers(-15, 15))
+    def test_slice_is_the_dense_slice(self, seed, n_rows, n_cols, lo, hi):
+        rng = np.random.default_rng(seed)
+        rows, cols = np.nonzero(rng.random((n_rows, n_cols)) < 0.4)
+        matrix = TfIdfMatrix(n_rows=n_rows, n_cols=n_cols, rows=rows.astype(np.int64),
+                             cols=cols.astype(np.int64), weights=rng.random(rows.shape[0]))
+        dense = matrix.toarray()
+        assert matrix.shape == dense.shape == (n_rows, n_cols)
+        got = matrix[lo:hi]
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, dense[lo:hi])
+
+    def test_step_refused(self):
+        matrix = tfidf_matrix([{"a": 1}, {"b": 2}, {"a": 1, "c": 1}])
+        with pytest.raises(ValueError, match="step 1"):
+            matrix[::2]
+
+
 class TestExport:
     def test_coo_text_format(self):
         docs = [{"cade": 1, "scala": 1}, {"cade": 1, "martello": 1}]
