@@ -136,17 +136,24 @@ def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
 
 
 def _euclidean_distances(points) -> np.ndarray:
+    """Rows [lo, hi) against columns [lo, n), in tiles whose (rows, cols,
+    dim) difference scratch holds at most ``_CHUNK_BUDGET`` elements, or
+    one pair. A tile spans every remaining column whenever the budget allows
+    it; either way each pair reduces its own contiguous ``dim`` squares."""
     n, dim = points.shape
     d = np.empty((n, n))
     lo = 0
     while lo < n:
         hi = min(n, lo + max(1, _CHUNK_BUDGET // max(1, (n - lo) * dim)))
-        diff = points[lo:hi, None, :] - points[None, lo:, :]
-        np.multiply(diff, diff, out=diff)
-        block = diff.sum(axis=2)
-        np.sqrt(block, out=block)
-        d[lo:hi, lo:] = block
-        d[lo:, lo:hi] = block.T
+        step = max(1, _CHUNK_BUDGET // max(1, (hi - lo) * dim))
+        for col in range(lo, n, step):
+            stop = min(n, col + step)
+            diff = points[lo:hi, None, :] - points[None, col:stop, :]
+            np.multiply(diff, diff, out=diff)
+            block = diff.sum(axis=2)
+            np.sqrt(block, out=block)
+            d[lo:hi, col:stop] = block
+            d[col:stop, lo:hi] = block.T
         lo = hi
     return d
 

@@ -20,8 +20,13 @@ All parameters live in one contiguous 1-D buffer: ``_param_specs`` fixes the
 order and shape of the tensors, and so each tensor's offset, and
 ``FlatParams`` maps each name to its reshaped view. Training keeps its
 gradients and the Adam m and v as buffers of the same layout; ``backward``
-writes into the gradient views, clipping runs on the whole buffer and Adam
-on cache-sized blocks of it. The artifact stores, as one file
+writes into the gradient views, clipping squares one tensor at a time and
+Adam runs on cache-sized blocks of the buffer. The embedding rows past the
+ids training can reach, a range ``dead`` at the end of the first tensor,
+are never written in any of the four buffers: ``init_params`` draws them
+and throws the values away, ``backward`` and clipping leave them at 0, Adam
+skips them, and the buffers are mappings of 4 KiB pages that start out
+zero, so those pages never become resident. The artifact stores, as one file
 ``params.bin`` with one checksum, the live parameters of that buffer: those
 a vocabulary token can reach (``_live_segments``). ``load_model`` reads
 them straight into a zero-filled little-endian float32 buffer of the full
@@ -36,14 +41,22 @@ vocabulary: ``ids`` (N, seq_len) int64, and each pair's target ids in CSR
 form (``TargetIds``), one int64 per consequence token. A step's batch is the
 same rows of both; only that batch's multi-hot targets, (B, V) in the config
 dtype, are made dense, just before its ``backward``. ``backward`` drops the
-head's (B, V) temporaries and then each LSTM layer's activations as soon as
-it has used them, so training memory does not grow with N x V.
+head's (B, V) temporaries as soon as it has used them, so training memory
+does not grow with N x V, and ``train`` keeps the LSTM activations of one
+step for the next to write over.
+
+Each LSTM direction's cache is (x, gates, c, h), each activation stored
+once: ``gates`` (T, B, 4u) is the buffer of the input projection, which each
+step overwrites with its activated i, f, g, o and the backward with its dz;
+``c`` is (T, B, u), so that a step's cell state is one contiguous block
+from which the backward recomputes tanh(c) as the forward computed it; ``h``
+is the (B, T, u) output.
 
 Parameters default to float32 so the on-disk artifact (little-endian float32
 bytes) round-trips bit-exactly; gradient checking uses float64 configs. An
 ``LmConfig`` whose training buffers (weights, gradients, Adam m and v, and
-the float64 squares of clipping) would exceed
-``errors.MAX_ALLOCATION_BYTES`` is refused when it is built, and
+float64 squares of the whole buffer for clipping, an upper bound) would
+exceed ``errors.MAX_ALLOCATION_BYTES`` is refused when it is built, and
 ``make_train_pairs`` refuses a batch's dense targets over it.
 """
 
@@ -52,6 +65,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import numbers
 import os
 from collections import Counter
@@ -164,6 +178,9 @@ class LmConfig:
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
         n_params = _param_count(self)
+        # an upper bound, kept as it was so that every config that ran still
+        # runs: clipping squares one tensor at a time in float64, not the
+        # whole buffer, and training never writes the dead embedding rows
         check_allocation(n_params * (8 + 4 * np.dtype(self.dtype).itemsize),
                          f"a model of {n_params:,} parameters (weights, gradients, "
                          f"Adam m and v, float64 squares for clipping)")
@@ -196,19 +213,35 @@ def _param_count(config: LmConfig) -> int:
     return sum(math.prod(shape) for _, shape in _param_specs(config))
 
 
+def _untouched_zeros(size: int, dtype) -> np.ndarray:
+    """A zero-filled 1-D array on its own anonymous mapping of 4 KiB pages,
+    so a page nothing writes never becomes resident.
+
+    ``np.zeros`` is calloc, but numpy asks for transparent huge pages on an
+    array of 4 MiB or more, and a 2 MiB huge page that holds one written
+    byte is resident whole; which pages share one with live data would then
+    depend on where the buffer happens to start.
+    """
+    buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype)
+
+
 class FlatParams(dict):
     """Name -> reshaped view of ``flat``, one per ``_param_specs`` entry.
 
     The views tile the 1-D buffer ``flat`` in registry order, so the dict
     iterates in that order and a whole-buffer operation acts on every tensor.
-    Without ``flat``, a new uninitialised buffer of the config dtype is used.
+    Without ``flat``, a new zero-filled buffer of the config dtype is used
+    (``_untouched_zeros``).
     """
 
     def __init__(self, config: LmConfig, flat: Optional[np.ndarray] = None):
         super().__init__()
         size = _param_count(config)
         if flat is None:
-            flat = np.empty(size, dtype=config.np_dtype)
+            flat = _untouched_zeros(size, config.np_dtype)
         elif flat.shape != (size,):
             raise ValueError(f"flat buffer of shape {flat.shape}, the layout needs ({size},)")
         start = 0
@@ -219,6 +252,12 @@ class FlatParams(dict):
         self.flat = flat
 
 
+def _outside(flat: np.ndarray, dead: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The views of the 1-D ``flat`` before and after the range ``dead``."""
+    lo, hi = dead
+    return flat[:lo], flat[hi:]
+
+
 def _xavier_bound(shape: tuple[int, ...]) -> float:
     if len(shape) == 2:
         fan_in, fan_out = shape
@@ -227,12 +266,28 @@ def _xavier_bound(shape: tuple[int, ...]) -> float:
     return math.sqrt(6.0 / (fan_in + fan_out))
 
 
-def init_params(config: LmConfig, rng: np.random.Generator) -> FlatParams:
-    """Uniform Xavier draw per tensor, in registry order, cast to config dtype."""
+def init_params(config: LmConfig, rng: np.random.Generator,
+                dead: tuple[int, int] = (0, 0)) -> FlatParams:
+    """Uniform Xavier draw per tensor, in registry order, cast to config dtype.
+
+    The range ``dead`` [lo, hi) of the flat buffer is drawn, in chunks of
+    ``_ADAM_BLOCK`` that are thrown away, and stays 0, never written: the
+    generator yields its values in order, so every float outside it is that
+    of one full draw per tensor.
+    """
     params = FlatParams(config)
+    lo, hi = dead
+    start = 0
     for view in params.values():
         bound = _xavier_bound(view.shape)
-        view[...] = rng.uniform(-bound, bound, size=view.shape)
+        stop = start + view.size
+        # [start, a) and [b, stop) are written, [a, b) is dead
+        a, b = (min(max(cut, start), stop) for cut in (lo, hi))
+        params.flat[start:a] = rng.uniform(-bound, bound, size=a - start)
+        for chunk in range(a, b, _ADAM_BLOCK):
+            rng.uniform(-bound, bound, size=min(b, chunk + _ADAM_BLOCK) - chunk)
+        params.flat[b:stop] = rng.uniform(-bound, bound, size=stop - b)
+        start = stop
     return params
 
 
@@ -252,7 +307,10 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+        """Zero moments for a 1-D ``params``; the pages of a range that Adam
+        skips are never written and never become resident."""
+        return cls(m=_untouched_zeros(params.size, params.dtype),
+                   v=_untouched_zeros(params.size, params.dtype),
                    scratch=np.empty(min(params.size, _ADAM_BLOCK), dtype=params.dtype))
 
 
@@ -267,10 +325,13 @@ class LmModel:
 
     @classmethod
     def initialized(cls, config: LmConfig, vocab: LmVocabulary, pre: PreprocessConfig,
-                    rng: np.random.Generator) -> "LmModel":
+                    rng: np.random.Generator,
+                    dead: tuple[int, int] = (0, 0)) -> "LmModel":
+        """``init_params``'s draw; the flat range ``dead`` stays 0."""
         if len(vocab) > config.vocab_size:
             raise IncmineError("vocabulary larger than configured vocab_size")
-        return cls(config=config, vocab=vocab, pre=pre, params=init_params(config, rng))
+        return cls(config=config, vocab=vocab, pre=pre,
+                   params=init_params(config, rng, dead))
 
 
 @dataclass(frozen=True)
@@ -328,34 +389,40 @@ def _sigmoid(z):
     return np.maximum(e, z >= 0) / (1.0 + e)
 
 
-def _lstm_forward(x, wx, wh, b):
+def _lstm_forward(x, wx, wh, b, out=None):
     """One LSTM direction, forward in time: h (B, T, u) and the cache
-    (x, gates, c, tanh(c), h), gates holding the activated i, f, g, o (B, T, 4u).
+    (x, gates, c, h), each activation stored once.
 
-    The input projection of all steps is one stacked matmul, (T, B, d) @ wx,
-    before the loop; it makes the same BLAS call per step as ``x[:, t] @ wx``.
+    The input projection of all steps is one stacked matmul, xw = (T, B, d)
+    @ wx, before the loop; it makes the same BLAS call per step as ``x[:, t]
+    @ wx``. Once step t has read ``xw[t]``, its activated i, f, g, o
+    overwrite it, so ``gates`` is that (T, B, 4u) buffer. ``c`` is kept as
+    (T, B, u), so each step's cell state is a contiguous (B, u) block, and
+    h as the (B, T, u) output; tanh(c) is not kept.
+
+    ``out``, the (gates, c, h) of an earlier call, is written over when its
+    shapes and dtype fit; otherwise new arrays are made.
     """
     B, T, _ = x.shape
     u = wh.shape[0]
     g = slice(2 * u, 3 * u)
-    xw = np.matmul(x.transpose(1, 0, 2), wx)
-    gates = np.empty((B, T, 4 * u), dtype=x.dtype)
-    c_s = np.empty((B, T, u), dtype=x.dtype)
-    tc_s = np.empty((B, T, u), dtype=x.dtype)
-    h_seq = np.empty((B, T, u), dtype=x.dtype)
+    shapes = [(T, B, 4 * u), (T, B, u), (B, T, u)]
+    if out is None or [(a.shape, a.dtype) for a in out] != [(s, x.dtype) for s in shapes]:
+        out = [np.empty(shape, dtype=x.dtype) for shape in shapes]
+    gates, c_s, h_seq = out
+    np.matmul(x.transpose(1, 0, 2), wx, out=gates)
     h = np.zeros((B, u), dtype=x.dtype)
     c = np.zeros((B, u), dtype=x.dtype)
     for t in range(T):
-        z = xw[t] + h @ wh
+        z = gates[t] + h @ wh
         z += b
         a = _sigmoid(z)
         np.tanh(z[:, g], out=a[:, g])
-        gates[:, t] = a
+        gates[t] = a
         c = a[:, u:2 * u] * c + a[:, :u] * a[:, g]
-        tc = np.tanh(c)
-        h = a[:, 3 * u:] * tc
-        c_s[:, t], tc_s[:, t], h_seq[:, t] = c, tc, h
-    return h_seq, (x, gates, c_s, tc_s, h_seq)
+        h = a[:, 3 * u:] * np.tanh(c)
+        c_s[t], h_seq[:, t] = c, h
+    return h_seq, (x, gates, c_s, h_seq)
 
 
 def _lstm_backward(cache, wx, wh, d_h_seq, d_wx, d_wh, d_b):
@@ -363,24 +430,19 @@ def _lstm_backward(cache, wx, wh, d_h_seq, d_wx, d_wh, d_b):
     writes the weight gradients into ``d_wx``, ``d_wh`` and ``d_b`` (views
     of the gradient buffer), which are zeroed and then summed over steps.
 
-    ``dzs`` (T, B, 4u) starts as the activation derivatives, which do not
-    depend on the carry: 1 - a for i, f and o, 1 - g*g for g. Each step
-    multiplies in its (d_gate * a) for i, f, o and d_gate for g, giving dz;
-    d_x is then one stacked matmul over ``dzs``, as in the forward.
+    The cache is used up: each step recomputes tanh(c) from the contiguous
+    ``c[t]``, as the forward computed it, and after its last read of the
+    activations ``a = gates[t]`` writes its dz over them: the activation
+    derivatives (1 - a for i, f and o, 1 - g*g for g) times (d_gate * a)
+    for i, f, o and d_gate for g. d_x is then one stacked matmul over
+    ``gates``, (T, B, 4u) in C order as in the forward, so each dz is a
+    contiguous (B, 4u) block: a strided one can change the rounding of a
+    gemv (dz @ wx.T at d=1).
     """
-    x, gates, c_s, tc_s, h_seq = cache
+    x, gates, c_s, h_seq = cache
     B, T, _ = x.shape
     u = wh.shape[0]
     g = slice(2 * u, 3 * u)
-    # C order, so each dz is a contiguous (B, 4u) block: a strided one can
-    # change the rounding of a gemv (dz @ wx.T at d=1)
-    dzs = np.empty((T, B, 4 * u), dtype=x.dtype)
-    np.subtract(1.0, gates.transpose(1, 0, 2), out=dzs)
-    g_all = gates[:, :, g].transpose(1, 0, 2)
-    d_g = dzs[:, :, g]
-    np.multiply(g_all, g_all, out=d_g)
-    np.subtract(1.0, d_g, out=d_g)
-    dtc = 1.0 - tc_s * tc_s
     d_gates = np.empty((B, 4 * u), dtype=x.dtype)
     for d_w in (d_wx, d_wh, d_b):
         d_w.fill(0.0)
@@ -388,40 +450,47 @@ def _lstm_backward(cache, wx, wh, d_h_seq, d_wx, d_wh, d_b):
     dc_carry = np.zeros((B, u), dtype=x.dtype)
     zeros = np.zeros((B, u), dtype=x.dtype)
     for t in range(T - 1, -1, -1):
-        a = gates[:, t]
-        c_prev = c_s[:, t - 1] if t > 0 else zeros
+        a = gates[t]
+        c_prev = c_s[t - 1] if t > 0 else zeros
         h_prev = h_seq[:, t - 1] if t > 0 else zeros
+        tc = np.tanh(c_s[t])
         dh = d_h_seq[:, t] + dh_carry
         dc = dh * a[:, 3 * u:]
-        dc *= dtc[:, t]
+        dc *= 1.0 - tc * tc
         dc += dc_carry
         np.multiply(dc, a[:, g], out=d_gates[:, :u])
         np.multiply(dc, c_prev, out=d_gates[:, u:2 * u])
         np.multiply(dc, a[:, :u], out=d_gates[:, g])
-        np.multiply(dh, tc_s[:, t], out=d_gates[:, 3 * u:])
+        np.multiply(dh, tc, out=d_gates[:, 3 * u:])
         dc_carry = dc * a[:, u:2 * u]
         d_gates[:, :2 * u] *= a[:, :2 * u]
         d_gates[:, 3 * u:] *= a[:, 3 * u:]
-        dz = dzs[t]
+        dz = a  # the activations' last read is above
+        np.multiply(a[:, g], a[:, g], out=dz[:, g])
+        np.subtract(1.0, dz, out=dz)
         dz *= d_gates
         d_wx += x[:, t].T @ dz
         d_wh += h_prev.T @ dz
         d_b += dz.sum(axis=0)
         dh_carry = dz @ wh.T
-    return np.matmul(dzs, wx.T).transpose(1, 0, 2)
+    return np.matmul(gates, wx.T).transpose(1, 0, 2)
 
 
 # the bw direction is the fw kernel on x[:, ::-1], its outputs flipped back
 _DIRECTIONS = (("fw", slice(None)), ("bw", slice(None, None, -1)))
 
 
-def _bilstm_forward(params, layer: int, x):
-    """Both directions of one layer: h (B, T, 2u) as [fw, bw], and the caches."""
+def _bilstm_forward(params, layer: int, x, workspace: dict):
+    """Both directions of one layer: h (B, T, 2u) as [fw, bw], and the caches.
+
+    Each direction writes over the (gates, c, h) it left in ``workspace``
+    and leaves its new ones there."""
     h, caches = [], []
     for direction, order in _DIRECTIONS:
         p = f"lstm{layer}_{direction}_"
         h_dir, cache = _lstm_forward(x[:, order], params[p + "wx"], params[p + "wh"],
-                                     params[p + "b"])
+                                     params[p + "b"], workspace.get(p))
+        workspace[p] = cache[1:]
         h.append(h_dir[:, order])
         caches.append(cache)
     return np.concatenate(h, axis=2), caches
@@ -429,7 +498,7 @@ def _bilstm_forward(params, layer: int, x):
 
 def _bilstm_backward(params, layer: int, caches, d_h, grads):
     """Both directions' weight gradients into the views of ``grads``;
-    returns the layer's d_x."""
+    returns the layer's d_x. The caches are used up (``_lstm_backward``)."""
     d_x = []
     for (direction, order), cache, d_h_dir in zip(_DIRECTIONS, caches,
                                                   np.split(d_h, 2, axis=2)):
@@ -442,12 +511,17 @@ def _bilstm_backward(params, layer: int, caches, d_h, grads):
 
 
 def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
-                   rng: Optional[np.random.Generator]):
-    """Probabilities (B, V) and the activations ``backward`` reads."""
+                   rng: Optional[np.random.Generator], workspace: Optional[dict] = None):
+    """Probabilities (B, V) and the activations ``backward`` reads.
+
+    ``workspace`` (see ``backward``) holds the LSTM arrays of the previous
+    call, which this one writes over; without it they are made afresh."""
     B = ids.shape[0]
     u = config.recurrent_units
-    h1, lstm1 = _bilstm_forward(params, 1, params["embedding"][ids])
-    h2, lstm2 = _bilstm_forward(params, 2, h1)
+    if workspace is None:
+        workspace = {}
+    h1, lstm1 = _bilstm_forward(params, 1, params["embedding"][ids], workspace)
+    h2, lstm2 = _bilstm_forward(params, 2, h1, workspace)
     flat = h2.reshape(B, config.seq_len * 2 * u)
     z1 = flat @ params["dense1_w"] + params["dense1_b"]
     a1 = np.maximum(z1, 0.0)
@@ -529,7 +603,8 @@ def _head_backward(params, config: LmConfig, probs, targets, cache, grads):
 
 def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
              rng: Optional[np.random.Generator] = None,
-             grads: Optional[FlatParams] = None):
+             grads: Optional[FlatParams] = None,
+             dead: tuple[int, int] = (0, 0), workspace: Optional[dict] = None):
     """Exact gradients of the mean BCE for the batch; returns (grads, loss).
 
     The batch is ``ids`` (B, seq_len) int64 and ``targets`` (B, V) in the
@@ -537,13 +612,25 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     written into ``grads`` (a new ``FlatParams`` if None), overwriting every
     view, so ``train`` reuses one buffer for all steps. Activations are
     dropped once used: the dense layers' and the head's (B, V) temporaries
-    before the LSTM backward, layer 2's caches before layer 1's backward.
+    before the LSTM backward, layer 2's caches before layer 1's backward
+    unless ``workspace`` keeps them.
+
+    ``dead`` is a range [lo, hi) of the embedding's flat elements that no id
+    of any batch reaches: it is neither zeroed nor checked, and keeps the
+    zeros a new buffer starts with (``np.add.at`` writes the rows of
+    ``ids`` only).
+
+    ``workspace``, a dict that ``train`` keeps from step to step, holds
+    each LSTM direction's (gates, c, h), which the next step's forward
+    writes over instead of allocating them afresh. Those arrays are not
+    dropped, and glibc does not give their pages back to the system after
+    each step only to fault them in again on the next.
     """
     if len(ids) == 0:
         raise IncmineError("batch must be non-empty")
     config = model.config
     params = model.params
-    probs, cache = _forward_batch(params, config, ids, True, rng)
+    probs, cache = _forward_batch(params, config, ids, True, rng, workspace)
     loss = bce_loss(probs, targets)
 
     if grads is None:
@@ -555,9 +642,10 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     del lstm2, dh2
     demb = _bilstm_backward(params, 1, lstm1, dh1, grads)
     d_embedding = grads["embedding"]
-    d_embedding.fill(0.0)  # accumulated into, as the LSTM weight views are
+    for part in _outside(d_embedding.reshape(-1), dead):
+        part.fill(0.0)  # accumulated into, as the LSTM weight views are
     np.add.at(d_embedding, ids, demb)
-    if not np.isfinite(grads.flat).all():
+    if not all(np.isfinite(part).all() for part in _outside(grads.flat, dead)):
         raise NonFiniteError("non-finite gradient")
     return grads, loss
 
@@ -609,21 +697,24 @@ def adam_step(params, grads, state: AdamState, config: LmConfig,
     return params, state
 
 
-def clip_gradients(grads: FlatParams, clip_norm: float) -> float:
+def clip_gradients(grads: FlatParams, clip_norm: float,
+                   dead: tuple[int, int] = (0, 0)) -> float:
     """Scale all gradients so the global L2 norm is at most clip_norm.
 
-    Returns the norm before clipping. The squares are taken in float64 over
-    the whole buffer and summed per tensor, in registry order.
+    Returns the norm before clipping. Each tensor's squares are taken in
+    float64, one tensor at a time, and summed, in registry order. Clipping
+    scales every element but those of ``dead``, a range of +0.0 gradients
+    (``backward``'s), whose scaled value would be +0.0 as well.
     """
-    squares = grads.flat.astype(np.float64)
-    np.square(squares, out=squares)
-    total, start = 0.0, 0
+    total = 0.0
     for g in grads.values():
-        total += float(squares[start:start + g.size].sum())
-        start += g.size
+        squares = g.reshape(-1).astype(np.float64)
+        np.square(squares, out=squares)
+        total += float(squares.sum())
     norm = math.sqrt(total)
     if clip_norm > 0 and norm > clip_norm:
-        grads.flat *= clip_norm / norm
+        for part in _outside(grads.flat, dead):
+            part *= clip_norm / norm
     return norm
 
 
@@ -638,14 +729,16 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabu
     n = len(ids)
     if n == 0:
         raise IncmineError("need at least one training pair")
-    rng = np.random.default_rng(config.seed)
-    model = LmModel.initialized(config, vocab, pre, rng)
-    grads = FlatParams(config)
-    adam = AdamState.for_params(model.params.flat)
     # the embedding rows no id reaches, the first tensor's tail, get a zero
-    # gradient at every step, so Adam skips them
+    # gradient at every step: no step reads or writes them in params,
+    # gradients or Adam's m and v, so their pages never become resident
     reached = max(len(vocab), int(ids.max()) + 1)
     dead = (reached * config.embed_dim, config.vocab_size * config.embed_dim)
+    rng = np.random.default_rng(config.seed)
+    model = LmModel.initialized(config, vocab, pre, rng, dead)
+    grads = FlatParams(config)
+    adam = AdamState.for_params(model.params.flat)
+    workspace: dict = {}
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -654,12 +747,12 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabu
             b = order[start:start + config.batch_size]
             try:
                 _, loss = backward(model, ids[b], targets.multi_hot(b, config),
-                                   rng, grads)
+                                   rng, grads, dead, workspace)
                 if not math.isfinite(loss):
                     raise NonFiniteError("non-finite loss")
             except NonFiniteError as exc:
                 raise IncmineError(f"training diverged at epoch {epoch}, batch {bi}") from exc
-            clip_gradients(grads, config.clip_norm)
+            clip_gradients(grads, config.clip_norm, dead)
             adam_step(model.params.flat, grads.flat, adam, config, dead)
             total += loss * len(b)
         history.append(total / n)

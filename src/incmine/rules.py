@@ -287,17 +287,26 @@ def fisinfis_mine(transactions: Sequence[Transaction],
         return _no_rules()
     a_id, b_id, neg_a, neg_b, supp, conf, lift = (np.concatenate(col) for col in zip(*found))
 
-    # one item tuple per distinct itemset id; ids are renumbered in tuple order
-    ids, inverse = np.unique(np.concatenate([a_id, b_id]), return_inverse=True)
+    # one item tuple per distinct itemset id, the lattice ids that some rule
+    # uses in ascending order; ids are renumbered in tuple order
+    used = np.zeros(offset[max_size] + len(level[max_size]), dtype=bool)
+    used[a_id] = True
+    used[b_id] = True
+    ids = np.flatnonzero(used)
     bounds = np.searchsorted(ids, list(offset.values())).tolist() + [len(ids)]
     itemsets = [tuple(kept[j] for j in row)
                 for size, lo, hi in zip(level, bounds, bounds[1:])
                 for row in level[size][ids[lo:hi] - offset[size]].tolist()]
     by_items = sorted(range(len(itemsets)), key=itemsets.__getitem__)
-    rank = np.argsort(by_items)  # the inverse permutation: id -> position in tuple order
-    a_set, b_set = np.split(rank[inverse], 2)
+    renumber = np.empty(len(used), dtype=np.int64)  # lattice id -> position in tuple order
+    renumber[ids[by_items]] = np.arange(len(ids))
+    a_set, b_set = renumber[a_id], renumber[b_id]
 
-    order = np.lexsort((neg_b, neg_a, b_set, a_set, -conf, -lift))
+    # ties on lift and confidence go by (a_set, b_set, neg_a, neg_b), as one
+    # integer: below 4 m^2 for m itemsets, within int64 under the lattice cap
+    m = len(itemsets)
+    tie = ((a_set * m + b_set) * 2 + neg_a) * 2 + neg_b
+    order = np.lexsort((tie, -conf, -lift))
     return RuleTable(tuple(itemsets[i] for i in by_items), a_set[order], b_set[order],
                      neg_a[order], neg_b[order], supp[order], conf[order], lift[order])
 

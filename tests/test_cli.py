@@ -398,10 +398,11 @@ class TestClusterTfidf:
         err = capsys.readouterr().err
         assert f"12 x {n_terms} tf-idf matrix" in err and "Traceback" not in err
 
-    def test_peak_holds_one_dense_copy_of_the_rows(self, corpus_csv, tmp_path):
-        # more terms than records, so a dense n x V copy outweighs the n x n
-        # distances: the cosine unit rows are the only one, read from the
-        # sparse matrix a block of rows at a time
+    @staticmethod
+    def _wide_corpus_peak(corpus_csv, tmp_path, *flags):
+        """n, n_terms and the tracemalloc peak of cluster-tfidf on 300
+        records of more terms than records, so a dense n x V copy outweighs
+        the n x n distances."""
         def word(i):
             return "parola" + "".join(chr(97 + int(c, 26)) for c in np.base_repr(i, 26))
 
@@ -414,12 +415,25 @@ class TestClusterTfidf:
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
             assert run("cluster-tfidf", "--corpus", path, "--k", "4",
-                       "--output-dir", out, "--no-stopwords") == 0
+                       "--output-dir", out, "--no-stopwords", *flags) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         n_terms = json.loads(read(os.path.join(out, "cluster_summary.json")))["n_terms"]
         assert n_terms > 2 * n
+        return n, n_terms, peak
+
+    def test_peak_holds_one_dense_copy_of_the_rows(self, corpus_csv, tmp_path):
+        # the cosine unit rows are the only dense copy, read from the sparse
+        # matrix a block of rows at a time
+        n, n_terms, peak = self._wide_corpus_peak(corpus_csv, tmp_path)
+        assert peak < 8 * n * n + 1.25 * 8 * n * n_terms + 512 * 1024
+
+    def test_euclidean_peak_holds_one_dense_copy_of_the_rows(self, corpus_csv, tmp_path):
+        # the dense rows, and row differences in tiles of at most
+        # _CHUNK_BUDGET elements, not a (1, n, V) difference per row
+        n, n_terms, peak = self._wide_corpus_peak(corpus_csv, tmp_path,
+                                                  "--metric", "euclidean")
         assert peak < 8 * n * n + 1.25 * 8 * n * n_terms + 512 * 1024
 
     def test_k_thirty_on_larger_corpus(self, corpus_csv, tmp_path):

@@ -16,6 +16,8 @@ from lm_fixtures import (NO_STOPWORDS, gradcheck_fixture, max_relative_fd_error,
 
 
 ADAM_STEP = lm.adam_step
+BACKWARD = lm.backward
+CLIP = lm.clip_gradients
 
 
 def small_vocab():
@@ -155,6 +157,38 @@ class TestBackward:
             assert got is grads and loss == fresh_loss
             assert np.array_equal(grads.flat, fresh.flat)
 
+    def test_dead_range_is_neither_zeroed_nor_checked(self):
+        model = _short_vocab_model()
+        rng = np.random.default_rng(2)
+        ids = rng.integers(0, len(model.vocab), size=(3, model.config.seq_len))
+        targets = rng.integers(0, 2, size=(3, model.config.vocab_size)).astype(np.float64)
+        dead = (len(model.vocab) * model.config.embed_dim,
+                model.config.vocab_size * model.config.embed_dim)
+        fresh, fresh_loss = lm.backward(model, ids, targets)
+        grads = lm.FlatParams(model.config)
+        grads.flat.fill(np.nan)
+        _, loss = lm.backward(model, ids, targets, None, grads, dead)
+        assert loss == fresh_loss
+        assert np.isnan(grads.flat[dead[0]:dead[1]]).all()
+        assert np.array_equal(grads.flat[:dead[0]], fresh.flat[:dead[0]])
+        assert np.array_equal(grads.flat[dead[1]:], fresh.flat[dead[1]:])
+
+
+def _whole_buffer_clip(grads, clip_norm, dead=(0, 0)):
+    """Clipping as one float64 copy of the whole buffer, summed per tensor
+    in registry order, scaling every element: the reference for the
+    per-tensor squares."""
+    squares = grads.flat.astype(np.float64)
+    np.square(squares, out=squares)
+    total, start = 0.0, 0
+    for g in grads.values():
+        total += float(squares[start:start + g.size].sum())
+        start += g.size
+    norm = math.sqrt(total)
+    if clip_norm > 0 and norm > clip_norm:
+        grads.flat *= clip_norm / norm
+    return norm
+
 
 class TestClip:
     @pytest.mark.parametrize("dtype", ("float32", "float64"))
@@ -170,6 +204,21 @@ class TestClip:
         assert np.array_equal(grads.flat, before)
         assert lm.clip_gradients(grads, 1.0) == want
         assert np.array_equal(grads.flat, before * (1.0 / want))
+
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_matches_the_whole_buffer_copy(self, dtype):
+        # tensors past 16 elements, so numpy's pairwise sum splits them
+        config = lm.LmConfig(vocab_size=300, embed_dim=24, recurrent_units=9,
+                             dense_units=11, seq_len=6, dtype=dtype)
+        grads = lm.FlatParams(config)
+        grads.flat[...] = np.random.default_rng(5).normal(0.0, 3.0, grads.flat.size)
+        dead = (41 * config.embed_dim, config.vocab_size * config.embed_dim)
+        grads.flat[dead[0]:dead[1]] = 0.0
+        want = lm.FlatParams(config, grads.flat.copy())
+        norm = lm.clip_gradients(grads, 0.5, dead)
+        assert norm == _whole_buffer_clip(want, 0.5)
+        assert np.array_equal(grads.flat, want.flat)
+        assert not np.signbit(grads.flat[dead[0]:dead[1]]).any()
 
 
 def _lstm_case(seed, dtype, B, T, n_in, u):
@@ -200,19 +249,26 @@ class TestLstmKernelOracle:
     @given(**_LSTM_CASE)
     # d_x is a gemv per step at n_in=1; a strided dz rounds differently there
     @example(seed=0, dtype=np.float32, B=2, T=2, n_in=1, u=2)
+    @example(seed=1, dtype=np.float64, B=1, T=4, n_in=3, u=3)  # predict's batch of one
     def test_each_direction_matches_reverse_indexed_oracle(self, seed, dtype,
                                                            B, T, n_in, u):
         x, wx, wh, b, d_h = _lstm_case(seed, dtype, B, T, n_in, u)
-        for reverse, order in ((False, slice(None)), (True, slice(None, None, -1))):
-            want_h, want_cache = lstm_oracle._lstm_forward(x, wx, wh, b, reverse)
-            want = lstm_oracle._lstm_backward(want_cache, wx, wh, d_h)
-            h, cache = lm._lstm_forward(x[:, order], wx, wh, b)
-            d_w = _nan_buffers(wx, wh, b)
-            d_x = lm._lstm_backward(cache, wx, wh, d_h[:, order], *d_w)
-            assert h.dtype == dtype and np.array_equal(h[:, order], want_h)
-            assert np.array_equal(d_x[:, order], want[0])
-            for got, ref in zip(d_w, want[1:]):  # d_wx, d_wh, d_b
-                assert got.dtype == dtype and np.array_equal(got, ref)
+        # new arrays, and a training step's: the NaN-filled (gates, c, h)
+        # of an earlier call, written over
+        reused = [np.full(shape, np.nan, dtype=dtype)
+                  for shape in ((T, B, 4 * u), (T, B, u), (B, T, u))]
+        for out in (None, reused):
+            for reverse, order in ((False, slice(None)), (True, slice(None, None, -1))):
+                want_h, want_cache = lstm_oracle._lstm_forward(x, wx, wh, b, reverse)
+                want = lstm_oracle._lstm_backward(want_cache, wx, wh, d_h)
+                h, cache = lm._lstm_forward(x[:, order], wx, wh, b, out)
+                assert out is None or all(a is o for a, o in zip(cache[1:], out))
+                d_w = _nan_buffers(wx, wh, b)
+                d_x = lm._lstm_backward(cache, wx, wh, d_h[:, order], *d_w)
+                assert h.dtype == dtype and np.array_equal(h[:, order], want_h)
+                assert np.array_equal(d_x[:, order], want[0])
+                for got, ref in zip(d_w, want[1:]):  # d_wx, d_wh, d_b
+                    assert got.dtype == dtype and np.array_equal(got, ref)
 
     @settings(max_examples=30, deadline=None)
     @given(**_LSTM_CASE)
@@ -224,7 +280,7 @@ class TestLstmKernelOracle:
                   for part, shape in (("wx", (n_in, 4 * u)), ("wh", (u, 4 * u)),
                                       ("b", (4 * u,)))}
         d_h = rng.normal(0.0, 0.8, size=(B, T, 2 * u)).astype(dtype)
-        h, caches = lm._bilstm_forward(params, 1, x)
+        h, caches = lm._bilstm_forward(params, 1, x, {})
         grads = {name: np.full_like(p, np.nan) for name, p in params.items()}
         d_x = lm._bilstm_backward(params, 1, caches, d_h, grads)
         want_h, want_d_x = [], []
@@ -406,6 +462,38 @@ class TestTrain:
         assert history == want_history
         assert np.array_equal(model.params.flat, want.params.flat)
 
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_every_step_clipped_matches_whole_buffer_formula(self, dtype):
+        # a clip_norm so small that every step clips, a dead embedding tail,
+        # and the reference run zeroes, checks, clips and updates the whole
+        # buffer at every step
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
+        config = replace(config, vocab_size=len(vocab) + 23, clip_norm=1e-3,
+                         dtype=dtype)
+        norms = []
+
+        def counted_clip(grads, clip_norm, dead=(0, 0)):
+            norms.append(CLIP(grads, clip_norm, dead))
+            return norms[-1]
+
+        with mock.patch.object(lm, "clip_gradients", counted_clip):
+            model, history = lm.train(ids, targets, config, vocab, pre)
+        assert len(norms) == config.epochs and min(norms) > config.clip_norm
+
+        def whole_backward(model, ids, targets, rng, grads, dead, workspace):
+            return BACKWARD(model, ids, targets, rng, grads, (0, 0), workspace)
+
+        def whole_adam(params, grads, state, config, skip=(0, 0)):
+            return ADAM_STEP(params, grads, state, config)
+
+        with mock.patch.object(lm, "backward", whole_backward), \
+                mock.patch.object(lm, "clip_gradients", _whole_buffer_clip), \
+                mock.patch.object(lm, "adam_step", whole_adam):
+            want, want_history = lm.train(ids, targets, config, vocab, pre)
+        assert history == want_history
+        assert model.params.flat.dtype == config.np_dtype
+        assert np.array_equal(model.params.flat, want.params.flat)
+
     def test_seed_reproducibility(self):
         _, pre, vocab, config, ids, targets = overfit_fixture(epochs=5)
         m1, h1 = lm.train(ids, targets, config, vocab, pre)
@@ -460,6 +548,51 @@ class TestTrain:
                    for i in range(len(history) - 9)]
         for i in range(20, len(windows) - 1):
             assert windows[i + 1] <= windows[i] + 1e-12
+
+
+class TestStepMemory:
+    """One training step at the stock layer sizes holds, above the
+    parameter buffers, its activations each stored once, and clipping holds
+    one tensor's float64 squares. numpy reports its array buffers to
+    tracemalloc."""
+
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_peak_above_the_parameter_buffers(self, dtype):
+        # a small V, so that the head's (B, V) temporaries do not hide the
+        # LSTM activations
+        config = lm.LmConfig(vocab_size=300, dtype=dtype)
+        B, T, u = config.batch_size, config.seq_len, config.recurrent_units
+        item = np.dtype(dtype).itemsize
+        vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN]
+                                + [f"t{i}" for i in range(config.vocab_size - 2)])
+        rng = np.random.default_rng(6)
+        model = lm.LmModel.initialized(config, vocab, NO_STOPWORDS, rng)
+        grads = lm.FlatParams(config)
+        ids = rng.integers(0, config.vocab_size, size=(B, T))
+        offsets = np.arange(B + 1, dtype=np.int64) * 2
+        targets = lm.TargetIds(offsets, rng.integers(2, config.vocab_size, size=2 * B))
+        dense = targets.multi_hot(np.arange(B), config)
+        # (B, T, k) arrays in units of B * T * item: the cache holds the
+        # embedded input (embed_dim) and, per layer, each direction's gates,
+        # c and h (6u) and the layer's output (2u); the backward adds the
+        # gradient at layer 2's output, each direction's d_x and their sum
+        # (2u each); the head's temporaries are a few (B, V) arrays
+        activations = config.embed_dim + 2 * (2 * 6 * u + 2 * u) + 4 * 2 * u
+        bound = B * T * item * activations + 8 * B * config.vocab_size * item
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lm.backward(model, ids, dense, rng, grads)
+            step_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lm.clip_gradients(grads, config.clip_norm)
+            clip_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert step_peak < bound
+        largest = max(g.size for g in grads.values())
+        assert clip_peak < 8 * largest + (64 << 10)
 
 
 class TestDropout:
@@ -595,6 +728,25 @@ class TestFlatLayout:
             bound = lm._xavier_bound(shape)
             want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
             assert np.array_equal(params[name], want)
+
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_dead_range_stays_zero_and_the_rest_is_the_full_draw(self, dtype):
+        # the dead rows span more than one throw-away chunk, and neither of
+        # their ends falls on a chunk edge
+        config = lm.LmConfig(vocab_size=2000, embed_dim=40, recurrent_units=5,
+                             dense_units=7, seq_len=4, dtype=dtype)
+        dead = (37 * config.embed_dim, config.vocab_size * config.embed_dim)
+        assert dead[1] - dead[0] > lm._ADAM_BLOCK
+        params = lm.init_params(config, np.random.default_rng(4), dead)
+        rng = np.random.default_rng(4)
+        want = lm.FlatParams(config)
+        for name, shape in lm._param_specs(config):
+            bound = lm._xavier_bound(shape)
+            want[name][...] = rng.uniform(-bound, bound, size=shape)
+        dead_part = params.flat[dead[0]:dead[1]]
+        assert not dead_part.any() and not np.signbit(dead_part).any()
+        assert np.array_equal(params.flat[:dead[0]], want.flat[:dead[0]])
+        assert np.array_equal(params.flat[dead[1]:], want.flat[dead[1]:])
 
     def test_loaded_tensors_tile_one_buffer(self, tmp_path):
         loaded = lm.load_model(_saved(tmp_path))
