@@ -18,23 +18,24 @@ moments live only inside ``train``, so the artifact holds no optimizer state.
 
 All parameters live in one contiguous 1-D buffer: ``_param_specs`` fixes the
 order and shape of the tensors, and so each tensor's offset, and
-``FlatParams`` maps each name to its reshaped view. Training keeps its
+``FlatParams`` maps each name to its reshaped view. The embedding has one
+row per vocabulary token, ``len(vocab)``, not ``vocab_size``: a row past
+the vocabulary would only ever get a zero gradient. The head keeps its
+``vocab_size`` columns, which the loss averages over. Training keeps its
 gradients and the Adam m and v as buffers of the same layout; ``backward``
 writes into the gradient views, clipping squares one tensor at a time and
-Adam runs on cache-sized blocks of the buffer. The embedding rows past the
-ids training can reach, a range ``dead`` at the end of the first tensor,
-are never written in any of the four buffers: ``init_params`` draws them
-and throws the values away, ``backward`` and clipping leave them at 0, Adam
-skips them, and the buffers are mappings of 4 KiB pages that start out
-zero, so those pages never become resident. The artifact stores, as one file
-``params.bin`` with one checksum, the live parameters of that buffer: those
-a vocabulary token can reach (``_live_segments``). ``load_model`` reads
-them straight into a zero-filled little-endian float32 buffer of the full
-layout and hashes those same bytes; a float64 config casts the buffer once,
-after the checksum has passed. No dead slot changes a live float, and
-``forward`` returns the ``len(vocab)`` live probabilities only, so a reload
-gives the same bytes. The manifest also carries the ``PreprocessConfig``
-that training tokenized with.
+Adam runs on cache-sized blocks of the buffer. Two places keep the floats
+of the ``vocab_size`` layout: ``init_params`` draws the embedding rows past
+the vocabulary and throws them away, and ``clip_gradients`` sums the
+embedding's squares padded with zeros to ``vocab_size`` rows. The artifact
+stores, as one file ``params.bin`` with one checksum, the live parameters
+of that buffer: those a vocabulary token can reach (``_live_segments``).
+``load_model`` reads them straight into a zero-filled little-endian
+float32 buffer and hashes those same bytes; a float64 config casts the
+buffer once, after the checksum has passed. No head column past the
+vocabulary changes a live float, and ``forward`` returns the ``len(vocab)``
+live probabilities only, so a reload gives the same bytes. The manifest
+also carries the ``PreprocessConfig`` that training tokenized with.
 
 The training set is built once from the token lists that also fit the
 vocabulary: ``ids`` (N, seq_len) int64, and each pair's target ids in CSR
@@ -42,8 +43,8 @@ form (``TargetIds``), one int64 per consequence token. A step's batch is the
 same rows of both; only that batch's multi-hot targets, (B, V) in the config
 dtype, are made dense, just before its ``backward``. ``backward`` drops the
 head's (B, V) temporaries as soon as it has used them, so training memory
-does not grow with N x V, and ``train`` keeps the LSTM activations of one
-step for the next to write over.
+does not grow with N x V, and ``train`` keeps the first step's LSTM
+activations for every later step of that batch size to write over.
 
 Each LSTM direction's cache is (x, gates, c, h), each activation stored
 once: ``gates`` (T, B, 4u) is the buffer of the input projection, which each
@@ -65,7 +66,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import mmap
 import numbers
 import os
 from collections import Counter
@@ -177,10 +177,10 @@ class LmConfig:
             raise ValueError("epochs must be >= 0")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
-        n_params = _param_count(self)
+        n_params = _param_count(self, self.vocab_size)
         # an upper bound, kept as it was so that every config that ran still
         # runs: clipping squares one tensor at a time in float64, not the
-        # whole buffer, and training never writes the dead embedding rows
+        # whole buffer, and the embedding has len(vocab) rows
         check_allocation(n_params * (8 + 4 * np.dtype(self.dtype).itemsize),
                          f"a model of {n_params:,} parameters (weights, gradients, "
                          f"Adam m and v, float64 squares for clipping)")
@@ -190,9 +190,11 @@ class LmConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
-def _param_specs(config: LmConfig) -> list[tuple[str, tuple[int, ...]]]:
+def _param_specs(config: LmConfig, n_live: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each tensor in buffer order, for an embedding of
+    ``n_live`` rows, the vocabulary's length."""
     u = config.recurrent_units
-    specs = [("embedding", (config.vocab_size, config.embed_dim))]
+    specs = [("embedding", (n_live, config.embed_dim))]
     in_dims = {1: config.embed_dim, 2: 2 * u}
     for layer in (1, 2):
         for direction in ("fw", "bw"):
@@ -209,23 +211,8 @@ def _param_specs(config: LmConfig) -> list[tuple[str, tuple[int, ...]]]:
     return specs
 
 
-def _param_count(config: LmConfig) -> int:
-    return sum(math.prod(shape) for _, shape in _param_specs(config))
-
-
-def _untouched_zeros(size: int, dtype) -> np.ndarray:
-    """A zero-filled 1-D array on its own anonymous mapping of 4 KiB pages,
-    so a page nothing writes never becomes resident.
-
-    ``np.zeros`` is calloc, but numpy asks for transparent huge pages on an
-    array of 4 MiB or more, and a 2 MiB huge page that holds one written
-    byte is resident whole; which pages share one with live data would then
-    depend on where the buffer happens to start.
-    """
-    buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=dtype)
+def _param_count(config: LmConfig, n_live: int) -> int:
+    return sum(math.prod(shape) for _, shape in _param_specs(config, n_live))
 
 
 class FlatParams(dict):
@@ -233,29 +220,22 @@ class FlatParams(dict):
 
     The views tile the 1-D buffer ``flat`` in registry order, so the dict
     iterates in that order and a whole-buffer operation acts on every tensor.
-    Without ``flat``, a new zero-filled buffer of the config dtype is used
-    (``_untouched_zeros``).
+    Without ``flat``, a new zero-filled buffer of the config dtype is used.
     """
 
-    def __init__(self, config: LmConfig, flat: Optional[np.ndarray] = None):
+    def __init__(self, config: LmConfig, n_live: int, flat: Optional[np.ndarray] = None):
         super().__init__()
-        size = _param_count(config)
+        size = _param_count(config, n_live)
         if flat is None:
-            flat = _untouched_zeros(size, config.np_dtype)
+            flat = np.zeros(size, dtype=config.np_dtype)
         elif flat.shape != (size,):
             raise ValueError(f"flat buffer of shape {flat.shape}, the layout needs ({size},)")
         start = 0
-        for name, shape in _param_specs(config):
+        for name, shape in _param_specs(config, n_live):
             stop = start + math.prod(shape)
             self[name] = flat[start:stop].reshape(shape)
             start = stop
         self.flat = flat
-
-
-def _outside(flat: np.ndarray, dead: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The views of the 1-D ``flat`` before and after the range ``dead``."""
-    lo, hi = dead
-    return flat[:lo], flat[hi:]
 
 
 def _xavier_bound(shape: tuple[int, ...]) -> float:
@@ -266,28 +246,22 @@ def _xavier_bound(shape: tuple[int, ...]) -> float:
     return math.sqrt(6.0 / (fan_in + fan_out))
 
 
-def init_params(config: LmConfig, rng: np.random.Generator,
-                dead: tuple[int, int] = (0, 0)) -> FlatParams:
-    """Uniform Xavier draw per tensor, in registry order, cast to config dtype.
+def init_params(config: LmConfig, n_live: int, rng: np.random.Generator) -> FlatParams:
+    """Uniform Xavier draw per tensor of the ``vocab_size`` layout, in
+    registry order, cast to config dtype, for an embedding of ``n_live`` rows.
 
-    The range ``dead`` [lo, hi) of the flat buffer is drawn, in chunks of
-    ``_ADAM_BLOCK`` that are thrown away, and stays 0, never written: the
-    generator yields its values in order, so every float outside it is that
-    of one full draw per tensor.
+    The embedding's bound is that of its ``(vocab_size, embed_dim)`` shape,
+    and the rows past ``n_live`` are drawn, in chunks of ``_ADAM_BLOCK``
+    that are thrown away: the generator yields its values in order, so
+    every float kept is that of one full draw per tensor.
     """
-    params = FlatParams(config)
-    lo, hi = dead
-    start = 0
-    for view in params.values():
-        bound = _xavier_bound(view.shape)
-        stop = start + view.size
-        # [start, a) and [b, stop) are written, [a, b) is dead
-        a, b = (min(max(cut, start), stop) for cut in (lo, hi))
-        params.flat[start:a] = rng.uniform(-bound, bound, size=a - start)
-        for chunk in range(a, b, _ADAM_BLOCK):
-            rng.uniform(-bound, bound, size=min(b, chunk + _ADAM_BLOCK) - chunk)
-        params.flat[b:stop] = rng.uniform(-bound, bound, size=stop - b)
-        start = stop
+    params = FlatParams(config, n_live)
+    for (_, shape), view in zip(_param_specs(config, config.vocab_size), params.values()):
+        bound = _xavier_bound(shape)
+        view[...] = rng.uniform(-bound, bound, size=view.shape)
+        full = math.prod(shape)
+        for chunk in range(view.size, full, _ADAM_BLOCK):
+            rng.uniform(-bound, bound, size=min(full - chunk, _ADAM_BLOCK))
     return params
 
 
@@ -307,10 +281,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
-        """Zero moments for a 1-D ``params``; the pages of a range that Adam
-        skips are never written and never become resident."""
-        return cls(m=_untouched_zeros(params.size, params.dtype),
-                   v=_untouched_zeros(params.size, params.dtype),
+        """Zero moments for a 1-D ``params``."""
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
                    scratch=np.empty(min(params.size, _ADAM_BLOCK), dtype=params.dtype))
 
 
@@ -325,13 +297,12 @@ class LmModel:
 
     @classmethod
     def initialized(cls, config: LmConfig, vocab: LmVocabulary, pre: PreprocessConfig,
-                    rng: np.random.Generator,
-                    dead: tuple[int, int] = (0, 0)) -> "LmModel":
-        """``init_params``'s draw; the flat range ``dead`` stays 0."""
+                    rng: np.random.Generator) -> "LmModel":
+        """``init_params``'s draw, one embedding row per vocabulary token."""
         if len(vocab) > config.vocab_size:
             raise IncmineError("vocabulary larger than configured vocab_size")
         return cls(config=config, vocab=vocab, pre=pre,
-                   params=init_params(config, rng, dead))
+                   params=init_params(config, len(vocab), rng))
 
 
 @dataclass(frozen=True)
@@ -483,14 +454,15 @@ _DIRECTIONS = (("fw", slice(None)), ("bw", slice(None, None, -1)))
 def _bilstm_forward(params, layer: int, x, workspace: dict):
     """Both directions of one layer: h (B, T, 2u) as [fw, bw], and the caches.
 
-    Each direction writes over the (gates, c, h) it left in ``workspace``
-    and leaves its new ones there."""
+    Each direction writes over the (gates, c, h) of the first call that it
+    left in ``workspace``; a batch of another size, such as a short last
+    batch, gets new arrays and leaves the first ones there."""
     h, caches = [], []
     for direction, order in _DIRECTIONS:
         p = f"lstm{layer}_{direction}_"
         h_dir, cache = _lstm_forward(x[:, order], params[p + "wx"], params[p + "wh"],
                                      params[p + "b"], workspace.get(p))
-        workspace[p] = cache[1:]
+        workspace.setdefault(p, cache[1:])
         h.append(h_dir[:, order])
         caches.append(cache)
     return np.concatenate(h, axis=2), caches
@@ -545,6 +517,14 @@ def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
     return probs, cache
 
 
+def _check_ids(ids: np.ndarray, n_live: int) -> None:
+    """Refuse an id outside ``[0, n_live)``, the embedding's rows."""
+    outside = ids[(ids < 0) | (ids >= n_live)]
+    if outside.size:
+        raise IncmineError(f"input id {int(outside[0])} is outside the "
+                           f"vocabulary's ids [0, {n_live})")
+
+
 def forward(model: LmModel, input_ids) -> np.ndarray:
     """Eval-mode probabilities of the ``len(model.vocab)`` vocabulary tokens
     for one id sequence; an id outside ``[0, len(model.vocab))`` is refused.
@@ -554,13 +534,9 @@ def forward(model: LmModel, input_ids) -> np.ndarray:
     past the vocabulary are dropped from the result.
     """
     ids = np.asarray(input_ids, dtype=np.int64)[None, :]
-    n_live = len(model.vocab)
-    outside = ids[(ids < 0) | (ids >= n_live)]
-    if outside.size:
-        raise IncmineError(f"input id {int(outside[0])} is outside the "
-                           f"vocabulary's ids [0, {n_live})")
+    _check_ids(ids, len(model.vocab))
     probs, _ = _forward_batch(model.params, model.config, ids, False, None)
-    return probs[0, :n_live]
+    return probs[0, :len(model.vocab)]
 
 
 def bce_loss(probs, target) -> float:
@@ -603,8 +579,7 @@ def _head_backward(params, config: LmConfig, probs, targets, cache, grads):
 
 def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
              rng: Optional[np.random.Generator] = None,
-             grads: Optional[FlatParams] = None,
-             dead: tuple[int, int] = (0, 0), workspace: Optional[dict] = None):
+             grads: Optional[FlatParams] = None, workspace: Optional[dict] = None):
     """Exact gradients of the mean BCE for the batch; returns (grads, loss).
 
     The batch is ``ids`` (B, seq_len) int64 and ``targets`` (B, V) in the
@@ -615,16 +590,11 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     before the LSTM backward, layer 2's caches before layer 1's backward
     unless ``workspace`` keeps them.
 
-    ``dead`` is a range [lo, hi) of the embedding's flat elements that no id
-    of any batch reaches: it is neither zeroed nor checked, and keeps the
-    zeros a new buffer starts with (``np.add.at`` writes the rows of
-    ``ids`` only).
-
     ``workspace``, a dict that ``train`` keeps from step to step, holds
-    each LSTM direction's (gates, c, h), which the next step's forward
-    writes over instead of allocating them afresh. Those arrays are not
-    dropped, and glibc does not give their pages back to the system after
-    each step only to fault them in again on the next.
+    each LSTM direction's (gates, c, h) of the first step, which each later
+    step of that batch size writes over instead of allocating them afresh.
+    Those arrays are not dropped, and glibc does not give their pages back
+    to the system after each step only to fault them in again on the next.
     """
     if len(ids) == 0:
         raise IncmineError("batch must be non-empty")
@@ -634,7 +604,7 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     loss = bce_loss(probs, targets)
 
     if grads is None:
-        grads = FlatParams(config)
+        grads = FlatParams(config, len(model.vocab))
     lstm1, lstm2 = cache.pop("lstm1"), cache.pop("lstm2")
     dh2 = _head_backward(params, config, probs, targets, cache, grads)
     del probs, cache
@@ -642,10 +612,9 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     del lstm2, dh2
     demb = _bilstm_backward(params, 1, lstm1, dh1, grads)
     d_embedding = grads["embedding"]
-    for part in _outside(d_embedding.reshape(-1), dead):
-        part.fill(0.0)  # accumulated into, as the LSTM weight views are
+    d_embedding.fill(0.0)  # accumulated into, as the LSTM weight views are
     np.add.at(d_embedding, ids, demb)
-    if not all(np.isfinite(part).all() for part in _outside(grads.flat, dead)):
+    if not np.isfinite(grads.flat).all():
         raise NonFiniteError("non-finite gradient")
     return grads, loss
 
@@ -654,8 +623,7 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
 # optimization
 # --------------------------------------------------------------------------
 
-def adam_step(params, grads, state: AdamState, config: LmConfig,
-              skip: tuple[int, int] = (0, 0)):
+def adam_step(params, grads, state: AdamState, config: LmConfig):
     """One ADAM update in place: m, v moments, bias correction, step.
 
     ``params`` and ``grads`` are flat buffers of one layout, updated in
@@ -663,21 +631,14 @@ def adam_step(params, grads, state: AdamState, config: LmConfig,
     in the order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``; the update
     is elementwise, so every float is that of the per-tensor update. ``grads``
     is used as scratch once m and v have read it, and is left overwritten.
-
-    ``skip``, a range [lo, hi) of the buffer whose gradient has always been
-    zero, is not touched: there m and v stay 0 and the step is 0, so the
-    update would leave every float as it is.
     """
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    lo, hi = skip
-    blocks = [slice(start, min(stop, start + _ADAM_BLOCK))
-              for first, stop in ((0, lo), (hi, params.size))
-              for start in range(first, stop, _ADAM_BLOCK)]
-    for block in blocks:
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
         p, g, m, v = params[block], grads[block], state.m[block], state.v[block]
         s = state.scratch[:p.size]
         m *= b1
@@ -697,24 +658,26 @@ def adam_step(params, grads, state: AdamState, config: LmConfig,
     return params, state
 
 
-def clip_gradients(grads: FlatParams, clip_norm: float,
-                   dead: tuple[int, int] = (0, 0)) -> float:
-    """Scale all gradients so the global L2 norm is at most clip_norm.
+def clip_gradients(grads: FlatParams, config: LmConfig) -> float:
+    """Scale all gradients so the global L2 norm is at most ``clip_norm``.
 
     Returns the norm before clipping. Each tensor's squares are taken in
-    float64, one tensor at a time, and summed, in registry order. Clipping
-    scales every element but those of ``dead``, a range of +0.0 gradients
-    (``backward``'s), whose scaled value would be +0.0 as well.
+    float64, one tensor at a time, and summed, in registry order. They fill
+    the start of a zero-filled array as long as the tensor is in the
+    ``vocab_size`` layout, whose embedding rows past the vocabulary would
+    have a zero gradient: numpy's pairwise sum groups its terms by the
+    length of the array, so the embedding's sum is that layout's float.
     """
     total = 0.0
-    for g in grads.values():
-        squares = g.reshape(-1).astype(np.float64)
-        np.square(squares, out=squares)
+    for g, (_, shape) in zip(grads.values(), _param_specs(config, config.vocab_size)):
+        squares = np.zeros(math.prod(shape))
+        live = squares[:g.size]
+        live[...] = g.reshape(-1)
+        np.square(live, out=live)
         total += float(squares.sum())
     norm = math.sqrt(total)
-    if clip_norm > 0 and norm > clip_norm:
-        for part in _outside(grads.flat, dead):
-            part *= clip_norm / norm
+    if config.clip_norm > 0 and norm > config.clip_norm:
+        grads.flat *= config.clip_norm / norm
     return norm
 
 
@@ -725,18 +688,14 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabu
     losses.
 
     Each step makes only its batch's dense (B, V) targets, so memory does
-    not grow with N x V."""
+    not grow with N x V. An id outside ``[0, len(vocab))`` is refused."""
     n = len(ids)
     if n == 0:
         raise IncmineError("need at least one training pair")
-    # the embedding rows no id reaches, the first tensor's tail, get a zero
-    # gradient at every step: no step reads or writes them in params,
-    # gradients or Adam's m and v, so their pages never become resident
-    reached = max(len(vocab), int(ids.max()) + 1)
-    dead = (reached * config.embed_dim, config.vocab_size * config.embed_dim)
+    _check_ids(ids, len(vocab))
     rng = np.random.default_rng(config.seed)
-    model = LmModel.initialized(config, vocab, pre, rng, dead)
-    grads = FlatParams(config)
+    model = LmModel.initialized(config, vocab, pre, rng)
+    grads = FlatParams(config, len(vocab))
     adam = AdamState.for_params(model.params.flat)
     workspace: dict = {}
     history: list[float] = []
@@ -747,13 +706,13 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabu
             b = order[start:start + config.batch_size]
             try:
                 _, loss = backward(model, ids[b], targets.multi_hot(b, config),
-                                   rng, grads, dead, workspace)
+                                   rng, grads, workspace)
                 if not math.isfinite(loss):
                     raise NonFiniteError("non-finite loss")
             except NonFiniteError as exc:
                 raise IncmineError(f"training diverged at epoch {epoch}, batch {bi}") from exc
-            clip_gradients(grads, config.clip_norm, dead)
-            adam_step(model.params.flat, grads.flat, adam, config, dead)
+            clip_gradients(grads, config)
+            adam_step(model.params.flat, grads.flat, adam, config)
             total += loss * len(b)
         history.append(total / n)
     return model, history
@@ -796,14 +755,14 @@ def _bytes_of(arr: np.ndarray) -> memoryview:
 
 
 def _live_segments(params: FlatParams, n_live: int) -> list[np.ndarray]:
-    """The views of ``params`` that params.bin stores, in file order: the
-    first ``n_live`` embedding rows, every tensor from ``lstm1_fw_wx`` to
-    ``dense2_b`` as one block of the flat buffer, the first ``n_live``
-    columns of ``out_w`` (strided unless ``n_live`` is ``vocab_size``) and
-    the first ``n_live`` entries of ``out_b``."""
+    """The views of ``params`` that params.bin stores, in file order: every
+    tensor from ``embedding`` to ``dense2_b`` as one block of the flat
+    buffer, the first ``n_live`` columns of ``out_w`` (strided unless
+    ``n_live`` is ``vocab_size``) and the first ``n_live`` entries of
+    ``out_b``."""
     out_w, out_b = params["out_w"], params["out_b"]
-    middle = params.flat[params["embedding"].size:params.flat.size - out_w.size - out_b.size]
-    return [params["embedding"][:n_live], middle, out_w[:, :n_live], out_b[:n_live]]
+    prefix = params.flat[:params.flat.size - out_w.size - out_b.size]
+    return [prefix, out_w[:, :n_live], out_b[:n_live]]
 
 
 def save_model(model: LmModel, path) -> None:
@@ -877,11 +836,11 @@ def load_model(path) -> LmModel:
     size is not the live parameter count times 4 bytes (checked before any
     byte is read); and a checksum mismatch.
 
-    The parameters are a zero-filled little-endian float32 buffer of the
-    config's full layout. Each contiguous live segment is read straight
-    into it, and ``out_w``'s live columns through a small temporary; the
-    checksum is over exactly the bytes read, in file order. A float64
-    config casts the buffer once, after the checksum has passed.
+    The parameters are a zero-filled little-endian float32 buffer with one
+    embedding row per vocabulary token. Each contiguous live segment is
+    read straight into it, and ``out_w``'s live columns through a small
+    temporary; the checksum is over exactly the bytes read, in file order.
+    A float64 config casts the buffer once, after the checksum has passed.
     """
     manifest_path = os.path.join(path, "manifest.json")
     with open(manifest_path, encoding="utf-8") as fh:
@@ -910,7 +869,7 @@ def load_model(path) -> LmModel:
     vocab = LmVocabulary(tokens)
     pre = _manifest_preprocess(manifest["preprocess"])
     params_path = os.path.join(path, PARAMS_FILE)
-    stored = FlatParams(config, np.zeros(_param_count(config), dtype="<f4"))
+    stored = FlatParams(config, len(vocab), np.zeros(_param_count(config, len(vocab)), "<f4"))
     segments = _live_segments(stored, len(vocab))
     need = 4 * sum(segment.size for segment in segments)
     digest = hashlib.sha256()
@@ -929,5 +888,5 @@ def load_model(path) -> LmModel:
                 segment[...] = into
     if digest.hexdigest() != manifest["sha256"]:
         raise IncmineError(f"checksum mismatch for {params_path}")
-    params = FlatParams(config, stored.flat.astype(config.np_dtype, copy=False))
+    params = FlatParams(config, len(vocab), stored.flat.astype(config.np_dtype, copy=False))
     return LmModel(config=config, vocab=vocab, pre=pre, params=params)

@@ -23,7 +23,7 @@ OVERFIT_ROWS = [
 NO_STOPWORDS = PreprocessConfig(stopwords=frozenset())
 
 
-def overfit_fixture(epochs=200):
+def overfit_fixture(epochs=200, seq_len=5):
     corpus = make_corpus(OVERFIT_ROWS)
     pre = NO_STOPWORDS
     dynamics = [preprocess(r.dynamics, pre) for r in corpus]
@@ -31,7 +31,7 @@ def overfit_fixture(epochs=200):
     vocab = lm.fit_vocab(dynamics + consequences, cap=64)
     config = lm.LmConfig(
         vocab_size=len(vocab), embed_dim=8, recurrent_units=8, dense_units=16,
-        dropout_rate=0.0, seq_len=5, learning_rate=0.02, batch_size=8,
+        dropout_rate=0.0, seq_len=seq_len, learning_rate=0.02, batch_size=8,
         epochs=epochs, seed=11, dtype="float32",
     )
     ids, targets = lm.make_train_pairs(dynamics, consequences, vocab, config)
@@ -61,7 +61,7 @@ def zero_model(config):
     """Model with every parameter zero and the vocabulary PAD, UNK, t0, t1, ..."""
     vocab = lm.LmVocabulary([lm.PAD_TOKEN, lm.UNK_TOKEN]
                             + [f"t{i}" for i in range(config.vocab_size - 2)])
-    params = lm.FlatParams(config, np.zeros(lm._param_count(config), dtype=config.np_dtype))
+    params = lm.FlatParams(config, len(vocab))
     return lm.LmModel(config=config, vocab=vocab, pre=NO_STOPWORDS, params=params)
 
 

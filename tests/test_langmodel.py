@@ -15,9 +15,8 @@ from lm_fixtures import (NO_STOPWORDS, gradcheck_fixture, max_relative_fd_error,
                          overfit_fixture, zero_model)
 
 
-ADAM_STEP = lm.adam_step
-BACKWARD = lm.backward
 CLIP = lm.clip_gradients
+LSTM_FORWARD = lm._lstm_forward
 
 
 def small_vocab():
@@ -149,7 +148,7 @@ class TestBackward:
     def test_reused_buffer_matches_fresh(self):
         # every view is overwritten; the embedding, accumulated into, is zeroed
         model, ids, targets = gradcheck_fixture()
-        grads = lm.FlatParams(model.config)
+        grads = lm.FlatParams(model.config, len(model.vocab))
         grads.flat.fill(np.nan)
         for b in ([0], [1, 2], [0, 1, 2]):
             fresh, fresh_loss = lm.backward(model, ids[b], targets[b])
@@ -157,27 +156,12 @@ class TestBackward:
             assert got is grads and loss == fresh_loss
             assert np.array_equal(grads.flat, fresh.flat)
 
-    def test_dead_range_is_neither_zeroed_nor_checked(self):
-        model = _short_vocab_model()
-        rng = np.random.default_rng(2)
-        ids = rng.integers(0, len(model.vocab), size=(3, model.config.seq_len))
-        targets = rng.integers(0, 2, size=(3, model.config.vocab_size)).astype(np.float64)
-        dead = (len(model.vocab) * model.config.embed_dim,
-                model.config.vocab_size * model.config.embed_dim)
-        fresh, fresh_loss = lm.backward(model, ids, targets)
-        grads = lm.FlatParams(model.config)
-        grads.flat.fill(np.nan)
-        _, loss = lm.backward(model, ids, targets, None, grads, dead)
-        assert loss == fresh_loss
-        assert np.isnan(grads.flat[dead[0]:dead[1]]).all()
-        assert np.array_equal(grads.flat[:dead[0]], fresh.flat[:dead[0]])
-        assert np.array_equal(grads.flat[dead[1]:], fresh.flat[dead[1]:])
 
-
-def _whole_buffer_clip(grads, clip_norm, dead=(0, 0)):
+def _whole_buffer_clip(grads, config):
     """Clipping as one float64 copy of the whole buffer, summed per tensor
     in registry order, scaling every element: the reference for the
-    per-tensor squares."""
+    per-tensor squares, on a buffer of the ``vocab_size`` layout."""
+    clip_norm = config.clip_norm
     squares = grads.flat.astype(np.float64)
     np.square(squares, out=squares)
     total, start = 0.0, 0
@@ -195,30 +179,35 @@ class TestClip:
     def test_norm_is_the_per_tensor_float64_sum(self, dtype):
         config = lm.LmConfig(vocab_size=40, embed_dim=6, recurrent_units=5,
                              dense_units=7, seq_len=4, dtype=dtype)
-        grads = lm.FlatParams(config)
+        grads = lm.FlatParams(config, config.vocab_size)
         grads.flat[...] = np.random.default_rng(3).normal(0.0, 2.0, grads.flat.size)
         want = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
                              for g in grads.values()))
         before = grads.flat.copy()
-        assert lm.clip_gradients(grads, 0.0) == want
+        assert lm.clip_gradients(grads, replace(config, clip_norm=0.0)) == want
         assert np.array_equal(grads.flat, before)
-        assert lm.clip_gradients(grads, 1.0) == want
+        assert lm.clip_gradients(grads, replace(config, clip_norm=1.0)) == want
         assert np.array_equal(grads.flat, before * (1.0 / want))
 
     @pytest.mark.parametrize("dtype", ("float32", "float64"))
     def test_matches_the_whole_buffer_copy(self, dtype):
-        # tensors past 16 elements, so numpy's pairwise sum splits them
+        # tensors past 16 elements, so numpy's pairwise sum splits them; an
+        # embedding of 41 rows against the reference's 300, whose rows past
+        # them have zero gradients. The embedding dominates the norm, and at
+        # this seed its squares summed without the zero padding change the
+        # norm in both dtypes
         config = lm.LmConfig(vocab_size=300, embed_dim=24, recurrent_units=9,
-                             dense_units=11, seq_len=6, dtype=dtype)
-        grads = lm.FlatParams(config)
-        grads.flat[...] = np.random.default_rng(5).normal(0.0, 3.0, grads.flat.size)
-        dead = (41 * config.embed_dim, config.vocab_size * config.embed_dim)
-        grads.flat[dead[0]:dead[1]] = 0.0
-        want = lm.FlatParams(config, grads.flat.copy())
-        norm = lm.clip_gradients(grads, 0.5, dead)
-        assert norm == _whole_buffer_clip(want, 0.5)
-        assert np.array_equal(grads.flat, want.flat)
-        assert not np.signbit(grads.flat[dead[0]:dead[1]]).any()
+                             dense_units=11, seq_len=6, clip_norm=0.5, dtype=dtype)
+        grads = lm.FlatParams(config, 41)
+        grads.flat[...] = np.random.default_rng(15).normal(0.0, 3.0, grads.flat.size)
+        grads.flat[grads["embedding"].size:] *= 0.01
+        want = lm.FlatParams(config, config.vocab_size)
+        for name, g in grads.items():
+            want[name][:len(g)] = g
+        norm = lm.clip_gradients(grads, config)
+        assert norm == _whole_buffer_clip(want, config)
+        for name, g in grads.items():
+            assert np.array_equal(g, want[name][:len(g)])
 
 
 def _lstm_case(seed, dtype, B, T, n_in, u):
@@ -369,16 +358,17 @@ class TestAdam:
     def test_blocked_update_matches_per_tensor_update(self, dtype):
         config = lm.LmConfig(vocab_size=2000, embed_dim=16, recurrent_units=8,
                              dense_units=20, seq_len=5, dtype=dtype)
-        assert lm._param_count(config) > lm._ADAM_BLOCK  # blocks end inside tensors
+        n_live = config.vocab_size
+        assert lm._param_count(config, n_live) > lm._ADAM_BLOCK  # blocks end inside tensors
         rng = np.random.default_rng(8)
-        params = lm.init_params(config, rng)
+        params = lm.init_params(config, n_live, rng)
         want = {name: p.copy() for name, p in params.items()}
         m = {name: np.zeros_like(p) for name, p in want.items()}
         v = {name: np.zeros_like(p) for name, p in want.items()}
         state = lm.AdamState.for_params(params.flat)
         b1, b2 = config.beta1, config.beta2
         for t in range(1, 4):
-            grads = lm.FlatParams(config)
+            grads = lm.FlatParams(config, n_live)
             grads.flat[...] = rng.normal(0.0, 0.1, grads.flat.size)
             for name, p in want.items():  # reference: the same update per tensor
                 g = grads[name]
@@ -392,34 +382,8 @@ class TestAdam:
             lm.adam_step(params.flat, grads.flat, state, config)
             for name, p in want.items():
                 assert np.array_equal(params[name], p)
-                assert np.array_equal(lm.FlatParams(config, state.m)[name], m[name])
-                assert np.array_equal(lm.FlatParams(config, state.v)[name], v[name])
-
-    @pytest.mark.parametrize("dtype", ("float32", "float64"))
-    def test_skipped_zero_gradient_range_matches_full_update(self, dtype):
-        # the embedding rows past the vocabulary: zero gradients throughout,
-        # and a range whose ends fall inside Adam blocks
-        config = lm.LmConfig(vocab_size=2000, embed_dim=16, recurrent_units=8,
-                             dense_units=20, seq_len=5, dtype=dtype)
-        live = 37
-        skip = (live * config.embed_dim, config.vocab_size * config.embed_dim)
-        assert skip[0] % lm._ADAM_BLOCK and skip[1] % lm._ADAM_BLOCK
-        rng = np.random.default_rng(9)
-        full = lm.init_params(config, rng)
-        skipped = lm.FlatParams(config, full.flat.copy())
-        full_state = lm.AdamState.for_params(full.flat)
-        skipped_state = lm.AdamState.for_params(skipped.flat)
-        for _ in range(4):
-            grads = lm.FlatParams(config)
-            grads.flat[...] = rng.normal(0.0, 0.1, grads.flat.size)
-            grads["embedding"][live:] = 0.0
-            lm.adam_step(full.flat, grads.flat.copy(), full_state, config)
-            lm.adam_step(skipped.flat, grads.flat, skipped_state, config, skip)
-            assert np.array_equal(skipped.flat, full.flat)
-            assert np.array_equal(skipped_state.m, full_state.m)
-            assert np.array_equal(skipped_state.v, full_state.v)
-            assert skipped_state.t == full_state.t
-        assert not full_state.m[skip[0]:skip[1]].any()
+                assert np.array_equal(lm.FlatParams(config, n_live, state.m)[name], m[name])
+                assert np.array_equal(lm.FlatParams(config, n_live, state.v)[name], v[name])
 
     def test_constant_gradient_step_size_near_lr(self):
         config = lm.LmConfig(seq_len=1)
@@ -438,61 +402,79 @@ class TestTrain:
         _, pre, vocab, config, ids, targets = overfit_fixture(epochs=0)
         model, history = lm.train(ids, targets, config, vocab, pre)
         rng = np.random.default_rng(config.seed)
-        init = lm.init_params(config, rng)
+        init = lm.init_params(config, len(vocab), rng)
         assert history == []
         for name in init:
             assert np.array_equal(model.params[name], init[name])
 
-    def test_skipping_dead_embedding_rows_keeps_every_float(self):
-        # a cap above the vocabulary leaves embedding rows no id reaches;
-        # train's Adam skips them, and the model is the full-buffer one
-        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
-        config = replace(config, vocab_size=len(vocab) + 23)
-        model, history = lm.train(ids, targets, config, vocab, pre)
-        skips = []
+    @pytest.mark.parametrize("dtype, seed", [pytest.param("float32", 35, id="float32"),
+                                             pytest.param("float64", 2, id="float64")])
+    def test_every_step_clipped_matches_whole_buffer_formula(self, dtype, seed):
+        # the padded-vocabulary oracle: a cap 500 above the vocabulary, a
+        # clip_norm so small that every step clips, and a reference run
+        # whose vocabulary is padded with unused tokens up to the cap, the
+        # vocab_size layout, clipping one copy of the whole buffer. Adam
+        # all but hides a norm's last bit, so the norms are compared too: at
+        # these seeds, the embedding's squares summed without the zero
+        # padding change the norm of step 3 (float32) or step 2 (float64)
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=4, seq_len=30)
+        config = replace(config, vocab_size=len(vocab) + 500, clip_norm=1e-3,
+                         seed=seed, dtype=dtype)
 
-        def full_update(params, grads, state, config, skip=(0, 0)):
-            skips.append(skip)
-            return ADAM_STEP(params, grads, state, config)
+        def recorded(clip, norms):
+            def spy(grads, config):
+                norms.append(clip(grads, config))
+                return norms[-1]
+            return spy
 
-        with mock.patch.object(lm, "adam_step", full_update):
-            want, want_history = lm.train(ids, targets, config, vocab, pre)
-        assert set(skips) == {(len(vocab) * config.embed_dim,
-                               config.vocab_size * config.embed_dim)}
-        assert history == want_history
-        assert np.array_equal(model.params.flat, want.params.flat)
-
-    @pytest.mark.parametrize("dtype", ("float32", "float64"))
-    def test_every_step_clipped_matches_whole_buffer_formula(self, dtype):
-        # a clip_norm so small that every step clips, a dead embedding tail,
-        # and the reference run zeroes, checks, clips and updates the whole
-        # buffer at every step
-        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
-        config = replace(config, vocab_size=len(vocab) + 23, clip_norm=1e-3,
-                         dtype=dtype)
-        norms = []
-
-        def counted_clip(grads, clip_norm, dead=(0, 0)):
-            norms.append(CLIP(grads, clip_norm, dead))
-            return norms[-1]
-
-        with mock.patch.object(lm, "clip_gradients", counted_clip):
+        norms, want_norms = [], []
+        with mock.patch.object(lm, "clip_gradients", recorded(CLIP, norms)):
             model, history = lm.train(ids, targets, config, vocab, pre)
         assert len(norms) == config.epochs and min(norms) > config.clip_norm
 
-        def whole_backward(model, ids, targets, rng, grads, dead, workspace):
-            return BACKWARD(model, ids, targets, rng, grads, (0, 0), workspace)
-
-        def whole_adam(params, grads, state, config, skip=(0, 0)):
-            return ADAM_STEP(params, grads, state, config)
-
-        with mock.patch.object(lm, "backward", whole_backward), \
-                mock.patch.object(lm, "clip_gradients", _whole_buffer_clip), \
-                mock.patch.object(lm, "adam_step", whole_adam):
-            want, want_history = lm.train(ids, targets, config, vocab, pre)
+        unused = [f"<unused{i}>" for i in range(config.vocab_size - len(vocab))]
+        padded = lm.LmVocabulary(vocab.tokens + tuple(unused))
+        with mock.patch.object(lm, "clip_gradients",
+                               recorded(_whole_buffer_clip, want_norms)):
+            want, want_history = lm.train(ids, targets, config, padded, pre)
+        assert want.params["embedding"].shape[0] == config.vocab_size
+        assert norms == want_norms
         assert history == want_history
         assert model.params.flat.dtype == config.np_dtype
-        assert np.array_equal(model.params.flat, want.params.flat)
+        for name, view in model.params.items():
+            assert np.array_equal(view, want.params[name][:len(view)]), name
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda n: n, id="past-the-vocabulary"),  # raised an IndexError
+        pytest.param(lambda n: -1, id="negative"),  # read the last embedding row
+    ])
+    def test_id_outside_the_vocabulary_is_refused(self, bad):
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=1)
+        bad = bad(len(vocab))
+        config = replace(config, vocab_size=len(vocab) + 5)
+        ids = ids.copy()
+        ids[3, 1] = bad
+        with pytest.raises(IncmineError, match=rf"input id {bad} is outside the "
+                                               rf"vocabulary's ids \[0, {len(vocab)}\)"):
+            lm.train(ids, targets, config, vocab, pre)
+
+    def test_short_last_batch_keeps_the_first_workspace(self):
+        # 8 pairs in batches of 3: every epoch ends on a batch of 2, whose
+        # LSTM arrays are new; each full batch writes over the first step's
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=4)
+        config = replace(config, batch_size=3)
+        calls, fresh = [], []
+
+        def spy(x, wx, wh, b, out=None):
+            h, cache = LSTM_FORWARD(x, wx, wh, b, out)
+            calls.append(len(x))
+            fresh.append(out is None or cache[1] is not out[0])
+            return h, cache
+
+        with mock.patch.object(lm, "_lstm_forward", spy):
+            lm.train(ids, targets, config, vocab, pre)
+        assert len(calls) == 4 * 3 * config.epochs  # directions x steps x epochs
+        assert [n for n, new in zip(calls, fresh) if new] == [3] * 4 + [2] * 4 * config.epochs
 
     def test_seed_reproducibility(self):
         _, pre, vocab, config, ids, targets = overfit_fixture(epochs=5)
@@ -567,7 +549,7 @@ class TestStepMemory:
                                 + [f"t{i}" for i in range(config.vocab_size - 2)])
         rng = np.random.default_rng(6)
         model = lm.LmModel.initialized(config, vocab, NO_STOPWORDS, rng)
-        grads = lm.FlatParams(config)
+        grads = lm.FlatParams(config, len(vocab))
         ids = rng.integers(0, config.vocab_size, size=(B, T))
         offsets = np.arange(B + 1, dtype=np.int64) * 2
         targets = lm.TargetIds(offsets, rng.integers(2, config.vocab_size, size=2 * B))
@@ -586,7 +568,7 @@ class TestStepMemory:
             step_peak = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            lm.clip_gradients(grads, config.clip_norm)
+            lm.clip_gradients(grads, config)
             clip_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -697,66 +679,64 @@ def _artifact_files(path):
             if p.is_file()}
 
 
-def _assert_tiles_one_buffer(params, config):
+def _assert_tiles_one_buffer(params, config, n_live):
     """Each tensor is a C-contiguous view of ``params.flat``, in registry order."""
     flat = params.flat
     assert flat.ndim == 1 and flat.flags.c_contiguous
     offset = 0
-    for (name, shape), (got, view) in zip(lm._param_specs(config), params.items()):
+    for (name, shape), (got, view) in zip(lm._param_specs(config, n_live), params.items()):
         assert got == name and view.shape == shape and view.flags.c_contiguous
         assert np.shares_memory(view, flat)
         assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
         offset += view.size
     assert offset == flat.size
-    assert list(params) == [name for name, _ in lm._param_specs(config)]
+    assert list(params) == [name for name, _ in lm._param_specs(config, n_live)]
 
 
 class TestFlatLayout:
     def test_initialised_tensors_tile_one_buffer(self):
         config = lm.LmConfig(vocab_size=50, embed_dim=6, recurrent_units=5,
                              dense_units=7, seq_len=4)
-        params = lm.init_params(config, np.random.default_rng(0))
-        _assert_tiles_one_buffer(params, config)
+        params = lm.init_params(config, 31, np.random.default_rng(0))
+        _assert_tiles_one_buffer(params, config, 31)
         assert params.flat.dtype == np.float32
 
     def test_init_draw_is_the_per_tensor_draw(self):
         config = lm.LmConfig(vocab_size=50, embed_dim=6, recurrent_units=5,
                              dense_units=7, seq_len=4)
-        params = lm.init_params(config, np.random.default_rng(4))
+        params = lm.init_params(config, config.vocab_size, np.random.default_rng(4))
         rng = np.random.default_rng(4)
-        for name, shape in lm._param_specs(config):
+        for name, shape in lm._param_specs(config, config.vocab_size):
             bound = lm._xavier_bound(shape)
             want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
             assert np.array_equal(params[name], want)
 
     @pytest.mark.parametrize("dtype", ("float32", "float64"))
-    def test_dead_range_stays_zero_and_the_rest_is_the_full_draw(self, dtype):
-        # the dead rows span more than one throw-away chunk, and neither of
-        # their ends falls on a chunk edge
+    def test_rows_past_the_vocabulary_are_drawn_and_dropped(self, dtype):
+        # the rows past the 37 kept span more than one throw-away chunk, and
+        # their end does not fall on a chunk edge
         config = lm.LmConfig(vocab_size=2000, embed_dim=40, recurrent_units=5,
                              dense_units=7, seq_len=4, dtype=dtype)
-        dead = (37 * config.embed_dim, config.vocab_size * config.embed_dim)
-        assert dead[1] - dead[0] > lm._ADAM_BLOCK
-        params = lm.init_params(config, np.random.default_rng(4), dead)
+        n_live = 37
+        dropped = (config.vocab_size - n_live) * config.embed_dim
+        assert dropped > lm._ADAM_BLOCK and dropped % lm._ADAM_BLOCK
+        params = lm.init_params(config, n_live, np.random.default_rng(4))
+        _assert_tiles_one_buffer(params, config, n_live)
         rng = np.random.default_rng(4)
-        want = lm.FlatParams(config)
-        for name, shape in lm._param_specs(config):
+        for name, shape in lm._param_specs(config, config.vocab_size):
             bound = lm._xavier_bound(shape)
-            want[name][...] = rng.uniform(-bound, bound, size=shape)
-        dead_part = params.flat[dead[0]:dead[1]]
-        assert not dead_part.any() and not np.signbit(dead_part).any()
-        assert np.array_equal(params.flat[:dead[0]], want.flat[:dead[0]])
-        assert np.array_equal(params.flat[dead[1]:], want.flat[dead[1]:])
+            want = rng.uniform(-bound, bound, size=shape).astype(config.np_dtype)
+            assert np.array_equal(params[name], want[:len(params[name])]), name
 
     def test_loaded_tensors_tile_one_buffer(self, tmp_path):
         loaded = lm.load_model(_saved(tmp_path))
-        _assert_tiles_one_buffer(loaded.params, loaded.config)
+        _assert_tiles_one_buffer(loaded.params, loaded.config, len(loaded.vocab))
 
     def test_wrong_buffer_size_rejected(self):
         config = lm.LmConfig(vocab_size=8, embed_dim=2, recurrent_units=2,
                              dense_units=2, seq_len=2)
         with pytest.raises(ValueError, match="layout needs"):
-            lm.FlatParams(config, np.zeros(lm._param_count(config) + 1, np.float32))
+            lm.FlatParams(config, 8, np.zeros(lm._param_count(config, 8) + 1, np.float32))
 
 
 class TestArtifactRoundTrip:
@@ -770,10 +750,10 @@ class TestArtifactRoundTrip:
         path = _saved(tmp_path, "float64")
         loaded = lm.load_model(path)
         assert loaded.config.dtype == "float64"
-        _assert_tiles_one_buffer(loaded.params, loaded.config)
+        _assert_tiles_one_buffer(loaded.params, loaded.config, len(loaded.vocab))
         stored = np.fromfile(path / "params.bin", dtype="<f4")
         start = 0
-        for name, shape in lm._param_specs(loaded.config):
+        for name, shape in lm._param_specs(loaded.config, len(loaded.vocab)):
             stop = start + math.prod(shape)
             assert loaded.params[name].dtype == np.float64
             assert np.array_equal(loaded.params[name], stored[start:stop].reshape(shape))
@@ -787,7 +767,7 @@ class TestArtifactRoundTrip:
         lm.save_model(model, path)
         assert {p.name for p in path.iterdir()} == {"manifest.json", "params.bin"}
         want = b"".join(np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
-                        for name, _ in lm._param_specs(model.config))
+                        for name, _ in lm._param_specs(model.config, len(model.vocab)))
         assert (path / "params.bin").read_bytes() == want
 
 

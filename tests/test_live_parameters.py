@@ -1,12 +1,12 @@
 """The lm-v3 artifact stores only the parameters a vocabulary token can reach.
 
-With a vocabulary shorter than ``vocab_size``, params.bin holds the first
-``len(vocab)`` embedding rows, every LSTM and dense tensor whole, and the
-first ``len(vocab)`` columns of ``out_w`` and entries of ``out_b``; a
-reload fills the rest with zeros. These tests build models whose
-vocabulary is smaller than the cap, which the other artifact fixtures do
-not, and pin the float fact the design rests on: the values in the dead
-slots never change a live output.
+With a vocabulary shorter than ``vocab_size``, the embedding has one row
+per vocabulary token, and params.bin holds it, every LSTM and dense tensor
+whole, and the first ``len(vocab)`` columns of ``out_w`` and entries of
+``out_b``; a reload fills the rest of the head with zeros. These tests
+build models whose vocabulary is smaller than the cap, which the other
+artifact fixtures do not, and pin the float fact the design rests on: the
+values in the dead head slots never change a live output.
 """
 
 import json
@@ -48,10 +48,9 @@ def _saved(tmp_path, dtype="float32"):
 def _stored_tensors(model):
     """(name, the part of the tensor params.bin holds), in registry order."""
     n = len(model.vocab)
-    parts = {"embedding": model.params["embedding"][:n],
-             "out_w": model.params["out_w"][:, :n], "out_b": model.params["out_b"][:n]}
+    parts = {"out_w": model.params["out_w"][:, :n], "out_b": model.params["out_b"][:n]}
     return [(name, parts.get(name, model.params[name]))
-            for name, _ in lm._param_specs(model.config)]
+            for name, _ in lm._param_specs(model.config, n)]
 
 
 def _offsets(model):
@@ -67,10 +66,10 @@ def _offsets(model):
 def test_params_file_is_four_bytes_per_live_parameter(tmp_path, dtype):
     model, _, path = _saved(tmp_path, dtype)
     config, n = model.config, len(model.vocab)
-    live = sum(math.prod(shape) for name, shape in lm._param_specs(config)
+    live = sum(math.prod(shape) for name, shape in lm._param_specs(config, config.vocab_size)
                if name not in ("embedding", "out_w", "out_b"))
     live += n * config.embed_dim + config.dense_units * n + n
-    assert live < lm._param_count(config)
+    assert live < lm._param_count(config, config.vocab_size)
     assert (path / "params.bin").stat().st_size == 4 * live
     want = b"".join(np.ascontiguousarray(part, dtype="<f4").tobytes()
                     for _, part in _stored_tensors(model))
@@ -90,7 +89,7 @@ def test_reload_zero_fills_the_dead_slots_and_keeps_the_live_ones(tmp_path):
     loaded = lm.load_model(path)
     n = len(model.vocab)
     assert model.params["out_w"][:, n:].any()  # trained, but no token reports them
-    assert not loaded.params["embedding"][n:].any()
+    assert loaded.params["embedding"].shape == (n, model.config.embed_dim)
     assert not loaded.params["out_w"][:, n:].any()
     assert not loaded.params["out_b"][n:].any()
     for name, part in _stored_tensors(model):
@@ -128,10 +127,11 @@ def test_wrong_size_names_the_live_byte_count(tmp_path):
     model, _, path = _saved(tmp_path)
     blob = path / "params.bin"
     live = blob.stat().st_size
-    assert live < 4 * lm._param_count(model.config)
+    full = 4 * lm._param_count(model.config, model.config.vocab_size)  # the lm-v2 size
+    assert live < full
     with open(blob, "r+b") as fh:
-        fh.truncate(4 * lm._param_count(model.config))  # the lm-v2 size
-    with pytest.raises(IncmineError, match=f"params.bin is {4 * lm._param_count(model.config)} "
+        fh.truncate(full)
+    with pytest.raises(IncmineError, match=f"params.bin is {full} "
                                            f"bytes, the config needs {live}$"):
         lm.load_model(path)
 
@@ -167,13 +167,11 @@ for dtype in ("float32", "float64"):
     config = lm.LmConfig(embed_dim=16, recurrent_units=8, seq_len=6, dtype=dtype)
     rng = np.random.default_rng(5)
     noisy = lm.LmModel.initialized(config, vocab, PreprocessConfig(stopwords=frozenset()), rng)
-    for view in (noisy.params["embedding"][n:], noisy.params["out_w"][:, n:],
-                 noisy.params["out_b"][n:]):
+    for view in (noisy.params["out_w"][:, n:], noisy.params["out_b"][n:]):
         view[...] = rng.normal(scale=10.0, size=view.shape)
     zeroed = lm.LmModel(config=config, vocab=vocab, pre=noisy.pre,
-                        params=lm.FlatParams(config, noisy.params.flat.copy()))
-    for view in (zeroed.params["embedding"][n:], zeroed.params["out_w"][:, n:],
-                 zeroed.params["out_b"][n:]):
+                        params=lm.FlatParams(config, n, noisy.params.flat.copy()))
+    for view in (zeroed.params["out_w"][:, n:], zeroed.params["out_b"][n:]):
         view[...] = 0.0
     ids = rng.integers(0, n, size=(32, config.seq_len))
     for row in ids:
@@ -189,9 +187,9 @@ print(json.dumps({"checked": checked}))
 
 @pytest.mark.parametrize("threads", ("1", "2"))
 def test_dead_slot_values_never_change_a_live_output(threads):
-    """Random dead embedding rows, head columns and bias entries give the
-    same live floats as zeros, in forward (B=1) and the eval-mode batch
-    forward (B=32), in float32 and float64, at 1 and 2 BLAS threads."""
+    """Random dead head columns and bias entries give the same live floats
+    as zeros, in forward (B=1) and the eval-mode batch forward (B=32), in
+    float32 and float64, at 1 and 2 BLAS threads."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
