@@ -9,6 +9,11 @@ flag is added (``_Parser.setting``). The file is applied once, before the
 subcommand runs; the subcommands then build ``PreprocessConfig``,
 ``MiningConfig``, ``ClusterConfig`` and ``LmConfig`` from the values that
 were set, by field name, so the dataclass defaults are the only defaults.
+
+A call loads only what its subcommand runs: the stage modules (``corpus``,
+``rules``, ``vectors``, ``clustering``, ``langmodel``) are imported by the
+functions that use them, and ``main`` adds the flags of the one subcommand
+it runs (``build_parser(command)``).
 """
 
 from __future__ import annotations
@@ -23,12 +28,14 @@ import shutil
 import sys
 import tempfile
 from io import StringIO
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import clustering, corpus as corpus_mod, langmodel, rules as rules_mod, vectors
 from .errors import IncmineError, check_allocation, strict_float, strict_int
+
+if TYPE_CHECKING:
+    from . import clustering, corpus as corpus_mod
 
 
 class _UsageError(Exception):
@@ -125,6 +132,8 @@ def _write_json(path, obj):
 
 
 def _pre_config(args) -> corpus_mod.PreprocessConfig:
+    from . import corpus as corpus_mod
+
     if args.no_stopwords:
         stopwords = frozenset()
     elif args.stopwords_file is not None:
@@ -136,6 +145,8 @@ def _pre_config(args) -> corpus_mod.PreprocessConfig:
 
 
 def _load_inputs(args):
+    from . import corpus as corpus_mod
+
     if args.corpus is None:
         raise _UsageError("a corpus is required (--corpus or paths.corpus)")
     pre = _pre_config(args)
@@ -143,6 +154,8 @@ def _load_inputs(args):
 
 
 def _ontology(args):
+    from . import corpus as corpus_mod
+
     return None if args.ontology is None else corpus_mod.TagOntology.from_tsv(args.ontology)
 
 
@@ -181,6 +194,8 @@ def _output_set(args):
 # --------------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
+    from . import corpus as corpus_mod
+
     loaded, pre = _load_inputs(args)
     txs = corpus_mod.to_transactions(loaded, pre, _ontology(args))
     top = corpus_mod.top_frequent_words(loaded, pre,
@@ -213,6 +228,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_mine_rules(args) -> int:
+    from . import corpus as corpus_mod, rules as rules_mod
+
     loaded, pre = _load_inputs(args)
     txs = corpus_mod.to_transactions(loaded, pre, _ontology(args))
     n = len(txs.transactions)
@@ -234,6 +251,8 @@ def _cluster_config(args, **defaults) -> clustering.ClusterConfig:
 
     ``--k K`` (or ``clustering.k``) is the range (K, K); ``--k-range`` beats
     ``clustering.k`` from a config file."""
+    from . import clustering
+
     k_range = args.k_range
     if k_range is None:
         if args.k is None:
@@ -245,6 +264,8 @@ def _cluster_config(args, **defaults) -> clustering.ClusterConfig:
 
 def _cluster_and_report(points, ids, config) -> tuple[str, dict]:
     """k-medoids over ``points``: the text of clusters.csv and the summary."""
+    from . import clustering
+
     best, report = clustering.sweep_k(points, config)
     unconverged = [k for k, fit in report.fits if fit.swap_passes >= config.max_iter]
     if unconverged:
@@ -270,6 +291,8 @@ def _cluster_and_report(points, ids, config) -> tuple[str, dict]:
 
 
 def cmd_cluster_tfidf(args) -> int:
+    from . import vectors
+
     loaded, pre = _load_inputs(args)
     ontology = _ontology(args)
     config = _cluster_config(args, metric="cosine")
@@ -291,6 +314,8 @@ def cmd_cluster_tfidf(args) -> int:
 
 
 def cmd_cluster_embeddings(args) -> int:
+    from . import clustering
+
     if args.embeddings is None:
         raise _UsageError("an embedding file is required (--embeddings)")
     config = _cluster_config(args)
@@ -321,6 +346,8 @@ def cmd_cluster_embeddings(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
+    from . import corpus as corpus_mod, langmodel
+
     loaded, pre = _load_inputs(args)
     config = langmodel.LmConfig(**_given(args, langmodel.LmConfig))
     dynamics = [corpus_mod.preprocess(r.dynamics, pre) for r in loaded]
@@ -338,6 +365,8 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import langmodel
+
     model = langmodel.load_model(args.model)
     top = langmodel.predict_consequence(model, args.text,
                                         **_given(args, langmodel.predict_consequence))
@@ -373,6 +402,8 @@ def _add_corpus_opts(sub, ontology=True):
 
 
 def _add_cluster_opts(sub):
+    from . import clustering
+
     k_or_sweep = sub.add_mutually_exclusive_group()
     sub.setting("--k", "clustering.k", type=strict_int, group=k_or_sweep,
                 help="fixed cluster count")
@@ -383,25 +414,16 @@ def _add_cluster_opts(sub):
     sub.setting("--max-iter", "clustering.max_iter", type=strict_int)
 
 
-def build_parser() -> _Parser:
-    """The CLI parser; ``commands`` maps each subcommand name to its parser."""
-    parser = _Parser(prog="incmine",
-                     description="Mine rules, cluster descriptions and predict "
-                                 "consequences from incident-report text.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    parser.commands = subs.choices
+def _preprocess_opts(sub):
+    from . import corpus as corpus_mod
 
-    sub = subs.add_parser("preprocess", help="tokenize corpus into transactions")
-    _add_common(sub)
     _add_corpus_opts(sub)
     sub.setting("--top-k", "corpus.top_k", type=strict_int,
                 help="how many frequent words to report "
                      f"(default {corpus_mod.TOP_WORDS})")
-    sub.set_defaults(func=cmd_preprocess)
 
-    sub = subs.add_parser("mine-rules",
-                          help="mine positive/negative association rules")
-    _add_common(sub)
+
+def _mine_rules_opts(sub):
     _add_corpus_opts(sub)
     sub.setting("--minsupp", "rules.minsupp", type=strict_float)
     sub.setting("--mincnf", "rules.mincnf", type=strict_float)
@@ -411,21 +433,16 @@ def build_parser() -> _Parser:
     sub.setting("--allow-lift-le1", "rules.require_lift_gt1", cast=_parse_bool,
                 dest="require_lift_gt1", action="store_const", const=False,
                 help="also admit rules whose lift does not exceed 1")
-    sub.set_defaults(func=cmd_mine_rules)
 
-    sub = subs.add_parser("cluster-tfidf",
-                          help="k-medoids over tf-idf rows (tag-substituted "
-                               "when an ontology is given)")
-    _add_common(sub)
+
+def _cluster_tfidf_opts(sub):
     _add_corpus_opts(sub)
     _add_cluster_opts(sub)
-    sub.set_defaults(func=cmd_cluster_tfidf)
 
-    sub = subs.add_parser("cluster-embeddings",
-                          help="reduce an external embedding matrix with "
-                               "incremental PCA, then k-medoids (the PCA is "
-                               "fit on the matrix it reduces)")
-    _add_common(sub)
+
+def _cluster_embeddings_opts(sub):
+    from . import clustering
+
     _add_cluster_opts(sub)
     sub.setting("--embeddings", "paths.embeddings", help="embedding matrix file")
     sub.add_argument("--embeddings-format", choices=("text", "binary"),
@@ -436,10 +453,9 @@ def build_parser() -> _Parser:
                      f"(default {clustering.VARIANCE_THRESHOLD})")
     sub.setting("--batch-size", "clustering.batch_size", type=strict_int,
                 help="incremental PCA batch rows")
-    sub.set_defaults(func=cmd_cluster_embeddings)
 
-    sub = subs.add_parser("train-lm", help="train the consequence predictor")
-    _add_common(sub)
+
+def _train_lm_opts(sub):
     _add_corpus_opts(sub, ontology=False)
     sub.setting("--seed", "lm.seed", type=strict_int,
                 help="weight, batch-order and dropout seed")
@@ -452,21 +468,55 @@ def build_parser() -> _Parser:
     sub.setting("--lr", "lm.learning_rate", dest="learning_rate", type=strict_float)
     sub.setting("--batch-size", "lm.batch_size", type=strict_int)
     sub.setting("--epochs", "lm.epochs", type=strict_int)
-    sub.set_defaults(func=cmd_train_lm)
 
-    sub = subs.add_parser("predict", help="rank consequence tokens for a text, "
-                                          "tokenized as the model's training was")
-    _add_common(sub)
+
+def _predict_opts(sub):
     sub.add_argument("--model", required=True, help="model artifact directory")
     sub.add_argument("--text", required=True, help="dynamics description")
     sub.add_argument("--top-k", type=strict_int)
-    sub.set_defaults(func=cmd_predict)
 
+
+# name -> (help line, the flags after --config and --output-dir, handler)
+_COMMANDS = {
+    "preprocess": ("tokenize corpus into transactions", _preprocess_opts, cmd_preprocess),
+    "mine-rules": ("mine positive/negative association rules",
+                   _mine_rules_opts, cmd_mine_rules),
+    "cluster-tfidf": ("k-medoids over tf-idf rows (tag-substituted when an "
+                      "ontology is given)", _cluster_tfidf_opts, cmd_cluster_tfidf),
+    "cluster-embeddings": ("reduce an external embedding matrix with incremental "
+                           "PCA, then k-medoids (the PCA is fit on the matrix it "
+                           "reduces)", _cluster_embeddings_opts, cmd_cluster_embeddings),
+    "train-lm": ("train the consequence predictor", _train_lm_opts, cmd_train_lm),
+    "predict": ("rank consequence tokens for a text, tokenized as the model's "
+                "training was", _predict_opts, cmd_predict),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The CLI parser; ``commands`` maps each subcommand name to its parser.
+
+    Every subcommand is registered with its help line, but only ``command``
+    gets its flags, or every subcommand when ``command`` is None. A call
+    that runs one subcommand parses the same with either parser."""
+    parser = _Parser(prog="incmine",
+                     description="Mine rules, cluster descriptions and predict "
+                                 "consequences from incident-report text.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
+    for name, (help_line, add_opts, func) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        if command is None or command == name:
+            _add_common(sub)
+            add_opts(sub)
+            sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand is the first argument that is not an option: the
+    # top-level parser takes no option with a value
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -475,8 +525,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help prints and exits
         return int(exc.code or 0)
     try:
-        if args.config is not None:
-            _apply_config(args, parser.commands)
+        if args.config is not None:  # a key no subcommand declares is refused
+            _apply_config(args, build_parser().commands)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

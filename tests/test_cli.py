@@ -1036,6 +1036,29 @@ class TestConfigFile:
         assert read(tmp_path / "configured" / "prediction.json") == \
             read(tmp_path / "plain" / "prediction.json")
 
+    def test_other_stage_keys_are_ignored_by_predict(self, model_dir, tmp_path):
+        # predict's parser declares no clustering key; the pipeline's file does
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("clustering.k = 3\n", encoding="utf-8")
+        text = ("--text", "operaio scivola su scala")
+        assert run("predict", "--model", model_dir, *text,
+                   "--output-dir", str(tmp_path / "plain")) == 0
+        assert run("predict", "--model", model_dir, *text, "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "configured")) == 0
+        assert read(tmp_path / "configured" / "prediction.json") == \
+            read(tmp_path / "plain" / "prediction.json")
+
+    def test_predict_refuses_a_key_no_subcommand_declares(self, model_dir, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("clustering.k = 3\nclustering.kk = 3\n", encoding="utf-8")
+        out = tmp_path / "refused"
+        assert run("predict", "--model", model_dir, "--text", "operaio scivola su scala",
+                   "--config", str(cfg), "--output-dir", str(out)) == 1
+        assert capsys.readouterr().err == \
+            f"usage error: {cfg}: unknown config key 'clustering.kk'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [("cluster-tfidf", "--k", "2"), ("train-lm",)])
     def test_removed_clustering_seed_key_is_usage_error(self, fixture_corpus_path, tmp_path,
                                                         capsys, command):
