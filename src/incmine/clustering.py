@@ -81,9 +81,7 @@ class SweepReport:
 class IpcaModel:
     mean: np.ndarray
     components: np.ndarray                # (m, n_cols) orthonormal rows
-    singular_values: np.ndarray
     explained_variance_ratio: np.ndarray  # non-increasing, sums to <= 1
-    n_seen: int
 
     @property
     def n_cols(self) -> int:
@@ -282,8 +280,7 @@ def ipca_fit(data, batch_size: Optional[int] = None) -> IpcaModel:
         ratio = explained / total_var
     else:
         ratio = np.zeros_like(explained)
-    return IpcaModel(mean=mean, components=components, singular_values=singular,
-                     explained_variance_ratio=ratio, n_seen=n_seen)
+    return IpcaModel(mean=mean, components=components, explained_variance_ratio=ratio)
 
 
 def reduce_to_variance(model: IpcaModel, points,

@@ -86,10 +86,6 @@ ARTIFACT_VERSION = "lm-v3"
 _PROB_EPS = 1e-7
 
 
-class NonFiniteError(IncmineError):
-    """A forward activation or gradient left the finite range."""
-
-
 # --------------------------------------------------------------------------
 # vocabulary and encoding
 # --------------------------------------------------------------------------
@@ -173,6 +169,8 @@ class LmConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.dtype not in ("float32", "float64"):
@@ -510,8 +508,6 @@ def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
         a2d = a2
     zo = a2d @ params["out_w"] + params["out_b"]
     probs = _sigmoid(zo)
-    if not np.isfinite(probs).all():
-        raise NonFiniteError("non-finite activation in forward pass")
     cache = {"lstm1": lstm1, "lstm2": lstm2, "flat": flat, "z1": z1, "a1": a1,
              "z2": z2, "mask": mask, "a2d": a2d}
     return probs, cache
@@ -527,7 +523,8 @@ def _check_ids(ids: np.ndarray, n_live: int) -> None:
 
 def forward(model: LmModel, input_ids) -> np.ndarray:
     """Eval-mode probabilities of the ``len(model.vocab)`` vocabulary tokens
-    for one id sequence; an id outside ``[0, len(model.vocab))`` is refused.
+    for one id sequence; an id outside ``[0, len(model.vocab))`` is refused,
+    and so is a probability that is not finite.
 
     The head still multiplies every ``vocab_size`` column, so each live
     float is the one training's ``_forward_batch`` computes; the columns
@@ -536,6 +533,8 @@ def forward(model: LmModel, input_ids) -> np.ndarray:
     ids = np.asarray(input_ids, dtype=np.int64)[None, :]
     _check_ids(ids, len(model.vocab))
     probs, _ = _forward_batch(model.params, model.config, ids, False, None)
+    if not np.isfinite(probs).all():
+        raise IncmineError("non-finite activation in forward pass")
     return probs[0, :len(model.vocab)]
 
 
@@ -595,6 +594,7 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     step of that batch size writes over instead of allocating them afresh.
     Those arrays are not dropped, and glibc does not give their pages back
     to the system after each step only to fault them in again on the next.
+    Nothing is checked for finiteness here; ``train`` checks each step.
     """
     if len(ids) == 0:
         raise IncmineError("batch must be non-empty")
@@ -614,8 +614,6 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
     d_embedding = grads["embedding"]
     d_embedding.fill(0.0)  # accumulated into, as the LSTM weight views are
     np.add.at(d_embedding, ids, demb)
-    if not np.isfinite(grads.flat).all():
-        raise NonFiniteError("non-finite gradient")
     return grads, loss
 
 
@@ -688,7 +686,9 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabu
     losses.
 
     Each step makes only its batch's dense (B, V) targets, so memory does
-    not grow with N x V. An id outside ``[0, len(vocab))`` is refused."""
+    not grow with N x V. An id outside ``[0, len(vocab))`` is refused. A
+    step whose loss or updated parameters are not finite is refused as
+    ``training diverged at epoch E, batch B``."""
     n = len(ids)
     if n == 0:
         raise IncmineError("need at least one training pair")
@@ -704,15 +704,12 @@ def train(ids: np.ndarray, targets: TargetIds, config: LmConfig, vocab: LmVocabu
         total = 0.0
         for bi, start in enumerate(range(0, n, config.batch_size)):
             b = order[start:start + config.batch_size]
-            try:
-                _, loss = backward(model, ids[b], targets.multi_hot(b, config),
-                                   rng, grads, workspace)
-                if not math.isfinite(loss):
-                    raise NonFiniteError("non-finite loss")
-            except NonFiniteError as exc:
-                raise IncmineError(f"training diverged at epoch {epoch}, batch {bi}") from exc
+            _, loss = backward(model, ids[b], targets.multi_hot(b, config),
+                               rng, grads, workspace)
             clip_gradients(grads, config)
             adam_step(model.params.flat, grads.flat, adam, config)
+            if not (math.isfinite(loss) and np.isfinite(model.params.flat).all()):
+                raise IncmineError(f"training diverged at epoch {epoch}, batch {bi}")
             total += loss * len(b)
         history.append(total / n)
     return model, history

@@ -722,6 +722,32 @@ class TestTrainPredict:
                    "--output-dir", str(tmp_path / "pred")) == 0
         assert json.loads(read(tmp_path / "pred" / "prediction.json"))["top"] == want
 
+    @pytest.mark.parametrize("flags, position", [
+        # 12 pairs, one batch per epoch
+        (["--lr", "1e30", "--epochs", "3"], "epoch 1, batch 0"),  # the second step
+        (["--lr", "1e300"], "epoch 0, batch 0"),  # the only step's update overflows
+    ])
+    def test_diverging_training_is_a_data_error(self, fixture_corpus_path, tmp_path,
+                                                flags, position):
+        # in a child process: numpy's RuntimeWarnings would be errors here
+        out = tmp_path / "out"
+        code, err = _run_child(["train-lm", "--corpus", fixture_corpus_path, *_SMALL_LM,
+                                *flags, "--output-dir", str(out)])
+        assert code == 2 and "Traceback" not in err
+        assert err.splitlines()[-1] == f"error: training diverged at {position}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "inf"], ["--config", "{cfg}"]],
+                             ids=["flag-nan", "flag-inf", "key-inf"])
+    def test_non_finite_lr_is_refused(self, fixture_corpus_path, tmp_path, capsys, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lm.learning_rate = inf\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("train-lm", "--corpus", fixture_corpus_path, *_SMALL_LM,
+                   *(flag.format(cfg=cfg) for flag in flags), "--output-dir", str(out)) == 2
+        assert capsys.readouterr().err == "error: learning_rate must be finite\n"
+        assert not out.exists()
+
     def test_stock_config_from_lm_config(self, fixture_corpus_path, tmp_path):
         out = str(tmp_path / "out")
         assert run("train-lm", "--corpus", fixture_corpus_path, "--epochs", "1",
@@ -742,20 +768,25 @@ def model_dir(fixture_corpus_path, tmp_path):
     return os.path.join(out, "model")
 
 
-def _run_capped(argv, max_file_bytes):
-    """Exit code and standard error of an ``incmine`` call in a child process
-    that can write no file past ``max_file_bytes`` (Python ignores SIGXFSZ,
-    so a write past it fails with EFBIG)."""
+def _run_child(argv, preexec_fn=None):
+    """Exit code and standard error of an ``incmine`` call in a child process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "incmine.cli", *argv], env=env,
+                          preexec_fn=preexec_fn, capture_output=True, text=True,
+                          timeout=300)
+    return proc.returncode, proc.stderr
 
+
+def _run_capped(argv, max_file_bytes):
+    """``_run_child`` in a child process that can write no file past
+    ``max_file_bytes`` (Python ignores SIGXFSZ, so a write past it fails
+    with EFBIG)."""
     def cap():
         resource.setrlimit(resource.RLIMIT_FSIZE, (max_file_bytes, max_file_bytes))
 
-    proc = subprocess.run([sys.executable, "-m", "incmine.cli", *argv], env=env,
-                          preexec_fn=cap, capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stderr
+    return _run_child(argv, cap)
 
 
 _SMALL_LM = ["--vocab-size", "32", "--embed-dim", "4", "--recurrent-units", "3",
@@ -864,6 +895,14 @@ class TestModelManifest:
         data["config"][field] = value
         code, err = self._predict_with(model_dir, data, capsys)
         assert code == 2 and f"{field} must be" in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_learning_rate(self, model_dir, capsys, value):
+        # json writes the rate as NaN or Infinity, and reads it back
+        data = self._manifest(model_dir)
+        data["config"]["learning_rate"] = value
+        code, err = self._predict_with(model_dir, data, capsys)
+        assert code == 2 and "error: manifest config: learning_rate must be finite" in err
 
     def test_preprocess_is_the_training_tokenizer(self, model_dir):
         assert self._manifest(model_dir)["preprocess"] == {"stopwords": [],

@@ -813,8 +813,7 @@ class TestReduceToVariance:
     def test_unreachable_threshold_reports_max(self, rng):
         data = rng.normal(size=(50, 6))
         model = IpcaModel(mean=np.zeros(6), components=np.eye(6)[:2],
-                          singular_values=np.ones(2),
-                          explained_variance_ratio=np.array([0.375, 0.25]), n_seen=50)
+                          explained_variance_ratio=np.array([0.375, 0.25]))
         with pytest.raises(IncmineError, match="explain only 0.625000 < 0.999"):
             reduce_to_variance(model, data, 0.999)
 

@@ -11,8 +11,8 @@ import lstm_oracle
 from incmine import langmodel as lm
 from incmine.cli import main
 from incmine.errors import IncmineError
-from lm_fixtures import (NO_STOPWORDS, gradcheck_fixture, max_relative_fd_error,
-                         overfit_fixture, zero_model)
+from lm_fixtures import (NO_STOPWORDS, batch_loss, gradcheck_fixture,
+                         max_relative_fd_error, overfit_fixture, zero_model)
 
 
 CLIP = lm.clip_gradients
@@ -94,6 +94,12 @@ class TestForward:
         with pytest.raises(IncmineError, match=rf"input id {bad} is outside the "
                                                rf"vocabulary's ids \[0, 8\)"):
             lm.forward(model, ids)
+
+    def test_non_finite_probability_is_refused(self):
+        model, ids, _ = gradcheck_fixture()
+        model.params["out_b"][3] = np.nan
+        with pytest.raises(IncmineError, match=r"^non-finite activation in forward pass$"):
+            lm.forward(model, ids[0])
 
 
 def _short_vocab_model():
@@ -485,11 +491,35 @@ class TestTrain:
             assert np.array_equal(m1.params[name], m2.params[name])
 
     def test_divergence_reports_position(self):
+        # a gradient goes non-finite; Adam carries it into the parameters
         _, pre, vocab, config, ids, targets = overfit_fixture(epochs=3)
-        from dataclasses import replace
         hot = replace(config, learning_rate=1e18, clip_norm=0.0, epochs=8)
         with np.errstate(all="ignore"):
-            with pytest.raises(IncmineError, match="epoch"):
+            with pytest.raises(IncmineError, match=r"^training diverged at epoch 2, batch 0$"):
+                lm.train(ids, targets, hot, vocab, pre)
+
+    def test_update_that_overflows_is_refused_at_its_step(self):
+        # one batch, one step: its loss is finite, its update is not, and
+        # nothing would come after it to notice
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=1)
+        assert len(ids) <= config.batch_size
+        hot = replace(config, learning_rate=1e300)
+        with np.errstate(all="ignore"):
+            with pytest.raises(IncmineError, match=r"^training diverged at epoch 0, batch 0$"):
+                lm.train(ids, targets, hot, vocab, pre)
+
+    def test_non_finite_forward_is_named_at_its_step(self):
+        # one batch per epoch: the first update leaves float32 parameters
+        # near 1e38, still finite, and the second step's forward pass
+        # overflows to a NaN loss
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=6)
+        hot = replace(config, learning_rate=1e38)
+        with np.errstate(all="ignore"):
+            model, _ = lm.train(ids, targets, replace(hot, epochs=1), vocab, pre)
+            assert np.isfinite(model.params.flat).all()
+            dense = targets.multi_hot(np.arange(len(ids)), hot)
+            assert math.isnan(batch_loss(model, ids, dense))
+            with pytest.raises(IncmineError, match=r"^training diverged at epoch 1, batch 0$"):
                 lm.train(ids, targets, hot, vocab, pre)
 
     def test_overfits_eight_pairs(self):

@@ -3,7 +3,9 @@ caller in the program: in ``src/incmine`` itself or in the benchmark
 (``perfbench/*.py``). Code that only the tests call belongs with the tests.
 Likewise every exception class of the package is caught somewhere in the
 package: a class that no ``except`` names tells no caller anything that
-its message does not.
+its message does not. And every field of a package dataclass is read, as
+an attribute, in the package or the benchmark: a field that only its
+constructor sets is work and memory for nothing.
 
 The files are parsed, not imported or run, and only read. A name counts as
 referenced by a ``Name`` load, by an attribute of a name bound to an incmine
@@ -134,3 +136,33 @@ def test_every_package_exception_class_is_caught_in_the_package():
     caught = caught_names()
     uncaught = [f"{module}:{name}" for module, name in defined if name not in caught]
     assert uncaught == []
+
+
+def _is_dataclass(node):
+    """True for a class decorated ``@dataclass``, ``@dataclass(...)`` or
+    ``@dataclasses.dataclass``."""
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def dataclass_fields():
+    """(module, class, field) of each annotated field of a package dataclass."""
+    return [(os.path.basename(path), node.name, stmt.target.id)
+            for path in PACKAGE_FILES for node in ast.walk(_parse(path))
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def attribute_loads():
+    """Every attribute name the package or the benchmark reads: ``x.name``."""
+    return {node.attr for path in CALLER_FILES for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    defined = dataclass_fields()
+    assert ("langmodel.py", "LmConfig", "learning_rate") in defined  # the scan found them
+    read = attribute_loads()
+    unread = [f"{module}:{cls}.{field}" for module, cls, field in defined if field not in read]
+    assert unread == []
