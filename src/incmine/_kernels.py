@@ -140,12 +140,12 @@ def _build_costs(dist, d_near):
     return costs
 
 
-def pam_swap(dist, medoids, max_iter, sums=None):
+def pam_swap(dist, medoids, max_iter, sums):
     """Best-improvement SWAP passes until none helps; returns (medoids, passes).
 
-    ``sums``, the ``SwapSums`` of earlier medoids on the same ``dist``, gives
-    the first pass sums to start from. Once a pass has run it holds the sums
-    of ``medoids`` as passed in, so the next call can start from them.
+    ``sums``, a new ``SwapSums`` or that of earlier medoids on ``dist``,
+    gives the first pass sums to start from. Once a pass has run it holds
+    the sums of ``medoids`` as passed in, so the next call can start there.
     """
     n = dist.shape[0]
     k = medoids.shape[0]
@@ -153,8 +153,6 @@ def pam_swap(dist, medoids, max_iter, sums=None):
     passes = 0
     if k >= n:
         return medoids, passes
-    if sums is None:
-        sums = SwapSums(n)
     while passes < max_iter:
         deltas = sums.deltas(dist, medoids)
         deltas[:, medoids] = np.inf

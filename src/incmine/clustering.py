@@ -89,9 +89,8 @@ class IpcaModel:
 
 
 def _validate_points(points) -> np.ndarray:
+    """An array or ``TfIdfMatrix`` rows as float64; 2-D and finite, or refused."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
     if points.ndim != 2:
         raise IncmineError("points must form a 2-D matrix")
     if not np.isfinite(points).all():
@@ -99,28 +98,20 @@ def _validate_points(points) -> np.ndarray:
     return points
 
 
-def _as_rows(points):
-    """``points`` itself when it has a 2-D ``shape`` and row slices, checked
-    block by block where it is read; otherwise the validated array."""
-    if len(getattr(points, "shape", ())) == 2:
-        return points
-    return _validate_points(points)  # lists and 1-D arrays; refuses other ranks
-
-
 def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
     """Full symmetric distance matrix, built as its only n x n array.
 
-    ``points`` is an array, or anything with a 2-D ``shape`` whose row
-    slices ``points[lo:hi]`` give dense rows, such as
-    ``vectors.TfIdfMatrix``. Euclidean distances take every row at once and
-    are computed from explicit row differences, not the expanded-dot-product
-    identity, so identical rows give exactly 0. A difference and its
-    negation square to the same float, so each chunk of rows fills its upper
-    triangle and mirrors it. Cosine distances read the rows a block at a
-    time into one array of unit rows, then clip and subtract in place in
-    the Gram matrix, which is exactly symmetric.
+    ``points`` is a 2-D array or a ``vectors.TfIdfMatrix``, whose row slices
+    ``points[lo:hi]`` give dense rows. Euclidean distances take every row at
+    once and are computed from explicit row differences, not the
+    expanded-dot-product identity, so identical rows give exactly 0. A
+    difference and its negation square to the same float, so each chunk of
+    rows fills its upper triangle and mirrors it. Cosine distances read the
+    rows a block at a time into one array of unit rows, then clip and
+    subtract in place in the Gram matrix, which is exactly symmetric.
     """
-    points = _as_rows(points)
+    if len(points.shape) != 2:
+        raise IncmineError("points must form a 2-D matrix")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     n = points.shape[0]
@@ -207,12 +198,11 @@ def _swap_and_score(dist, built, max_iter: int, sums) -> ClusterAssignment:
 
 def sweep_k(points, config: ClusterConfig) -> tuple[ClusterAssignment, SweepReport]:
     """Fit every k in ``config.k_range`` up to n; best = max silhouette, ties
-    to the smaller k.
+    to the smaller k. ``points`` are as ``pairwise_distances`` takes them.
 
     BUILD runs once, to the largest k: greedy BUILD only adds medoids, so its
     first k are the BUILD result for k.
     """
-    points = _as_rows(points)
     n = points.shape[0]
     k_lo, k_hi = config.k_range
     if k_lo > n:

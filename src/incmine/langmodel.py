@@ -480,12 +480,13 @@ def _bilstm_backward(params, layer: int, caches, d_h, grads):
     return d_x[0] + d_x[1]
 
 
-def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
-                   rng: Optional[np.random.Generator], workspace: Optional[dict] = None):
+def _forward_batch(params, config: LmConfig, ids, rng: Optional[np.random.Generator] = None,
+                   workspace: Optional[dict] = None):
     """Probabilities (B, V) and the activations ``backward`` reads.
 
-    ``workspace`` (see ``backward``) holds the LSTM arrays of the previous
-    call, which this one writes over; without it they are made afresh."""
+    The rng decides the mode: training draws dropout masks from it, and
+    ``forward`` passes none. ``workspace`` (see ``backward``) holds the LSTM
+    arrays of the previous call, which this one writes over."""
     B = ids.shape[0]
     u = config.recurrent_units
     if workspace is None:
@@ -498,9 +499,7 @@ def _forward_batch(params, config: LmConfig, ids, train_mode: bool,
     z2 = a1 @ params["dense2_w"] + params["dense2_b"]
     a2 = np.maximum(z2, 0.0)
     rate = config.dropout_rate
-    if train_mode and rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode forward with dropout needs an rng")
+    if rng is not None and rate > 0.0:
         mask = (rng.random((B, config.dense_units)) >= rate).astype(a2.dtype)
         a2d = a2 * mask / (1.0 - rate)
     else:
@@ -532,7 +531,7 @@ def forward(model: LmModel, input_ids) -> np.ndarray:
     """
     ids = np.asarray(input_ids, dtype=np.int64)[None, :]
     _check_ids(ids, len(model.vocab))
-    probs, _ = _forward_batch(model.params, model.config, ids, False, None)
+    probs, _ = _forward_batch(model.params, model.config, ids)
     if not np.isfinite(probs).all():
         raise IncmineError("non-finite activation in forward pass")
     return probs[0, :len(model.vocab)]
@@ -577,17 +576,16 @@ def _head_backward(params, config: LmConfig, probs, targets, cache, grads):
 
 
 def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
-             rng: Optional[np.random.Generator] = None,
-             grads: Optional[FlatParams] = None, workspace: Optional[dict] = None):
+             rng: Optional[np.random.Generator], grads: FlatParams, workspace: dict):
     """Exact gradients of the mean BCE for the batch; returns (grads, loss).
 
     The batch is ``ids`` (B, seq_len) int64 and ``targets`` (B, V) in the
-    config dtype, as ``TargetIds.multi_hot`` makes them. The gradients are
-    written into ``grads`` (a new ``FlatParams`` if None), overwriting every
-    view, so ``train`` reuses one buffer for all steps. Activations are
-    dropped once used: the dense layers' and the head's (B, V) temporaries
-    before the LSTM backward, layer 2's caches before layer 1's backward
-    unless ``workspace`` keeps them.
+    config dtype, as ``TargetIds.multi_hot`` makes them; dropout masks are
+    drawn from ``rng``, and None applies none. The gradients overwrite every
+    view of ``grads``, so ``train`` reuses one buffer for all steps.
+    Activations are dropped once used: the dense layers' and the head's
+    (B, V) temporaries before the LSTM backward, layer 2's caches before
+    layer 1's backward unless ``workspace`` keeps them.
 
     ``workspace``, a dict that ``train`` keeps from step to step, holds
     each LSTM direction's (gates, c, h) of the first step, which each later
@@ -600,11 +598,9 @@ def backward(model: LmModel, ids: np.ndarray, targets: np.ndarray,
         raise IncmineError("batch must be non-empty")
     config = model.config
     params = model.params
-    probs, cache = _forward_batch(params, config, ids, True, rng, workspace)
+    probs, cache = _forward_batch(params, config, ids, rng, workspace)
     loss = bce_loss(probs, targets)
 
-    if grads is None:
-        grads = FlatParams(config, len(model.vocab))
     lstm1, lstm2 = cache.pop("lstm1"), cache.pop("lstm2")
     dh2 = _head_backward(params, config, probs, targets, cache, grads)
     del probs, cache

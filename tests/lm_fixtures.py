@@ -65,15 +65,20 @@ def zero_model(config):
     return lm.LmModel(config=config, vocab=vocab, pre=NO_STOPWORDS, params=params)
 
 
+def new_grads(model):
+    """A gradient buffer of ``model``'s layout, for ``backward`` to fill."""
+    return lm.FlatParams(model.config, len(model.vocab))
+
+
 def batch_loss(model, ids, targets):
-    """Train-mode forward and mean BCE, without gradients."""
-    probs, _ = lm._forward_batch(model.params, model.config, ids, True, None)
+    """Forward without dropout and mean BCE, without gradients."""
+    probs, _ = lm._forward_batch(model.params, model.config, ids, None, {})
     return lm.bce_loss(probs, targets)
 
 
 def max_relative_fd_error(model, ids, targets, coords_per_tensor, fd_rng, h=1e-5):
     """Max symmetric relative error between analytic and central-diff grads."""
-    grads, _ = lm.backward(model, ids, targets)
+    grads, _ = lm.backward(model, ids, targets, None, new_grads(model), {})
     worst = 0.0
     for name in sorted(model.params):
         flat = model.params[name].ravel()

@@ -158,13 +158,13 @@ def test_c06_pam_swap_descent_optimum_and_blobs():
             local.normal(scale=4.0, size=(3, 2)), (5, 5, 4), axis=0)
         dist = pairwise_distances(pts, "euclidean")
         build = _kernels.pam_build(dist, 3)
-        _, passes = _kernels.pam_swap(dist, build, 100)
+        _, passes = _kernels.pam_swap(dist, build, 100, _kernels.SwapSums(len(dist)))
         if passes >= 2:
             break
     assert passes >= 2
     costs = []
     for cap in range(passes + 1):
-        med, _ = _kernels.pam_swap(dist, build, cap)
+        med, _ = _kernels.pam_swap(dist, build, cap, _kernels.SwapSums(len(dist)))
         costs.append(float(_kernels.assign_to_medoids(dist, np.sort(med))[1].sum()))
     assert all(costs[i + 1] < costs[i] for i in range(len(costs) - 1))
 

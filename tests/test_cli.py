@@ -126,6 +126,39 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mine-rules", "--corpus", "{corpus}", "--mincnf", "0"], "mincnf must be in (0, 1]"),
+        (["mine-rules", "--corpus", "{corpus}", "--idf-min", "-1"], "idf_min must be >= 0"),
+        (["mine-rules", "--corpus", "{corpus}", "--max-itemset-size", "0"],
+         "max_itemset_size must be >= 1"),
+        (["cluster-tfidf", "--corpus", "{corpus}", "--k", "3", "--max-iter", "-1"],
+         "max_iter must be >= 0"),
+        (["cluster-embeddings", "--embeddings", "{embeddings}", "--k", "3", "--batch-size", "0"],
+         "batch_size must be >= 1"),
+        (["cluster-embeddings", "--embeddings", "{embeddings}", "--k", "3",
+          "--variance-threshold", "1.5"], "threshold must be in [0, 1]"),
+        (["predict", "--model", "{model}", "--text", "scala", "--top-k", "0"],
+         "top_k must be >= 1"),
+        (["cluster-embeddings", "--embeddings", "{short_bin}", "--k", "3"],
+         "{short_bin}: truncated binary header"),
+        (["mine-rules", "--corpus", "{empty_id}"], "{empty_id}:2: empty record id"),
+    ], ids=["mincnf", "idf-min", "max-itemset-size", "max-iter", "batch-size",
+            "variance-threshold", "top-k", "short-binary-header", "empty-record-id"])
+    def test_refusal_message(self, argv, message, fixture_corpus_path, corpus_csv,
+                             model_dir, tmp_path, capsys):
+        embeddings = tmp_path / "emb.txt"
+        save_embeddings(np.random.default_rng(0).normal(size=(20, 3)), embeddings)
+        short_bin = tmp_path / "short.bin"
+        short_bin.write_bytes(b"\0" * 10)
+        paths = {"corpus": fixture_corpus_path, "embeddings": str(embeddings),
+                 "model": model_dir, "short_bin": str(short_bin),
+                 "empty_id": corpus_csv([("", "operaio cade", "frattura")], "empty_id.csv")}
+        out = tmp_path / "refused"
+        capsys.readouterr()
+        assert run(*(arg.format(**paths) for arg in argv), "--output-dir", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert not out.exists()
+
     def test_deeply_nested_jsonl_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"
         depth = 200_000
@@ -677,6 +710,35 @@ class TestTrainPredict:
         assert run(*predict) == 0
         assert read(tmp_path / "pred" / "prediction.json") == prediction
 
+    def test_failed_model_swap_puts_the_old_model_back(self, fixture_corpus_path, tmp_path,
+                                                       capsys, monkeypatch):
+        # the new model/ is written; moving it in fails after the old one
+        # has been moved aside, which must then be put back
+        out = tmp_path / "out"
+        argv = ["train-lm", "--corpus", fixture_corpus_path, *_SMALL_LM,
+                "--output-dir", str(out)]
+        assert run(*argv, "--seed", "1") == 0
+        before = tree(out)
+        renames = []
+        real_rename = os.rename
+
+        def failing_rename(src, dst):
+            renames.append((os.path.relpath(src, out), os.path.relpath(dst, out)))
+            if os.path.basename(os.path.dirname(src)).startswith(".incmine-") \
+                    and os.path.basename(src) == "model":
+                raise OSError(errno.EIO, "Input/output error")
+            real_rename(src, dst)
+        monkeypatch.setattr(os, "rename", failing_rename)
+        capsys.readouterr()
+        assert run(*argv, "--seed", "2") == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+        stage = renames[0][1].split(os.sep)[0]
+        assert stage.startswith(".incmine-") and renames == [
+            ("model", f"{stage}/model.old"), (f"{stage}/model", "model"),
+            (f"{stage}/model.old", "model")]
+        assert tree(out) == before  # model/ and training_history.json, no stage
+
     def test_retrain_replaces_the_whole_artifact(self, fixture_corpus_path, tmp_path):
         out = tmp_path / "out"
         argv = ["train-lm", "--corpus", fixture_corpus_path, "--vocab-size", "32",
@@ -904,6 +966,33 @@ class TestModelManifest:
         code, err = self._predict_with(model_dir, data, capsys)
         assert code == 2 and "error: manifest config: learning_rate must be finite" in err
 
+    def _swap_first_two(data):
+        data["vocab"][:2] = data["vocab"][1::-1]
+
+    def _repeat_last_but_one(data):
+        data["vocab"][-1] = data["vocab"][-2]
+
+    def _float16(data):
+        data["config"]["dtype"] = "float16"
+
+    @pytest.mark.parametrize("edit, message", [
+        (_swap_first_two, "vocabulary must start with PAD, UNK"),
+        (_repeat_last_but_one, "vocabulary contains duplicate tokens"),
+        (_float16, "manifest config: dtype must be float32 or float64"),
+    ], ids=["pad-unk-order", "repeated-token", "float16"])
+    def test_bad_vocabulary_or_dtype(self, model_dir, capsys, edit, message):
+        data = self._manifest(model_dir)
+        length = len(data["vocab"])
+        edit(data)
+        assert len(data["vocab"]) == length
+        out = os.path.join(os.path.dirname(model_dir), "pred")
+        with open(os.path.join(model_dir, "manifest.json"), "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        assert run("predict", "--model", model_dir, "--text", "scala", "--output-dir", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
     def test_preprocess_is_the_training_tokenizer(self, model_dir):
         assert self._manifest(model_dir)["preprocess"] == {"stopwords": [],
                                                            "min_token_len": 2}
@@ -964,6 +1053,35 @@ class TestConfigFile:
                        "--output-dir", out, *extra) == 0
             outputs.append(read(os.path.join(out, "rules.csv")))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value, same_as", [
+        ("false", "flag"), ("no", "flag"), ("0", "flag"), ("off", "flag"),
+        ("true", "no key")])
+    def test_require_lift_key_reads_a_boolean(self, fixture_corpus_path, tmp_path, value,
+                                              same_as):
+        argv = ["mine-rules", "--corpus", fixture_corpus_path, "--max-itemset-size", "2"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rules.require_lift_gt1 = {value}\n", encoding="utf-8")
+        outputs = {}
+        for name, extra in (("flag", ["--allow-lift-le1"]), ("no key", []),
+                            ("config", ["--config", str(cfg)])):
+            out = str(tmp_path / name)
+            assert run(*argv, *extra, "--output-dir", out) == 0
+            outputs[name] = read(os.path.join(out, "rules.csv"))
+        assert outputs["flag"] != outputs["no key"]
+        assert outputs["config"] == outputs[same_as]
+
+    def test_require_lift_key_refuses_a_non_boolean(self, fixture_corpus_path, tmp_path,
+                                                    capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rules.require_lift_gt1 = maybe\n", encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("mine-rules", "--corpus", fixture_corpus_path, "--config", str(cfg),
+                   "--output-dir", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: rules.require_lift_gt1: not a boolean: 'maybe'\n"
+        assert not out.exists()
 
     def test_parse_rejects_garbage(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -237,6 +237,21 @@ class TestKMedoids:
         with pytest.raises(IncmineError, match="points contain non-finite values"):
             fit_k(pts, 2)
 
+    @pytest.mark.parametrize("shape", [(6,), (6, 2, 1)], ids=["1-D", "3-D"])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda pts: fit_k(pts, 2), id="sweep_k-euclidean"),
+        pytest.param(lambda pts: fit_k(pts, 2, metric="cosine"), id="sweep_k-cosine"),
+        pytest.param(pairwise_distances, id="pairwise_distances"),
+        pytest.param(ipca_fit, id="ipca_fit"),
+        pytest.param(lambda pts: reduce_to_variance(ipca_fit(np.arange(6.0)[:, None]), pts),
+                     id="reduce_to_variance"),
+    ])
+    def test_points_must_form_a_matrix(self, call, shape):
+        # a 1-D array is refused, not read as one column
+        pts = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+        with pytest.raises(IncmineError, match=r"^points must form a 2-D matrix$"):
+            call(pts)
+
     def test_medoid_labels_own_cluster(self, rng):
         pts = rng.normal(size=(30, 3))
         fit = fit_k(pts, 4)
@@ -280,13 +295,13 @@ class TestKMedoids:
                 local.normal(scale=4.0, size=(3, 2)), (5, 5, 4), axis=0)
             dist = pairwise_distances(pts, "euclidean")
             build = _kernels.pam_build(dist, 3)
-            _, passes = _kernels.pam_swap(dist, build, 100)
+            _, passes = _kernels.pam_swap(dist, build, 100, _kernels.SwapSums(len(dist)))
             if passes >= 2:
                 break
         assert passes >= 2, "no swapping instance found"
         costs = []
         for cap in range(passes + 1):
-            med, _ = _kernels.pam_swap(dist, build, cap)
+            med, _ = _kernels.pam_swap(dist, build, cap, _kernels.SwapSums(len(dist)))
             _, d1 = _kernels.assign_to_medoids(dist, np.sort(med))
             costs.append(d1.sum())
         assert all(costs[i + 1] < costs[i] for i in range(len(costs) - 1))
@@ -424,7 +439,7 @@ def _swap_matches_oracle(dist, start, max_iter, exact_ties):
     """
     medoids, passes = start, 0
     while passes < max_iter:
-        got, step = _kernels.pam_swap(dist, medoids, 1)
+        got, step = _kernels.pam_swap(dist, medoids, 1, _kernels.SwapSums(len(dist)))
         want, want_step = pam_oracle.pam_swap_loop(dist, medoids, 1)
         assert step == want_step
         if step == 0:
@@ -434,7 +449,8 @@ def _swap_matches_oracle(dist, start, max_iter, exact_ties):
             cost_got, cost_want = (dist[:, m].min(axis=1).sum() for m in (got, want))
             assert abs(cost_got - cost_want) <= 1e-9
         medoids, passes = got, passes + 1
-    full, full_passes = _kernels.pam_swap(dist, start, max_iter)
+    full, full_passes = _kernels.pam_swap(dist, start, max_iter,
+                                          _kernels.SwapSums(len(dist)))
     assert full.tolist() == medoids.tolist() and full_passes == passes
     return full
 
@@ -520,7 +536,7 @@ class TestKernelEquivalence:
         dist = pairwise_distances(np.array([[0.0], [2.0], [3.0], [3.0]]))
         built = _kernels.pam_build(dist, 2)
         assert built.tolist() == [1, 0]
-        swapped, passes = _kernels.pam_swap(dist, built, 100)
+        swapped, passes = _kernels.pam_swap(dist, built, 100, _kernels.SwapSums(len(dist)))
         assert (swapped.tolist(), passes) == ([2, 0], 1)
         assert pam_oracle.pam_swap_loop(dist, built, 100)[0].tolist() == [2, 0]
 
@@ -589,7 +605,7 @@ class TestIncrementalSwap:
             other = np.array(data.draw(st.permutations(range(n)))[:k2], dtype=np.int64)
             _check_every_pass(dist, sums, other, max_iter)
             again = _check_every_pass(dist, sums, start, max_iter)
-        want = _kernels.pam_swap(dist, start, max_iter)
+        want = _kernels.pam_swap(dist, start, max_iter, _kernels.SwapSums(len(dist)))
         for medoids, passes in (got, again):
             assert (medoids.tolist(), passes) == (want[0].tolist(), want[1])
 
@@ -623,7 +639,8 @@ class TestIncrementalSwap:
             sums = _RecordingSums(dist.shape[0])
             for k in range(2, 13):
                 got, passes = _check_every_pass(dist, sums, built[:k], 100)
-                want, want_passes = _kernels.pam_swap(dist, built[:k], 100)
+                want, want_passes = _kernels.pam_swap(dist, built[:k], 100,
+                                                      _kernels.SwapSums(len(dist)))
                 assert (got.tolist(), passes) == (want.tolist(), want_passes)
 
 

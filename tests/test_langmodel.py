@@ -12,7 +12,7 @@ from incmine import langmodel as lm
 from incmine.cli import main
 from incmine.errors import IncmineError
 from lm_fixtures import (NO_STOPWORDS, batch_loss, gradcheck_fixture,
-                         max_relative_fd_error, overfit_fixture, zero_model)
+                         max_relative_fd_error, new_grads, overfit_fixture, zero_model)
 
 
 CLIP = lm.clip_gradients
@@ -80,7 +80,7 @@ class TestForward:
         probs = lm.forward(model, np.arange(5))
         assert probs.shape == (len(model.vocab),) == (8,)
         full, _ = lm._forward_batch(model.params, model.config, np.arange(5)[None, :],
-                                    False, None)
+                                    None, {})
         assert np.array_equal(probs, full[0, :8])
 
     @pytest.mark.parametrize("bad", [
@@ -136,20 +136,23 @@ class TestBackward:
         model = zero_model(lm.LmConfig(vocab_size=12, embed_dim=4, recurrent_units=3,
                                        dense_units=4, dropout_rate=0.0, seq_len=5))
         grads, _ = lm.backward(model, np.zeros((1, 5), dtype=np.int64),
-                               np.zeros((1, 12), dtype=np.float32))
+                               np.zeros((1, 12), dtype=np.float32), None,
+                               new_grads(model), {})
         assert np.allclose(grads["out_b"], 0.5 / 12)
 
     def test_duplicated_example_same_gradient(self):
         model, ids, targets = gradcheck_fixture()
-        single, _ = lm.backward(model, ids[[0]], targets[[0]])
-        doubled, _ = lm.backward(model, ids[[0, 0]], targets[[0, 0]])
+        single, _ = lm.backward(model, ids[[0]], targets[[0]], None, new_grads(model), {})
+        doubled, _ = lm.backward(model, ids[[0, 0]], targets[[0, 0]], None,
+                                 new_grads(model), {})
         for name in single:
             assert np.allclose(single[name], doubled[name], atol=1e-12)
 
     def test_empty_batch_rejected(self):
         model, _, _ = gradcheck_fixture()
         with pytest.raises(IncmineError, match="batch must be non-empty"):
-            lm.backward(model, np.zeros((0, 5), dtype=np.int64), np.zeros((0, 12)))
+            lm.backward(model, np.zeros((0, 5), dtype=np.int64), np.zeros((0, 12)), None,
+                        new_grads(model), {})
 
     def test_reused_buffer_matches_fresh(self):
         # every view is overwritten; the embedding, accumulated into, is zeroed
@@ -157,8 +160,9 @@ class TestBackward:
         grads = lm.FlatParams(model.config, len(model.vocab))
         grads.flat.fill(np.nan)
         for b in ([0], [1, 2], [0, 1, 2]):
-            fresh, fresh_loss = lm.backward(model, ids[b], targets[b])
-            got, loss = lm.backward(model, ids[b], targets[b], None, grads)
+            fresh, fresh_loss = lm.backward(model, ids[b], targets[b], None,
+                                            new_grads(model), {})
+            got, loss = lm.backward(model, ids[b], targets[b], None, grads, {})
             assert got is grads and loss == fresh_loss
             assert np.array_equal(grads.flat, fresh.flat)
 
@@ -404,6 +408,12 @@ class TestAdam:
 
 
 class TestTrain:
+    def test_vocabulary_longer_than_vocab_size_is_refused(self):
+        # the CLI caps the vocabulary at vocab_size; a library call need not
+        _, pre, vocab, config, ids, targets = overfit_fixture(epochs=1)
+        with pytest.raises(IncmineError, match="^vocabulary larger than configured vocab_size$"):
+            lm.train(ids, targets, replace(config, vocab_size=len(vocab) - 1), vocab, pre)
+
     def test_zero_epochs_keeps_init(self):
         _, pre, vocab, config, ids, targets = overfit_fixture(epochs=0)
         model, history = lm.train(ids, targets, config, vocab, pre)
@@ -594,7 +604,7 @@ class TestStepMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            lm.backward(model, ids, dense, rng, grads)
+            lm.backward(model, ids, dense, rng, grads, {})
             step_peak = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -619,13 +629,13 @@ class TestDropout:
                                        np.random.default_rng(5))
         from incmine.langmodel import _forward_batch
         ids = np.array([[2, 3, 4, 5]], dtype=np.int64)
-        _, cache = _forward_batch(model.params, config, ids, False, None)
+        _, cache = _forward_batch(model.params, config, ids, None, {})
         eval_act = cache["a2d"][0]
         rng = np.random.default_rng(99)
         n_samples = 10_000
         acc = np.zeros_like(eval_act)
         for _ in range(n_samples):
-            _, c = _forward_batch(model.params, config, ids, True, rng)
+            _, c = _forward_batch(model.params, config, ids, rng, {})
             acc += c["a2d"][0]
         mc_mean = acc / n_samples
         rate = config.dropout_rate
@@ -633,12 +643,17 @@ class TestDropout:
         sigma = np.abs(eval_act) * math.sqrt(rate / (1 - rate) / n_samples)
         assert (np.abs(mc_mean - eval_act) <= 3.0 * sigma + 1e-12).all()
 
-    def test_train_mode_needs_rng(self):
-        model = zero_model(lm.LmConfig(vocab_size=8, embed_dim=3, recurrent_units=2,
-                                       dense_units=3, dropout_rate=0.5, seq_len=3))
-        with pytest.raises(ValueError):
-            lm._forward_batch(model.params, model.config, np.zeros((1, 3), dtype=np.int64),
-                              True, None)
+    def test_backward_without_rng_applies_no_dropout(self):
+        # a None rng is the eval-mode pass: the gradients of the same model
+        # with dropout off
+        model, ids, targets = gradcheck_fixture()
+        dropped = lm.LmModel(config=replace(model.config, dropout_rate=0.5),
+                             vocab=model.vocab, pre=model.pre, params=model.params)
+        assert model.config.dropout_rate == 0.0
+        got, got_loss = lm.backward(dropped, ids, targets, None, new_grads(dropped), {})
+        want, want_loss = lm.backward(model, ids, targets, None, new_grads(model), {})
+        assert got_loss == want_loss
+        assert np.array_equal(got.flat, want.flat)
 
 
 class TestPredict:

@@ -177,7 +177,7 @@ for dtype in ("float32", "float64"):
     for row in ids:
         assert np.array_equal(lm.forward(noisy, row), lm.forward(zeroed, row)), dtype
         checked += 1
-    batch = [lm._forward_batch(m.params, config, ids, False, None)[0][:, :n]
+    batch = [lm._forward_batch(m.params, config, ids, None, {})[0][:, :n]
              for m in (noisy, zeroed)]
     assert np.array_equal(*batch), dtype
     checked += 1

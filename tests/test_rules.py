@@ -289,6 +289,18 @@ class TestFisinfisMine:
             fisinfis_mine(txs, config)
         assert built == []  # refused before any output column or itemset tuple
 
+    def test_lattice_cap(self, monkeypatch):
+        # 5 items to size 2: 5 + 10 candidate itemsets, refused above a cap of 10
+        txs = [Transaction(f"t{i}", frozenset("abcde"[:i % 5 + 1])) for i in range(10)]
+        config = MiningConfig(minsupp=0.1, idf_min=0.0, idf_max=10.0, max_itemset_size=2)
+        monkeypatch.setattr(rules, "MAX_LATTICE_CANDIDATES", 15)
+        assert len(fisinfis_mine(txs, config)) > 0
+        monkeypatch.setattr(rules, "MAX_LATTICE_CANDIDATES", 10)
+        with pytest.raises(IncmineError, match=r"^5 items pass the IDF band, giving 15 "
+                                               r"candidate itemsets up to size 2; tighten "
+                                               r"the band or lower max_itemset_size$"):
+            fisinfis_mine(txs, config)
+
     def test_complement_identity(self, rng):
         txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=40)
         n = len(txs)

@@ -5,7 +5,11 @@ Likewise every exception class of the package is caught somewhere in the
 package: a class that no ``except`` names tells no caller anything that
 its message does not. And every field of a package dataclass is read, as
 an attribute, in the package or the benchmark: a field that only its
-constructor sets is work and memory for nothing.
+constructor sets is work and memory for nothing. And a parameter whose
+default is None and whose ``if p is None:`` assigns it a fallback is
+omitted by some call of the package, the benchmark or a README.md
+``python`` block: a fallback that only the tests take is a second path
+that no user runs.
 
 The files are parsed, not imported or run, and only read. A name counts as
 referenced by a ``Name`` load, by an attribute of a name bound to an incmine
@@ -17,6 +21,7 @@ import ast
 import builtins
 import glob
 import os
+import re
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE_DIR = os.path.join(REPO, "src", "incmine")
@@ -166,3 +171,88 @@ def test_every_dataclass_field_is_read():
     read = attribute_loads()
     unread = [f"{module}:{cls}.{field}" for module, cls, field in defined if field not in read]
     assert unread == []
+
+
+def readme_blocks():
+    """Each ``python`` block of README.md, parsed; one that does not parse
+    raises ``SyntaxError``."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    return [ast.parse(block, filename=f"README.md, python block {i + 1}")
+            for i, block in enumerate(re.findall(r"^```python\n(.*?)^```", text, re.M | re.S))]
+
+
+def _functions(tree):
+    """(class name or None, def) of each top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((node.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def _is_none_check(test, name):
+    return (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and test.left.id == name and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Is)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None)
+
+
+def _assigns(statements, name):
+    return any(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store)
+               for stmt in statements for node in ast.walk(stmt))
+
+
+def none_fallbacks():
+    """(label, callee name, position, parameter) of each parameter that
+    defaults to None and gets a fallback in an ``if p is None:`` of its
+    function. The callee of ``__init__`` is its class; the position counts
+    call arguments, so a method's first parameter is not one, and is None
+    for a keyword-only parameter."""
+    found = []
+    for path in PACKAGE_FILES:
+        module = os.path.splitext(os.path.basename(path))[0]
+        for cls, fn in _functions(_parse(path)):
+            positional = fn.args.posonlyargs + fn.args.args
+            defaults = dict(zip(positional[len(positional) - len(fn.args.defaults):],
+                                fn.args.defaults))
+            defaults.update(zip(fn.args.kwonlyargs, fn.args.kw_defaults))
+            skip = 0 if cls is None else 1  # self or cls
+            for arg, default in defaults.items():
+                if not (isinstance(default, ast.Constant) and default.value is None):
+                    continue
+                if not any(isinstance(node, ast.If) and _is_none_check(node.test, arg.arg)
+                           and _assigns(node.body, arg.arg) for node in ast.walk(fn)):
+                    continue
+                position = positional.index(arg) - skip if arg in positional else None
+                callee = cls if fn.name == "__init__" else fn.name
+                label = f"{module}.{cls + '.' if cls else ''}{fn.name}({arg.arg})"
+                found.append((label, callee, position, arg.arg))
+    return found
+
+
+def _omits(call, position, param):
+    """True when ``call`` leaves ``param`` to its default, or may, through
+    ``*`` or ``**``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True
+    if any(k.arg == param for k in call.keywords):
+        return False
+    return position is None or len(call.args) <= position
+
+
+def test_every_none_fallback_has_a_program_caller():
+    fallbacks = none_fallbacks()
+    # the scan found the package's: these four keep a caller
+    assert len(fallbacks) >= 4
+    assert "vectors.TfIdfMatrix.toarray(hi)" in [label for label, *_ in fallbacks]
+    calls = [node for tree in [_parse(p) for p in CALLER_FILES] + readme_blocks()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert len(calls) > 1000
+    untaken = [label for label, callee, position, param in fallbacks
+               if not any(_name(call.func) == callee and _omits(call, position, param)
+                          for call in calls)]
+    assert untaken == []
