@@ -47,8 +47,9 @@ import numpy as np
 # itemset support counting
 # --------------------------------------------------------------------------
 
-# candidates ANDed per block; bounds the (chunk, n_words) uint64 scratch array
-SUPPORT_CHUNK = 4096
+# bytes of one block's (rows, n_words) uint64 scratch array: candidates are
+# ANDed a block of rows at a time, at least one row per block
+SUPPORT_BLOCK_BYTES = 4096 * 48 * 8
 
 
 def support_counts(presence, cands):
@@ -61,8 +62,9 @@ def support_counts(presence, cands):
     """
     words = _item_bitsets(presence)
     out = np.empty(cands.shape[0], dtype=np.int64)
-    for lo in range(0, cands.shape[0], SUPPORT_CHUNK):
-        block = cands[lo:lo + SUPPORT_CHUNK]
+    rows = max(1, SUPPORT_BLOCK_BYTES // max(1, words[:1].nbytes))
+    for lo in range(0, cands.shape[0], rows):
+        block = cands[lo:lo + rows]
         acc = words[block[:, 0]]
         for j in range(1, block.shape[1]):
             acc &= words[block[:, j]]

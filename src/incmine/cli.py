@@ -27,8 +27,7 @@ import os
 import shutil
 import sys
 import tempfile
-from io import StringIO
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -131,6 +130,13 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _pre_config(args) -> corpus_mod.PreprocessConfig:
     from . import corpus as corpus_mod
 
@@ -202,20 +208,9 @@ def cmd_preprocess(args) -> int:
                                         **_given(args, corpus_mod.top_frequent_words))
 
     with _output_set(args) as (out, stage):
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "items"])
-        for t in txs.transactions:
-            writer.writerow([t.id, " ".join(sorted(t.items))])
-        _write_text(os.path.join(stage, "transactions.csv"), buf.getvalue())
-
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["word", "count"])
-        for word, count in top:
-            writer.writerow([word, count])
-        _write_text(os.path.join(stage, "top_words.csv"), buf.getvalue())
-
+        _write_csv(os.path.join(stage, "transactions.csv"), ["id", "items"],
+                   ([t.id, " ".join(sorted(t.items))] for t in txs.transactions))
+        _write_csv(os.path.join(stage, "top_words.csv"), ["word", "count"], top)
         _write_json(os.path.join(stage, "preprocess_report.json"), {
             "records": len(loaded),
             "dropped": loaded.dropped,
@@ -262,8 +257,8 @@ def _cluster_config(args, **defaults) -> clustering.ClusterConfig:
         k_range=tuple(k_range), **{**defaults, **_given(args, clustering.ClusterConfig)})
 
 
-def _cluster_and_report(points, ids, config) -> tuple[str, dict]:
-    """k-medoids over ``points``: the text of clusters.csv and the summary."""
+def _cluster_and_report(points, ids, config) -> tuple[Iterator, dict]:
+    """k-medoids over ``points``: the rows of clusters.csv and the summary."""
     from . import clustering
 
     best, report = clustering.sweep_k(points, config)
@@ -273,12 +268,7 @@ def _cluster_and_report(points, ids, config) -> tuple[str, dict]:
               f"k={', '.join(map(str, unconverged))}; the medoids may not be a "
               f"local optimum", file=sys.stderr)
 
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "cluster"])
-    writer.writerows(zip(ids, best.labels.tolist()))
-
-    return buf.getvalue(), {
+    return zip(ids, best.labels.tolist()), {
         "k": len(best.medoids),
         "cost": best.cost,
         "silhouette": best.silhouette,
@@ -302,11 +292,11 @@ def cmd_cluster_tfidf(args) -> int:
     # (the unit rows of cosine distances, or the densified matrix of euclidean)
     check_allocation(n_rows * n_rows * 8, f"the distance matrix of {n_rows} points")
     check_allocation(n_rows * n_cols * 8, f"the dense {n_rows} x {n_cols} tf-idf matrix")
-    clusters, summary = _cluster_and_report(matrix, list(loaded.ids), config)
+    clusters, summary = _cluster_and_report(matrix, loaded.ids, config)
     summary["n_terms"] = n_cols
     with _output_set(args) as (out, stage):
         _write_text(os.path.join(stage, "tfidf_matrix.txt"), matrix.to_coo_text())
-        _write_text(os.path.join(stage, "clusters.csv"), clusters)
+        _write_csv(os.path.join(stage, "clusters.csv"), ["id", "cluster"], clusters)
         _write_json(os.path.join(stage, "cluster_summary.json"), summary)
     print(f"cluster-tfidf: k={summary['k']} silhouette={summary['silhouette']:.4f} "
           f"over {n_rows}x{n_cols} tf-idf matrix -> {out}")
@@ -338,7 +328,7 @@ def cmd_cluster_embeddings(args) -> int:
     summary["reduced_dims"] = m
     summary["explained"] = float(np.cumsum(model.explained_variance_ratio)[m - 1])
     with _output_set(args) as (out, stage):
-        _write_text(os.path.join(stage, "clusters.csv"), clusters)
+        _write_csv(os.path.join(stage, "clusters.csv"), ["id", "cluster"], clusters)
         _write_json(os.path.join(stage, "cluster_summary.json"), summary)
     print(f"cluster-embeddings: k={summary['k']} dims={m} "
           f"silhouette={summary['silhouette']:.4f} -> {out}")
@@ -350,8 +340,8 @@ def cmd_train_lm(args) -> int:
 
     loaded, pre = _load_inputs(args)
     config = langmodel.LmConfig(**_given(args, langmodel.LmConfig))
-    dynamics = [corpus_mod.preprocess(r.dynamics, pre) for r in loaded]
-    consequences = [corpus_mod.preprocess(r.consequence, pre) for r in loaded]
+    dynamics = list(corpus_mod.tokenize(loaded.dynamics, pre))
+    consequences = list(corpus_mod.tokenize(loaded.consequences, pre))
     vocab = langmodel.fit_vocab(dynamics + consequences, cap=config.vocab_size)
     ids, targets = langmodel.make_train_pairs(dynamics, consequences, vocab, config)
     model, history = langmodel.train(ids, targets, config, vocab, pre)

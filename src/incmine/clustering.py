@@ -110,7 +110,7 @@ def pairwise_distances(points, metric: str = "euclidean") -> np.ndarray:
     rows a block at a time into one array of unit rows, then clip and
     subtract in place in the Gram matrix, which is exactly symmetric.
     """
-    if len(points.shape) != 2:
+    if len(getattr(points, "shape", ())) != 2:
         raise IncmineError("points must form a 2-D matrix")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -203,12 +203,12 @@ def sweep_k(points, config: ClusterConfig) -> tuple[ClusterAssignment, SweepRepo
     BUILD runs once, to the largest k: greedy BUILD only adds medoids, so its
     first k are the BUILD result for k.
     """
-    n = points.shape[0]
+    dist = pairwise_distances(points, config.metric)
+    n = dist.shape[0]
     k_lo, k_hi = config.k_range
     if k_lo > n:
         raise IncmineError(f"k={k_lo} exceeds number of points n={n}")
     ks = range(k_lo, min(k_hi, n) + 1)
-    dist = pairwise_distances(points, config.metric)
     built = _kernels.pam_build(dist, ks[-1])
     sums = _kernels.SwapSums(n)
     fits = tuple((k, _swap_and_score(dist, built[:k], config.max_iter, sums)) for k in ks)

@@ -1,10 +1,13 @@
 """Incident-record loading, text normalization and the transaction database.
 
 Records carry two free-text fields: the event dynamics (what happened) and the
-consequence (the resulting injury). Each record's dynamics text is reduced to
-a set of items - lowercase tokens, optionally collapsed onto ontology tags -
-and the resulting transactions feed rule mining, vectorization and the
-sequence model.
+consequence (the resulting injury). A ``Corpus`` keeps them as columns -
+``ids``, ``dynamics`` and ``consequences``, equal-length tuples in file
+order. ``tokenize`` is the one tokenizer every text stage reads: it yields
+each text's lowercase tokens, optionally collapsed onto ontology tags. Rule
+mining takes each record's dynamics tokens as a set of items
+(``to_transactions``), tf-idf counts them (``vectors.corpus_term_counts``)
+and the sequence model reads both columns.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import IncmineError
 
@@ -32,26 +35,15 @@ TOP_WORDS = 100
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    id: str
-    dynamics: str
-    consequence: str = ""
-
-
-@dataclass(frozen=True)
 class Corpus:
-    records: tuple[RawRecord, ...]
+    """The kept records as equal-length columns, in file order."""
+    ids: tuple[str, ...]
+    dynamics: tuple[str, ...]
+    consequences: tuple[str, ...]
     dropped: int  # rows discarded because dynamics was a missing-value placeholder
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.records)
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,9 @@ def load_corpus(path, fmt: str = "csv") -> Corpus:
     else:
         raise ValueError(f"unknown corpus format: {fmt!r}")
 
-    records: list[RawRecord] = []
+    ids: list[str] = []
+    texts: list[str] = []
+    consequences: list[str] = []
     seen: dict[str, int] = {}  # record id -> line
     dropped = 0
     for lineno, rec_id, dynamics, consequence in rows:
@@ -167,10 +161,13 @@ def load_corpus(path, fmt: str = "csv") -> Corpus:
             raise IncmineError(f"{path}:{lineno}: duplicate record id {rec_id!r} "
                                f"(first at line {seen[rec_id]})")
         seen[rec_id] = lineno
-        records.append(RawRecord(id=rec_id, dynamics=dynamics, consequence=consequence))
-    if not records:
+        ids.append(rec_id)
+        texts.append(dynamics)
+        consequences.append(consequence)
+    if not ids:
         raise IncmineError(f"{path}: no usable rows ({dropped} dropped)")
-    return Corpus(records=tuple(records), dropped=dropped)
+    return Corpus(ids=tuple(ids), dynamics=tuple(texts),
+                  consequences=tuple(consequences), dropped=dropped)
 
 
 def _read_csv(path):
@@ -251,22 +248,27 @@ def preprocess(text: str, config: PreprocessConfig) -> list[str]:
     return out
 
 
+def tokenize(texts: Iterable[str], config: PreprocessConfig,
+             ontology: Optional[TagOntology] = None) -> Iterator[list[str]]:
+    """``preprocess`` each text in turn, yielding its tokens with every mapped
+    word replaced by its tag when ``ontology`` is given; unmapped tokens pass
+    through. A generator: a stage holds one text's tokens at a time."""
+    pairs = None if ontology is None else ontology.pairs
+    for text in texts:
+        tokens = preprocess(text, config)
+        yield tokens if pairs is None else [pairs.get(tok, tok) for tok in tokens]
+
+
 def top_frequent_words(corpus: Corpus, config: PreprocessConfig,
                        top_k: int = TOP_WORDS) -> list[tuple[str, int]]:
     """Top-k dynamics words by count, ties broken lexicographically ascending."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     counts: Counter[str] = Counter()
-    for rec in corpus:
-        counts.update(preprocess(rec.dynamics, config))
+    for tokens in tokenize(corpus.dynamics, config):
+        counts.update(tokens)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_k]
-
-
-def apply_tags(tokens: Sequence[str], ontology: TagOntology) -> list[str]:
-    """Replace each mapped word with its tag; unmapped tokens pass through."""
-    pairs = ontology.pairs
-    return [pairs.get(tok, tok) for tok in tokens]
 
 
 def to_transactions(corpus: Corpus, config: PreprocessConfig,
@@ -278,15 +280,12 @@ def to_transactions(corpus: Corpus, config: PreprocessConfig,
     """
     transactions: list[Transaction] = []
     flagged: list[str] = []
-    for rec in corpus:
-        tokens = preprocess(rec.dynamics, config)
-        if ontology is not None:
-            tokens = apply_tags(tokens, ontology)
+    for rec_id, tokens in zip(corpus.ids, tokenize(corpus.dynamics, config, ontology)):
         items = frozenset(tokens)
         if items:
-            transactions.append(Transaction(id=rec.id, items=items))
+            transactions.append(Transaction(id=rec_id, items=items))
         else:
-            flagged.append(rec.id)
+            flagged.append(rec_id)
     if not transactions:
         raise IncmineError("every record tokenized to an empty item set")
     return TransactionSet(transactions=tuple(transactions), flagged=tuple(flagged))

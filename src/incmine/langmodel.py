@@ -25,8 +25,8 @@ the vocabulary would only ever get a zero gradient. The head keeps its
 gradients and the Adam m and v as buffers of the same layout; ``backward``
 writes into the gradient views, clipping squares one tensor at a time and
 Adam runs on cache-sized blocks of the buffer. Two places keep the floats
-of the ``vocab_size`` layout: ``init_params`` draws the embedding rows past
-the vocabulary and throws them away, and ``clip_gradients`` sums the
+of the ``vocab_size`` layout: ``init_params`` advances the generator past
+the embedding rows beyond the vocabulary, and ``clip_gradients`` sums the
 embedding's squares padded with zeros to ``vocab_size`` rows. The artifact
 stores, as one file ``params.bin`` with one checksum, the live parameters
 of that buffer: those a vocabulary token can reach (``_live_segments``).
@@ -249,17 +249,16 @@ def init_params(config: LmConfig, n_live: int, rng: np.random.Generator) -> Flat
     registry order, cast to config dtype, for an embedding of ``n_live`` rows.
 
     The embedding's bound is that of its ``(vocab_size, embed_dim)`` shape,
-    and the rows past ``n_live`` are drawn, in chunks of ``_ADAM_BLOCK``
-    that are thrown away: the generator yields its values in order, so
-    every float kept is that of one full draw per tensor.
+    and the generator is advanced past the draws of the rows beyond
+    ``n_live``: PCG64, ``np.random.default_rng``'s generator, takes one
+    64-bit output per uniform double, so every float kept is that of one
+    full draw per tensor.
     """
     params = FlatParams(config, n_live)
     for (_, shape), view in zip(_param_specs(config, config.vocab_size), params.values()):
         bound = _xavier_bound(shape)
         view[...] = rng.uniform(-bound, bound, size=view.shape)
-        full = math.prod(shape)
-        for chunk in range(view.size, full, _ADAM_BLOCK):
-            rng.uniform(-bound, bound, size=min(full - chunk, _ADAM_BLOCK))
+        rng.bit_generator.advance(math.prod(shape) - view.size)
     return params
 
 
@@ -859,7 +858,10 @@ def load_model(path) -> LmModel:
     if len(tokens) > config.vocab_size:  # ids past the embedding rows
         raise IncmineError(f"manifest vocab has {len(tokens)} tokens, above the "
                            f"configured vocab_size {config.vocab_size}")
-    vocab = LmVocabulary(tokens)
+    try:
+        vocab = LmVocabulary(tokens)
+    except IncmineError as exc:
+        raise IncmineError(f"manifest vocab: {exc}") from exc
     pre = _manifest_preprocess(manifest["preprocess"])
     params_path = os.path.join(path, PARAMS_FILE)
     stored = FlatParams(config, len(vocab), np.zeros(_param_count(config, len(vocab)), "<f4"))

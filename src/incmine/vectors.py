@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, PreprocessConfig, TagOntology, apply_tags, preprocess
+from .corpus import Corpus, PreprocessConfig, TagOntology, tokenize
 from .errors import IncmineError
 from .rules import _format_distinct, _lookup
 
@@ -72,13 +72,7 @@ class TfIdfMatrix:
 def corpus_term_counts(corpus: Corpus, config: PreprocessConfig,
                        ontology: Optional[TagOntology] = None) -> list[Counter[str]]:
     """Per-record term counts in corpus order; empty records keep a zero row."""
-    docs: list[Counter[str]] = []
-    for rec in corpus:
-        tokens = preprocess(rec.dynamics, config)
-        if ontology is not None:
-            tokens = apply_tags(tokens, ontology)
-        docs.append(Counter(tokens))
-    return docs
+    return [Counter(tokens) for tokens in tokenize(corpus.dynamics, config, ontology)]
 
 
 def build_term_index(docs: Sequence[Mapping[str, int]]) -> dict[str, int]:

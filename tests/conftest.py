@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from incmine.corpus import Corpus, RawRecord, Transaction
+from incmine.corpus import Corpus, Transaction
 
 
 @pytest.fixture
@@ -51,11 +51,10 @@ def term_columns(docs):
 
 
 def make_corpus(rows):
-    """Build a Corpus directly from (id, dynamics, consequence) tuples."""
-    records = tuple(RawRecord(id=r[0], dynamics=r[1],
-                              consequence=r[2] if len(r) > 2 else "")
-                    for r in rows)
-    return Corpus(records=records, dropped=0)
+    """Build a Corpus directly from (id, dynamics[, consequence]) tuples."""
+    return Corpus(ids=tuple(r[0] for r in rows), dynamics=tuple(r[1] for r in rows),
+                  consequences=tuple(r[2] if len(r) > 2 else "" for r in rows),
+                  dropped=0)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ gradient-check configuration."""
 import numpy as np
 
 from incmine import langmodel as lm
-from incmine.corpus import PreprocessConfig, preprocess
+from incmine.corpus import PreprocessConfig, tokenize
 
 from conftest import make_corpus
 
@@ -26,8 +26,8 @@ NO_STOPWORDS = PreprocessConfig(stopwords=frozenset())
 def overfit_fixture(epochs=200, seq_len=5):
     corpus = make_corpus(OVERFIT_ROWS)
     pre = NO_STOPWORDS
-    dynamics = [preprocess(r.dynamics, pre) for r in corpus]
-    consequences = [preprocess(r.consequence, pre) for r in corpus]
+    dynamics = list(tokenize(corpus.dynamics, pre))
+    consequences = list(tokenize(corpus.consequences, pre))
     vocab = lm.fit_vocab(dynamics + consequences, cap=64)
     config = lm.LmConfig(
         vocab_size=len(vocab), embed_dim=8, recurrent_units=8, dense_units=16,

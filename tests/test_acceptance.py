@@ -227,9 +227,9 @@ def test_c09_lm_overfit_and_prediction():
     model, history = lm.train(ids, targets, config, vocab, pre)
     elapsed = time.perf_counter() - start
     assert history[-1] < 0.1 * history[0]
-    for rec in corpus:
-        top = lm.predict_consequence(model, rec.dynamics, top_k=1)
-        assert top[0][0] == rec.consequence
+    for dynamics, consequence in zip(corpus.dynamics, corpus.consequences):
+        top = lm.predict_consequence(model, dynamics, top_k=1)
+        assert top[0][0] == consequence
     assert elapsed < 120.0
     _report(9, "LM overfit fixture",
             f"loss {history[0]:.3f} -> {history[-1]:.4f} in {elapsed:.1f}s")

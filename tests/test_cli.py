@@ -221,9 +221,10 @@ class TestJsonlFields:
             tmp_path, {"id": "a", "dynamics": "cade male", "consequence": None},
             {"id": "b", "dynamics": "urta il muro"})
         assert code == 0
-        assert corpus.load_corpus(str(tmp_path / "c.jsonl"), fmt="jsonl").records == (
-            corpus.RawRecord("a", "cade male", ""),
-            corpus.RawRecord("b", "urta il muro", ""))
+        loaded = corpus.load_corpus(str(tmp_path / "c.jsonl"), fmt="jsonl")
+        assert loaded.ids == ("a", "b")
+        assert loaded.dynamics == ("cade male", "urta il muro")
+        assert loaded.consequences == ("", "")
 
 
 class TestPreprocess:
@@ -976,8 +977,8 @@ class TestModelManifest:
         data["config"]["dtype"] = "float16"
 
     @pytest.mark.parametrize("edit, message", [
-        (_swap_first_two, "vocabulary must start with PAD, UNK"),
-        (_repeat_last_but_one, "vocabulary contains duplicate tokens"),
+        (_swap_first_two, "manifest vocab: vocabulary must start with PAD, UNK"),
+        (_repeat_last_but_one, "manifest vocab: vocabulary contains duplicate tokens"),
         (_float16, "manifest config: dtype must be float32 or float64"),
     ], ids=["pad-unk-order", "repeated-token", "float16"])
     def test_bad_vocabulary_or_dtype(self, model_dir, capsys, edit, message):

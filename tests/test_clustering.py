@@ -252,6 +252,17 @@ class TestKMedoids:
         with pytest.raises(IncmineError, match=r"^points must form a 2-D matrix$"):
             call(pts)
 
+    @pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], np.array([1.0])],
+                             ids=["list", "1-D-shorter-than-k"])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_rank_is_checked_before_k(self, points, metric):
+        # the rank refusal comes first: not an AttributeError on a list, nor
+        # "k=2 exceeds number of points n=1" on a one-element 1-D array
+        with pytest.raises(IncmineError, match=r"^points must form a 2-D matrix$"):
+            fit_k(points, 2, metric=metric)
+        with pytest.raises(IncmineError, match=r"^points must form a 2-D matrix$"):
+            pairwise_distances(points, metric)
+
     def test_medoid_labels_own_cluster(self, rng):
         pts = rng.normal(size=(30, 3))
         fit = fit_k(pts, 4)

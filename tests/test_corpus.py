@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,15 +8,16 @@ from hypothesis import given, strategies as st
 from incmine.corpus import (
     PreprocessConfig,
     TagOntology,
-    apply_tags,
     default_stopwords,
     load_corpus,
     load_stopwords,
     preprocess,
     to_transactions,
+    tokenize,
     top_frequent_words,
 )
 from incmine.errors import IncmineError
+from incmine.vectors import corpus_term_counts
 from conftest import make_corpus, plain_and_bom
 
 
@@ -69,7 +71,7 @@ class TestLoadCorpus:
     def test_rfc4180_quoting(self, corpus_csv):
         path = corpus_csv([("a", 'cade, poi "urta" la scala', "x")])
         corp = load_corpus(path)
-        assert corp.records[0].dynamics == 'cade, poi "urta" la scala'
+        assert corp.dynamics[0] == 'cade, poi "urta" la scala'
 
     def test_jsonl_load(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -79,7 +81,7 @@ class TestLoadCorpus:
                         encoding="utf-8")
         corp = load_corpus(str(path), fmt="jsonl")
         assert len(corp) == 2
-        assert corp.records[1].consequence == ""
+        assert corp.consequences == ("botta", "")
 
     @pytest.mark.parametrize("fmt, text", [
         ("jsonl", '{"id": "a", "dynamics": "cade male", "consequence": "botta"}\n'
@@ -157,24 +159,33 @@ class TestTopFrequentWords:
         assert sum(c for _, c in top) <= 6
 
 
+NO_STOPWORDS = PreprocessConfig(stopwords=frozenset())
+
+
 class TestTagOntology:
     def test_direct_lookup(self):
         onto = TagOntology({"martello": "UTENSILE"})
-        assert apply_tags(["martello"], onto) == ["UTENSILE"]
+        assert list(tokenize(["martello"], NO_STOPWORDS, onto)) == [["UTENSILE"]]
 
     def test_many_to_one(self):
         onto = TagOntology({"martello": "UTENSILE", "trapano": "UTENSILE"})
-        assert apply_tags(["cade", "martello", "trapano"], onto) == \
-            ["cade", "UTENSILE", "UTENSILE"]
+        assert list(tokenize(["cade martello trapano"], NO_STOPWORDS, onto)) == \
+            [["cade", "UTENSILE", "UTENSILE"]]
 
     def test_empty_passthrough(self):
-        assert apply_tags([], TagOntology({"a": "B"})) == []
+        onto = TagOntology({"ab": "B"})
+        assert list(tokenize(["", "12 !"], NO_STOPWORDS, onto)) == [[], []]
+        assert list(tokenize([], NO_STOPWORDS, onto)) == []
 
     def test_idempotent(self):
         onto = TagOntology({"martello": "UTENSILE"})
-        tokens = ["cade", "martello"]
-        once = apply_tags(tokens, onto)
-        assert apply_tags(once, onto) == once
+        (once,) = tokenize(["cade martello"], NO_STOPWORDS, onto)
+        assert [onto.pairs.get(tok, tok) for tok in once] == once == ["cade", "UTENSILE"]
+
+    def test_without_ontology_is_preprocess(self):
+        texts = ["Il martello CADE", "", "x 12 kg"]
+        cfg = PreprocessConfig(stopwords=frozenset({"il"}))
+        assert list(tokenize(texts, cfg)) == [preprocess(t, cfg) for t in texts]
 
     def test_tsv_parsing(self, tmp_path):
         path = tmp_path / "onto.tsv"
@@ -244,6 +255,28 @@ class TestToTransactions:
         corp = make_corpus([("x", "martello trapano", "")])
         result = to_transactions(corp, PreprocessConfig(stopwords=frozenset()), onto)
         assert result.transactions[0].items == frozenset({"UTENSILE"})
+
+
+def test_stages_read_one_tokenization():
+    """Mining items, tf-idf terms and the top words come from one tokenizer:
+    a record's items are its term counts' keys, and the top words count
+    the untagged tokens."""
+    onto = TagOntology({"martello": "UTENSILE", "trapano": "UTENSILE", "scala": "ATTREZZO"})
+    cfg = PreprocessConfig(stopwords=frozenset({"il", "la"}))
+    corp = make_corpus([("a", "Il martello cade sul trapano", ""),
+                        ("b", "il la", ""),
+                        ("c", "scala scala rotta, martello", ""),
+                        ("d", "cade dalla SCALA", "")])
+    txs = to_transactions(corp, cfg, onto)
+    assert txs.flagged == ("b",)
+    items = {t.id: t.items for t in txs.transactions}
+    docs = corpus_term_counts(corp, cfg, onto)
+    assert len(docs) == len(corp)
+    for rec_id, counts in zip(corp.ids, docs):
+        assert set(counts) == items.get(rec_id, frozenset())
+    untagged = Counter(tok for text in corp.dynamics for tok in preprocess(text, cfg))
+    assert dict(top_frequent_words(corp, cfg, 100)) == untagged
+    assert "UTENSILE" not in untagged and items["a"] >= {"UTENSILE"}
 
 
 def test_stopword_file_roundtrip(tmp_path):

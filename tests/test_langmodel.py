@@ -536,9 +536,9 @@ class TestTrain:
         corpus, pre, vocab, config, ids, targets = overfit_fixture(epochs=200)
         model, history = lm.train(ids, targets, config, vocab, pre)
         assert history[-1] < 0.1 * history[0]
-        for rec in corpus:
-            top = lm.predict_consequence(model, rec.dynamics, top_k=1)
-            assert top[0][0] == rec.consequence
+        for dynamics, consequence in zip(corpus.dynamics, corpus.consequences):
+            top = lm.predict_consequence(model, dynamics, top_k=1)
+            assert top[0][0] == consequence
 
     def test_memory_does_not_grow_with_pairs_times_vocab(self):
         """Pairs and one epoch of training on 8N pairs peak less than one

@@ -210,8 +210,8 @@ from workloads import WORKLOADS
 inputs = WORKLOADS["lm"].prepare(0, out)
 pre = corpus.PreprocessConfig(stopwords=corpus.default_stopwords())
 loaded = corpus.load_corpus(inputs.paths["corpus"])
-dynamics = [corpus.preprocess(r.dynamics, pre) for r in loaded]
-consequences = [corpus.preprocess(r.consequence, pre) for r in loaded]
+dynamics = list(corpus.tokenize(loaded.dynamics, pre))
+consequences = list(corpus.tokenize(loaded.consequences, pre))
 config = lm.LmConfig(epochs=1)  # the benchmark's train-lm --epochs 1
 vocab = lm.fit_vocab(dynamics + consequences, cap=config.vocab_size)
 ids, targets = lm.make_train_pairs(dynamics, consequences, vocab, config)

@@ -174,11 +174,30 @@ class TestSupportCounts:
             assert got.shape == (0,) and got.dtype == np.int64
 
     def test_blocks_cover_every_candidate(self, rng, monkeypatch):
-        monkeypatch.setattr(_kernels, "SUPPORT_CHUNK", 4)
         presence = rng.random(size=(70, 6)) < 0.5
         cands = rng.integers(0, 6, size=(10, 2))
-        assert (_kernels.support_counts(presence, cands)
-                == support_counts_loop(presence, cands)).all()
+        # 70 transactions are two uint64 words, 16 bytes per candidate row:
+        # 4 rows a block, then a budget below one row, which still takes one
+        for budget in (4 * 16, 8):
+            monkeypatch.setattr(_kernels, "SUPPORT_BLOCK_BYTES", budget)
+            assert (_kernels.support_counts(presence, cands)
+                    == support_counts_loop(presence, cands)).all()
+
+    def test_block_scratch_is_bounded_by_bytes(self, rng):
+        # 131,072 transactions are 2,048 words a row: a block of 4,096
+        # candidate rows would be 64 MiB, and the AND's copy another 64
+        presence = rng.random(size=(131_072, 50)) < 0.3
+        cands = np.array(list(combinations(range(50), 3)), dtype=np.int64)
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            got = _kernels.support_counts(presence, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        columns = presence.astype(np.int64)
+        assert got[:200].tolist() == [
+            int((columns[:, a] & columns[:, b] & columns[:, c]).sum()) for a, b, c in cands[:200]]
 
 
 def _recorded(calls, fn):
