@@ -18,16 +18,19 @@ transaction counts, so the miner, ``rule_metrics`` and a brute-force
 enumerator produce bit-identical fractions. The miner returns its rules as one
 columnar ``RuleTable``, which the CSV and DOT exporters format directly. The
 columns repeat (a 74k-rule table holds about 1,300 itemset labels, and each
-metric column at most a third as many distinct floats as rules), so the
-exporters format and encode each distinct label, node name and float once,
-and write UTF-8 bytes to a binary file: ``EXPORT_ROWS`` rows at a time, each
-block the join of the preformatted pieces of its rows.
+metric column at most a third as many distinct floats as rules), so each
+metric column is sorted once, by ``_distinct_index``, into its distinct bit
+patterns and each row's position among them. The miner orders the rules by
+the lift and confidence positions, and the table carries all three indexes,
+so the exporters format and encode each distinct label, node name and float
+once and gather the strings by position. They write UTF-8 bytes to a binary
+file: ``EXPORT_ROWS`` rows at a time, each block the join of the
+preformatted pieces of its rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from io import StringIO
 from itertools import combinations
@@ -90,6 +93,11 @@ class RuleTable:
     in tuple order. Rule ``r`` is ``itemsets[antecedent[r]]`` (negated where
     ``neg_antecedent[r]``) => ``itemsets[consequent[r]]`` (``neg_consequent``),
     with metrics ``support[r]``, ``confidence[r]`` and ``lift[r]``.
+
+    ``support_index``, ``confidence_index`` and ``lift_index`` are
+    ``_distinct_index`` of their columns, rows in table order. The miner
+    passes the ones it built to order the rules; a table built from bare
+    columns builds them here, so no exporter sorts a column.
     """
 
     itemsets: tuple[tuple[str, ...], ...]
@@ -100,6 +108,15 @@ class RuleTable:
     support: np.ndarray
     confidence: np.ndarray
     lift: np.ndarray
+    support_index: Optional[tuple[np.ndarray, np.ndarray]] = None
+    confidence_index: Optional[tuple[np.ndarray, np.ndarray]] = None
+    lift_index: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def __post_init__(self):
+        for column in ("support", "confidence", "lift"):
+            if getattr(self, column + "_index") is None:
+                object.__setattr__(self, column + "_index",
+                                   _distinct_index(getattr(self, column)))
 
     def __len__(self):
         return len(self.support)
@@ -172,14 +189,13 @@ def rule_metrics(antecedent: Itemset, consequent: Itemset,
     return RuleMetrics(support=supp, confidence=supp / p_a, lift=supp / (p_a * p_b))
 
 
-def _presence_matrix(transactions: Sequence[Transaction], items: Sequence[str]):
-    pos = {item: j for j, item in enumerate(items)}
-    presence = np.zeros((len(transactions), len(items)), dtype=np.bool_)
-    for i, t in enumerate(transactions):
-        for item in t.items:
-            j = pos.get(item)
-            if j is not None:
-                presence[i, j] = True
+def _presence_matrix(sizes: Sequence[int], columns: np.ndarray, n_items: int):
+    """(len(sizes), n_items) bool matrix of the item occurrences ``columns``:
+    transaction ``i`` holds the next ``sizes[i]`` of them, and a column of -1
+    (an item outside the band) is left out."""
+    presence = np.zeros((len(sizes), n_items), dtype=np.bool_)
+    keep = columns >= 0
+    presence[np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)[keep], columns[keep]] = True
     return presence
 
 
@@ -214,14 +230,23 @@ def fisinfis_mine(transactions: Sequence[Transaction],
                 f"idf_max must be > idf_min = {config.idf_min:g}; the default "
                 f"idf_max for {n} transactions is {idf_max:.6f}")
 
-    doc_freq = Counter(item for t in transactions for item in t.items)
-    kept = [item for item, df in sorted(doc_freq.items())
-            if config.idf_min <= idf(n, df) <= idf_max]
+    # one pass over the item occurrences: each item's id in order of first
+    # occurrence, and the id of every occurrence (int32: 4 bytes each)
+    item_id: dict[str, int] = {}
+    occurrence = np.fromiter((item_id.setdefault(item, len(item_id))
+                              for t in transactions for item in t.items), dtype=np.int32)
+    doc_freq = np.bincount(occurrence, minlength=len(item_id)).tolist()
+    kept = [item for item in sorted(item_id)
+            if config.idf_min <= idf(n, doc_freq[item_id[item]]) <= idf_max]
     if not kept:
         return _no_rules()
 
-    presence = _presence_matrix(transactions, kept)
     n_items = len(kept)
+    column = np.full(len(item_id), -1, dtype=np.int32)  # item id -> kept column
+    column[[item_id[item] for item in kept]] = np.arange(n_items)
+    presence = _presence_matrix([len(t.items) for t in transactions], column[occurrence],
+                                n_items)
+    del occurrence, doc_freq  # 4 bytes per occurrence, unread past the band
     max_size = min(config.max_itemset_size, n_items)
 
     total_candidates = sum(math.comb(n_items, size)
@@ -306,9 +331,37 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     # integer: below 4 m^2 for m itemsets, within int64 under the lattice cap
     m = len(itemsets)
     tie = ((a_set * m + b_set) * 2 + neg_a) * 2 + neg_b
-    order = np.lexsort((tie, -conf, -lift))
+    indexes = [_distinct_index(values) for values in (supp, conf, lift)]
+    _, conf_index, lift_index = indexes
+    order = np.argsort(_order_key(lift_index, conf_index, tie))
     return RuleTable(tuple(itemsets[i] for i in by_items), a_set[order], b_set[order],
-                     neg_a[order], neg_b[order], supp[order], conf[order], lift[order])
+                     neg_a[order], neg_b[order], supp[order], conf[order], lift[order],
+                     *((keys, position[order]) for keys, position in indexes))
+
+
+def _order_key(lift_index, confidence_index, tie: np.ndarray) -> np.ndarray:
+    """One distinct int64 per rule whose ascending order is lift descending,
+    then confidence descending, then ``tie`` (distinct) ascending.
+
+    ``lift_index`` and ``confidence_index`` are ``_distinct_index`` of the
+    columns. The miner's metrics are positive and finite (support >= minsupp
+    > 0, and both events occur), and for such floats the order of the bit
+    patterns is the order of the values. With lift and confidence ranked
+    from the largest distinct value, the key is (lift rank * n_conf +
+    confidence rank) * n_rules + tie rank, below n_rules^3 <= MAX_RULES^3 =
+    1e18 < 2^63.
+    """
+    (lift_keys, lift_position), (conf_keys, conf_position) = lift_index, confidence_index
+    n_conf = len(conf_keys)
+    tie_rank = np.empty(len(tie), dtype=np.int64)
+    tie_rank[np.argsort(tie)] = np.arange(len(tie))
+    key = len(lift_keys) - 1 - lift_position
+    key *= n_conf
+    key += n_conf - 1
+    key -= conf_position
+    key *= len(tie)
+    key += tie_rank
+    return key
 
 
 _FORMS = ((False, False), (False, True), (True, False), (True, True))
@@ -339,35 +392,39 @@ def _lex_rank(combos, n_items, binom):
             - binom[n_items - 1 - combos, np.arange(size, 0, -1)].sum(axis=1))
 
 
-def _distinct_bits(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct bit patterns of the float64 ``values``, as int64.
+def _distinct_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct bit patterns of the float64 ``values`` as int64
+    keys, and the position of each value's bit pattern among them.
 
-    Sorted and masked directly: ``np.unique``'s hash table takes several
-    times as long here.
+    One argsort, masked directly: ``np.unique``'s hash table takes several
+    times as long here. Keying on the bits, not the float value, keeps
+    ``-0.0`` and ``0.0`` (equal as floats, formatted apart) on their own
+    keys, so ``strings[position]`` gives each value its own string.
     """
-    keys = np.sort(values.view(np.int64))
-    first = np.ones(len(keys), dtype=np.bool_)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    bits = values.view(np.int64)
+    ascending = np.argsort(bits)
+    ordered = bits[ascending]
+    first = np.ones(len(bits), dtype=np.bool_)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = np.cumsum(first, dtype=np.intp)
+    rank -= 1
+    position = np.empty(len(bits), dtype=np.intp)
+    position[ascending] = rank
+    return ordered[first], position
 
 
-def _format_distinct(values: np.ndarray, template: str | bytes):
-    """Each distinct float64 of ``values`` with ``template % v``, formatted once.
-
-    Returns the sorted distinct bit patterns as int64 keys and their strings
-    in key order as an object array; ``_lookup`` gathers them to rows.
-    Keying on the bits, not the float value, keeps ``-0.0`` and ``0.0``
-    (equal as floats, formatted apart) on their own strings. ``template`` is
-    ``str`` or ``bytes``: both take ``%``, and ``"%r" % v == repr(v)``.
-    """
-    keys = _distinct_bits(values)
-    return keys, np.array(list(map(template.__mod__, keys.view(np.float64).tolist())),
-                          dtype=object)
+def _format_distinct(keys: np.ndarray, template: str | bytes) -> np.ndarray:
+    """The floats of the int64 bit patterns ``keys``, each as ``template % v``,
+    in an object array. ``template`` is ``str`` or ``bytes``: both take
+    ``%``, and ``"%r" % v == repr(v)``."""
+    return np.array(list(map(template.__mod__, keys.view(np.float64).tolist())),
+                    dtype=object)
 
 
-def _format_rounded(values: np.ndarray, template: str | bytes):
-    """``_format_distinct(values, template)`` for a fixed-point ``template``,
-    formatting far fewer floats when many round to one string.
+def _format_rounded(keys: np.ndarray, template: str | bytes) -> np.ndarray:
+    """``_format_distinct(keys, template)`` for the distinct keys of
+    ``_distinct_index`` and a fixed-point ``template``, formatting far fewer
+    floats when many round to one string.
 
     Correctly rounded formatting is monotone in the value, so when the two
     ends of a run of sorted distinct values format alike, so does every value
@@ -376,7 +433,6 @@ def _format_rounded(values: np.ndarray, template: str | bytes):
     the infinities and -0.0 (equal to 0.0, formatted apart) are formatted on
     their own.
     """
-    keys = _distinct_bits(values)
     floats = keys.view(np.float64)
     strings = np.empty(keys.shape[0], dtype=object)
     odd = ~np.isfinite(floats) | ((floats == 0.0) & np.signbit(floats))
@@ -399,19 +455,16 @@ def _format_rounded(values: np.ndarray, template: str | bytes):
                 middle = fmt(ordered[mid])
                 runs += ((lo, mid, first, middle), (mid, hi, middle, last))
     strings[regular] = formatted
-    return keys, strings
+    return strings
 
 
-def _lookup(formatted, values: np.ndarray) -> np.ndarray:
-    """The string of each float64 of ``values`` in ``formatted``, the keys and
-    strings of ``_format_distinct`` or ``_format_rounded`` over a superset."""
-    keys, strings = formatted
-    bits = values.view(np.int64)
-    # searched in ascending order, each search starts where the last ended
-    ascending = np.argsort(bits)
-    found = np.empty(len(bits), dtype=np.intp)
-    found[ascending] = np.searchsorted(keys, bits[ascending])
-    return strings[found]
+def _formatted_metrics(table: RuleTable, format_keys, templates):
+    """(strings, position) of the support, confidence and lift columns: each
+    distinct value formatted once by ``format_keys`` with its template, and
+    each row's position among them, from the table's indexes."""
+    indexes = (table.support_index, table.confidence_index, table.lift_index)
+    return [(format_keys(keys, template), position)
+            for (keys, position), template in zip(indexes, templates)]
 
 
 def _write_rows(fh, columns):
@@ -444,18 +497,14 @@ def rules_to_csv(table: RuleTable, fh) -> None:
         writer.writerow(("+".join(items), ""))
         labels[i] = buf.getvalue()[:-1].encode()  # the label and its comma
     flags = np.array([b"0,0,", b"0,1,", b"1,0,", b"1,1,"], dtype=object)
-    support = _format_distinct(table.support, b"%.6f,")
-    confidence = _format_distinct(table.confidence, b"%.6f,")
-    lift = _format_distinct(table.lift, b"%.6f\n")
+    metrics = _formatted_metrics(table, _format_distinct, (b"%.6f,", b"%.6f,", b"%.6f\n"))
     fh.write(b"antecedent,consequent,neg_a,neg_c,support,confidence,lift\n")
     for lo in range(0, len(table), EXPORT_ROWS):
         rows = slice(lo, lo + EXPORT_ROWS)
         _write_rows(fh, (
             labels[table.antecedent[rows]], labels[table.consequent[rows]],
             flags[table.neg_antecedent[rows] * 2 + table.neg_consequent[rows]],
-            _lookup(support, table.support[rows]),
-            _lookup(confidence, table.confidence[rows]),
-            _lookup(lift, table.lift[rows])))
+            *(strings[position[rows]] for strings, position in metrics)))
 
 
 def export_rule_graph(table: RuleTable, fh) -> None:
@@ -491,9 +540,7 @@ def export_rule_graph(table: RuleTable, fh) -> None:
     tails = np.array([f"  {name} -> ".encode() for name in quoted], dtype=object)
     heads = np.array([f'{name} [label="'.encode() for name in quoted], dtype=object)
     ends = np.array([b'"];\n', b'", style=dashed];\n'], dtype=object)
-    support = _format_rounded(table.support, b"s=%.3f")
-    confidence = _format_rounded(table.confidence, b" c=%.3f")
-    lift = _format_rounded(table.lift, b" l=%.3f")
+    metrics = _formatted_metrics(table, _format_rounded, (b"s=%.3f", b" c=%.3f", b" l=%.3f"))
 
     fh.write(b"digraph rules {\n")
     fh.write(b"".join(f"  {quoted[r]};\n".encode() for r in np.flatnonzero(used).tolist()))
@@ -502,8 +549,6 @@ def export_rule_graph(table: RuleTable, fh) -> None:
         tail, head = np.divmod(pair[rows], len(nodes))
         _write_rows(fh, (
             tails[tail], heads[head],
-            _lookup(support, table.support[rows]),
-            _lookup(confidence, table.confidence[rows]),
-            _lookup(lift, table.lift[rows]),
+            *(strings[position[rows]] for strings, position in metrics),
             ends[(table.neg_antecedent[rows] | table.neg_consequent[rows]).view(np.uint8)]))
     fh.write(b"}\n")

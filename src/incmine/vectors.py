@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Corpus, PreprocessConfig, TagOntology, tokenize
 from .errors import IncmineError
-from .rules import _format_distinct, _lookup
+from .rules import _distinct_index, _format_distinct
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,12 @@ class TfIdfMatrix:
     def to_coo_text(self) -> str:
         """Header `n_rows n_cols nnz`, then `row col weight` lines, 0-based.
 
-        Each distinct weight is formatted once: a matrix holds few of them.
+        Each distinct weight is formatted once, by ``rules._distinct_index``
+        and its position: a matrix holds few of them.
         """
         lines = [f"{self.n_rows} {self.n_cols} {self.nnz}"]
-        weights = _lookup(_format_distinct(self.weights, "%r"), self.weights)
+        keys, position = _distinct_index(self.weights)
+        weights = _format_distinct(keys, "%r")[position]
         lines += map("{} {} {}".format, self.rows.tolist(), self.cols.tolist(),
                      weights.tolist())
         return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import numpy as np
 
 from incmine import _kernels
 from incmine.corpus import Transaction
-from incmine.rules import Itemset, _check_transactions, _presence_matrix
+from incmine.rules import Itemset, _check_transactions
 
 
 def apriori_frequent(transactions: Sequence[Transaction], minsupp: float,
@@ -27,7 +27,10 @@ def apriori_frequent(transactions: Sequence[Transaction], minsupp: float,
     items = sorted({item for t in transactions for item in t.items})
     if not items:
         return []
-    presence = _presence_matrix(transactions, items)
+    column = {item: j for j, item in enumerate(items)}
+    presence = np.zeros((n, len(items)), dtype=np.bool_)
+    for i, t in enumerate(transactions):
+        presence[i, [column[item] for item in t.items]] = True
 
     out: list[tuple[Itemset, float]] = []
     level = [(j,) for j in range(len(items))]

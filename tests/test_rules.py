@@ -218,6 +218,20 @@ class _NumpySpy:
         return _recorded(self.calls, fn) if name in ("concatenate", "searchsorted") else fn
 
 
+@st.composite
+def _tied_rules(draw):
+    """(n, rows): rows of (antecedent count, consequent count, joint count,
+    tie) over n transactions, the ties distinct."""
+    n = draw(st.integers(1, 8))
+    size = draw(st.integers(0, 60))
+    ties = draw(st.lists(st.integers(0, 2 ** 40), min_size=size, max_size=size, unique=True))
+    rows = []
+    for tie in ties:
+        c_a, c_b = draw(st.integers(1, n)), draw(st.integers(1, n))
+        rows.append((c_a, c_b, draw(st.integers(1, min(c_a, c_b))), tie))
+    return n, rows
+
+
 class TestFisinfisMine:
     def test_toy_rules(self, toy_transactions):
         config = MiningConfig(minsupp=0.5, mincnf=0.8, idf_min=0.0, idf_max=10.0)
@@ -319,6 +333,35 @@ class TestFisinfisMine:
                                                r"candidate itemsets up to size 2; tighten "
                                                r"the band or lower max_itemset_size$"):
             fisinfis_mine(txs, config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_tied_rules())
+    @example(rows=(4, [(2, 2, 1, 5), (2, 2, 1, 3), (4, 1, 1, 9), (1, 4, 1, 0)]))
+    def test_order_key_matches_lexsort(self, rows):
+        n, rows = rows
+        c_a, c_b, c_x, tie = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        # as the miner computes them: few distinct fractions, so ties are dense
+        supp = c_x / n
+        conf = supp / (c_a / n)
+        lift = supp / ((c_a / n) * (c_b / n))
+        key = rules._order_key(rules._distinct_index(lift), rules._distinct_index(conf), tie)
+        assert key.dtype == np.int64
+        assert len(np.unique(key)) == len(key)
+        assert np.argsort(key).tolist() == np.lexsort((tie, -conf, -lift)).tolist()
+
+    def test_order_key_fits_int64_at_max_rules(self):
+        n = rules.MAX_RULES
+        assert n ** 3 - 1 < 2 ** 63
+        # n distinct lifts and confidences; row r has the (r+1)-th smallest of
+        # each and the (r+1)-th largest tie, so row 0 has every rank at its maximum
+        index = rules._distinct_index(np.arange(1, n + 1, dtype=np.float64))
+        key = rules._order_key(index, index, -np.arange(n, dtype=np.int64))
+        assert key.dtype == np.int64
+        assert int(key[0]) == n ** 3 - 1
+        rows = [0, 1, n // 2, n - 2, n - 1]
+        assert [int(key[r]) for r in rows] == \
+            [((n - 1 - r) * n + (n - 1 - r)) * n + (n - 1 - r) for r in rows]
+        assert np.all(key[:-1] > key[1:])
 
     def test_complement_identity(self, rng):
         txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=40)
@@ -523,10 +566,11 @@ class TestExport:
                      0.0004999999999999999, 2.5, 2.5], template=" l=%.3f")
     def test_rounded_formatting_matches_distinct(self, values, template):
         values = np.array(values, dtype=np.float64)
-        got = rules._lookup(rules._format_rounded(values, template), values)
+        keys, position = rules._distinct_index(values)
+        got = rules._format_rounded(keys, template)[position]
         assert got.dtype == object and got.shape == values.shape
-        assert got.tolist() == \
-            rules._lookup(rules._format_distinct(values, template), values).tolist()
+        assert got.tolist() == rules._format_distinct(keys, template)[position].tolist()
+        assert got.tolist() == [template % v for v in values.tolist()]
 
     @pytest.mark.parametrize("export", [rules_to_csv, export_rule_graph])
     def test_peak_memory_is_a_few_outputs(self, export):
