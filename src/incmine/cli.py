@@ -27,6 +27,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
@@ -502,6 +503,12 @@ def build_parser(command=None) -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as one ``warning:`` line on stderr, without the
+    source path and line that the default display adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the subcommand is the first argument that is not an option: the
@@ -515,9 +522,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help prints and exits
         return int(exc.code or 0)
     try:
-        if args.config is not None:  # a key no subcommand declares is refused
-            _apply_config(args, build_parser().commands)
-        return args.func(args)
+        with warnings.catch_warnings():  # restores showwarning on exit
+            warnings.showwarning = _show_warning
+            if args.config is not None:  # a key no subcommand declares is refused
+                _apply_config(args, build_parser().commands)
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -217,8 +217,11 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     ``IncmineError`` before any output column is built.
 
     Steps (3) and (4) run as array operations over all itemsets of one size
-    for one choice of antecedent positions; a rule's support threshold is the
-    frequency test of step (3), since a PAR's joint count is the itemset's.
+    for one choice of antecedent positions, each form's events and joint
+    count read off the 2x2 contingency table of A and B. Each form is
+    filtered by support first: as minsupp > 0 and a joint count is at most
+    either event's count, every rule left has both events, so its confidence
+    and lift are defined.
     """
     _check_transactions(transactions)
     n = len(transactions)
@@ -277,25 +280,20 @@ def fisinfis_mine(transactions: Sequence[Transaction],
                 b_rank = _lex_rank(level[size][:, rest], n_items, binom)
                 c_a = count[r][a_rank]
                 c_b = count[size - r][b_rank]
-                for neg_a, neg_b in _FORMS:
-                    ev_a = n - c_a if neg_a else c_a
-                    ev_b = n - c_b if neg_b else c_b
-                    if neg_a and neg_b:
-                        both = n - c_a - c_b + c_x
-                    elif neg_a:
-                        both = c_b - c_x
-                    elif neg_b:
-                        both = c_a - c_x
-                    else:
-                        both = c_x
-                    # confidence or lift undefined where an event never occurs
-                    ok = np.flatnonzero((ev_a > 0) & (ev_b > 0))
-                    supp = both[ok] / n
+                not_a, not_b = n - c_a, n - c_b
+                for neg_a, neg_b, ev_a, ev_b, both in (
+                        (False, False, c_a, c_b, c_x),
+                        (False, True, c_a, not_b, c_a - c_x),
+                        (True, False, not_a, c_b, c_b - c_x),
+                        (True, True, not_a, not_b, not_a - c_b + c_x)):
+                    supp = both / n
+                    ok = np.flatnonzero(supp >= config.minsupp)
+                    supp = supp[ok]
                     p_a = ev_a[ok] / n
                     p_b = ev_b[ok] / n
                     conf = supp / p_a
                     lift = supp / (p_a * p_b)
-                    passed = (supp >= config.minsupp) & (conf >= config.mincnf)
+                    passed = conf >= config.mincnf
                     if config.require_lift_gt1:
                         passed &= lift > 1.0
                     ok = ok[passed]
@@ -362,9 +360,6 @@ def _order_key(lift_index, confidence_index, tie: np.ndarray) -> np.ndarray:
     key *= len(tie)
     key += tie_rank
     return key
-
-
-_FORMS = ((False, False), (False, True), (True, False), (True, True))
 
 
 def _extend_combinations(prev, n_items):

@@ -6,7 +6,7 @@ import numpy as np
 from incmine import langmodel as lm
 from incmine.corpus import PreprocessConfig, tokenize
 
-from conftest import make_corpus
+from helpers import make_corpus
 
 OVERFIT_ROWS = [
     ("p0", "scivola su scala bagnata", "frattura"),

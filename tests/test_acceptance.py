@@ -35,7 +35,7 @@ from incmine.vectors import tfidf_matrix
 from apriori_oracle import apriori_frequent
 import rule_oracle
 from export_oracle import written
-from conftest import FIXTURE_ROWS, term_columns
+from helpers import FIXTURE_ROWS, term_columns
 from lm_fixtures import (NO_STOPWORDS, gradcheck_fixture, max_relative_fd_error,
                          overfit_fixture)
 from test_clustering import exhaustive_two_medoids, principal_angles, small_fixture_suite

@@ -27,7 +27,7 @@ from incmine.vectors import TfIdfMatrix
 
 import pam_oracle
 import whole_matrix_oracle
-from conftest import plain_and_bom, save_embeddings
+from helpers import plain_and_bom, save_embeddings
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
 

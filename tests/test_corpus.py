@@ -18,7 +18,7 @@ from incmine.corpus import (
 )
 from incmine.errors import IncmineError
 from incmine.vectors import corpus_term_counts
-from conftest import make_corpus, plain_and_bom
+from helpers import make_corpus, plain_and_bom
 
 
 class TestLoadCorpus:

@@ -304,6 +304,27 @@ class TestFisinfisMine:
             mined = rule_oracle.mined_to_dict(fisinfis_mine(txs, config))
             assert mined == rule_oracle.enumerate_rules(txs, config)
 
+    @pytest.mark.parametrize("require_lift_gt1", [True, False])
+    def test_item_in_every_transaction(self, require_lift_gt1):
+        # u is in every transaction, so !u never occurs, and every itemset of
+        # a, b, c and u occurs: the support filter alone must keep each rule
+        # on !u out, so every negated side left occurs in some transactions
+        # but not all
+        rows = ["u a b", "u a b", "u b c", "u c", "u a b c", "u", "u a c", "u b"]
+        txs = [Transaction(f"t{i}", frozenset(row.split())) for i, row in enumerate(rows)]
+        n = len(txs)
+        config = MiningConfig(minsupp=1 / n, mincnf=0.1, idf_min=0.0, idf_max=10.0,
+                              max_itemset_size=3, require_lift_gt1=require_lift_gt1)
+        mined = fisinfis_mine(txs, config)
+        assert rule_oracle.mined_to_dict(mined) == rule_oracle.enumerate_rules(txs, config)
+        found = rule_oracle.rule_rows(mined)
+        assert any("u" in a + b for a, b, *_ in found)
+        negated = [items for a, b, neg_a, neg_b, *_ in found
+                   for items, neg in ((a, neg_a), (b, neg_b)) if neg]
+        assert negated
+        for items in negated:
+            assert 0 < sum(1 for t in txs if not set(items) <= t.items) < n
+
     def test_rule_bound(self, rng, monkeypatch):
         txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=40)
         config = MiningConfig(minsupp=0.05, mincnf=0.3, idf_min=0.0,

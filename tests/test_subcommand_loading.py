@@ -17,7 +17,7 @@ import pytest
 from incmine import cli
 from incmine.cli import _UsageError, build_parser, main
 
-from conftest import save_embeddings
+from helpers import save_embeddings
 
 STAGES = ["_kernels", "clustering", "corpus", "langmodel", "rules", "vectors"]
 

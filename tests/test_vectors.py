@@ -12,7 +12,7 @@ from incmine.vectors import (
     corpus_term_counts,
     tfidf_matrix,
 )
-from conftest import make_corpus, term_columns
+from helpers import make_corpus, term_columns
 import export_oracle
 
 
