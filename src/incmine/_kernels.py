@@ -34,6 +34,10 @@ three times, while per-row adds cost more than the gathers when few groups
 are dirty. Both add a group's rows in ascending order, so they give the same
 floats.
 
+A float64 column's distinct values are found by one sort of its int64 bit
+patterns (``_distinct_index``), so the rule miner, both rule exporters and
+the tf-idf text format each distinct float once (``_format_distinct``).
+
 Readable scalar-loop references for every kernel live under ``tests/``
 (``support_oracle.py``, ``pam_oracle.py``) and are checked against these.
 """
@@ -343,6 +347,39 @@ def assign_to_medoids(dist, medoids):
     labels = np.argmin(sub, axis=1).astype(np.int64)
     d1 = sub[np.arange(sub.shape[0]), labels]
     return labels, d1.copy()
+
+
+# --------------------------------------------------------------------------
+# distinct values of a float64 column
+# --------------------------------------------------------------------------
+
+def _distinct_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct bit patterns of the float64 ``values`` as int64
+    keys, and the position of each value's bit pattern among them.
+
+    One argsort, masked directly: ``np.unique``'s hash table takes several
+    times as long here. Keying on the bits, not the float value, keeps
+    ``-0.0`` and ``0.0`` (equal as floats, formatted apart) on their own
+    keys, so ``strings[position]`` gives each value its own string.
+    """
+    bits = values.view(np.int64)
+    ascending = np.argsort(bits)
+    ordered = bits[ascending]
+    first = np.ones(len(bits), dtype=np.bool_)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = np.cumsum(first, dtype=np.intp)
+    rank -= 1
+    position = np.empty(len(bits), dtype=np.intp)
+    position[ascending] = rank
+    return ordered[first], position
+
+
+def _format_distinct(keys: np.ndarray, template: str | bytes) -> np.ndarray:
+    """The floats of the int64 bit patterns ``keys``, each as ``template % v``,
+    in an object array. ``template`` is ``str`` or ``bytes``: both take
+    ``%``, and ``"%r" % v == repr(v)``."""
+    return np.array(list(map(template.__mod__, keys.view(np.float64).tolist())),
+                    dtype=object)
 
 
 # --------------------------------------------------------------------------

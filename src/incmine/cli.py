@@ -12,8 +12,9 @@ were set, by field name, so the dataclass defaults are the only defaults.
 
 A call loads only what its subcommand runs: the stage modules (``corpus``,
 ``rules``, ``vectors``, ``clustering``, ``langmodel``) are imported by the
-functions that use them, and ``main`` adds the flags of the one subcommand
-it runs (``build_parser(command)``).
+functions that use them, and when the first argument names a subcommand,
+``main`` parses with a parser that registers that subcommand alone
+(``build_parser(command)``).
 """
 
 from __future__ import annotations
@@ -486,17 +487,16 @@ _COMMANDS = {
 def build_parser(command=None) -> _Parser:
     """The CLI parser; ``commands`` maps each subcommand name to its parser.
 
-    Every subcommand is registered with its help line, but only ``command``
-    gets its flags, or every subcommand when ``command`` is None. A call
-    that runs one subcommand parses the same with either parser."""
+    It registers every subcommand, or only ``command`` when one is given.
+    An argv led by ``command`` parses the same with either parser."""
     parser = _Parser(prog="incmine",
                      description="Mine rules, cluster descriptions and predict "
                                  "consequences from incident-report text.")
     subs = parser.add_subparsers(dest="command", required=True)
     parser.commands = subs.choices
     for name, (help_line, add_opts, func) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_line)
         if command is None or command == name:
+            sub = subs.add_parser(name, help=help_line)
             _add_common(sub)
             add_opts(sub)
             sub.set_defaults(func=func)
@@ -511,9 +511,9 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the subcommand is the first argument that is not an option: the
-    # top-level parser takes no option with a value
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
+    # an argv not led by a subcommand (help, a misspelt command) gets the
+    # full parser, whose help and errors list every subcommand
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -19,13 +19,13 @@ enumerator produce bit-identical fractions. The miner returns its rules as one
 columnar ``RuleTable``, which the CSV and DOT exporters format directly. The
 columns repeat (a 74k-rule table holds about 1,300 itemset labels, and each
 metric column at most a third as many distinct floats as rules), so each
-metric column is sorted once, by ``_distinct_index``, into its distinct bit
-patterns and each row's position among them. The miner orders the rules by
-the lift and confidence positions, and the table carries all three indexes,
-so the exporters format and encode each distinct label, node name and float
-once and gather the strings by position. They write UTF-8 bytes to a binary
-file: ``EXPORT_ROWS`` rows at a time, each block the join of the
-preformatted pieces of its rows.
+metric column is sorted once, by ``_kernels._distinct_index``, into its
+distinct bit patterns and each row's position among them. The miner orders
+the rules by the lift and confidence positions, and the table carries all
+three indexes, so the exporters format and encode each distinct label, node
+name and float once and gather the strings by position. They write UTF-8
+bytes to a binary file: ``EXPORT_ROWS`` rows at a time, each block the join
+of the preformatted pieces of its rows.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class RuleTable:
         for column in ("support", "confidence", "lift"):
             if getattr(self, column + "_index") is None:
                 object.__setattr__(self, column + "_index",
-                                   _distinct_index(getattr(self, column)))
+                                   _kernels._distinct_index(getattr(self, column)))
 
     def __len__(self):
         return len(self.support)
@@ -329,7 +329,7 @@ def fisinfis_mine(transactions: Sequence[Transaction],
     # integer: below 4 m^2 for m itemsets, within int64 under the lattice cap
     m = len(itemsets)
     tie = ((a_set * m + b_set) * 2 + neg_a) * 2 + neg_b
-    indexes = [_distinct_index(values) for values in (supp, conf, lift)]
+    indexes = [_kernels._distinct_index(values) for values in (supp, conf, lift)]
     _, conf_index, lift_index = indexes
     order = np.argsort(_order_key(lift_index, conf_index, tie))
     return RuleTable(tuple(itemsets[i] for i in by_items), a_set[order], b_set[order],
@@ -387,39 +387,10 @@ def _lex_rank(combos, n_items, binom):
             - binom[n_items - 1 - combos, np.arange(size, 0, -1)].sum(axis=1))
 
 
-def _distinct_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct bit patterns of the float64 ``values`` as int64
-    keys, and the position of each value's bit pattern among them.
-
-    One argsort, masked directly: ``np.unique``'s hash table takes several
-    times as long here. Keying on the bits, not the float value, keeps
-    ``-0.0`` and ``0.0`` (equal as floats, formatted apart) on their own
-    keys, so ``strings[position]`` gives each value its own string.
-    """
-    bits = values.view(np.int64)
-    ascending = np.argsort(bits)
-    ordered = bits[ascending]
-    first = np.ones(len(bits), dtype=np.bool_)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    rank = np.cumsum(first, dtype=np.intp)
-    rank -= 1
-    position = np.empty(len(bits), dtype=np.intp)
-    position[ascending] = rank
-    return ordered[first], position
-
-
-def _format_distinct(keys: np.ndarray, template: str | bytes) -> np.ndarray:
-    """The floats of the int64 bit patterns ``keys``, each as ``template % v``,
-    in an object array. ``template`` is ``str`` or ``bytes``: both take
-    ``%``, and ``"%r" % v == repr(v)``."""
-    return np.array(list(map(template.__mod__, keys.view(np.float64).tolist())),
-                    dtype=object)
-
-
 def _format_rounded(keys: np.ndarray, template: str | bytes) -> np.ndarray:
-    """``_format_distinct(keys, template)`` for the distinct keys of
-    ``_distinct_index`` and a fixed-point ``template``, formatting far fewer
-    floats when many round to one string.
+    """``_kernels._format_distinct(keys, template)`` for the distinct keys
+    of ``_kernels._distinct_index`` and a fixed-point ``template``,
+    formatting far fewer floats when many round to one string.
 
     Correctly rounded formatting is monotone in the value, so when the two
     ends of a run of sorted distinct values format alike, so does every value
@@ -492,7 +463,8 @@ def rules_to_csv(table: RuleTable, fh) -> None:
         writer.writerow(("+".join(items), ""))
         labels[i] = buf.getvalue()[:-1].encode()  # the label and its comma
     flags = np.array([b"0,0,", b"0,1,", b"1,0,", b"1,1,"], dtype=object)
-    metrics = _formatted_metrics(table, _format_distinct, (b"%.6f,", b"%.6f,", b"%.6f\n"))
+    metrics = _formatted_metrics(table, _kernels._format_distinct,
+                                 (b"%.6f,", b"%.6f,", b"%.6f\n"))
     fh.write(b"antecedent,consequent,neg_a,neg_c,support,confidence,lift\n")
     for lo in range(0, len(table), EXPORT_ROWS):
         rows = slice(lo, lo + EXPORT_ROWS)

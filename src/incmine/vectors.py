@@ -3,24 +3,47 @@
 ``tfidf_matrix(corpus_term_counts(corpus, pre, ontology))`` gives one row per
 record in corpus order and one column per term, in sorted term order.
 
-TF is the raw in-description count; IDF is ln(N/df) with no smoothing, so for
-binary counts the weights agree exactly with ``rules.idf(N, df)``, the IDF
-band's value. Terms present in every description weigh zero and are not
-stored.
+``corpus_term_counts`` reads the tokens of ``corpus.tokenize`` once and
+interns each term to an int id; one sort of the int64 (record, id) keys then
+counts every pair, so the counts are a few arrays (``TermCounts``), not one
+Python object per record. ``tfidf_matrix`` takes each term's df from one
+``np.bincount`` of the ids and numbers the columns in sorted term order
+(``build_term_index``).
+
+TF is the raw in-description count; IDF is ln(N/df) with no smoothing,
+computed per term by ``math.log`` (numpy's SIMD log can differ in the last
+bit), so for binary counts the weights agree exactly with ``rules.idf(N,
+df)``, the IDF band's value. Terms present in every description weigh zero
+and are not stored.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from ._kernels import _distinct_index, _format_distinct
 from .corpus import Corpus, PreprocessConfig, TagOntology, tokenize
 from .errors import IncmineError
-from .rules import _distinct_index, _format_distinct
+
+
+@dataclass(frozen=True)
+class TermCounts:
+    """Record ``rows[i]`` holds term ``terms[cols[i]]`` ``counts[i]`` times.
+
+    One entry per (record, term) pair, sorted by (row, col); a record
+    without terms has no entry. ``terms`` are in order of first occurrence.
+    """
+
+    n_rows: int
+    terms: tuple[str, ...]
+    rows: np.ndarray    # int64, sorted by (row, col)
+    cols: np.ndarray    # int64 term ids
+    counts: np.ndarray  # int64, all >= 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +83,7 @@ class TfIdfMatrix:
     def to_coo_text(self) -> str:
         """Header `n_rows n_cols nnz`, then `row col weight` lines, 0-based.
 
-        Each distinct weight is formatted once, by ``rules._distinct_index``
+        Each distinct weight is formatted once, by ``_kernels._distinct_index``
         and its position: a matrix holds few of them.
         """
         lines = [f"{self.n_rows} {self.n_cols} {self.nnz}"]
@@ -72,48 +95,45 @@ class TfIdfMatrix:
 
 
 def corpus_term_counts(corpus: Corpus, config: PreprocessConfig,
-                       ontology: Optional[TagOntology] = None) -> list[Counter[str]]:
+                       ontology: Optional[TagOntology] = None) -> TermCounts:
     """Per-record term counts in corpus order; empty records keep a zero row."""
-    return [Counter(tokens) for tokens in tokenize(corpus.dynamics, config, ontology)]
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    lengths, flat = array("q"), array("q")
+    for tokens in tokenize(corpus.dynamics, config, ontology):
+        lengths.append(len(tokens))
+        flat.extend([intern(token, len(ids)) for token in tokens])
+    n_terms = len(ids)
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), np.frombuffer(lengths, np.int64))
+    keys, counts = np.unique(rows * n_terms + np.frombuffer(flat, np.int64),
+                             return_counts=True)
+    rows, cols = np.divmod(keys, max(n_terms, 1))
+    return TermCounts(n_rows=len(lengths), terms=tuple(ids), rows=rows, cols=cols,
+                      counts=counts)
 
 
-def build_term_index(docs: Sequence[Mapping[str, int]]) -> dict[str, int]:
-    """``{term: column}`` over the sorted terms of every doc."""
-    terms = sorted({t for counts in docs for t in counts})
+def build_term_index(counts: TermCounts) -> np.ndarray:
+    """The column of each term id: the terms numbered in sorted order."""
+    terms = counts.terms
     if not terms:
         raise IncmineError("no terms in any document")
-    return {t: j for j, t in enumerate(terms)}
+    column = np.empty(len(terms), dtype=np.int64)
+    column[sorted(range(len(terms)), key=terms.__getitem__)] = np.arange(len(terms))
+    return column
 
 
-def tfidf_matrix(docs: Sequence[Mapping[str, int]]) -> TfIdfMatrix:
+def tfidf_matrix(counts: TermCounts) -> TfIdfMatrix:
     """weight(d, t) = count(t in d) * ln(N / df(t)); zero weights unstored.
 
-    Every key is a column, in sorted order; a key counted 0 adds no df.
+    Every term is a column, in sorted order.
     """
-    columns = build_term_index(docs)  # raises when no doc has a term
-    n = len(docs)
-    df: Counter[str] = Counter()
-    for counts in docs:
-        df.update(term for term, count in counts.items() if count > 0)
-    idf = {term: math.log(n / d) for term, d in df.items()}
-    rows, cols, weights = [], [], []
-    for i, counts in enumerate(docs):
-        entries = []
-        for term, count in counts.items():
-            if count <= 0:
-                continue
-            w = count * idf[term]
-            if w != 0.0:
-                entries.append((columns[term], w))
-        entries.sort()
-        for j, w in entries:
-            rows.append(i)
-            cols.append(j)
-            weights.append(w)
-    return TfIdfMatrix(
-        n_rows=n,
-        n_cols=len(columns),
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        weights=np.asarray(weights, dtype=np.float64),
-    )
+    column = build_term_index(counts)  # raises when no doc has a term
+    n = counts.n_rows
+    df = np.bincount(counts.cols, minlength=len(column))
+    idf = np.array([math.log(n / d) for d in df.tolist()])
+    weights = counts.counts * idf[counts.cols]
+    kept = np.flatnonzero(weights)
+    rows, cols = counts.rows[kept], column[counts.cols[kept]]
+    order = np.argsort(rows * len(column) + cols)
+    return TfIdfMatrix(n_rows=n, n_cols=len(column), rows=rows[order], cols=cols[order],
+                       weights=weights[kept[order]])

@@ -6,8 +6,12 @@ and in a session that also collects ``perfbench/tests`` the name
 """
 
 import struct
+from collections import Counter
+
+import numpy as np
 
 from incmine.corpus import Corpus
+from incmine.vectors import TermCounts
 
 
 def save_embeddings(matrix, path, fmt="text"):
@@ -37,6 +41,27 @@ def plain_and_bom(tmp_path, name, text):
 def term_columns(docs):
     """``{term: column}`` as ``tfidf_matrix`` numbers them: sorted terms."""
     return {t: j for j, t in enumerate(sorted({t for counts in docs for t in counts}))}
+
+
+def term_counts(docs):
+    """The ``TermCounts`` of the Mapping ``docs``, one ``{term: count >= 1}``
+    per record, term ids numbered by first occurrence as
+    ``corpus_term_counts`` numbers them."""
+    ids = {}
+    entries = sorted((i, ids.setdefault(term, len(ids)), count)
+                     for i, counts in enumerate(docs) for term, count in counts.items())
+    assert all(count >= 1 for *_, count in entries), "a token occurs at least once"
+    rows, cols, counts = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return TermCounts(n_rows=len(docs), terms=tuple(ids), rows=rows, cols=cols, counts=counts)
+
+
+def counters(counts):
+    """One ``Counter`` of terms per record of the ``TermCounts`` ``counts``."""
+    docs = [Counter() for _ in range(counts.n_rows)]
+    for row, col, count in zip(counts.rows.tolist(), counts.cols.tolist(),
+                               counts.counts.tolist()):
+        docs[row][counts.terms[col]] = count
+    return docs
 
 
 def make_corpus(rows):

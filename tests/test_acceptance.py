@@ -35,7 +35,7 @@ from incmine.vectors import tfidf_matrix
 from apriori_oracle import apriori_frequent
 import rule_oracle
 from export_oracle import written
-from helpers import FIXTURE_ROWS, term_columns
+from helpers import FIXTURE_ROWS, term_columns, term_counts
 from lm_fixtures import (NO_STOPWORDS, gradcheck_fixture, max_relative_fd_error,
                          overfit_fixture)
 from test_clustering import exhaustive_two_medoids, principal_angles, small_fixture_suite
@@ -128,20 +128,20 @@ def test_c04_idf_band_filters_extremes():
 def test_c05_tfidf_fixture_and_idf_consistency():
     docs = [{"cade": 1, "scala": 1}, {"cade": 1, "martello": 1}]
     index = term_columns(docs)
-    dense = tfidf_matrix(docs).toarray()
+    dense = tfidf_matrix(term_counts(docs)).toarray()
     assert abs(dense[0, index["scala"]] - math.log(2)) < 1e-12
     assert abs(dense[1, index["martello"]] - math.log(2)) < 1e-12
     assert dense[0, index["cade"]] == 0.0
     double = [{"raro": 2, "comune": 1}, {"comune": 1}]
     idx2 = term_columns(double)
-    dense2 = tfidf_matrix(double).toarray()
+    dense2 = tfidf_matrix(term_counts(double)).toarray()
     assert abs(dense2[0, idx2["raro"]] - 2 * math.log(2)) < 1e-12
 
     rng = np.random.default_rng(505)
     txs = rule_oracle.random_transactions(rng, max_items=10, max_tx=30)
     docs_bin = [{item: 1 for item in sorted(t.items)} for t in txs]
     idx3 = term_columns(docs_bin)
-    dense3 = tfidf_matrix(docs_bin).toarray()
+    dense3 = tfidf_matrix(term_counts(docs_bin)).toarray()
     for i, t in enumerate(txs):
         for item in t.items:
             assert abs(dense3[i, idx3[item]]

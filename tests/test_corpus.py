@@ -18,7 +18,7 @@ from incmine.corpus import (
 )
 from incmine.errors import IncmineError
 from incmine.vectors import corpus_term_counts
-from helpers import make_corpus, plain_and_bom
+from helpers import counters, make_corpus, plain_and_bom
 
 
 class TestLoadCorpus:
@@ -270,7 +270,7 @@ def test_stages_read_one_tokenization():
     txs = to_transactions(corp, cfg, onto)
     assert txs.flagged == ("b",)
     items = {t.id: t.items for t in txs.transactions}
-    docs = corpus_term_counts(corp, cfg, onto)
+    docs = counters(corpus_term_counts(corp, cfg, onto))
     assert len(docs) == len(corp)
     for rec_id, counts in zip(corp.ids, docs):
         assert set(counts) == items.get(rec_id, frozenset())

@@ -1,4 +1,4 @@
-"""Metric columns are sorted one way: ``rules._distinct_index`` turns a
+"""Metric columns are sorted one way: ``_kernels._distinct_index`` turns a
 float64 column into its distinct int64 bit patterns and each row's position
 among them, and the miner's order, both exporters and the tf-idf text read
 that. So at most that one scope of the package views floats as int64 bit
@@ -57,5 +57,5 @@ def distinct_index_users():
 
 def test_one_scope_views_floats_as_int64_and_none_lexsorts():
     views, lexsorts = distinct_index_users()
-    assert views == {"rules.py:_distinct_index"}
+    assert views == {"_kernels.py:_distinct_index"}
     assert lexsorts == set()

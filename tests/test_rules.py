@@ -365,7 +365,8 @@ class TestFisinfisMine:
         supp = c_x / n
         conf = supp / (c_a / n)
         lift = supp / ((c_a / n) * (c_b / n))
-        key = rules._order_key(rules._distinct_index(lift), rules._distinct_index(conf), tie)
+        key = rules._order_key(_kernels._distinct_index(lift),
+                               _kernels._distinct_index(conf), tie)
         assert key.dtype == np.int64
         assert len(np.unique(key)) == len(key)
         assert np.argsort(key).tolist() == np.lexsort((tie, -conf, -lift)).tolist()
@@ -375,7 +376,7 @@ class TestFisinfisMine:
         assert n ** 3 - 1 < 2 ** 63
         # n distinct lifts and confidences; row r has the (r+1)-th smallest of
         # each and the (r+1)-th largest tie, so row 0 has every rank at its maximum
-        index = rules._distinct_index(np.arange(1, n + 1, dtype=np.float64))
+        index = _kernels._distinct_index(np.arange(1, n + 1, dtype=np.float64))
         key = rules._order_key(index, index, -np.arange(n, dtype=np.int64))
         assert key.dtype == np.int64
         assert int(key[0]) == n ** 3 - 1
@@ -587,10 +588,10 @@ class TestExport:
                      0.0004999999999999999, 2.5, 2.5], template=" l=%.3f")
     def test_rounded_formatting_matches_distinct(self, values, template):
         values = np.array(values, dtype=np.float64)
-        keys, position = rules._distinct_index(values)
+        keys, position = _kernels._distinct_index(values)
         got = rules._format_rounded(keys, template)[position]
         assert got.dtype == object and got.shape == values.shape
-        assert got.tolist() == rules._format_distinct(keys, template)[position].tolist()
+        assert got.tolist() == _kernels._format_distinct(keys, template)[position].tolist()
         assert got.tolist() == [template % v for v in values.tolist()]
 
     @pytest.mark.parametrize("export", [rules_to_csv, export_rule_graph])

@@ -1,7 +1,8 @@
 """A CLI call loads only its own subcommand: ``import incmine.cli`` loads no
 stage module, a call imports the stage modules its subcommand runs, and
-``main`` parses with a parser that holds the flags of that subcommand only.
-That parser must accept, refuse and print exactly what the full one does."""
+when the argv is led by a subcommand, ``main`` parses with a parser that
+registers that subcommand only. That parser must accept, refuse and print
+exactly what the full one does."""
 
 import argparse
 import contextlib
@@ -69,7 +70,7 @@ _CALLS = {
     "mine-rules": (["--corpus", "{corpus}", "--max-itemset-size", "2"],
                    ["_kernels", "corpus", "rules"]),
     "cluster-tfidf": (["--corpus", "{corpus}", "--k", "2"],
-                      ["_kernels", "clustering", "corpus", "rules", "vectors"]),
+                      ["_kernels", "clustering", "corpus", "vectors"]),
     "cluster-embeddings": (["--embeddings", "{embeddings}", "--k", "2"],
                            ["_kernels", "clustering"]),
     "train-lm": (["--corpus", "{corpus}", "--vocab-size", "32", "--embed-dim", "4",
@@ -140,12 +141,18 @@ def test_one_subcommand_parser_parses_as_the_full_parser(command):
                     and isinstance(expected, argparse.Namespace):
                 assert expected.config == "run.cfg"
     assert isinstance(_parsed(full, [command, *_ARGVS[command][0]]), argparse.Namespace)
+    # main refuses a misspelt command with the full parser's error
+    misspelt = [command[:-1], *_ARGVS[command][0]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(misspelt) == 1
+    assert err.getvalue() == _parsed(full, misspelt) + "\n"
 
 
 @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["-x", "predict"], ["-", "predict"],
                                   ["--", "predict", "--model", "m", "--text", "t"]])
 def test_argv_not_led_by_a_subcommand_is_refused_as_by_the_full_parser(argv, capsys):
-    # main picks the parser by the first argument not starting with "-"
+    # main parses with the full parser unless argv[0] names a subcommand
     expected = _parsed(build_parser(), argv)
     assert expected.startswith("usage error: ")
     assert main(argv) == 1
@@ -166,7 +173,9 @@ def _help(argv, run):
 
 @pytest.mark.parametrize("command", [None, *sorted(_ARGVS)])
 def test_help_is_the_full_parsers(command):
-    argv = ["--help"] if command is None else [command, "--help"]
-    expected = _help(argv, build_parser().parse_args)
-    assert expected.startswith("usage: incmine")
-    assert _help(argv, main) == expected
+    # "-h mine-rules" is the top-level help, which lists every subcommand
+    argvs = [["--help"]] if command is None else [[command, "--help"], ["-h", command]]
+    for argv in argvs:
+        expected = _help(argv, build_parser().parse_args)
+        assert expected.startswith("usage: incmine")
+        assert _help(argv, main) == expected, argv

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incmine.corpus import PreprocessConfig, TagOntology
 from incmine.errors import IncmineError
@@ -12,51 +12,42 @@ from incmine.vectors import (
     corpus_term_counts,
     tfidf_matrix,
 )
-from helpers import make_corpus, term_columns
+from helpers import counters, make_corpus, term_columns, term_counts
 import export_oracle
+import tfidf_oracle
 
 
 class TestTermIndex:
     """The columns ``tfidf_matrix`` numbers through ``build_term_index``."""
 
     def test_two_docs(self):
-        matrix = tfidf_matrix([{"a": 1}, {"b": 2}])
+        matrix = tfidf_matrix(term_counts([{"a": 1}, {"b": 2}]))
         assert matrix.n_cols == 2
         assert list(zip(matrix.rows.tolist(), matrix.cols.tolist())) == [(0, 0), (1, 1)]
 
     def test_order_independent(self):
-        one = tfidf_matrix([{"b": 1}, {"a": 1}])
-        two = tfidf_matrix([{"a": 1}, {"b": 1}])
+        one = tfidf_matrix(term_counts([{"b": 1}, {"a": 1}]))
+        two = tfidf_matrix(term_counts([{"a": 1}, {"b": 1}]))
         assert one.cols.tolist() == [1, 0]
         assert two.cols.tolist() == [0, 1]
         assert np.array_equal(one.toarray()[::-1], two.toarray())
 
     def test_single_doc(self):
-        matrix = tfidf_matrix([{"x": 3}])
+        matrix = tfidf_matrix(term_counts([{"x": 3}]))
         assert matrix.n_cols == 1
 
     def test_no_terms(self):
         with pytest.raises(IncmineError, match="no terms in any document"):
-            tfidf_matrix([{}, {}])
+            tfidf_matrix(term_counts([{}, {}]))
         with pytest.raises(IncmineError, match="no terms in any document"):
-            tfidf_matrix([])
-
-    def test_zero_count_key_has_a_column_and_no_df(self):
-        # "a" counted 0 in d2 does not raise its df, so d1 keeps ln(2)
-        docs = [{"a": 1}, {"a": 0, "b": 1}, {"c": 1}]
-        matrix = tfidf_matrix(docs)
-        assert matrix.n_cols == 3
-        dense = matrix.toarray()
-        assert abs(dense[0, 0] - math.log(3)) < 1e-12
-        assert dense[1, 0] == 0.0
-        assert matrix.nnz == 3
+            tfidf_matrix(term_counts([]))
 
 
 class TestTfIdf:
     def test_toy_weights(self):
         docs = [{"cade": 1, "scala": 1}, {"cade": 1, "martello": 1}]
         index = term_columns(docs)
-        matrix = tfidf_matrix(docs)
+        matrix = tfidf_matrix(term_counts(docs))
         dense = matrix.toarray()
         scala = index["scala"]
         cade = index["cade"]
@@ -66,18 +57,18 @@ class TestTfIdf:
     def test_count_scales_weight(self):
         docs = [{"raro": 2, "comune": 1}, {"comune": 1}]
         index = term_columns(docs)
-        dense = tfidf_matrix(docs).toarray()
+        dense = tfidf_matrix(term_counts(docs)).toarray()
         assert abs(dense[0, index["raro"]] - 2 * math.log(2)) < 1e-12
 
     def test_single_doc_all_zero(self):
         docs = [{"a": 3, "b": 1}]
-        matrix = tfidf_matrix(docs)
+        matrix = tfidf_matrix(term_counts(docs))
         assert matrix.nnz == 0
         assert matrix.n_rows == 1
 
     def test_sparsity_stores_only_nonzero(self):
         docs = [{"a": 1, "b": 1}, {"a": 1}]
-        matrix = tfidf_matrix(docs)
+        matrix = tfidf_matrix(term_counts(docs))
         assert (matrix.weights != 0.0).all()
         dense = matrix.toarray()
         assert matrix.nnz == np.count_nonzero(dense)
@@ -88,7 +79,7 @@ class TestTfIdf:
         txs = rule_oracle.random_transactions(rng, max_items=8, max_tx=20)
         docs = [{item: 1 for item in sorted(t.items)} for t in txs]
         index = term_columns(docs)
-        dense = tfidf_matrix(docs).toarray()
+        dense = tfidf_matrix(term_counts(docs)).toarray()
         for i, t in enumerate(txs):
             for item in t.items:
                 want = rule_oracle.idf_of(item, txs)
@@ -96,9 +87,9 @@ class TestTfIdf:
 
     def test_row_permutation_equivariance(self):
         docs = [{"a": 2}, {"b": 1}, {"a": 1, "b": 1}]
-        base = tfidf_matrix(docs).toarray()
+        base = tfidf_matrix(term_counts(docs)).toarray()
         perm = [docs[2], docs[0], docs[1]]
-        permuted = tfidf_matrix(perm).toarray()
+        permuted = tfidf_matrix(term_counts(perm)).toarray()
         assert np.allclose(permuted, base[[2, 0, 1]])
 
 
@@ -122,7 +113,7 @@ class TestRowSlices:
         assert np.array_equal(got, dense[lo:hi])
 
     def test_step_refused(self):
-        matrix = tfidf_matrix([{"a": 1}, {"b": 2}, {"a": 1, "c": 1}])
+        matrix = tfidf_matrix(term_counts([{"a": 1}, {"b": 2}, {"a": 1, "c": 1}]))
         with pytest.raises(ValueError, match="step 1"):
             matrix[::2]
 
@@ -130,7 +121,7 @@ class TestRowSlices:
 class TestExport:
     def test_coo_text_format(self):
         docs = [{"cade": 1, "scala": 1}, {"cade": 1, "martello": 1}]
-        text = tfidf_matrix(docs).to_coo_text()
+        text = tfidf_matrix(term_counts(docs)).to_coo_text()
         lines = text.splitlines()
         assert lines[0] == "2 3 2"
         assert lines[1].startswith("0 2 ")  # (row 0, col scala)
@@ -141,7 +132,7 @@ class TestExport:
         import rule_oracle
         txs = rule_oracle.random_transactions(rng, max_items=10, max_tx=15)
         docs = [{item: 1 for item in sorted(t.items)} for t in txs]
-        text = tfidf_matrix(docs).to_coo_text()
+        text = tfidf_matrix(term_counts(docs)).to_coo_text()
         coords = [tuple(map(int, line.split()[:2]))
                   for line in text.splitlines()[1:]]
         assert coords == sorted(coords)
@@ -170,21 +161,59 @@ class TestExport:
         import rule_oracle
         txs = rule_oracle.random_transactions(rng, max_items=10, max_tx=40)
         docs = [{item: 1 + i % 3 for i, item in enumerate(sorted(t.items))} for t in txs]
-        matrix = tfidf_matrix(docs)
+        matrix = tfidf_matrix(term_counts(docs))
         assert matrix.nnz > len(set(matrix.weights.tolist()))  # repeated weights
         assert matrix.to_coo_text() == export_oracle.coo_text(matrix)
+
+
+# words the tokenizer keeps as they are, first seen in other than sorted order
+_WORDS = ("zolla", "bario", "città", "mela", "ape", "perché")
+
+
+class TestDictLoopOracle:
+    """``tfidf_matrix(corpus_term_counts(...))`` against the dict loop it
+    replaced (``tfidf_oracle``), to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(st.lists(st.sampled_from(_WORDS), max_size=8),
+                            min_size=1, max_size=30),
+           everywhere=st.booleans())
+    @example(records=[["ape"]] * 20 + [["mela"]], everywhere=False)  # np.log(21 / 20) is 1 ulp off
+    @example(records=[["mela", "zolla", "mela"]], everywhere=False)  # one record: no weight
+    @example(records=[["zolla"], [], ["bario", "zolla", "bario"]], everywhere=True)
+    @example(records=[[], []], everywhere=False)  # no terms: refused
+    def test_matches_the_dict_loop(self, records, everywhere):
+        if everywhere:  # a term in every record
+            records = [tokens + ["ovunque"] for tokens in records]
+        corp = make_corpus([(str(i), " ".join(tokens)) for i, tokens in enumerate(records)])
+        cfg = PreprocessConfig(stopwords=frozenset())
+        docs = tfidf_oracle.corpus_term_counts(corp, cfg)
+        assert [sorted(doc.elements()) for doc in docs] == [sorted(t) for t in records]
+        if not any(records):
+            with pytest.raises(IncmineError, match="no terms in any document"):
+                tfidf_oracle.tfidf_matrix(docs)
+            with pytest.raises(IncmineError, match="no terms in any document"):
+                tfidf_matrix(corpus_term_counts(corp, cfg))
+            return
+        want = tfidf_oracle.tfidf_matrix(docs)
+        got = tfidf_matrix(corpus_term_counts(corp, cfg))
+        assert got.shape == want.shape
+        assert got.rows.tolist() == want.rows.tolist()
+        assert got.cols.tolist() == want.cols.tolist()
+        assert got.weights.view(np.int64).tolist() == want.weights.view(np.int64).tolist()
+        assert got.to_coo_text() == export_oracle.coo_text(want)
 
 
 def test_corpus_term_counts_with_tags():
     corp = make_corpus([("x", "martello cade martello", "")])
     onto = TagOntology({"martello": "UTENSILE"})
-    docs = corpus_term_counts(corp, PreprocessConfig(stopwords=frozenset()), onto)
+    docs = counters(corpus_term_counts(corp, PreprocessConfig(stopwords=frozenset()), onto))
     assert docs == [Counter({"UTENSILE": 2, "cade": 1})]
 
 
 def test_corpus_term_counts_keeps_empty_rows():
     cfg = PreprocessConfig(stopwords=frozenset({"il"}))
     corp = make_corpus([("a", "il", ""), ("b", "scala", "")])
-    docs = corpus_term_counts(corp, cfg)
+    docs = counters(corpus_term_counts(corp, cfg))
     assert docs[0] == Counter()
     assert len(docs) == 2
