@@ -37,12 +37,14 @@ floats.
 A float64 column's distinct values are found by one sort of its int64 bit
 patterns (``_distinct_index``), so the rule miner, both rule exporters and
 the tf-idf text format each distinct float once (``_format_distinct``).
+The miner's IDF band and the tf-idf weights take ln(N/df) from one ``idf``.
 
 Readable scalar-loop references for every kernel live under ``tests/``
 (``support_oracle.py``, ``pam_oracle.py``) and are checked against these.
 """
 
 import copy
+import math
 
 import numpy as np
 
@@ -350,8 +352,14 @@ def assign_to_medoids(dist, medoids):
 
 
 # --------------------------------------------------------------------------
-# distinct values of a float64 column
+# distinct values of a float64 column, and the IDF
 # --------------------------------------------------------------------------
+
+def idf(n: int, df: int) -> float:
+    """Natural log of n / df: the IDF of a term or item in df of n records.
+    ``math.log``, not ``np.log``, whose SIMD log can differ in the last bit."""
+    return math.log(n / df)
+
 
 def _distinct_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct bit patterns of the float64 ``values`` as int64

@@ -1,8 +1,8 @@
 """Subcommand CLI composing the pipeline stages.
 
-Exit codes: 0 success, 1 usage error, 2 data error. All outputs are
-deterministic given identical inputs and flags - reports carry no timestamps
-and floats are serialized with a fixed format.
+Exit codes: 0 success, 1 usage error, 2 data error (out of memory
+included). All outputs are deterministic given identical inputs and flags -
+reports carry no timestamps and floats are serialized with a fixed format.
 
 Each flag that a ``--config`` file may set declares its config key where the
 flag is added (``_Parser.setting``). The file is applied once, before the
@@ -532,6 +532,10 @@ def main(argv=None) -> int:
         return 1
     except (IncmineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy's names the array's size and shape
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

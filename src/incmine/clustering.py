@@ -376,6 +376,15 @@ def _check_header(path, n_rows: int, n_cols: int) -> None:
 
 
 def load_embedding_ids(path) -> list[str]:
-    """Companion id list: one sentence id per line."""
+    """Companion id list: one sentence id per line, blank lines skipped. A
+    repeated id is refused, as ``corpus.load_corpus`` refuses one."""
+    seen: dict[str, int] = {}  # id -> line
     with open(path, encoding="utf-8-sig") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            sid = line.strip()
+            if sid in seen:
+                raise IncmineError(f"{path}:{lineno}: duplicate id {sid!r} "
+                                   f"(first at line {seen[sid]})")
+            if sid:
+                seen[sid] = lineno
+    return list(seen)

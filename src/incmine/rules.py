@@ -41,6 +41,7 @@ import csv
 import numpy as np
 
 from . import _kernels
+from ._kernels import idf
 from .corpus import Transaction
 from .errors import IncmineError
 
@@ -152,11 +153,6 @@ class MiningConfig:
 def _check_transactions(transactions: Sequence[Transaction]):
     if len(transactions) == 0:
         raise IncmineError("transaction list is empty")
-
-
-def idf(n: int, df: int) -> float:
-    """Natural log of n / df: the IDF of an item in df of n transactions."""
-    return math.log(n / df)
 
 
 def rule_metrics(antecedent: Itemset, consequent: Itemset,

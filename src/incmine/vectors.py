@@ -11,22 +11,20 @@ Python object per record. ``tfidf_matrix`` takes each term's df from one
 (``build_term_index``).
 
 TF is the raw in-description count; IDF is ln(N/df) with no smoothing,
-computed per term by ``math.log`` (numpy's SIMD log can differ in the last
-bit), so for binary counts the weights agree exactly with ``rules.idf(N,
-df)``, the IDF band's value. Terms present in every description weigh zero
-and are not stored.
+computed per term by ``_kernels.idf``, the IDF band's function, so for
+binary counts the weights are exactly the band's values. Terms present in
+every description weigh zero and are not stored.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._kernels import _distinct_index, _format_distinct
+from ._kernels import _distinct_index, _format_distinct, idf
 from .corpus import Corpus, PreprocessConfig, TagOntology, tokenize
 from .errors import IncmineError
 
@@ -130,8 +128,7 @@ def tfidf_matrix(counts: TermCounts) -> TfIdfMatrix:
     column = build_term_index(counts)  # raises when no doc has a term
     n = counts.n_rows
     df = np.bincount(counts.cols, minlength=len(column))
-    idf = np.array([math.log(n / d) for d in df.tolist()])
-    weights = counts.counts * idf[counts.cols]
+    weights = counts.counts * np.array([idf(n, d) for d in df.tolist()])[counts.cols]
     kept = np.flatnonzero(weights)
     rows, cols = counts.rows[kept], column[counts.cols[kept]]
     order = np.argsort(rows * len(column) + cols)

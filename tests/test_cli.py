@@ -142,21 +142,47 @@ class TestExitCodes:
         (["cluster-embeddings", "--embeddings", "{short_bin}", "--k", "3"],
          "{short_bin}: truncated binary header"),
         (["mine-rules", "--corpus", "{empty_id}"], "{empty_id}:2: empty record id"),
+        (["cluster-embeddings", "--embeddings", "{embeddings}", "--ids", "{dup_ids}",
+          "--k", "3"], "{dup_ids}:4: duplicate id 'a' (first at line 1)"),
     ], ids=["mincnf", "idf-min", "max-itemset-size", "max-iter", "batch-size",
-            "variance-threshold", "top-k", "short-binary-header", "empty-record-id"])
+            "variance-threshold", "top-k", "short-binary-header", "empty-record-id",
+            "duplicate-embedding-id"])
     def test_refusal_message(self, argv, message, fixture_corpus_path, corpus_csv,
                              model_dir, tmp_path, capsys):
         embeddings = tmp_path / "emb.txt"
         save_embeddings(np.random.default_rng(0).normal(size=(20, 3)), embeddings)
         short_bin = tmp_path / "short.bin"
         short_bin.write_bytes(b"\0" * 10)
+        dup_ids = tmp_path / "ids.txt"
+        dup_ids.write_text("a\nb\n\na\n" + "".join(f"c{i}\n" for i in range(17)),
+                           encoding="utf-8")
         paths = {"corpus": fixture_corpus_path, "embeddings": str(embeddings),
-                 "model": model_dir, "short_bin": str(short_bin),
+                 "model": model_dir, "short_bin": str(short_bin), "dup_ids": str(dup_ids),
                  "empty_id": corpus_csv([("", "operaio cade", "frattura")], "empty_id.csv")}
         out = tmp_path / "refused"
         capsys.readouterr()
         assert run(*(arg.format(**paths) for arg in argv), "--output-dir", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 67.3 MiB for an array with shape (2970, 2970) and data type "
+         "float64", "error: out of memory: Unable to allocate 67.3 MiB for an array with "
+         "shape (2970, 2970) and data type float64\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_data_error(self, message, line, fixture_corpus_path, tmp_path,
+                                         capsys, monkeypatch):
+        from incmine import vectors
+
+        def exhausted(counts):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(vectors, "tfidf_matrix", exhausted)
+        out = tmp_path / "out"
+        assert run("cluster-tfidf", "--corpus", fixture_corpus_path, "--k", "2",
+                   "--output-dir", str(out)) == 2
+        assert capsys.readouterr().err == line
         assert not out.exists()
 
     def test_deeply_nested_jsonl_is_data_error(self, tmp_path, capsys):
@@ -835,12 +861,17 @@ def model_dir(fixture_corpus_path, tmp_path):
     return os.path.join(out, "model")
 
 
-def _run_child(argv, preexec_fn=None):
-    """Exit code and standard error of an ``incmine`` call in a child process."""
+def _child_env(**extra):
+    """The environment of a child process that imports this ``incmine``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "incmine.cli", *argv], env=env,
+
+
+def _run_child(argv, preexec_fn=None, **env):
+    """Exit code and standard error of an ``incmine`` call in a child process,
+    with the variables ``env`` added to its environment."""
+    proc = subprocess.run([sys.executable, "-m", "incmine.cli", *argv], env=_child_env(**env),
                           preexec_fn=preexec_fn, capture_output=True, text=True,
                           timeout=300)
     return proc.returncode, proc.stderr
@@ -888,6 +919,82 @@ def test_failed_rerun_changes_nothing(fixture_corpus_path, model_dir, tmp_path, 
     assert code == 2 and "File too large" in err and "Traceback" not in err
     assert tree(out) == before
     assert not [name for name in os.listdir(out) if name.startswith(".incmine-")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess", "--corpus", "{corpus}", "--ontology", "{ontology}"],
+    ["mine-rules", "--corpus", "{corpus}", "--ontology", "{ontology}", "--minsupp", "0.1"],
+    ["cluster-tfidf", "--corpus", "{corpus}", "--ontology", "{ontology}", "--k", "3"],
+    ["train-lm", "--corpus", "{corpus}", *_SMALL_LM],
+], ids=["preprocess", "mine-rules", "cluster-tfidf", "train-lm"])
+def test_outputs_do_not_depend_on_the_hash_seed(argv, fixture_corpus_path, tmp_path):
+    """Sets and dicts of strings iterate in an order that PYTHONHASHSEED
+    picks, so two seeds must write the same bytes."""
+    onto = tmp_path / "onto.tsv"
+    onto.write_text("scala\tATTREZZATURA\nponteggio\tATTREZZATURA\nlama\tUTENSILE\n",
+                    encoding="utf-8")
+    argv = [arg.format(corpus=fixture_corpus_path, ontology=onto) for arg in argv]
+    for seed in ("1", "2"):
+        out = str(tmp_path / f"seed{seed}")
+        assert _run_child([*argv, "--output-dir", out], PYTHONHASHSEED=seed) == (0, "")
+    assert tree(tmp_path / "seed1") == tree(tmp_path / "seed2")
+
+
+# Runs one call without a limit, then lowers its own RLIMIT_AS soft limit
+# from 32 MB above that call's peak address space in 16 MB steps, reruns
+# the call at each and prints [limit, exit code, stderr, output dir made]
+# per run up to the first that does not exit 0. The free run lets OpenBLAS
+# allocate its buffers, since OpenBLAS aborts from C when it cannot; the
+# fixed mmap threshold returns each large array to the system when freed,
+# so every limited run maps its arrays again.
+_STEP_DOWN = """
+import contextlib, io, json, os, resource, sys
+from incmine.cli import main
+
+def vm(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith(key))
+
+*argv, out = sys.argv[1:]
+floor = vm("VmSize")
+assert main([*argv, "--output-dir", os.path.join(out, "free")]) == 0
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit, steps = vm("VmPeak") + (32 << 20), []
+while limit > floor and not (steps and steps[-1][1]):
+    dest, err = os.path.join(out, str(limit)), io.StringIO()
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--output-dir", dest])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    steps.append([limit, code, err.getvalue(), os.path.exists(dest)])
+    limit -= 16 << 20
+print(json.dumps(steps))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_out_of_memory_under_an_address_space_limit(corpus_csv, tmp_path):
+    """Under a memory limit that an input needs more than, a call exits 2
+    with one ``error: out of memory`` line naming numpy's allocation, and
+    makes no output directory."""
+    rng = np.random.default_rng(0)
+    words = [f"parola{i}" for i in range(400)]
+    path = corpus_csv([(f"r{i}", " ".join(rng.choice(words, 8)), "frattura")
+                       for i in range(1500)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _STEP_DOWN, "cluster-tfidf", "--corpus", path, "--k", "8",
+         str(tmp_path)], env=_child_env(OPENBLAS_NUM_THREADS="1",
+                                        MALLOC_MMAP_THRESHOLD_="131072"),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps[0][1] == 0  # the first limit passes
+    limit, code, err, made = steps[-1]
+    assert code == 2, steps
+    assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+    assert "Traceback" not in err and not made
 
 
 class TestModelManifest:
